@@ -23,7 +23,8 @@ from .cubegraphs import (
 )
 from .harmonic import min_energy_search
 from .predicates import caf_table
-from .spectra import eig_sym, spectrum_to_csv
+from .oeisclient import FetchError
+from .spectra import ResidualError, eig_sym, spectrum_to_csv
 
 FAMILIES = {
     "ncube": (ncube_adjacency, "binary"),
@@ -264,7 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResidualError, FetchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

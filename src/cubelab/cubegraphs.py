@@ -141,16 +141,29 @@ def _ternary_product(factor: np.ndarray, n: int) -> np.ndarray:
     """Cartesian-product accumulation of a 3x3 per-axis matrix.
 
     Vertex index m = sum digits[k] * 3^k, so axis k sits at the k-th
-    Kronecker slot from the right.
+    Kronecker slot from the right.  Built by index arithmetic: entry
+    (i, i + (b - a) * 3^k) is factor[a, b] for every i whose digit k is a,
+    and the diagonal sums factor[d, d] over the digits d of i.
     """
-    total = np.zeros((3**n, 3**n))
+    size = 3**n
+    index = np.arange(size)
+    total = np.zeros((size, size))
+    diagonal = np.zeros(size)
     for k in range(n):
-        total += np.kron(np.eye(3 ** (n - 1 - k)), np.kron(factor, np.eye(3**k)))
+        digit = (index // 3**k) % 3
+        diagonal += factor[digit, digit]
+        for a, b in zip(*np.nonzero(factor)):
+            if a != b:
+                rows = index[digit == a]
+                total[rows, rows + (b - a) * 3**k] = factor[a, b]
+    total[index, index] = diagonal
     return total
 
 
 def _apply_perm(entries: np.ndarray, perm: list[int]) -> np.ndarray:
     idx = np.array(perm)
+    if np.array_equal(idx, np.arange(idx.size)):
+        return entries
     return entries[np.ix_(idx, idx)]
 
 

@@ -1,10 +1,14 @@
 """Symmetric eigensolving, multiplicity clustering, and spectrum checks.
 
 Eigendecomposition is delegated to LAPACK through numpy.linalg.eigh, which
-is deterministic per platform; every returned pair is residual-checked.
-Clustering groups eigenvalues whose spread stays within an absolute
-tolerance (default 1e-6; the spectra handled here have true gaps of at
-least sqrt(2) - 1).
+is deterministic per platform.  A bisymmetric input (symmetric and
+unchanged by reversing both index orders, as every family is in its
+default ordering) is split by the exact orthogonal centrosymmetric
+reduction into two half-size blocks, each solved by its own eigh; other
+inputs take one eigh of the full matrix.  Either way every returned pair
+is residual-checked against the full matrix.  Clustering groups
+eigenvalues whose spread stays within an absolute tolerance (default
+1e-6; the spectra handled here have true gaps of at least sqrt(2) - 1).
 """
 
 import math
@@ -15,6 +19,10 @@ import numpy as np
 from .cubegraphs import GraphMatrix
 
 CLUSTER_TOL = 1e-6
+
+
+class ResidualError(RuntimeError):
+    """An eigenpair failed the residual check against the input matrix."""
 
 
 @dataclass(frozen=True)
@@ -84,17 +92,24 @@ def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
 def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
-    Raises on non-symmetric input; verifies ||Mv - lambda v|| <= tol*||M||
-    for every pair before returning.
+    Raises ValueError on non-symmetric input and ResidualError when a
+    pair fails the residual check.  When the input is also centrosymmetric
+    within 1e-10 (and N > 1) the eigenpairs come from the two half-size
+    blocks of `centro_block_diagonalize`, otherwise from one eigh of the
+    full matrix.  Either way ||Mv - lambda v|| <= tol*max(|lambda|_max, 1)
+    is verified for every pair on the full input matrix before returning.
     """
     entries, meta = _as_array(M)
     if np.abs(entries - entries.T).max() > 1e-10:
         raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh(entries)
+    if entries.shape[0] > 1 and _centro_deviation(entries) <= 1e-10:
+        values, vectors = _centro_eigh(entries)
+    else:
+        values, vectors = np.linalg.eigh(entries)
     norm = float(np.abs(values).max()) if values.size else 0.0
     residual = np.linalg.norm(entries @ vectors - vectors * values, axis=0)
     if residual.max() > tol * max(norm, 1.0):
-        raise RuntimeError(f"eigenpair residual {residual.max():.3e} exceeds tolerance")
+        raise ResidualError(f"eigenpair residual {residual.max():.3e} exceeds tolerance")
     return Spectrum(
         values=values,
         clusters=cluster_eigenvalues(values, cluster_tol),
@@ -139,37 +154,88 @@ def exchange_matrix(m: int) -> np.ndarray:
     return np.fliplr(np.eye(m))
 
 
+def _centro_deviation(entries: np.ndarray) -> float:
+    """Largest entrywise change under reversing both index orders (J M J)."""
+    return float(np.abs(entries[::-1, ::-1] - entries).max())
+
+
+def _centro_blocks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minus and plus blocks of K M K^T for a bisymmetric M, by slicing.
+
+    With m = N // 2, A the top-left m x m block and B J the top-right
+    block with its columns reversed, the minus block is A - B J and the
+    plus block A + B J; for odd N the plus block is bordered in front by
+    the centre entry and sqrt(2) times the centre column.
+    """
+    N = entries.shape[0]
+    m = N // 2
+    A = entries[:m, :m]
+    BJ = entries[:m, N - m :][:, ::-1]
+    minus = A - BJ
+    if N % 2 == 0:
+        return minus, A + BJ
+    plus = np.empty((m + 1, m + 1))
+    plus[0, 0] = entries[m, m]
+    plus[1:, 0] = plus[0, 1:] = math.sqrt(2.0) * entries[:m, m]
+    plus[1:, 1:] = A + BJ
+    return minus, plus
+
+
+def _centro_eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a bisymmetric matrix from its two blocks.
+
+    A minus-block eigenvector v lifts to [v; 0; -J v] / sqrt(2), a
+    plus-block eigenvector (v_c; v_top) to [v_top; sqrt(2) v_c; J v_top]
+    / sqrt(2) (the middle entries exist only for odd N).  Values are
+    merged with a stable sort, minus before plus on ties.
+    """
+    N = entries.shape[0]
+    m = N // 2
+    minus, plus = _centro_blocks(entries)
+    minus_values, minus_vectors = np.linalg.eigh(minus)
+    plus_values, plus_vectors = np.linalg.eigh(plus)
+    vectors = np.zeros((N, N))
+    top = minus_vectors / math.sqrt(2.0)
+    vectors[:m, :m] = top
+    vectors[N - m :, :m] = -top[::-1]
+    top = plus_vectors[N % 2 :] / math.sqrt(2.0)
+    vectors[:m, m:] = top
+    vectors[N - m :, m:] = top[::-1]
+    if N % 2:
+        vectors[m, m:] = plus_vectors[0]
+    values = np.concatenate([minus_values, plus_values])
+    order = np.argsort(values, kind="stable")
+    return values[order], np.take(vectors, order, axis=1)
+
+
 def centro_block_diagonalize(M) -> CentroBlocks:
     """Orthogonal block-diagonalization of a bisymmetric matrix.
 
     Uses K = (1/sqrt(2)) [[I, -J], [I, J]], with a sqrt(2) center row
     inserted for odd dimension.  The minus block carries the eigenvalues
     of antisymmetric eigenvectors (Jx = -x), the plus block the symmetric
-    ones.
+    ones.  Both blocks and the largest entry of the off-diagonal blocks of
+    K M K^T are read from slices of M in O(N^2); K is never formed.
+    `eig_sym` solves bisymmetric inputs through these same blocks.
     """
     entries, _ = _as_array(M)
-    N = entries.shape[0]
-    J = exchange_matrix(N)
-    if np.abs(entries - entries.T).max() > 1e-10 or np.abs(J @ entries @ J - entries).max() > 1e-10:
+    if np.abs(entries - entries.T).max() > 1e-10 or _centro_deviation(entries) > 1e-10:
         raise ValueError("matrix is not bisymmetric")
+    N = entries.shape[0]
     m = N // 2
-    Jm = exchange_matrix(m)
-    K = np.zeros((N, N))
-    if N % 2 == 0:
-        K[:m, :m] = np.eye(m)
-        K[:m, m:] = -Jm
-        K[m:, :m] = np.eye(m)
-        K[m:, m:] = Jm
-    else:
-        K[:m, :m] = np.eye(m)
-        K[:m, m + 1 :] = -Jm
-        K[m, m] = math.sqrt(2.0)
-        K[m + 1 :, :m] = np.eye(m)
-        K[m + 1 :, m + 1 :] = Jm
-    K /= math.sqrt(2.0)
-    O = K @ entries @ K.T
-    offdiag = float(max(np.abs(O[:m, m:]).max(), np.abs(O[m:, :m]).max()))
-    return CentroBlocks(minus_block=O[:m, :m], plus_block=O[m:, m:], offdiag_norm=offdiag)
+    # off-diagonal blocks (A - JDJ +- (BJ - JC)) / 2 and, for odd N, the
+    # centre row and column (M[:m, m] - J M[N-m:, m]) / sqrt(2)
+    A, D = entries[:m, :m], entries[N - m :, N - m :][::-1, ::-1]
+    BJ, JC = entries[:m, N - m :][:, ::-1], entries[N - m :, :m][::-1]
+    offdiag = 0.5 * float((np.abs(A - D) + np.abs(BJ - JC)).max(initial=0.0))
+    if N % 2:
+        centre = np.concatenate([
+            entries[:m, m] - entries[N - m :, m][::-1],
+            entries[m, :m] - entries[m, N - m :][::-1],
+        ])
+        offdiag = max(offdiag, float(np.abs(centre).max(initial=0.0)) / math.sqrt(2.0))
+    minus, plus = _centro_blocks(entries)
+    return CentroBlocks(minus_block=minus, plus_block=plus, offdiag_norm=offdiag)
 
 
 def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> RamanujanResult:
@@ -185,7 +251,14 @@ def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> Rama
         degree = int(round(degrees[0]))
     if np.abs(degrees - degree).max() > 1e-9:
         raise ValueError("graph is not regular of the stated degree")
-    values = np.linalg.eigvalsh(entries)
+    if (
+        entries.shape[0] > 1
+        and np.array_equal(entries, entries.T)
+        and np.array_equal(entries, entries[::-1, ::-1])
+    ):
+        values = np.concatenate([np.linalg.eigvalsh(b) for b in _centro_blocks(entries)])
+    else:
+        values = np.linalg.eigvalsh(entries)
     nontrivial = np.abs(values)[np.abs(np.abs(values) - degree) > 1e-6]
     max_nontrivial = float(nontrivial.max()) if nontrivial.size else 0.0
     bound = 2.0 * math.sqrt(degree - 1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cubelab import oeisclient
 from cubelab.cli import main
 
 
@@ -36,6 +37,23 @@ def test_spectrum_powtri(tmp_path):
     assert main(["spectrum", "--family", "powtri", "--n", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 28  # header + 27 eigenvalues
+
+
+def test_spectrum_residual_failure_exits_cleanly(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    rc = main(["spectrum", "--family", "powtri", "--n", "2", "--tol", "1e-20", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eigenpair residual")
+    assert not out.exists()
+
+
+def test_verify_fetch_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
+    monkeypatch.setattr(oeisclient, "_fixture_text", lambda anum: None)
+    assert main(["verify", "--claims", "sequences"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "offline mode" in err[0]
 
 
 def test_verify_subset_and_determinism(tmp_path):

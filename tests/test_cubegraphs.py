@@ -5,6 +5,9 @@ import pytest
 
 from cubelab.bitspace import enumerate_addresses, hamming, ternary_vertex
 from cubelab.cubegraphs import (
+    _PATH3_ADJ,
+    _PATH3_LAP,
+    _ternary_product,
     eulerian_circuit,
     face_count,
     face_total,
@@ -24,6 +27,20 @@ def brute_distance_matrix(n, ordering):
     """Oracle: direct Hamming loop over the ordered address list."""
     addrs = enumerate_addresses(n, ordering)
     return np.array([[hamming(a, b) for b in addrs] for a in addrs], dtype=float)
+
+
+def kron_ternary_product(factor, n):
+    """Reference: the n-fold Kronecker sum, axis k at the k-th slot from the right."""
+    total = np.zeros((3**n, 3**n))
+    for k in range(n):
+        total += np.kron(np.eye(3 ** (n - 1 - k)), np.kron(factor, np.eye(3**k)))
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("factor", [_PATH3_ADJ, _PATH3_LAP], ids=["adjacency", "laplacian"])
+def test_ternary_product_matches_kron_sum(factor, n):
+    assert np.array_equal(_ternary_product(factor, n), kron_ternary_product(factor, n))
 
 
 def test_ncube_1():

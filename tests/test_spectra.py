@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from cubelab.cubegraphs import (
+    OLN,
+    OLP,
+    hamming_distance_matrix,
     ncube_adjacency,
     pow_cube_adjacency,
+    pow_hamming_matrix,
     pow_tricube_laplacian,
     regular_tricube_adjacency,
     tricube_laplacian,
 )
 from cubelab.spectra import (
+    ResidualError,
     centro_block_diagonalize,
     classify_lattice,
     cluster_eigenvalues,
@@ -36,6 +41,106 @@ def test_eig_sym_known_spectra():
     assert spec.clusters == ((1.0, 4),)
     spec = eig_sym(pow_cube_adjacency(1))
     assert np.allclose(spec.values, [-SQRT2, 0.0, SQRT2], atol=1e-12)
+
+
+def _seeded_permutation(n):
+    return np.random.default_rng(n).permutation(2**n).tolist()
+
+
+# (constructor, ordering, sign, smallest n); "custom" is a seeded permutation
+EIG_SYM_CASES = [
+    (make, ordering, sign, lo)
+    for make, lo, signed in (
+        (ncube_adjacency, 1, False),
+        (hamming_distance_matrix, 1, False),
+        (tricube_laplacian, 1, True),
+        (regular_tricube_adjacency, 2, False),
+    )
+    for ordering in ("binary", "gray", "custom")
+    for sign in ((OLP, OLN) if signed else (None,))
+] + [
+    (make, ordering, sign, 1)
+    for make, signed in (
+        (pow_cube_adjacency, False),
+        (pow_tricube_laplacian, True),
+        (pow_hamming_matrix, False),
+    )
+    for ordering in ("ternary", "ternary-gray")
+    for sign in ((OLP, OLN) if signed else (None,))
+]
+
+
+@pytest.mark.parametrize(
+    "make,ordering,sign,lo", EIG_SYM_CASES,
+    ids=[f"{c[0].__name__}-{c[1]}-{c[2]}" for c in EIG_SYM_CASES],
+)
+def test_eig_sym_matches_dense_lapack(make, ordering, sign, lo):
+    for n in range(lo, 7):
+        order = _seeded_permutation(n) if ordering == "custom" else ordering
+        M = make(n, order) if sign is None else make(n, order, sign)
+        spec = eig_sym(M)
+        assert np.abs(spec.values - np.linalg.eigvalsh(M.entries)).max() <= 1e-9
+        V = spec.vectors
+        assert np.abs(V.T @ V - np.eye(M.N)).max() <= 1e-10
+
+
+def _record_sizes(monkeypatch, name):
+    """Record the order of every matrix passed to numpy.linalg.<name>."""
+    sizes = []
+    original = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.asarray(a).shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return sizes
+
+
+@pytest.mark.parametrize("M,blocks", [
+    (np.array([[3.0]]), [1]),
+    (np.array([[2.0, -1.0], [-1.0, 2.0]]), [1, 1]),
+    (np.array([[1.0, 2.0, 0.5], [2.0, -3.0, 2.0], [0.5, 2.0, 1.0]]), [1, 2]),
+    (pow_tricube_laplacian(3).entries, [13, 14]),
+    (tricube_laplacian(4, "gray").entries, [8, 8]),
+])
+def test_eig_sym_small_and_split_orders(monkeypatch, M, blocks):
+    sizes = _record_sizes(monkeypatch, "eigh")
+    spec = eig_sym(M)
+    assert sizes == blocks
+    assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(len(M))).max() <= 1e-12
+    assert np.abs(M @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12
+
+
+def test_eig_sym_near_bisymmetric_takes_single_eigh(monkeypatch):
+    M = pow_tricube_laplacian(2).entries.copy()
+    M[0, 0] += 1e-8
+    sizes = _record_sizes(monkeypatch, "eigh")
+    spec = eig_sym(M)
+    assert sizes == [9]
+    assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
+
+
+def test_eig_sym_residual_failure_raises():
+    with pytest.raises(ResidualError):
+        eig_sym(pow_tricube_laplacian(2), tol=1e-20)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ramanujan_split_matches_single_eigvalsh(monkeypatch, n):
+    A = regular_tricube_adjacency(n)
+    values = np.abs(np.linalg.eigvalsh(A.entries))
+    dense = values[np.abs(values - n * (n + 1) // 2) > 1e-6].max()
+    sizes = _record_sizes(monkeypatch, "eigvalsh")
+    split = ramanujan_check(A)
+    assert sizes == [2 ** (n - 1)] * 2
+    assert split.max_nontrivial == pytest.approx(dense, abs=1e-9)
+    if n >= 3:  # at n = 2 the graph is K4, bisymmetric under every ordering
+        single = ramanujan_check(regular_tricube_adjacency(n, _seeded_permutation(n)))
+        assert sizes[2:] == [2**n]
+        assert single.max_nontrivial == pytest.approx(split.max_nontrivial, abs=1e-9)
+        assert single.is_ramanujan == split.is_ramanujan
 
 
 def test_eig_sym_rejects_asymmetric():
@@ -114,26 +219,49 @@ def test_centro_blocks_preserve_spectrum(make, n):
     combined = np.sort(np.concatenate([
         np.linalg.eigvalsh(blocks.minus_block), np.linalg.eigvalsh(blocks.plus_block)
     ]))
-    assert np.allclose(combined, eig_sym(M).values, atol=1e-9)
+    assert np.allclose(combined, np.linalg.eigvalsh(M.entries), atol=1e-9)
     assert blocks.plus_block.shape[0] == (M.N + 1) // 2
     assert blocks.minus_block.shape[0] == M.N // 2
 
 
+def _dense_k(N):
+    """K = [[I, -J], [I, J]] / sqrt(2), with a sqrt(2) centre row for odd N."""
+    m = N // 2
+    J = exchange_matrix(m)
+    K = np.zeros((N, N))
+    if N % 2 == 0:
+        K[:m, :m] = np.eye(m); K[:m, m:] = -J
+        K[m:, :m] = np.eye(m); K[m:, m:] = J
+    else:
+        K[:m, :m] = np.eye(m); K[:m, m + 1:] = -J
+        K[m, m] = SQRT2
+        K[m + 1:, :m] = np.eye(m); K[m + 1:, m + 1:] = J
+    return K / SQRT2
+
+
 def test_centro_k_is_orthogonal():
-    # reconstruct K the same way and check K K^T = I
     for N in (4, 9):
-        m = N // 2
-        J = exchange_matrix(m)
-        K = np.zeros((N, N))
-        if N % 2 == 0:
-            K[:m, :m] = np.eye(m); K[:m, m:] = -J
-            K[m:, :m] = np.eye(m); K[m:, m:] = J
-        else:
-            K[:m, :m] = np.eye(m); K[:m, m + 1:] = -J
-            K[m, m] = SQRT2
-            K[m + 1:, :m] = np.eye(m); K[m + 1:, m + 1:] = J
-        K /= SQRT2
+        K = _dense_k(N)
         assert np.abs(K @ K.T - np.eye(N)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N", [4, 7, 8, 9])
+def test_centro_slices_match_dense_similarity(N):
+    # a bisymmetric matrix nudged by 5e-11 off centrosymmetry, still accepted
+    rng = np.random.default_rng(N)
+    X = rng.standard_normal((N, N))
+    M = X + X.T
+    M = M + M[::-1, ::-1]
+    M[0, 1] += 5e-11
+    M[1, 0] += 5e-11
+    K = _dense_k(N)
+    O = K @ M @ K.T
+    m = N // 2
+    blocks = centro_block_diagonalize(M)
+    dense_offdiag = max(np.abs(O[:m, m:]).max(), np.abs(O[m:, :m]).max())
+    assert 1e-11 <= blocks.offdiag_norm == pytest.approx(dense_offdiag, rel=1e-3, abs=1e-15)
+    assert np.abs(blocks.minus_block - O[:m, :m]).max() <= 1e-10
+    assert np.abs(blocks.plus_block - O[m:, m:]).max() <= 1e-10
 
 
 def test_centro_rejects_non_bisymmetric():
