@@ -19,6 +19,7 @@ dense matrices; at desk scale (N <= 3^7) sparsity buys nothing.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,21 @@ LAPLACIAN = "laplacian"
 OLP = "olp"
 OLN = "oln"
 
+# absolute bound for every exact-structure test on float entries: symmetry
+# here and in `spectra`, centrosymmetry and the Kronecker-sum match there
+STRUCTURE_TOL = 1e-10
+
 # popcount lookup for vectorized Hamming distances; addresses fit in 16 bits
 _POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
+
+
+def asymmetry(entries: np.ndarray) -> float:
+    """Largest entry of |M - M^T|: 0 without the subtraction when M is
+    exactly symmetric, and inf when an entry is NaN."""
+    if np.array_equal(entries, entries.T):
+        return 0.0
+    deviation = float(np.abs(entries - entries.T).max())
+    return math.inf if math.isnan(deviation) else deviation
 
 
 @dataclass(frozen=True)
@@ -60,7 +74,7 @@ class GraphMatrix:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
-        if not np.allclose(e, e.T, atol=1e-10):
+        if asymmetry(e) > STRUCTURE_TOL:
             raise ValueError("entries must be symmetric")
         if self.kind == ADJACENCY:
             if not (np.all((e == 0) | (e == 1)) and np.all(np.diag(e) == 0)):
@@ -211,8 +225,6 @@ def pow_hamming_matrix(n: int, ordering=TERNARY) -> GraphMatrix:
 
 def face_count(n: int, k: int) -> int:
     """Number of k-faces of the glued 2^n-cube structure."""
-    import math
-
     if not 0 <= k <= n:
         raise ValueError(f"face dimension {k} out of range [0, {n}]")
     return math.comb(n, k) * 3 ** (n - k) * 2**k

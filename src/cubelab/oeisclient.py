@@ -2,7 +2,8 @@
 
 Offline is the default: only the cache and the fixtures shipped with the
 package are consulted, keeping the test suite deterministic.  Online mode
-falls back to the b-file endpoint and writes through to the cache.
+falls back to the b-file endpoint and writes through to the cache.  A
+cache file that does not parse is passed over, never trusted.
 """
 
 import os
@@ -78,13 +79,20 @@ def _fixture_text(anum: str) -> str | None:
 
 def fetch(anum: str, offline: bool = True, timeout: float = 10.0) -> BFile:
     """Fetch a b-file: cache, then fixture; online mode adds the network
-    endpoint and caches what it downloads."""
+    endpoint and caches what it downloads.
+
+    A cache file that fails `parse_bfile` (truncated or corrupt) is
+    skipped; the download replaces it atomically.
+    """
     if not _ANUM_RE.match(anum or ""):
         raise ValueError(f"invalid OEIS identifier {anum!r}")
     cache_path = cache_dir() / f"b{anum[1:]}.txt"
     with _lock_for(anum):
         if cache_path.is_file():
-            return BFile(anum, parse_bfile(cache_path.read_text()), "cache")
+            try:
+                return BFile(anum, parse_bfile(cache_path.read_text()), "cache")
+            except ValueError:
+                pass  # corrupt cache: fall through to the fixture or the network
         fixture = _fixture_text(anum)
         if fixture is not None:
             return BFile(anum, parse_bfile(fixture), "fixture")
@@ -100,7 +108,10 @@ def fetch(anum: str, offline: bool = True, timeout: float = 10.0) -> BFile:
             raise FetchError(f"network fetch of {anum} failed: {exc}") from exc
         terms = parse_bfile(response.text)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(response.text)
+        # readers never see a partly written file: write aside, then rename
+        partial = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+        partial.write_text(response.text)
+        os.replace(partial, cache_path)
         return BFile(anum, terms, "network")
 
 

@@ -1,14 +1,24 @@
 """Symmetric eigensolving, multiplicity clustering, and spectrum checks.
 
 Eigendecomposition is delegated to LAPACK through numpy.linalg.eigh, which
-is deterministic per platform.  A bisymmetric input (symmetric and
-unchanged by reversing both index orders, as every family is in its
-default ordering) is split by the exact orthogonal centrosymmetric
-reduction into two half-size blocks, each solved by its own eigh; other
-inputs take one eigh of the full matrix.  Either way every returned pair
-is residual-checked against the full matrix.  Clustering groups
-eigenvalues whose spread stays within an absolute tolerance (default
-1e-6; the spectra handled here have true gaps of at least sqrt(2) - 1).
+is deterministic per platform.  `eig_sym` picks one of three routes from
+the entries alone:
+
+- a Kronecker sum (N = 3^n, n >= 2, entries equal to the Cartesian-product
+  accumulation of a 3x3 factor, as powcube and powtri are in the natural
+  ternary ordering) is solved from one eigh of that factor: the values are
+  the n-fold sums of its eigenvalues, the vectors the n-fold Kronecker
+  products of its eigenvectors;
+- a bisymmetric input (symmetric and unchanged by reversing both index
+  orders, as every family is in its default ordering) is split by the
+  exact orthogonal centrosymmetric reduction into two half-size blocks,
+  each solved by its own eigh;
+- any other input takes one eigh of the full matrix.
+
+Whatever the route, every returned pair is residual-checked against the
+full matrix.  Clustering groups eigenvalues whose spread stays within an
+absolute tolerance (default 1e-6; the spectra handled here have true gaps
+of at least sqrt(2) - 1).
 """
 
 import math
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubegraphs import GraphMatrix
+from .cubegraphs import STRUCTURE_TOL, GraphMatrix, _ternary_product, asymmetry
 
 CLUSTER_TOL = 1e-6
 
@@ -66,6 +76,7 @@ class IdentityResult:
     lhs: float
     rhs: float
     agree: bool
+    rel_err: float
 
 
 def _as_array(M) -> tuple[np.ndarray, dict]:
@@ -93,16 +104,22 @@ def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
     Raises ValueError on non-symmetric input and ResidualError when a
-    pair fails the residual check.  When the input is also centrosymmetric
-    within 1e-10 (and N > 1) the eigenpairs come from the two half-size
-    blocks of `centro_block_diagonalize`, otherwise from one eigh of the
-    full matrix.  Either way ||Mv - lambda v|| <= tol*max(|lambda|_max, 1)
-    is verified for every pair on the full input matrix before returning.
+    pair fails the residual check.  Symmetry, centrosymmetry and the
+    Kronecker-sum match are all tested within 1e-10 absolute.  A
+    Kronecker sum of a 3x3 factor (see `_kron_factor`) is solved from one
+    eigh of the factor; otherwise a centrosymmetric input (N > 1) is
+    solved from the two half-size blocks of `centro_block_diagonalize`;
+    anything else by one eigh of the full matrix.  Whatever the route,
+    ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
+    pair on the full input matrix before returning.
     """
     entries, meta = _as_array(M)
-    if np.abs(entries - entries.T).max() > 1e-10:
+    if asymmetry(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not symmetric")
-    if entries.shape[0] > 1 and _centro_deviation(entries) <= 1e-10:
+    kron = _kron_factor(entries)
+    if kron is not None:
+        values, vectors = _kron_eigh(*kron)
+    elif entries.shape[0] > 1 and _centro_deviation(entries) <= STRUCTURE_TOL:
         values, vectors = _centro_eigh(entries)
     else:
         values, vectors = np.linalg.eigh(entries)
@@ -116,6 +133,44 @@ def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
         source=meta,
         vectors=vectors,
     )
+
+
+def _kron_factor(entries: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(F, n) when M is the n-fold Kronecker sum of a 3x3 factor F, else None.
+
+    Applies to N = 3^n with n >= 2.  F is read off the first three rows
+    and columns (vertices whose digits above the lowest are 0): the
+    off-diagonals are M's, and the diagonal is shifted so that the n
+    digits of vertex 0 share M[0, 0] equally, F[d, d] = M[d, d] - (n - 1)
+    M[0, 0] / n.  The whole of M must then equal the accumulation of F.
+    """
+    N = entries.shape[0]
+    n = round(math.log(N, 3)) if N >= 9 else 0
+    if n < 2 or 3**n != N:
+        return None
+    factor = entries[:3, :3].copy()
+    factor[np.diag_indices(3)] -= (n - 1) * entries[0, 0] / n
+    deviation = _ternary_product(factor, n)
+    deviation -= entries
+    np.abs(deviation, out=deviation)
+    return (factor, n) if deviation.max() <= STRUCTURE_TOL else None
+
+
+def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the n-fold Kronecker sum of a 3x3 factor.
+
+    With factor = Q diag(w) Q^T, column sum_k j_k 3^k holds the Kronecker
+    product of Q[:, j_k] over the digits (axis k at the k-th slot from the
+    right, as in `_ternary_product`) and the value sum_k w[j_k].  Values
+    are ordered with a stable sort.
+    """
+    w, Q = np.linalg.eigh(factor)
+    values, vectors = w, Q
+    for _ in range(n - 1):
+        values = np.add.outer(values, w).ravel()
+        vectors = np.kron(vectors, Q)
+    order = np.argsort(values, kind="stable")
+    return values[order], np.take(vectors, order, axis=1)
 
 
 def classify_lattice(spec: Spectrum, unit: float, tol: float = CLUSTER_TOL):
@@ -216,10 +271,11 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     of antisymmetric eigenvectors (Jx = -x), the plus block the symmetric
     ones.  Both blocks and the largest entry of the off-diagonal blocks of
     K M K^T are read from slices of M in O(N^2); K is never formed.
-    `eig_sym` solves bisymmetric inputs through these same blocks.
+    `eig_sym` solves bisymmetric inputs that are not Kronecker sums of a
+    3x3 factor through these same blocks.
     """
     entries, _ = _as_array(M)
-    if np.abs(entries - entries.T).max() > 1e-10 or _centro_deviation(entries) > 1e-10:
+    if asymmetry(entries) > STRUCTURE_TOL or _centro_deviation(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not bisymmetric")
     N = entries.shape[0]
     m = N // 2
@@ -280,6 +336,11 @@ def eig_identity_check(L, B, tol: float = 1e-6) -> IdentityResult:
 
     This is the Cauchy-Binet-type consequence of det(B^T (t I - L) B)
     = p'_L(t) |det([B | x])|^2 evaluated at the kernel eigenvalue t = 0.
+
+    Both sides are carried as (sign, log|.|) from slogdet, so they may
+    exceed the float range (lhs and rhs then read +-inf).  They agree when
+    rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1) <= tol, evaluated after
+    scaling both sides by that maximum.
     """
     entries, _ = _as_array(L)
     B = np.asarray(B, dtype=float)
@@ -293,10 +354,15 @@ def eig_identity_check(L, B, tol: float = 1e-6) -> IdentityResult:
         raise ValueError(f"kernel dimension {kernel.size}, identity needs a simple kernel")
     x = vectors[:, kernel[0]]
     nonzero = np.delete(values, kernel[0])
-    lhs = float(np.linalg.det(B.T @ entries @ B))
-    rhs = float(np.prod(nonzero) * np.linalg.det(np.column_stack([B, x])) ** 2)
-    agree = abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1.0)
-    return IdentityResult(lhs=lhs, rhs=rhs, agree=agree)
+    lhs_sign, lhs_log = np.linalg.slogdet(B.T @ entries @ B)
+    x_sign, x_log = np.linalg.slogdet(np.column_stack([B, x]))
+    rhs_sign = np.prod(np.sign(nonzero)) * x_sign**2
+    rhs_log = np.log(np.abs(nonzero)).sum() + 2.0 * x_log
+    scale = max(lhs_log, rhs_log, 0.0)
+    rel_err = float(abs(lhs_sign * np.exp(lhs_log - scale) - rhs_sign * np.exp(rhs_log - scale)))
+    with np.errstate(over="ignore"):
+        lhs, rhs = float(lhs_sign * np.exp(lhs_log)), float(rhs_sign * np.exp(rhs_log))
+    return IdentityResult(lhs=lhs, rhs=rhs, agree=rel_err <= tol, rel_err=rel_err)
 
 
 def spectrum_to_csv(spec: Spectrum, path) -> None:

@@ -5,6 +5,9 @@ import pytest
 
 from cubelab.bitspace import enumerate_addresses, hamming, ternary_vertex
 from cubelab.cubegraphs import (
+    DISTANCE,
+    LAPLACIAN,
+    GraphMatrix,
     _PATH3_ADJ,
     _PATH3_LAP,
     _ternary_product,
@@ -41,6 +44,21 @@ def kron_ternary_product(factor, n):
 @pytest.mark.parametrize("factor", [_PATH3_ADJ, _PATH3_LAP], ids=["adjacency", "laplacian"])
 def test_ternary_product_matches_kron_sum(factor, n):
     assert np.array_equal(_ternary_product(factor, n), kron_ternary_product(factor, n))
+
+
+def test_graph_matrix_symmetry_bound_is_absolute():
+    # 1e-9 passed np.allclose (rtol 1e-5) at construction but failed
+    # eig_sym; both now apply the one 1e-10 absolute bound
+    D = hamming_distance_matrix(2).entries.copy()
+    D[0, 1] += 5e-11
+    GraphMatrix("hamming", DISTANCE, 2, "binary", D.copy())
+    D[0, 1] += 1e-9
+    with pytest.raises(ValueError, match="symmetric"):
+        GraphMatrix("hamming", DISTANCE, 2, "binary", D)
+    L = tricube_laplacian(2).entries.copy()
+    L[0, 1] = L[1, 0] = np.nan
+    with pytest.raises(ValueError, match="symmetric"):
+        GraphMatrix("tricube", LAPLACIAN, 2, "binary", L)
 
 
 def test_ncube_1():

@@ -1,4 +1,5 @@
 import pytest
+import requests
 
 from cubelab.oeisclient import BFile, FetchError, compare, fetch, parse_bfile
 
@@ -39,6 +40,33 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     cached = fetch("A075848", offline=True)
     assert cached.source == "cache"
     assert cached.terms == ((0, 0), (1, 6), (2, 36))
+
+
+def test_truncated_cache_does_not_shadow_fixture(tmp_path, monkeypatch):
+    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
+    (tmp_path / "b075848.txt").write_text("0 0\n1 6\n2")  # cut mid-line
+    b = fetch("A075848", offline=True)
+    assert b.source == "fixture"
+    assert b.terms[:3] == ((0, 0), (1, 6), (2, 36))
+
+
+class _Response:
+    text = "0 0\n1 1\n2 1\n3 2\n"
+
+    def raise_for_status(self):
+        pass
+
+
+def test_corrupt_cache_is_replaced_from_network(tmp_path, monkeypatch):
+    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
+    monkeypatch.setattr(requests, "get", lambda url, timeout: _Response())
+    (tmp_path / "b000045.txt").write_text("0 0\n1 x\n")
+    with pytest.raises(FetchError):
+        fetch("A000045", offline=True)
+    b = fetch("A000045", offline=False)
+    assert b.source == "network" and b.terms[3] == (3, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b000045.txt"]
+    assert fetch("A000045", offline=True).source == "cache"
 
 
 def test_compare_identical():

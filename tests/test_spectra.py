@@ -6,6 +6,7 @@ import pytest
 from cubelab.cubegraphs import (
     OLN,
     OLP,
+    _ternary_product,
     hamming_distance_matrix,
     ncube_adjacency,
     pow_cube_adjacency,
@@ -101,8 +102,9 @@ def _record_sizes(monkeypatch, name):
     (np.array([[3.0]]), [1]),
     (np.array([[2.0, -1.0], [-1.0, 2.0]]), [1, 1]),
     (np.array([[1.0, 2.0, 0.5], [2.0, -3.0, 2.0], [0.5, 2.0, 1.0]]), [1, 2]),
-    (pow_tricube_laplacian(3).entries, [13, 14]),
+    (pow_tricube_laplacian(3).entries, [3]),
     (tricube_laplacian(4, "gray").entries, [8, 8]),
+    (pow_tricube_laplacian(3, "ternary-gray").entries, [13, 14]),
 ])
 def test_eig_sym_small_and_split_orders(monkeypatch, M, blocks):
     sizes = _record_sizes(monkeypatch, "eigh")
@@ -125,6 +127,39 @@ def test_eig_sym_near_bisymmetric_takes_single_eigh(monkeypatch):
 def test_eig_sym_residual_failure_raises():
     with pytest.raises(ResidualError):
         eig_sym(pow_tricube_laplacian(2), tol=1e-20)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("make,sign", [
+    (pow_cube_adjacency, None),
+    (pow_tricube_laplacian, OLP),
+    (pow_tricube_laplacian, OLN),
+])
+def test_eig_sym_kron_sum_solves_the_3x3_factor(monkeypatch, make, sign, n):
+    M = make(n) if sign is None else make(n, "ternary", sign)
+    sizes = _record_sizes(monkeypatch, "eigh")
+    spec = eig_sym(M)
+    assert sizes == [3]
+    assert np.abs(spec.values - np.linalg.eigvalsh(M.entries)).max() <= 1e-9
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(M.N)).max() <= 1e-10
+
+
+def test_eig_sym_kron_sum_of_random_factor(monkeypatch):
+    X = np.random.default_rng(3).standard_normal((3, 3))
+    M = _ternary_product(X + X.T, 3)
+    sizes = _record_sizes(monkeypatch, "eigh")
+    spec = eig_sym(M)
+    assert sizes == [3]
+    assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(27)).max() <= 1e-12
+    assert np.abs(M @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12
+
+
+def test_eig_sym_kron_route_residual_failure_raises(monkeypatch):
+    sizes = _record_sizes(monkeypatch, "eigh")
+    with pytest.raises(ResidualError):
+        eig_sym(pow_cube_adjacency(3), tol=1e-20)
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -302,6 +337,16 @@ def test_eig_identity_random_matrices():
     for _ in range(10):
         B = rng.uniform(-1.0, 1.0, size=(8, 7))
         assert eig_identity_check(L, B).agree
+
+
+def test_eig_identity_beyond_float_range():
+    # at n = 8 both determinants exceed the float range; agreement is
+    # decided from slogdet, not from inf == inf
+    L = tricube_laplacian(8)
+    B = np.random.default_rng(8).uniform(-1.0, 1.0, size=(L.N, L.N - 1))
+    result = eig_identity_check(L, B)
+    assert math.isinf(result.lhs) and math.isinf(result.rhs)
+    assert result.agree and result.rel_err <= 1e-9
 
 
 def test_eig_identity_needs_simple_kernel():
