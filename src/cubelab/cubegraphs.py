@@ -15,7 +15,9 @@ Families over {-1,0,1}^n (3^n vertices, 2^n unit cubes glued at the origin):
   powhamming       Hamming distances between the 3^n vertex addresses
 
 All constructors take an ordering tag (or explicit permutation) and return
-dense matrices; at desk scale (N <= 3^7) sparsity buys nothing.
+dense matrices, which suits desk scale (N <= 3^7); the sparse families pay
+off instead in `spectra.eig_sym`, whose residual check skips the tiles of
+the matrix whose entries are all 0.
 """
 
 import json

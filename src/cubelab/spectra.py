@@ -15,10 +15,13 @@ the entries alone:
   each solved by its own eigh;
 - any other input takes one eigh of the full matrix.
 
-Whatever the route, every returned pair is residual-checked against the
-full matrix.  Clustering groups eigenvalues whose spread stays within an
-absolute tolerance (default 1e-6; the spectra handled here have true gaps
-of at least sqrt(2) - 1).
+Whatever the route, every returned pair is residual-checked against every
+entry of the full matrix.  M V is formed one row tile at a time (81 rows
+when N is a multiple of 81 and at least 729, else one tile of N rows),
+skipping only tiles whose entries are all exactly 0, and a non-finite
+eigenvalue or residual fails the check.  Clustering groups eigenvalues
+whose spread stays within an absolute tolerance (default 1e-6; the
+spectra handled here have true gaps of at least sqrt(2) - 1).
 """
 
 import math
@@ -29,6 +32,11 @@ import numpy as np
 from .cubegraphs import STRUCTURE_TOL, GraphMatrix, _ternary_product, asymmetry
 
 CLUSTER_TOL = 1e-6
+
+# residual row-tile side, 3^4, so that tiles line up with the digit blocks of
+# the 3^n families; orders of fewer than _MIN_TILES tiles take one tile of N
+_RESIDUAL_TILE = 81
+_MIN_TILES = 9
 
 
 class ResidualError(RuntimeError):
@@ -111,7 +119,9 @@ def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     solved from the two half-size blocks of `centro_block_diagonalize`;
     anything else by one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
-    pair on the full input matrix before returning.
+    pair on every entry of the input matrix before returning (by row
+    tiles, skipping only all-zero tiles, see `_residual_norms`); a NaN or
+    infinite eigenvalue or residual raises ResidualError.
     """
     entries, meta = _as_array(M)
     if asymmetry(entries) > STRUCTURE_TOL:
@@ -124,15 +134,48 @@ def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     else:
         values, vectors = np.linalg.eigh(entries)
     norm = float(np.abs(values).max()) if values.size else 0.0
-    residual = np.linalg.norm(entries @ vectors - vectors * values, axis=0)
-    if residual.max() > tol * max(norm, 1.0):
-        raise ResidualError(f"eigenpair residual {residual.max():.3e} exceeds tolerance")
+    residual = float(_residual_norms(entries, values, vectors).max())
+    if not (math.isfinite(norm) and residual <= tol * max(norm, 1.0)):
+        raise ResidualError(
+            f"eigenpair residual {residual:.3e} with largest |eigenvalue| {norm:.3e}: "
+            "not finite or exceeds tolerance"
+        )
     return Spectrum(
         values=values,
         clusters=cluster_eigenvalues(values, cluster_tol),
         source=meta,
         vectors=vectors,
     )
+
+
+def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """||M v - lambda v|| for every eigenpair, computed on every entry of M.
+
+    M V is formed one row tile at a time: the accumulator starts at
+    -lambda v on the tile's rows, and each run of consecutive column tiles
+    holding a nonzero entry adds its GEMM.  Only tiles whose entries are
+    all exactly 0 are skipped, so the result differs from
+    M @ V - V * lambda in summation order only.  Tiles are
+    `_RESIDUAL_TILE` rows when N is a multiple of it spanning at least
+    `_MIN_TILES` tiles, which keeps the working set to one row tile;
+    other N take a single tile of N rows, one GEMM and two N x N
+    temporaries.
+    """
+    N = entries.shape[0]
+    tiled = N % _RESIDUAL_TILE == 0 and N >= _MIN_TILES * _RESIDUAL_TILE
+    count = N // _RESIDUAL_TILE if tiled else 1
+    side = N // count
+    nonzero = entries.reshape(count, side, count, side).any(axis=(1, 3))
+    squares = np.zeros(N)
+    for r, tiles in enumerate(nonzero):
+        rows = slice(r * side, (r + 1) * side)
+        acc = vectors[rows] * -values
+        # [start, stop) bounds of each run of nonzero tiles in this row tile
+        edges = np.diff(np.concatenate(([False], tiles, [False])))
+        for start, stop in np.flatnonzero(edges).reshape(-1, 2) * side:
+            acc += entries[rows, start:stop] @ vectors[start:stop]
+        squares += np.einsum("ij,ij->j", acc, acc)
+    return np.sqrt(squares)
 
 
 def _kron_factor(entries: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -142,7 +185,9 @@ def _kron_factor(entries: np.ndarray) -> tuple[np.ndarray, int] | None:
     and columns (vertices whose digits above the lowest are 0): the
     off-diagonals are M's, and the diagonal is shifted so that the n
     digits of vertex 0 share M[0, 0] equally, F[d, d] = M[d, d] - (n - 1)
-    M[0, 0] / n.  The whole of M must then equal the accumulation of F.
+    M[0, 0] / n.  The whole of M must then equal the accumulation of F;
+    row 0 is compared first, in O(N), so that most other inputs are
+    rejected before the N x N accumulation is built.
     """
     N = entries.shape[0]
     n = round(math.log(N, 3)) if N >= 9 else 0
@@ -150,6 +195,14 @@ def _kron_factor(entries: np.ndarray) -> tuple[np.ndarray, int] | None:
         return None
     factor = entries[:3, :3].copy()
     factor[np.diag_indices(3)] -= (n - 1) * entries[0, 0] / n
+    # row 0 of the accumulation, summed as `_ternary_product` sums it: the
+    # n-fold sum of F[0, 0] on the diagonal and F[0, b] at b 3^k
+    row = np.zeros(N)
+    for k in range(n):
+        row[0] += factor[0, 0]
+        row[[3**k, 2 * 3**k]] = factor[0, 1:]
+    if np.abs(row - entries[0]).max() > STRUCTURE_TOL:
+        return None
     deviation = _ternary_product(factor, n)
     deviation -= entries
     np.abs(deviation, out=deviation)
@@ -168,9 +221,17 @@ def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = w, Q
     for _ in range(n - 1):
         values = np.add.outer(values, w).ravel()
+    for _ in range(n - 2):
         vectors = np.kron(vectors, Q)
     order = np.argsort(values, kind="stable")
-    return values[order], np.take(vectors, order, axis=1)
+    # the last Kronecker level, formed straight into the sorted columns:
+    # column 3 h + l of kron(vectors, Q) is vectors[:, h] (x) Q[:, l]; the
+    # C-order output keeps the residual's row tiles contiguous
+    high, low = divmod(order, 3)
+    size = 3**n
+    product = np.empty((size // 3, 3, size))
+    np.multiply(np.take(vectors, high, axis=1)[:, None, :], Q[:, low], out=product)
+    return values[order], product.reshape(size, size)
 
 
 def classify_lattice(spec: Spectrum, unit: float, tol: float = CLUSTER_TOL):
@@ -242,25 +303,29 @@ def _centro_eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A minus-block eigenvector v lifts to [v; 0; -J v] / sqrt(2), a
     plus-block eigenvector (v_c; v_top) to [v_top; sqrt(2) v_c; J v_top]
     / sqrt(2) (the middle entries exist only for odd N).  Values are
-    merged with a stable sort, minus before plus on ties.
+    merged with a stable sort, minus before plus on ties, and each lifted
+    vector is written straight into its sorted column.
     """
     N = entries.shape[0]
     m = N // 2
     minus, plus = _centro_blocks(entries)
     minus_values, minus_vectors = np.linalg.eigh(minus)
     plus_values, plus_vectors = np.linalg.eigh(plus)
-    vectors = np.zeros((N, N))
-    top = minus_vectors / math.sqrt(2.0)
-    vectors[:m, :m] = top
-    vectors[N - m :, :m] = -top[::-1]
-    top = plus_vectors[N % 2 :] / math.sqrt(2.0)
-    vectors[:m, m:] = top
-    vectors[N - m :, m:] = top[::-1]
-    if N % 2:
-        vectors[m, m:] = plus_vectors[0]
     values = np.concatenate([minus_values, plus_values])
     order = np.argsort(values, kind="stable")
-    return values[order], np.take(vectors, order, axis=1)
+    column = np.empty(N, dtype=np.intp)
+    column[order] = np.arange(N)
+    minus_cols, plus_cols = column[:m], column[m:]
+    vectors = np.zeros((N, N))
+    top = minus_vectors / math.sqrt(2.0)
+    vectors[:m, minus_cols] = top
+    vectors[N - m :, minus_cols] = -top[::-1]
+    top = plus_vectors[N % 2 :] / math.sqrt(2.0)
+    vectors[:m, plus_cols] = top
+    vectors[N - m :, plus_cols] = top[::-1]
+    if N % 2:
+        vectors[m, plus_cols] = plus_vectors[0]
+    return values[order], vectors
 
 
 def centro_block_diagonalize(M) -> CentroBlocks:

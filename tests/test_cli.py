@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from cubelab import oeisclient
+from cubelab import cli, oeisclient
 from cubelab.cli import main
+from cubelab.cubegraphs import DISTANCE, GraphMatrix
 
 
 def test_build_tricube_csv(tmp_path):
@@ -42,6 +43,21 @@ def test_spectrum_powtri(tmp_path):
 def test_spectrum_residual_failure_exits_cleanly(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--family", "powtri", "--n", "2", "--tol", "1e-20", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eigenpair residual")
+    assert not out.exists()
+
+
+def test_spectrum_non_finite_exits_cleanly(tmp_path, monkeypatch, capsys):
+    def infinite_distance(n, ordering):
+        entries = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        return GraphMatrix("hamming", DISTANCE, n, ordering, entries)
+
+    monkeypatch.setitem(cli.FAMILIES, "hamming", (infinite_distance, "binary"))
+    out = tmp_path / "spec.csv"
+    with np.errstate(all="ignore"):
+        rc = main(["spectrum", "--family", "hamming", "--n", "1", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: eigenpair residual")

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cubelab import spectra
 from cubelab.cubegraphs import (
     OLN,
     OLP,
@@ -160,6 +162,75 @@ def test_eig_sym_kron_route_residual_failure_raises(monkeypatch):
     with pytest.raises(ResidualError):
         eig_sym(pow_cube_adjacency(3), tol=1e-20)
     assert sizes == [3]
+
+
+@pytest.mark.parametrize("make,ordering", [
+    (pow_hamming_matrix, "ternary"),
+    (pow_cube_adjacency, "ternary-gray"),
+])
+def test_kron_row_check_skips_the_full_accumulation(monkeypatch, make, ordering):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _ternary_product(*args)
+
+    monkeypatch.setattr(spectra, "_ternary_product", counting)
+    M = make(6, ordering)
+    spec = eig_sym(M)
+    assert calls == []
+    assert np.abs(spec.values - np.linalg.eigvalsh(M.entries)).max() <= 1e-9
+    eig_sym(pow_cube_adjacency(6))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1e308, 1e308], [1e308, 1e308]]),
+], ids=["inf-entry", "overflowing-eigenvalue"])
+def test_eig_sym_non_finite_fails_residual_gate(M):
+    with np.errstate(all="ignore"), pytest.raises(ResidualError):
+        eig_sym(M)
+
+
+RESIDUAL_CASES = [
+    lambda: pow_cube_adjacency(6),
+    lambda: pow_hamming_matrix(6),
+    lambda: pow_tricube_laplacian(7),
+    lambda: hamming_distance_matrix(10),
+    lambda: ncube_adjacency(10, _seeded_permutation(10)),
+    lambda: ncube_adjacency(11),
+]
+
+
+@pytest.mark.parametrize("make", RESIDUAL_CASES, ids=[
+    "powcube-729", "powhamming-729", "powtri-2187", "hamming-1024", "ncube-1024-custom",
+    "ncube-2048",
+])
+def test_tiled_residual_matches_dense_reference(make):
+    M = make().entries
+    spec = eig_sym(M)
+    tiled = spectra._residual_norms(M, spec.values, spec.vectors)
+    dense = np.linalg.norm(M @ spec.vectors - spec.vectors * spec.values, axis=0)
+    scale = max(float(np.abs(spec.values).max()), 1.0)
+    assert np.abs(tiled - dense).max() <= 1e-14 * scale
+
+
+def test_tiled_residual_failure_raises():
+    with pytest.raises(ResidualError):
+        eig_sym(pow_cube_adjacency(6), tol=1e-20)
+
+
+def test_eig_sym_peak_allocation_on_the_kron_route():
+    M = pow_cube_adjacency(7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eig_sym(M)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * M.N**2
 
 
 @pytest.mark.parametrize("n", range(2, 11))
