@@ -61,10 +61,6 @@ def hamming(a, b) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 @dataclass(frozen=True)
 class TernaryVertex:
     """A vertex of a 3^n-vertex family.

@@ -1,6 +1,8 @@
 """Command-line surface: matrix building, spectra, claim verification,
-activation tables, Poisson search, sequences, Eulerian circuits, and plot
-data emission (CSV only; rendering is out of scope).
+activation tables, Poisson search, sequences, Eulerian circuits, and the
+powhamming eigenvalue extremes as plot data (CSV only; rendering is out of
+scope).  `build` and `spectrum` take their family choices from
+`cubegraphs.FAMILIES` and make the matrix with `cubegraphs.build`.
 """
 
 import argparse
@@ -9,32 +11,11 @@ import sys
 from fractions import Fraction
 
 from . import sequences, verify
-from .cubegraphs import (
-    eulerian_circuit,
-    hamming_distance_matrix,
-    matrix_to_csv,
-    matrix_to_json,
-    ncube_adjacency,
-    pow_cube_adjacency,
-    pow_hamming_matrix,
-    pow_tricube_laplacian,
-    regular_tricube_adjacency,
-    tricube_laplacian,
-)
+from .cubegraphs import FAMILIES, build, eulerian_circuit, matrix_to_csv, matrix_to_json
 from .harmonic import min_energy_search
 from .predicates import caf_table
 from .oeisclient import FetchError
 from .spectra import ResidualError, eig_sym, spectrum_to_csv
-
-FAMILIES = {
-    "ncube": (ncube_adjacency, "binary"),
-    "hamming": (hamming_distance_matrix, "binary"),
-    "tricube": (tricube_laplacian, "binary"),
-    "regtricube": (regular_tricube_adjacency, "binary"),
-    "powcube": (pow_cube_adjacency, "ternary"),
-    "powtri": (pow_tricube_laplacian, "ternary"),
-    "powhamming": (pow_hamming_matrix, "ternary"),
-}
 
 SEQ_TAGS = {
     "trinomial": sequences.TRINOMIAL,
@@ -53,11 +34,6 @@ SEQ_TAGS = {
 }
 
 
-def _build_matrix(family: str, n: int, ordering: str | None):
-    constructor, default_ordering = FAMILIES[family]
-    return constructor(n, ordering or default_ordering)
-
-
 def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -67,7 +43,7 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_build(args) -> int:
-    gm = _build_matrix(args.family, args.n, args.ordering)
+    gm = build(args.family, args.n, args.ordering)
     if args.format == "json":
         matrix_to_json(gm, args.out)
     else:
@@ -77,7 +53,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    gm = _build_matrix(args.family, args.n, args.ordering)
+    gm = build(args.family, args.n, args.ordering)
     spec = eig_sym(gm, tol=args.tol)
     spectrum_to_csv(spec, args.out)
     print(f"wrote {gm.N} eigenvalues to {args.out}")
@@ -167,30 +143,23 @@ def cmd_euler(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    if args.what == "caf":
-        return cmd_activation(args)
-    if args.what == "extremes":
-        n_range = _parse_range(args.n_range) if args.n_range else range(2, 8)
-        with open(args.out, "w") as fh:
-            fh.write("n,lambda_min,lambda_max,sum,product\n")
-            for n in n_range:
-                e = sequences.pow_hamming_extremes(n)
-                fh.write(f"{n},{e.lambda_min!r},{e.lambda_max!r},{e.sum},{e.product}\n")
-        print(f"wrote extremes for n in {list(n_range)} to {args.out}")
-        return 0
-    return cmd_spectrum(args)
+    n_range = _parse_range(args.n_range) if args.n_range else range(2, 8)
+    with open(args.out, "w") as fh:
+        fh.write("n,lambda_min,lambda_max,sum,product\n")
+        for n in n_range:
+            e = sequences.pow_hamming_extremes(n)
+            fh.write(f"{n},{e.lambda_min!r},{e.lambda_max!r},{e.sum},{e.product}\n")
+    print(f"wrote extremes for n in {list(n_range)} to {args.out}")
+    return 0
 
 
-def _add_common(parser, ordering=True, tol=False):
-    if ordering:
-        parser.add_argument(
-            "--ordering",
-            choices=["binary", "gray", "ternary", "ternary-gray"],
-            default=None,
-            help="vertex ordering (family default when omitted)",
-        )
-    if tol:
-        parser.add_argument("--tol", type=float, default=1e-8, help="eigensolve residual tolerance")
+def _add_ordering(parser):
+    parser.add_argument(
+        "--ordering",
+        choices=["binary", "gray", "ternary", "ternary-gray"],
+        default=None,
+        help="vertex ordering (family default when omitted)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,14 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_common(p)
+    _add_ordering(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("spectrum", help="eigendecompose a family matrix to CSV")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, tol=True)
+    _add_ordering(p)
+    p.add_argument("--tol", type=float, default=1e-8, help="eigensolve residual tolerance")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the claim verification harness")
@@ -232,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poisson", help="minimum-energy balanced sign-pattern search")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--out")
-    _add_common(p)
+    _add_ordering(p)
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("seq", help="emit sequence terms, b-file style")
@@ -246,16 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--one-based", action="store_true")
     p.set_defaults(func=cmd_euler)
 
-    p = sub.add_parser("plotdata", help="emit plottable CSV (caf, spectrum, extremes)")
-    p.add_argument("--what", choices=["caf", "spectrum", "extremes"], required=True)
-    p.add_argument("--family", choices=sorted(FAMILIES), default="powtri")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--n-range", help="for extremes, e.g. 2..7")
-    p.add_argument("--p", help="for caf")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--scale", type=float, default=1.0)
+    p = sub.add_parser(
+        "plotdata",
+        help="emit the powhamming eigenvalue extremes as plottable CSV "
+        "(activation and spectrum data come from their own subcommands)",
+    )
+    p.add_argument("--what", choices=["extremes"], required=True)
+    p.add_argument("--n-range", help="dimension range, e.g. 2..7 (the default)")
     p.add_argument("--out", required=True)
-    _add_common(p, tol=True)
     p.set_defaults(func=cmd_plotdata)
 
     return parser

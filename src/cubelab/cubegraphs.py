@@ -1,4 +1,4 @@
-"""Matrix constructors for the four cube graph families.
+"""Matrix constructors for the seven cube graph families.
 
 Families over {0,1}^n (2^n vertices):
   ncube            adjacency at Hamming distance 1
@@ -14,25 +14,31 @@ Families over {-1,0,1}^n (3^n vertices, 2^n unit cubes glued at the origin):
   powtri           Kirchhoff/cotan Laplacian of powcube
   powhamming       Hamming distances between the 3^n vertex addresses
 
-All constructors take an ordering tag (or explicit permutation) and return
-dense matrices, which suits desk scale (N <= 3^7); the sparse families pay
-off instead in `spectra.eig_sym`, whose residual check skips the tiles of
-the matrix whose entries are all 0.
+`FAMILIES` describes each family once, and `build` makes any of them from
+one of two rules:
+
+- distance profile: entry (i, j) is g_n(d) for the Hamming distance d
+  between the binary addresses of vertices i and j (ncube, hamming,
+  tricube, regtricube, and powhamming, whose address bit k says whether
+  coordinate k is nonzero);
+- per-axis factor: the matrix is the n-fold Kronecker sum of a 3x3 factor,
+  the 3-vertex path's adjacency or Laplacian (powcube, powtri).
+
+`build` refuses more than 2^16 vertices before it builds anything.  The
+seven named constructors are single `build` calls.  Matrices are dense,
+which suits desk scale (N <= 3^7); the sparse families pay off instead in
+`spectra.eig_sym`, whose residual check skips the tiles of the matrix
+whose entries are all 0.
 """
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitspace import (
-    BINARY,
-    TERNARY,
-    binary_ordering,
-    ternary_ordering,
-    ternary_vertex,
-)
+from .bitspace import BINARY, TERNARY, binary_ordering, ternary_ordering
 
 ADJACENCY = "adjacency"
 DISTANCE = "distance"
@@ -44,9 +50,6 @@ OLN = "oln"
 # absolute bound for every exact-structure test on float entries: symmetry
 # here and in `spectra`, centrosymmetry and the Kronecker-sum match there
 STRUCTURE_TOL = 1e-10
-
-# popcount lookup for vectorized Hamming distances; addresses fit in 16 bits
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
 
 
 def asymmetry(entries: np.ndarray) -> float:
@@ -92,63 +95,6 @@ class GraphMatrix:
         e.setflags(write=False)
 
 
-def _ordering_tag(scheme) -> str:
-    return scheme if isinstance(scheme, str) else "custom"
-
-
-def _hamming_outer(values: np.ndarray) -> np.ndarray:
-    if values.size and int(values.max()) >= 1 << 16:
-        raise ValueError("addresses beyond 16 bits are outside desk scale")
-    xor = np.bitwise_xor.outer(values, values)
-    return _POPCOUNT[xor]
-
-
-def ncube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:
-    """n-regular adjacency of the n-cube: edges at Hamming distance 1."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    perm = np.array(binary_ordering(n, ordering))
-    entries = (_hamming_outer(perm) == 1).astype(float)
-    return GraphMatrix("ncube", ADJACENCY, n, _ordering_tag(ordering), entries)
-
-
-def hamming_distance_matrix(n: int, ordering=BINARY) -> GraphMatrix:
-    """Full distance matrix of {0,1}^n: entry (l, m) is the Hamming
-    distance between addresses l and m in the given ordering."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    perm = np.array(binary_ordering(n, ordering))
-    entries = _hamming_outer(perm).astype(float)
-    return GraphMatrix("hamming", DISTANCE, n, _ordering_tag(ordering), entries)
-
-
-def tricube_laplacian(n: int, ordering=BINARY, sign: str = OLP) -> GraphMatrix:
-    """Cotan Laplacian of the cube with triangulated 2-faces: n*I - E.
-
-    Diagonal entries n, -1 at Hamming-distance-1 pairs, 0 elsewhere
-    (diagonal weights vanish since both opposite angles are right).
-    OLN negates the whole matrix.
-    """
-    adj = ncube_adjacency(n, ordering)
-    entries = n * np.eye(adj.N) - adj.entries
-    if sign == OLN:
-        entries = -entries
-    elif sign != OLP:
-        raise ValueError(f"unknown sign convention {sign!r}")
-    return GraphMatrix("tricube", LAPLACIAN, n, adj.ordering, entries)
-
-
-def regular_tricube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:
-    """Adjacency of the cube with both 2-face diagonals: edges at Hamming
-    distance 1 or 2; regular of degree n + C(n,2) = n(n+1)/2."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    perm = np.array(binary_ordering(n, ordering))
-    d = _hamming_outer(perm)
-    entries = ((d == 1) | (d == 2)).astype(float)
-    return GraphMatrix("regtricube", ADJACENCY, n, _ordering_tag(ordering), entries)
-
-
 _PATH3_ADJ = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 _PATH3_LAP = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
@@ -176,11 +122,101 @@ def _ternary_product(factor: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def _apply_perm(entries: np.ndarray, perm: list[int]) -> np.ndarray:
-    idx = np.array(perm)
-    if np.array_equal(idx, np.arange(idx.size)):
-        return entries
-    return entries[np.ix_(idx, idx)]
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One row of `FAMILIES`; exactly one of `profile` and `factor` is set.
+
+    profile  g_n(d) as a function of (d, n) over the array d = 0..n
+    factor   3x3 per-axis matrix of a Kronecker sum (base 3 only)
+    """
+
+    base: int
+    kind: str
+    min_n: int
+    profile: Callable | None = None
+    factor: np.ndarray | None = None
+
+
+FAMILIES = {
+    "ncube": Family(2, ADJACENCY, 1, profile=lambda d, n: d == 1),
+    "hamming": Family(2, DISTANCE, 1, profile=lambda d, n: d),
+    "tricube": Family(2, LAPLACIAN, 1, profile=lambda d, n: n * (d == 0) - (d == 1)),
+    "regtricube": Family(2, ADJACENCY, 2, profile=lambda d, n: (d == 1) | (d == 2)),
+    "powcube": Family(3, ADJACENCY, 1, factor=_PATH3_ADJ),
+    "powtri": Family(3, LAPLACIAN, 1, factor=_PATH3_LAP),
+    "powhamming": Family(3, DISTANCE, 1, profile=lambda d, n: d),
+}
+
+# vertex base -> (default ordering, permutation of the vertex indices)
+_ORDERINGS = {2: (BINARY, binary_ordering), 3: (TERNARY, ternary_ordering)}
+
+
+def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
+    """The `FAMILIES[family]` matrix on n axes.
+
+    `ordering` is a scheme tag for the family's vertex base or, for the
+    2^n families, an explicit permutation; None takes binary for 2^n and
+    ternary for 3^n.  OLN negates the matrix and applies only to
+    Laplacians.  An unknown family or sign, n below the family's smallest,
+    or more than 2^16 vertices (n > 16 for 2^n, n > 10 for 3^n) raise
+    ValueError before any ordering or array is built.
+    """
+    row = FAMILIES.get(family)
+    if row is None:
+        raise ValueError(f"unknown family {family!r}")
+    if n < row.min_n:
+        raise ValueError(f"dimension must be >= {row.min_n}, got {n}")
+    # n > 16 implies base**n > 2^16 and spares computing a huge power
+    if n > 16 or row.base**n > 1 << 16:
+        raise ValueError(f"{family} n={n} has {row.base}^{n} vertices, more than 2^16")
+    if sign not in (OLP, OLN) or (sign == OLN and row.kind != LAPLACIAN):
+        raise ValueError(f"sign convention {sign!r} does not apply to {family}")
+    default, vertex_ordering = _ORDERINGS[row.base]
+    if ordering is None:
+        ordering = default
+    perm = np.array(vertex_ordering(n, ordering))
+    if row.factor is not None:
+        entries = _ternary_product(row.factor, n)
+        if not np.array_equal(perm, np.arange(perm.size)):
+            entries = entries[np.ix_(perm, perm)]
+    else:
+        addresses = perm
+        if row.base == 3:  # address bit k: coordinate k = digit k - 1 is nonzero
+            addresses = sum((perm // 3**k % 3 != 1) << k for k in range(n))
+        addresses = addresses.astype(np.uint16)
+        distance = np.bitwise_count(np.bitwise_xor.outer(addresses, addresses))
+        entries = np.asarray(row.profile(np.arange(n + 1), n), dtype=float)[distance]
+    if sign == OLN:  # the built entries, not g or the factor: every 0 becomes -0.0
+        np.negative(entries, out=entries)
+    ordering_tag = ordering if isinstance(ordering, str) else "custom"
+    return GraphMatrix(family, row.kind, n, ordering_tag, entries)
+
+
+def ncube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:
+    """n-regular adjacency of the n-cube: edges at Hamming distance 1."""
+    return build("ncube", n, ordering)
+
+
+def hamming_distance_matrix(n: int, ordering=BINARY) -> GraphMatrix:
+    """Full distance matrix of {0,1}^n: entry (l, m) is the Hamming
+    distance between addresses l and m in the given ordering."""
+    return build("hamming", n, ordering)
+
+
+def tricube_laplacian(n: int, ordering=BINARY, sign: str = OLP) -> GraphMatrix:
+    """Cotan Laplacian of the cube with triangulated 2-faces: n*I - E.
+
+    Diagonal entries n, -1 at Hamming-distance-1 pairs, 0 elsewhere
+    (diagonal weights vanish since both opposite angles are right).
+    OLN negates the whole matrix.
+    """
+    return build("tricube", n, ordering, sign)
+
+
+def regular_tricube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:
+    """Adjacency of the cube with both 2-face diagonals: edges at Hamming
+    distance 1 or 2; regular of degree n + C(n,2) = n(n+1)/2."""
+    return build("regtricube", n, ordering)
 
 
 def pow_cube_adjacency(n: int, ordering=TERNARY) -> GraphMatrix:
@@ -188,25 +224,13 @@ def pow_cube_adjacency(n: int, ordering=TERNARY) -> GraphMatrix:
     coordinates in {-1,0,1}^n, edges where exactly one coordinate moves by
     one step between 0 and +-1 (never -1 <-> +1).  Equivalently the n-fold
     Cartesian product of the 3-vertex path."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    entries = _ternary_product(_PATH3_ADJ, n)
-    entries = _apply_perm(entries, ternary_ordering(n, ordering))
-    return GraphMatrix("powcube", ADJACENCY, n, _ordering_tag(ordering), entries)
+    return build("powcube", n, ordering)
 
 
 def pow_tricube_laplacian(n: int, ordering=TERNARY, sign: str = OLP) -> GraphMatrix:
     """Kirchhoff/cotan Laplacian L = G - E of the glued-cube structure;
     diagonal entries span n to 2n (degree = n + number of zero coordinates)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    entries = _ternary_product(_PATH3_LAP, n)
-    entries = _apply_perm(entries, ternary_ordering(n, ordering))
-    if sign == OLN:
-        entries = -entries
-    elif sign != OLP:
-        raise ValueError(f"unknown sign convention {sign!r}")
-    return GraphMatrix("powtri", LAPLACIAN, n, _ordering_tag(ordering), entries)
+    return build("powtri", n, ordering, sign)
 
 
 def pow_hamming_matrix(n: int, ordering=TERNARY) -> GraphMatrix:
@@ -215,14 +239,7 @@ def pow_hamming_matrix(n: int, ordering=TERNARY) -> GraphMatrix:
     Distinct vertices with equal addresses (e.g. opposite 3-norm corners)
     get distance 0.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    perm = ternary_ordering(n, ordering)
-    addresses = np.array(
-        [sum(b << k for k, b in enumerate(ternary_vertex(n, m).address)) for m in perm]
-    )
-    entries = _hamming_outer(addresses).astype(float)
-    return GraphMatrix("powhamming", DISTANCE, n, _ordering_tag(ordering), entries)
+    return build("powhamming", n, ordering)
 
 
 def face_count(n: int, k: int) -> int:

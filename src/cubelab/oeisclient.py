@@ -2,8 +2,9 @@
 
 Offline is the default: only the cache and the fixtures shipped with the
 package are consulted, keeping the test suite deterministic.  Online mode
-falls back to the b-file endpoint and writes through to the cache.  A
-cache file that does not parse is passed over, never trusted.
+falls back to the b-file endpoint and writes through to the cache; it needs
+`requests`, which the `online` extra installs.  A cache file that does not
+parse is passed over, never trusted.
 """
 
 import os
@@ -98,7 +99,12 @@ def fetch(anum: str, offline: bool = True, timeout: float = 10.0) -> BFile:
             return BFile(anum, parse_bfile(fixture), "fixture")
         if offline:
             raise FetchError(f"{anum} not cached and no fixture bundled (offline mode)")
-        import requests
+        try:
+            import requests
+        except ImportError:
+            raise FetchError(
+                f"online fetch of {anum} needs requests: pip install cubelab[online]"
+            ) from None
 
         url = _BFILE_URL.format(anum=anum, digits=anum[1:])
         try:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cubelab import cli, oeisclient
+from cubelab import cli, cubegraphs, oeisclient
 from cubelab.cli import main
 from cubelab.cubegraphs import DISTANCE, GraphMatrix
 
@@ -33,6 +33,19 @@ def test_build_precondition_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_beyond_order_guard_exits_cleanly(tmp_path, monkeypatch, capsys):
+    def built_past_guard(*args):
+        raise AssertionError("built past the order guard")
+
+    monkeypatch.setattr(cubegraphs, "_ternary_product", built_past_guard)
+    out = tmp_path / "x.csv"
+    rc = main(["build", "--family", "powcube", "--n", "11", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "2^16" in err[0]
+    assert not out.exists()
+
+
 def test_spectrum_powtri(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--family", "powtri", "--n", "3", "--out", str(out)]) == 0
@@ -50,11 +63,11 @@ def test_spectrum_residual_failure_exits_cleanly(tmp_path, capsys):
 
 
 def test_spectrum_non_finite_exits_cleanly(tmp_path, monkeypatch, capsys):
-    def infinite_distance(n, ordering):
+    def infinite_distance(family, n, ordering):
         entries = np.array([[0.0, np.inf], [np.inf, 0.0]])
-        return GraphMatrix("hamming", DISTANCE, n, ordering, entries)
+        return GraphMatrix(family, DISTANCE, n, "binary", entries)
 
-    monkeypatch.setitem(cli.FAMILIES, "hamming", (infinite_distance, "binary"))
+    monkeypatch.setattr(cli, "build", infinite_distance)
     out = tmp_path / "spec.csv"
     with np.errstate(all="ignore"):
         rc = main(["spectrum", "--family", "hamming", "--n", "1", "--out", str(out)])
@@ -152,7 +165,10 @@ def test_plotdata_extremes(tmp_path):
 
 
 def test_plotdata_caf(tmp_path):
+    # the caf and spectrum aliases are gone: `activation` and `spectrum` make that data
     out = tmp_path / "caf.csv"
-    rc = main(["plotdata", "--what", "caf", "--n", "3", "--p", "1..8", "--out", str(out)])
-    assert rc == 0
-    assert len(out.read_text().splitlines()) == 65
+    for what in ("caf", "spectrum"):
+        with pytest.raises(SystemExit) as exc:
+            main(["plotdata", "--what", what, "--out", str(out)])
+        assert exc.value.code == 2
+    assert not out.exists()

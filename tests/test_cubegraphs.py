@@ -2,15 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubelab.bitspace import enumerate_addresses, hamming, ternary_vertex
+from cubelab import cubegraphs
+from cubelab.bitspace import bits_of, enumerate_addresses, hamming, ternary_ordering, ternary_vertex
 from cubelab.cubegraphs import (
     DISTANCE,
+    FAMILIES,
     LAPLACIAN,
+    OLN,
     GraphMatrix,
     _PATH3_ADJ,
     _PATH3_LAP,
     _ternary_product,
+    build,
     eulerian_circuit,
     face_count,
     face_total,
@@ -27,8 +32,12 @@ from cubelab.cubegraphs import (
 
 
 def brute_distance_matrix(n, ordering):
-    """Oracle: direct Hamming loop over the ordered address list."""
-    addrs = enumerate_addresses(n, ordering)
+    """Oracle: direct Hamming loop over the ordered address list; the
+    ordering is a scheme tag or an explicit permutation of the vertices."""
+    if isinstance(ordering, str):
+        addrs = enumerate_addresses(n, ordering)
+    else:
+        addrs = [bits_of(v, n) for v in ordering]
     return np.array([[hamming(a, b) for b in addrs] for a in addrs], dtype=float)
 
 
@@ -140,6 +149,70 @@ def brute_pow_adjacency(n):
             if len(diffs) == 1 and abs(diffs[0][0] - diffs[0][1]) == 1:
                 A[i, j] = 1.0
     return A
+
+
+def binary_oracle(family, n, ordering):
+    D = brute_distance_matrix(n, ordering)
+    A = (D == 1).astype(float)
+    if family == "ncube":
+        return A
+    if family == "hamming":
+        return D
+    if family == "tricube":
+        return n * np.eye(2**n) - A
+    return ((D == 1) | (D == 2)).astype(float)
+
+
+def ternary_oracle(family, n, ordering):
+    if family == "powcube":
+        M = brute_pow_adjacency(n)
+    elif family == "powtri":
+        M = kron_ternary_product(_PATH3_LAP, n)
+    else:
+        addrs = [ternary_vertex(n, m).address for m in range(3**n)]
+        M = np.array([[hamming(a, b) for b in addrs] for a in addrs], dtype=float)
+    perm = ternary_ordering(n, ordering)
+    return M[np.ix_(perm, perm)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_build_matches_oracles(data):
+    family = data.draw(st.sampled_from(sorted(FAMILIES)))
+    row = FAMILIES[family]
+    if row.base == 2:
+        n = data.draw(st.integers(row.min_n, 6))
+        ordering = data.draw(st.sampled_from(["binary", "gray"]) | st.permutations(range(2**n)))
+        expected = binary_oracle(family, n, ordering)
+    else:
+        n = data.draw(st.integers(row.min_n, 4))
+        ordering = data.draw(st.sampled_from(["ternary", "ternary-gray"]))
+        expected = ternary_oracle(family, n, ordering)
+    gm = build(family, n, ordering)
+    assert (gm.family, gm.n) == (family, n)
+    assert gm.ordering == (ordering if isinstance(ordering, str) else "custom")
+    assert gm.entries.dtype == np.float64 and gm.entries.flags.c_contiguous
+    assert np.array_equal(gm.entries, expected)
+    if row.kind == LAPLACIAN:
+        # bytes, not values: the zeros of -L are -0.0 and must stay so
+        assert build(family, n, ordering, OLN).entries.tobytes() == (-gm.entries).tobytes()
+
+
+def _built_past_guard(*args):
+    raise AssertionError("built past the order guard")
+
+
+@pytest.mark.parametrize("family,n", [("ncube", 17), ("powcube", 11), ("powhamming", 11)])
+def test_build_order_guard(family, n, monkeypatch):
+    # every ordering and array builder fails the test instead of allocating
+    stubs = {2: ("binary", _built_past_guard), 3: ("ternary", _built_past_guard)}
+    monkeypatch.setattr(cubegraphs, "_ORDERINGS", stubs)
+    monkeypatch.setattr(cubegraphs, "_ternary_product", _built_past_guard)
+    with pytest.raises(ValueError, match=r"more than 2\^16"):
+        build(family, n)
+    # the largest orders still pass the guard (and stop at the stub)
+    with pytest.raises(AssertionError, match="past the order guard"):
+        build(family, n - 1)
 
 
 def test_pow_cube_path_on_3():
@@ -264,3 +337,9 @@ def test_constructor_preconditions():
         regular_tricube_adjacency(1)
     with pytest.raises(ValueError):
         pow_cube_adjacency(2, "binary")
+    with pytest.raises(ValueError, match="unknown family"):
+        build("cube", 3)
+    with pytest.raises(ValueError, match="sign"):
+        build("ncube", 3, sign=OLN)
+    with pytest.raises(ValueError, match="sign"):
+        tricube_laplacian(2, sign="negative")

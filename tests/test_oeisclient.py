@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 import requests
 
@@ -67,6 +69,13 @@ def test_corrupt_cache_is_replaced_from_network(tmp_path, monkeypatch):
     assert b.source == "network" and b.terms[3] == (3, 2)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b000045.txt"]
     assert fetch("A000045", offline=True).source == "cache"
+
+
+def test_online_fetch_without_requests(tmp_path, monkeypatch):
+    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
+    monkeypatch.setitem(sys.modules, "requests", None)
+    with pytest.raises(FetchError, match=r"pip install cubelab\[online\]"):
+        fetch("A000045", offline=False)
 
 
 def test_compare_identical():
