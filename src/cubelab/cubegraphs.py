@@ -24,11 +24,12 @@ one of two rules:
 - per-axis factor: the matrix is the n-fold Kronecker sum of a 3x3 factor,
   the 3-vertex path's adjacency or Laplacian (powcube, powtri).
 
-`build` refuses more than 2^16 vertices before it builds anything.  The
-seven named constructors are single `build` calls.  Matrices are dense,
-which suits desk scale (N <= 3^7); the sparse families pay off instead in
-`spectra.eig_sym`, whose residual check skips the tiles of the matrix
-whose entries are all 0.
+`build` refuses a matrix whose dense float64 entries would exceed
+`MAX_DENSE_BYTES` (up to 2^13 and 3^8 vertices fit) before it builds
+anything.  The seven named constructors are single `build` calls.
+Matrices are dense, which suits desk scale (N <= 3^7); the sparse
+families pay off instead in `spectra.eig_sym`, whose residual check
+skips the tiles of the matrix whose entries are all 0.
 """
 
 import json
@@ -50,6 +51,9 @@ OLN = "oln"
 # absolute bound for every exact-structure test on float entries: symmetry
 # here and in `spectra`, centrosymmetry and the Kronecker-sum match there
 STRUCTURE_TOL = 1e-10
+
+# bound on the 8 N^2 bytes of a built matrix's entries
+MAX_DENSE_BYTES = 1 << 30
 
 
 def asymmetry(entries: np.ndarray) -> float:
@@ -158,17 +162,20 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  OLN negates the matrix and applies only to
     Laplacians.  An unknown family or sign, n below the family's smallest,
-    or more than 2^16 vertices (n > 16 for 2^n, n > 10 for 3^n) raise
-    ValueError before any ordering or array is built.
+    or dense entries over `MAX_DENSE_BYTES` (n > 13 for 2^n, n > 8 for
+    3^n) raise ValueError before any ordering or array is built.
     """
     row = FAMILIES.get(family)
     if row is None:
         raise ValueError(f"unknown family {family!r}")
     if n < row.min_n:
         raise ValueError(f"dimension must be >= {row.min_n}, got {n}")
-    # n > 16 implies base**n > 2^16 and spares computing a huge power
-    if n > 16 or row.base**n > 1 << 16:
-        raise ValueError(f"{family} n={n} has {row.base}^{n} vertices, more than 2^16")
+    # base >= 2, so 8 base^(2n) is past the bound once n reaches its bit
+    # length; testing that first spares computing a huge power
+    if n >= MAX_DENSE_BYTES.bit_length() or 8 * row.base ** (2 * n) > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{family} n={n}: dense float64 entries exceed {MAX_DENSE_BYTES >> 20} MiB"
+        )
     if sign not in (OLP, OLN) or (sign == OLN and row.kind != LAPLACIAN):
         raise ValueError(f"sign convention {sign!r} does not apply to {family}")
     default, vertex_ordering = _ORDERINGS[row.base]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubegraphs import LAPLACIAN, OLN, OLP, GraphMatrix, tricube_laplacian
+from .cubegraphs import LAPLACIAN, OLN, OLP, GraphMatrix
 
 EVEN = "even"
 ODD = "odd"
@@ -201,9 +201,3 @@ def load_mesh(path) -> TriMesh:
     )
     return TriMesh(vertices=vertices, triangles=triangles)
 
-
-def geometric_matches_combinatorial(n: int, arrangement: str = EVEN) -> float:
-    """Max entrywise deviation between the geometric build and n*I - E."""
-    geo = build_cube_cotan_geometric(n, arrangement)
-    ref = tricube_laplacian(n)
-    return float(np.abs(geo.entries - ref.entries).max())

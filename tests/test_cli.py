@@ -39,10 +39,10 @@ def test_build_beyond_order_guard_exits_cleanly(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cubegraphs, "_ternary_product", built_past_guard)
     out = tmp_path / "x.csv"
-    rc = main(["build", "--family", "powcube", "--n", "11", "--out", str(out)])
+    rc = main(["build", "--family", "powcube", "--n", "9", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "2^16" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and "1024 MiB" in err[0]
     assert not out.exists()
 
 

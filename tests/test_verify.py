@@ -1,7 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from cubelab import cubegraphs, verify
+from cubelab.cubegraphs import regular_tricube_adjacency
+from cubelab.predicates import n_related
+from cubelab.spectra import ramanujan_check
 from cubelab.verify import CLAIM_IDS, DEFAULT_RANGES, run_verification
 
 
@@ -42,3 +48,48 @@ def test_every_claim_id_has_a_check():
     )
     assert {e["claim"] for e in report.entries} == {"theorem5", "theorem6", "theorem7"}
     assert report.ok
+
+
+def test_caf_checks_every_fixed_subset(monkeypatch):
+    # right for the first p-subset checked, the prefix {0, .., p-1}, and
+    # one off for every other p-subset
+    seen = set()
+
+    def prefix_only(n, r, p):
+        first = (n, r, p) not in seen
+        seen.add((n, r, p))
+        return n_related(n, r, p) + (0 if first else 1)
+
+    monkeypatch.setattr(verify, "n_related", prefix_only)
+    [entry] = run_verification(claims=["caf"]).entries
+    assert entry["status"] == "fail"
+
+
+def test_theorem3_n3_noted_only_for_lambda2(monkeypatch):
+    # regtricube n = 3: lambda_1 = 0 is the formula, |lambda_2| = 2 the oracle
+    values = np.linalg.eigvalsh(regular_tricube_adjacency(3).entries)
+    assert np.allclose(values, [-2, -2, -2, 0, 0, 0, 0, 6], rtol=0, atol=1e-12)
+
+    def max_nontrivial_3(adj):
+        return dataclasses.replace(ramanujan_check(adj), max_nontrivial=3.0)
+
+    monkeypatch.setattr(verify, "ramanujan_check", max_nontrivial_3)
+    [entry] = run_verification(claims=["theorem3"], n_range=[3]).entries
+    assert entry["status"] == "fail"
+
+
+def test_euler_checks_the_exact_edge_count(monkeypatch):
+    # add the antipodal edge {0, 7} and drop the triangle's other two edges
+    # {0, 1}, {1, 7}: every degree stays even, so a circuit still exists
+    # and covers the constructor's graph, over 23 edges instead of 24
+    def one_edge_fewer(n):
+        gm = regular_tricube_adjacency(n)
+        adj = gm.entries.copy()
+        adj[0, 7] = adj[7, 0] = 1
+        adj[0, 1] = adj[1, 0] = adj[1, 7] = adj[7, 1] = 0
+        return dataclasses.replace(gm, entries=adj)
+
+    monkeypatch.setattr(cubegraphs, "regular_tricube_adjacency", one_edge_fewer)
+    monkeypatch.setattr(verify, "regular_tricube_adjacency", one_edge_fewer)
+    [entry] = run_verification(claims=["euler"], n_range=[3]).entries
+    assert entry["status"] == "fail"
