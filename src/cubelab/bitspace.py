@@ -30,10 +30,6 @@ def bits_of(value: int, n: int) -> tuple[int, ...]:
     return tuple((value >> k) & 1 for k in range(n))
 
 
-def bits_to_int(bits) -> int:
-    return sum(b << k for k, b in enumerate(bits))
-
-
 def format_bits(bits) -> str:
     """Render an address as a numeral string, most significant bit first."""
     return "".join(str(b) for b in reversed(bits))

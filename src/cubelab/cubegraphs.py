@@ -22,7 +22,8 @@ one of two rules:
   tricube, regtricube, and powhamming, whose address bit k says whether
   coordinate k is nonzero);
 - per-axis factor: the matrix is the n-fold Kronecker sum of a 3x3 factor,
-  the 3-vertex path's adjacency or Laplacian (powcube, powtri).
+  the 3-vertex path's adjacency or Laplacian (powcube, powtri), declared
+  as `GraphMatrix.factor` in the natural ternary ordering for n >= 2.
 
 `build` refuses a matrix whose dense float64 entries would exceed
 `MAX_DENSE_BYTES` (up to 2^13 and 3^8 vertices fit) before it builds
@@ -49,7 +50,7 @@ OLP = "olp"
 OLN = "oln"
 
 # absolute bound for every exact-structure test on float entries: symmetry
-# here and in `spectra`, centrosymmetry and the Kronecker-sum match there
+# here and on raw arrays in `spectra`, centrosymmetry there
 STRUCTURE_TOL = 1e-10
 
 # bound on the 8 N^2 bytes of a built matrix's entries
@@ -67,13 +68,18 @@ def asymmetry(entries: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GraphMatrix:
-    """Dense square matrix tagged with its graph family and construction."""
+    """Dense square matrix tagged with its graph family and construction.
+
+    Construction validates the entries once and makes them read-only.  A
+    3x3 `factor`, when set, declares them its n-fold `_ternary_product`.
+    """
 
     family: str
     kind: str
     n: int
     ordering: str
     entries: np.ndarray
+    factor: np.ndarray | None = None
 
     @property
     def N(self) -> int:
@@ -96,6 +102,12 @@ class GraphMatrix:
                 raise ValueError("laplacian must have zero row sums")
         else:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
+        f = self.factor
+        if f is not None:  # O(1) facts only; eig_sym's residual check finds a false one
+            symmetric3 = f.shape == (3, 3) and asymmetry(f) <= STRUCTURE_TOL
+            if not (symmetric3 and self.n >= 2 and e.shape[0] == 3**self.n):
+                raise ValueError("factor must be a symmetric 3x3 of a 3^n matrix, n >= 2")
+            f.setflags(write=False)
         e.setflags(write=False)
 
 
@@ -161,9 +173,11 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
     `ordering` is a scheme tag for the family's vertex base or, for the
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  OLN negates the matrix and applies only to
-    Laplacians.  An unknown family or sign, n below the family's smallest,
-    or dense entries over `MAX_DENSE_BYTES` (n > 13 for 2^n, n > 8 for
-    3^n) raise ValueError before any ordering or array is built.
+    Laplacians.  A factor row in the ternary ordering with n >= 2 declares
+    its factor, signed like the entries.  An unknown family or sign, n
+    below the family's smallest, or dense entries over `MAX_DENSE_BYTES`
+    (n > 13 for 2^n, n > 8 for 3^n) raise ValueError before any ordering
+    or array is built.
     """
     row = FAMILIES.get(family)
     if row is None:
@@ -182,10 +196,13 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
     if ordering is None:
         ordering = default
     perm = np.array(vertex_ordering(n, ordering))
+    factor = None
     if row.factor is not None:
         entries = _ternary_product(row.factor, n)
         if not np.array_equal(perm, np.arange(perm.size)):
             entries = entries[np.ix_(perm, perm)]
+        elif n >= 2:
+            factor = row.factor
     else:
         addresses = perm
         if row.base == 3:  # address bit k: coordinate k = digit k - 1 is nonzero
@@ -193,10 +210,11 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
         addresses = addresses.astype(np.uint16)
         distance = np.bitwise_count(np.bitwise_xor.outer(addresses, addresses))
         entries = np.asarray(row.profile(np.arange(n + 1), n), dtype=float)[distance]
-    if sign == OLN:  # the built entries, not g or the factor: every 0 becomes -0.0
+    if sign == OLN:  # negate what was built, not g or row.factor: every 0 becomes -0.0
         np.negative(entries, out=entries)
+        factor = None if factor is None else -factor
     ordering_tag = ordering if isinstance(ordering, str) else "custom"
-    return GraphMatrix(family, row.kind, n, ordering_tag, entries)
+    return GraphMatrix(family, row.kind, n, ordering_tag, entries, factor)
 
 
 def ncube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:

@@ -49,7 +49,7 @@ def _entries(L) -> np.ndarray:
 def kernel_basis(L) -> list[np.ndarray]:
     """Unit basis of the kernel; must be the single constant direction."""
     entries = _entries(L)
-    spec = eig_sym(entries)
+    spec = eig_sym(L)
     scale = max(float(np.abs(spec.values).max()), 1.0)
     idx = np.flatnonzero(np.abs(spec.values) <= _KERNEL_CUT * scale)
     if idx.size != 1:

@@ -1,18 +1,18 @@
 """Symmetric eigensolving, multiplicity clustering, and spectrum checks.
 
 Eigendecomposition is delegated to LAPACK through numpy.linalg.eigh, which
-is deterministic per platform.  `eig_sym` picks one of three routes from
-the entries alone:
+is deterministic per platform.  Only raw arrays are tested for symmetry
+here; a `GraphMatrix` was when it was built.  `eig_sym` has three routes:
 
-- a Kronecker sum (N = 3^n, n >= 2, entries equal to the Cartesian-product
-  accumulation of a 3x3 factor, as powcube and powtri are in the natural
-  ternary ordering) is solved from one eigh of that factor: the values are
-  the n-fold sums of its eigenvalues, the vectors the n-fold Kronecker
-  products of its eigenvectors;
-- a bisymmetric input (symmetric and unchanged by reversing both index
-  orders, as every family is in its default ordering) is split by the
-  exact orthogonal centrosymmetric reduction into two half-size blocks,
-  each solved by its own eigh;
+- a `GraphMatrix` whose Kronecker factor `cubegraphs.build` declared
+  (powcube and powtri in the natural ternary ordering, n >= 2) is solved
+  from one eigh of that 3x3 factor: the values are the n-fold sums of its
+  eigenvalues, the vectors the n-fold Kronecker products of its
+  eigenvectors;
+- a bisymmetric input (unchanged by reversing both index orders, as
+  every family is in its default ordering) is split by the exact
+  orthogonal centrosymmetric reduction into two half-size blocks, each
+  solved by its own eigh;
 - any other input takes one eigh of the full matrix.
 
 Whatever the route, every returned pair is residual-checked against every
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubegraphs import STRUCTURE_TOL, GraphMatrix, _ternary_product, asymmetry
+from .cubegraphs import STRUCTURE_TOL, GraphMatrix, asymmetry
 
 CLUSTER_TOL = 1e-6
 
@@ -91,7 +91,10 @@ def _as_array(M) -> tuple[np.ndarray, dict]:
     if isinstance(M, GraphMatrix):
         meta = {"family": M.family, "kind": M.kind, "n": M.n, "ordering": M.ordering}
         return M.entries, meta
-    return np.asarray(M, dtype=float), {}
+    entries = np.asarray(M, dtype=float)
+    if asymmetry(entries) > STRUCTURE_TOL:
+        raise ValueError("matrix is not symmetric")
+    return entries, {}
 
 
 def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
@@ -111,24 +114,20 @@ def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
 def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
-    Raises ValueError on non-symmetric input and ResidualError when a
-    pair fails the residual check.  Symmetry, centrosymmetry and the
-    Kronecker-sum match are all tested within 1e-10 absolute.  A
-    Kronecker sum of a 3x3 factor (see `_kron_factor`) is solved from one
-    eigh of the factor; otherwise a centrosymmetric input (N > 1) is
-    solved from the two half-size blocks of `centro_block_diagonalize`;
-    anything else by one eigh of the full matrix.  Whatever the route,
-    ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
-    pair on every entry of the input matrix before returning (by row
-    tiles, skipping only all-zero tiles, see `_residual_norms`); a NaN or
-    infinite eigenvalue or residual raises ResidualError.
+    Raises ValueError on a non-symmetric raw array and ResidualError when
+    a pair fails the residual check.  A GraphMatrix with a `factor` is
+    solved from one eigh of it (`_kron_eigh`); otherwise a centrosymmetric
+    input (N > 1, within 1e-10 absolute) from the two half-size blocks of
+    `centro_block_diagonalize`; anything else by one eigh of the full
+    matrix.  Whatever the route, ||Mv - lambda v|| <= tol*max(|lambda|_max,
+    1) is verified for every pair on every entry of the input before
+    returning (by row tiles, skipping only all-zero tiles, see
+    `_residual_norms`), so a non-finite eigenvalue or residual, or a
+    factor that does not match the entries, raises ResidualError.
     """
     entries, meta = _as_array(M)
-    if asymmetry(entries) > STRUCTURE_TOL:
-        raise ValueError("matrix is not symmetric")
-    kron = _kron_factor(entries)
-    if kron is not None:
-        values, vectors = _kron_eigh(*kron)
+    if isinstance(M, GraphMatrix) and M.factor is not None:
+        values, vectors = _kron_eigh(M.factor, M.n)
     elif entries.shape[0] > 1 and _centro_deviation(entries) <= STRUCTURE_TOL:
         values, vectors = _centro_eigh(entries)
     else:
@@ -176,37 +175,6 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
             acc += entries[rows, start:stop] @ vectors[start:stop]
         squares += np.einsum("ij,ij->j", acc, acc)
     return np.sqrt(squares)
-
-
-def _kron_factor(entries: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(F, n) when M is the n-fold Kronecker sum of a 3x3 factor F, else None.
-
-    Applies to N = 3^n with n >= 2.  F is read off the first three rows
-    and columns (vertices whose digits above the lowest are 0): the
-    off-diagonals are M's, and the diagonal is shifted so that the n
-    digits of vertex 0 share M[0, 0] equally, F[d, d] = M[d, d] - (n - 1)
-    M[0, 0] / n.  The whole of M must then equal the accumulation of F;
-    row 0 is compared first, in O(N), so that most other inputs are
-    rejected before the N x N accumulation is built.
-    """
-    N = entries.shape[0]
-    n = round(math.log(N, 3)) if N >= 9 else 0
-    if n < 2 or 3**n != N:
-        return None
-    factor = entries[:3, :3].copy()
-    factor[np.diag_indices(3)] -= (n - 1) * entries[0, 0] / n
-    # row 0 of the accumulation, summed as `_ternary_product` sums it: the
-    # n-fold sum of F[0, 0] on the diagonal and F[0, b] at b 3^k
-    row = np.zeros(N)
-    for k in range(n):
-        row[0] += factor[0, 0]
-        row[[3**k, 2 * 3**k]] = factor[0, 1:]
-    if np.abs(row - entries[0]).max() > STRUCTURE_TOL:
-        return None
-    deviation = _ternary_product(factor, n)
-    deviation -= entries
-    np.abs(deviation, out=deviation)
-    return (factor, n) if deviation.max() <= STRUCTURE_TOL else None
 
 
 def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,11 +304,11 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     of antisymmetric eigenvectors (Jx = -x), the plus block the symmetric
     ones.  Both blocks and the largest entry of the off-diagonal blocks of
     K M K^T are read from slices of M in O(N^2); K is never formed.
-    `eig_sym` solves bisymmetric inputs that are not Kronecker sums of a
-    3x3 factor through these same blocks.
+    `eig_sym` solves bisymmetric inputs that declare no Kronecker factor
+    through these same blocks.
     """
     entries, _ = _as_array(M)
-    if asymmetry(entries) > STRUCTURE_TOL or _centro_deviation(entries) > STRUCTURE_TOL:
+    if _centro_deviation(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not bisymmetric")
     N = entries.shape[0]
     m = N // 2
@@ -364,7 +332,8 @@ def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> Rama
     the Ramanujan bound 2*sqrt(degree - 1).
 
     Every eigenvalue of magnitude equal to the degree is trivial (this
-    covers -degree on bipartite graphs).
+    covers -degree on bipartite graphs).  A centrosymmetric adjacency
+    (within 1e-10, as in `eig_sym`) is solved as its two half-size blocks.
     """
     entries, _ = _as_array(adj)
     degrees = entries.sum(axis=1)
@@ -372,11 +341,7 @@ def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> Rama
         degree = int(round(degrees[0]))
     if np.abs(degrees - degree).max() > 1e-9:
         raise ValueError("graph is not regular of the stated degree")
-    if (
-        entries.shape[0] > 1
-        and np.array_equal(entries, entries.T)
-        and np.array_equal(entries, entries[::-1, ::-1])
-    ):
+    if entries.shape[0] > 1 and _centro_deviation(entries) <= STRUCTURE_TOL:
         values = np.concatenate([np.linalg.eigvalsh(b) for b in _centro_blocks(entries)])
     else:
         values = np.linalg.eigvalsh(entries)

@@ -56,8 +56,9 @@ def test_ternary_product_matches_kron_sum(factor, n):
 
 
 def test_graph_matrix_symmetry_bound_is_absolute():
-    # 1e-9 passed np.allclose (rtol 1e-5) at construction but failed
-    # eig_sym; both now apply the one 1e-10 absolute bound
+    # construction is the only symmetry test a GraphMatrix gets, with the
+    # 1e-10 absolute bound that `spectra` applies to raw arrays; 1e-9 once
+    # passed it (np.allclose, rtol 1e-5)
     D = hamming_distance_matrix(2).entries.copy()
     D[0, 1] += 5e-11
     GraphMatrix("hamming", DISTANCE, 2, "binary", D.copy())
@@ -193,9 +194,16 @@ def test_build_matches_oracles(data):
     assert gm.ordering == (ordering if isinstance(ordering, str) else "custom")
     assert gm.entries.dtype == np.float64 and gm.entries.flags.c_contiguous
     assert np.array_equal(gm.entries, expected)
+    built = [gm]
     if row.kind == LAPLACIAN:
         # bytes, not values: the zeros of -L are -0.0 and must stay so
-        assert build(family, n, ordering, OLN).entries.tobytes() == (-gm.entries).tobytes()
+        built.append(build(family, n, ordering, OLN))
+        assert built[1].entries.tobytes() == (-gm.entries).tobytes()
+    declared = row.factor is not None and ordering == "ternary" and n >= 2
+    for m in built:
+        assert (m.factor is not None) == declared
+        if declared:
+            assert np.array_equal(kron_ternary_product(m.factor, n), m.entries)
 
 
 def _built_past_guard(*args):

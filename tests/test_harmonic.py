@@ -17,6 +17,21 @@ def test_kernel_is_constant_direction():
     assert np.allclose(v, np.ones(2) / np.sqrt(2.0), atol=1e-12)
 
 
+def test_kernel_basis_solves_a_declared_factor(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    L = pow_tricube_laplacian(3)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    v = kernel_basis(L)[0]
+    assert sizes == [3]
+    assert np.allclose(v, np.ones(27) / np.sqrt(27.0), atol=1e-10)
+
+
 def test_kernel_rejects_disconnected():
     L = np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(ValueError):

@@ -4,10 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubelab import spectra
+from cubelab import cubegraphs, spectra
 from cubelab.cubegraphs import (
+    ADJACENCY,
+    LAPLACIAN,
     OLN,
     OLP,
+    GraphMatrix,
+    _PATH3_ADJ,
+    _PATH3_LAP,
     _ternary_product,
     hamming_distance_matrix,
     ncube_adjacency,
@@ -104,17 +109,20 @@ def _record_sizes(monkeypatch, name):
     (np.array([[3.0]]), [1]),
     (np.array([[2.0, -1.0], [-1.0, 2.0]]), [1, 1]),
     (np.array([[1.0, 2.0, 0.5], [2.0, -3.0, 2.0], [0.5, 2.0, 1.0]]), [1, 2]),
-    (pow_tricube_laplacian(3).entries, [3]),
+    (pow_tricube_laplacian(3), [3]),
     (tricube_laplacian(4, "gray").entries, [8, 8]),
     (pow_tricube_laplacian(3, "ternary-gray").entries, [13, 14]),
+    # the same entries as M3 without the declared factor take the centro split
+    (pow_tricube_laplacian(3).entries, [13, 14]),
 ])
 def test_eig_sym_small_and_split_orders(monkeypatch, M, blocks):
     sizes = _record_sizes(monkeypatch, "eigh")
     spec = eig_sym(M)
     assert sizes == blocks
-    assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
-    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(len(M))).max() <= 1e-12
-    assert np.abs(M @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12
+    E = M.entries if isinstance(M, GraphMatrix) else M
+    assert np.abs(spec.values - np.linalg.eigvalsh(E)).max() <= 1e-12
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(len(E))).max() <= 1e-12
+    assert np.abs(E @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12
 
 
 def test_eig_sym_near_bisymmetric_takes_single_eigh(monkeypatch):
@@ -148,9 +156,11 @@ def test_eig_sym_kron_sum_solves_the_3x3_factor(monkeypatch, make, sign, n):
 
 def test_eig_sym_kron_sum_of_random_factor(monkeypatch):
     X = np.random.default_rng(3).standard_normal((3, 3))
-    M = _ternary_product(X + X.T, 3)
+    # zero row sums, so that the Kronecker sum is a valid LAPLACIAN entry set
+    F = X + X.T - np.diag((X + X.T).sum(axis=1))
+    M = _ternary_product(F, 3)
     sizes = _record_sizes(monkeypatch, "eigh")
-    spec = eig_sym(M)
+    spec = eig_sym(GraphMatrix("random", LAPLACIAN, 3, "ternary", M, F))
     assert sizes == [3]
     assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(27)).max() <= 1e-12
@@ -169,19 +179,61 @@ def test_eig_sym_kron_route_residual_failure_raises(monkeypatch):
     (pow_cube_adjacency, "ternary-gray"),
 ])
 def test_kron_row_check_skips_the_full_accumulation(monkeypatch, make, ordering):
+    # eig_sym reads the declared factor, so no input makes it rebuild the
+    # N x N Kronecker sum, and entries without a factor are never tried as one
+    declared, M = pow_cube_adjacency(6), make(6, ordering)
     calls = []
 
     def counting(*args):
         calls.append(args)
         return _ternary_product(*args)
 
-    monkeypatch.setattr(spectra, "_ternary_product", counting)
-    M = make(6, ordering)
-    spec = eig_sym(M)
+    # both names, so that a copy imported into spectra is counted as well
+    monkeypatch.setattr(cubegraphs, "_ternary_product", counting)
+    monkeypatch.setattr(spectra, "_ternary_product", counting, raising=False)
+    eig_sym(declared)
     assert calls == []
+    # entries alone never take the Kronecker route
+    sizes = _record_sizes(monkeypatch, "eigh")
+    spec = eig_sym(M.entries)
+    assert calls == []
+    assert sizes and 3 not in sizes
     assert np.abs(spec.values - np.linalg.eigvalsh(M.entries)).max() <= 1e-9
-    eig_sym(pow_cube_adjacency(6))
-    assert len(calls) == 1
+
+
+def test_eig_sym_false_factor_fails_residual():
+    A = pow_cube_adjacency(3).entries
+    with pytest.raises(ResidualError):
+        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A, _PATH3_LAP))
+
+
+@pytest.mark.parametrize("entries,n,factor", [
+    (pow_cube_adjacency(2).entries, 2, np.eye(2)),
+    (pow_cube_adjacency(2).entries, 2, np.roll(np.eye(3), 1, axis=1)),
+    (ncube_adjacency(2).entries, 2, _PATH3_ADJ),
+    (pow_cube_adjacency(2).entries, 3, _PATH3_ADJ),
+    (pow_cube_adjacency(1).entries, 1, _PATH3_ADJ),
+], ids=["2x2", "asymmetric", "N=4", "N!=3^n", "n=1"])
+def test_graph_matrix_rejects_malformed_factor(entries, n, factor):
+    with pytest.raises(ValueError, match="factor"):
+        GraphMatrix("powcube", ADJACENCY, n, "ternary", entries, factor)
+
+
+def test_graph_matrix_symmetry_is_not_retested(monkeypatch):
+    calls = []
+
+    def counting(entries):
+        calls.append(entries.shape)
+        return cubegraphs.asymmetry(entries)
+
+    M, L = pow_cube_adjacency(3), tricube_laplacian(3)
+    monkeypatch.setattr(spectra, "asymmetry", counting)
+    eig_sym(M)
+    eig_sym(L)
+    centro_block_diagonalize(L)
+    assert calls == []
+    eig_sym(L.entries)
+    assert calls == [(8, 8)]
 
 
 @pytest.mark.parametrize("M", [
@@ -418,6 +470,16 @@ def test_eig_identity_beyond_float_range():
     result = eig_identity_check(L, B)
     assert math.isinf(result.lhs) and math.isinf(result.rhs)
     assert result.agree and result.rel_err <= 1e-9
+
+
+def test_asymmetric_input_is_rejected():
+    # a directed 3-cycle: its lower triangle alone looks like a Ramanujan graph
+    # and its "Laplacian" agrees with the identity
+    cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        ramanujan_check(cycle)
+    with pytest.raises(ValueError, match="not symmetric"):
+        eig_identity_check(np.eye(3) - cycle, np.eye(3)[:, :2])
 
 
 def test_eig_identity_needs_simple_kernel():
