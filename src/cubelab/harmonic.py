@@ -2,9 +2,9 @@
 
 The Laplacians here come from connected graphs, so the kernel is spanned
 by the constant vector and Lu = f is solvable exactly when f sums to zero.
-The minimum-norm solution is built from the eigendecomposition
-pseudoinverse; the balanced-sign-pattern search scans every f with equally
-many +1 and -1 entries for the one of least Dirichlet energy.
+Kernel and pseudoinverse come from `spectra.eig_sym` and its kernel rule;
+the balanced-sign-pattern search scans every f with equally many +1 and
+-1 entries for the one of least Dirichlet energy.
 """
 
 from dataclasses import dataclass
@@ -13,10 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cubegraphs import GraphMatrix, tricube_laplacian
-from .spectra import eig_sym
-
-_KERNEL_CUT = 1e-9
+from .cubegraphs import tricube_laplacian
+from .meshcotan import dirichlet_energy
+from .spectra import KERNEL_TOL, eig_sym, symmetric_entries
 
 
 @dataclass(frozen=True)
@@ -42,36 +41,26 @@ class MinEnergyResult:
         return Fraction(self.best_energy).limit_denominator(max_denominator)
 
 
-def _entries(L) -> np.ndarray:
-    return L.entries if isinstance(L, GraphMatrix) else np.asarray(L, dtype=float)
-
-
 def kernel_basis(L) -> list[np.ndarray]:
-    """Unit basis of the kernel; must be the single constant direction."""
-    entries = _entries(L)
+    """Unit kernel basis: the one constant direction, ||L v|| <= KERNEL_TOL * scale."""
     spec = eig_sym(L)
-    scale = max(float(np.abs(spec.values).max()), 1.0)
-    idx = np.flatnonzero(np.abs(spec.values) <= _KERNEL_CUT * scale)
+    idx = np.flatnonzero(spec.in_kernel())
     if idx.size != 1:
         raise ValueError(f"kernel dimension {idx.size}, expected 1 (connected graph)")
     v = spec.vectors[:, idx[0]]
     if v.sum() < 0:
         v = -v
-    if np.linalg.norm(entries @ v) > 1e-9 * scale:
+    if np.linalg.norm(symmetric_entries(L) @ v) > KERNEL_TOL * spec.scale:
         raise ValueError("kernel vector fails the residual check")
     return [v]
 
 
 def pseudoinverse(L) -> np.ndarray:
-    """Moore-Penrose inverse from the eigendecomposition, zeroing
-    eigenvalues below the kernel cutoff."""
-    entries = _entries(L)
-    values, vectors = np.linalg.eigh(entries)
-    scale = max(float(np.abs(values).max()), 1.0)
-    keep = np.abs(values) > _KERNEL_CUT * scale
-    inv = np.zeros_like(values)
-    inv[keep] = 1.0 / values[keep]
-    return (vectors * inv) @ vectors.T
+    """Moore-Penrose inverse from `eig_sym` (its routes and residual
+    check), zeroing the eigenvalues `Spectrum.in_kernel` counts as zero."""
+    spec = eig_sym(L)
+    inv = np.divide(1.0, spec.values, out=np.zeros_like(spec.values), where=~spec.in_kernel())
+    return (spec.vectors * inv) @ spec.vectors.T
 
 
 def solve_min_norm(L, f, pattern=None) -> PoissonSolution:
@@ -81,14 +70,13 @@ def solve_min_norm(L, f, pattern=None) -> PoissonSolution:
     zero mean; otherwise it is the least-squares u and the reported
     residual is nonzero.
     """
-    entries = _entries(L)
+    entries = symmetric_entries(L)
     f = np.asarray(f, dtype=float)
     if f.shape[0] != entries.shape[0]:
         raise ValueError(f"dimension mismatch: {f.shape[0]} vs {entries.shape[0]}")
-    u = pseudoinverse(entries) @ f
+    u = pseudoinverse(L) @ f
     residual = float(np.linalg.norm(entries @ u - f))
-    energy = 0.5 * float(u @ entries @ u)
-    return PoissonSolution(u=u, residual=residual, energy=energy, pattern=pattern)
+    return PoissonSolution(u=u, residual=residual, energy=dirichlet_energy(L, u), pattern=pattern)
 
 
 def min_energy_search(n: int, ordering="binary") -> MinEnergyResult:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubegraphs import LAPLACIAN, OLN, OLP, GraphMatrix
+from .spectra import symmetric_entries
 
 EVEN = "even"
 ODD = "odd"
@@ -164,8 +165,8 @@ def build_cube_cotan_geometric(n: int, arrangement: str = EVEN, sign: str = OLP)
 
 
 def dirichlet_energy(L, u) -> float:
-    """Discrete Dirichlet energy u^T L u / 2."""
-    entries = L.entries if isinstance(L, GraphMatrix) else np.asarray(L)
+    """Discrete Dirichlet energy u^T L u / 2 of a `symmetric_entries` L."""
+    entries = symmetric_entries(L)
     u = np.asarray(u, dtype=float)
     if u.shape[0] != entries.shape[0]:
         raise ValueError(f"dimension mismatch: {u.shape[0]} vs {entries.shape[0]}")

@@ -1,8 +1,9 @@
 """Symmetric eigensolving, multiplicity clustering, and spectrum checks.
 
-Eigendecomposition is delegated to LAPACK through numpy.linalg.eigh, which
-is deterministic per platform.  Only raw arrays are tested for symmetry
-here; a `GraphMatrix` was when it was built.  `eig_sym` has three routes:
+Eigendecomposition is LAPACK's eigh (deterministic per platform), through
+`eig_sym` except in `ramanujan_check` (values only) and `verify`'s reference
+spectra.  `symmetric_entries` is the one symmetry gate for raw arrays; a
+`GraphMatrix` was tested when built.  `eig_sym` has three routes:
 
 - a `GraphMatrix` whose Kronecker factor `cubegraphs.build` declared
   (powcube and powtri in the natural ternary ordering, n >= 2) is solved
@@ -32,6 +33,7 @@ import numpy as np
 from .cubegraphs import STRUCTURE_TOL, GraphMatrix, asymmetry
 
 CLUSTER_TOL = 1e-6
+KERNEL_TOL = 1e-9
 
 # residual row-tile side, 3^4, so that tiles line up with the digit blocks of
 # the 3^n families; orders of fewer than _MIN_TILES tiles take one tile of N
@@ -52,8 +54,14 @@ class Spectrum:
     source: dict
     vectors: np.ndarray | None = None
 
-    def multiplicity_map(self) -> dict:
-        return {rep: mult for rep, mult in self.clusters}
+    @property
+    def scale(self) -> float:
+        """max(|lambda|_max, 1), the scale of the residual and kernel rules."""
+        return float(np.abs(self.values).max(initial=1.0))
+
+    def in_kernel(self) -> np.ndarray:
+        """The kernel rule: mask of |lambda| <= KERNEL_TOL * scale."""
+        return np.abs(self.values) <= KERNEL_TOL * self.scale
 
 
 @dataclass(frozen=True)
@@ -87,14 +95,14 @@ class IdentityResult:
     rel_err: float
 
 
-def _as_array(M) -> tuple[np.ndarray, dict]:
+def symmetric_entries(M) -> np.ndarray:
+    """M's entries; a raw array must be symmetric within STRUCTURE_TOL."""
     if isinstance(M, GraphMatrix):
-        meta = {"family": M.family, "kind": M.kind, "n": M.n, "ordering": M.ordering}
-        return M.entries, meta
+        return M.entries
     entries = np.asarray(M, dtype=float)
     if asymmetry(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not symmetric")
-    return entries, {}
+    return entries
 
 
 def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
@@ -125,26 +133,27 @@ def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     `_residual_norms`), so a non-finite eigenvalue or residual, or a
     factor that does not match the entries, raises ResidualError.
     """
-    entries, meta = _as_array(M)
-    if isinstance(M, GraphMatrix) and M.factor is not None:
+    entries = symmetric_entries(M)
+    graph = isinstance(M, GraphMatrix)
+    if graph and M.factor is not None:
         values, vectors = _kron_eigh(M.factor, M.n)
     elif entries.shape[0] > 1 and _centro_deviation(entries) <= STRUCTURE_TOL:
         values, vectors = _centro_eigh(entries)
     else:
         values, vectors = np.linalg.eigh(entries)
-    norm = float(np.abs(values).max()) if values.size else 0.0
-    residual = float(_residual_norms(entries, values, vectors).max())
-    if not (math.isfinite(norm) and residual <= tol * max(norm, 1.0)):
-        raise ResidualError(
-            f"eigenpair residual {residual:.3e} with largest |eigenvalue| {norm:.3e}: "
-            "not finite or exceeds tolerance"
-        )
-    return Spectrum(
+    spec = Spectrum(
         values=values,
         clusters=cluster_eigenvalues(values, cluster_tol),
-        source=meta,
+        source={k: getattr(M, k) for k in ("family", "kind", "n", "ordering")} if graph else {},
         vectors=vectors,
     )
+    residual = float(_residual_norms(entries, values, vectors).max())
+    if not (math.isfinite(spec.scale) and residual <= tol * spec.scale):
+        raise ResidualError(
+            f"eigenpair residual {residual:.3e} at scale {spec.scale:.3e}: "
+            "not finite or exceeds tolerance"
+        )
+    return spec
 
 
 def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -307,7 +316,7 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     `eig_sym` solves bisymmetric inputs that declare no Kronecker factor
     through these same blocks.
     """
-    entries, _ = _as_array(M)
+    entries = symmetric_entries(M)
     if _centro_deviation(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not bisymmetric")
     N = entries.shape[0]
@@ -334,8 +343,10 @@ def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> Rama
     Every eigenvalue of magnitude equal to the degree is trivial (this
     covers -degree on bipartite graphs).  A centrosymmetric adjacency
     (within 1e-10, as in `eig_sym`) is solved as its two half-size blocks.
+    Values only, not via `eig_sym`, which made the default theorem3 claim
+    take 187 ms instead of 72 ms (median), about 15% of `run_verification()`.
     """
-    entries, _ = _as_array(adj)
+    entries = symmetric_entries(adj)
     degrees = entries.sum(axis=1)
     if degree is None:
         degree = int(round(degrees[0]))
@@ -359,8 +370,8 @@ def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> Rama
 def eig_identity_check(L, B, tol: float = 1e-6) -> IdentityResult:
     """Determinant identity tying a singular Laplacian to its kernel vector.
 
-    For N x (N-1) matrix B and unit kernel vector x of L (simple zero
-    eigenvalue required):
+    For N x (N-1) matrix B and unit kernel vector x of L (`eig_sym`'s, with
+    a simple zero eigenvalue by `Spectrum.in_kernel`):
 
         det(B^T L B) = (product of nonzero eigenvalues) * det([B | x])^2
 
@@ -372,18 +383,17 @@ def eig_identity_check(L, B, tol: float = 1e-6) -> IdentityResult:
     rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1) <= tol, evaluated after
     scaling both sides by that maximum.
     """
-    entries, _ = _as_array(L)
+    entries = symmetric_entries(L)
     B = np.asarray(B, dtype=float)
     N = entries.shape[0]
     if B.shape != (N, N - 1):
         raise ValueError(f"B must be {N}x{N - 1}, got {B.shape}")
-    values, vectors = np.linalg.eigh(entries)
-    scale = max(float(np.abs(values).max()), 1.0)
-    kernel = np.flatnonzero(np.abs(values) <= 1e-9 * scale)
+    spec = eig_sym(L)
+    kernel = np.flatnonzero(spec.in_kernel())
     if kernel.size != 1:
         raise ValueError(f"kernel dimension {kernel.size}, identity needs a simple kernel")
-    x = vectors[:, kernel[0]]
-    nonzero = np.delete(values, kernel[0])
+    x = spec.vectors[:, kernel[0]]
+    nonzero = np.delete(spec.values, kernel[0])
     lhs_sign, lhs_log = np.linalg.slogdet(B.T @ entries @ B)
     x_sign, x_log = np.linalg.slogdet(np.column_stack([B, x]))
     rhs_sign = np.prod(np.sign(nonzero)) * x_sign**2

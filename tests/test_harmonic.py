@@ -6,6 +6,7 @@ import pytest
 
 from cubelab.cubegraphs import pow_tricube_laplacian, tricube_laplacian
 from cubelab.harmonic import kernel_basis, min_energy_search, pseudoinverse, solve_min_norm
+from cubelab.spectra import eig_identity_check
 
 
 def test_kernel_is_constant_direction():
@@ -17,7 +18,9 @@ def test_kernel_is_constant_direction():
     assert np.allclose(v, np.ones(2) / np.sqrt(2.0), atol=1e-12)
 
 
-def test_kernel_basis_solves_a_declared_factor(monkeypatch):
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The orders of the matrices passed to np.linalg.eigh, in call order."""
     sizes = []
     eigh = np.linalg.eigh
 
@@ -25,11 +28,24 @@ def test_kernel_basis_solves_a_declared_factor(monkeypatch):
         sizes.append(len(a))
         return eigh(a, *args, **kwargs)
 
-    L = pow_tricube_laplacian(3)
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    v = kernel_basis(L)[0]
-    assert sizes == [3]
+    return sizes
+
+
+def test_kernel_basis_solves_a_declared_factor(eigh_sizes):
+    v = kernel_basis(pow_tricube_laplacian(3))[0]
+    assert eigh_sizes == [3]
     assert np.allclose(v, np.ones(27) / np.sqrt(27.0), atol=1e-10)
+
+
+@pytest.mark.parametrize("solve", [
+    pseudoinverse,
+    lambda L: solve_min_norm(L, np.arange(27.0) - 13.0),
+    lambda L: eig_identity_check(L, np.eye(27)[:, :26]),
+], ids=["pseudoinverse", "solve_min_norm", "eig_identity_check"])
+def test_pseudoinverse_and_identity_solve_a_declared_factor(eigh_sizes, solve):
+    solve(pow_tricube_laplacian(3))
+    assert eigh_sizes == [3]
 
 
 def test_kernel_rejects_disconnected():

@@ -22,6 +22,8 @@ from cubelab.cubegraphs import (
     regular_tricube_adjacency,
     tricube_laplacian,
 )
+from cubelab.harmonic import pseudoinverse, solve_min_norm
+from cubelab.meshcotan import dirichlet_energy
 from cubelab.spectra import (
     ResidualError,
     centro_block_diagonalize,
@@ -473,13 +475,21 @@ def test_eig_identity_beyond_float_range():
 
 
 def test_asymmetric_input_is_rejected():
-    # a directed 3-cycle: its lower triangle alone looks like a Ramanujan graph
-    # and its "Laplacian" agrees with the identity
+    # a directed 3-cycle: its lower triangle alone looks like a Ramanujan graph,
+    # and its "Laplacian" agrees with the identity and gets a Poisson solution
+    # (residual 0.707) and a Dirichlet energy
     cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    L = np.eye(3) - cycle
     with pytest.raises(ValueError, match="not symmetric"):
         ramanujan_check(cycle)
     with pytest.raises(ValueError, match="not symmetric"):
-        eig_identity_check(np.eye(3) - cycle, np.eye(3)[:, :2])
+        eig_identity_check(L, np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="not symmetric"):
+        pseudoinverse(L)
+    with pytest.raises(ValueError, match="not symmetric"):
+        solve_min_norm(L, [1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="not symmetric"):
+        dirichlet_energy(L, [1.0, 0.0, -1.0])
 
 
 def test_eig_identity_needs_simple_kernel():
