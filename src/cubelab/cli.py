@@ -2,7 +2,8 @@
 activation tables, Poisson search, sequences, Eulerian circuits, and the
 powhamming eigenvalue extremes as plot data (CSV only; rendering is out of
 scope).  `build` and `spectrum` take their family choices from
-`cubegraphs.FAMILIES` and make the matrix with `cubegraphs.build`.
+`cubegraphs.FAMILIES` and make the matrix with `cubegraphs.build`; `seq`
+takes its ids and index origin from `sequences.SEQUENCES`.
 """
 
 import argparse
@@ -16,23 +17,6 @@ from .harmonic import min_energy_search
 from .predicates import caf_table
 from .oeisclient import FetchError
 from .spectra import ResidualError, eig_sym, spectrum_to_csv
-
-SEQ_TAGS = {
-    "trinomial": sequences.TRINOMIAL,
-    "powtrimult": sequences.POW_TRI_MULT,
-    "A013609": sequences.A013609,
-    "A038220": sequences.A038220,
-    "A080956neg": sequences.A080956_NEG,
-    "A075848": sequences.A075848,
-    "A072221": sequences.A072221,
-    "A120908": sequences.A120908,
-    "prodseq": sequences.PROD_SEQ,
-    "A003946neg": sequences.A003946_NEG,
-    "A060188": sequences.A060188,
-    "A279019": sequences.A279019,
-    "ballcoeff": sequences.BALL_COEFF,
-}
-
 
 def _parse_range(text: str) -> range:
     if ".." in text:
@@ -106,22 +90,16 @@ def cmd_poisson(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    tag = SEQ_TAGS[args.id]
-    values = sequences.generate(tag, args.count)
+    values = sequences.generate(args.id, args.count)
+    start = sequences.SEQUENCES[args.id].start
+    if start is None:  # a triangle, numbered row by row from 0
+        values, start = [v for row in values for v in row], 0
     lines = []
-    if tag in sequences.TRIANGLE_TAGS:
-        index = 0
-        for row in values:
-            for v in row:
-                lines.append(f"{index} {v}")
-                index += 1
-    else:
-        start = sequences.START_INDEX[tag]
-        for i, v in enumerate(values):
-            if isinstance(v, Fraction):
-                lines.append(f"{start + i} {v.numerator}/{v.denominator}")
-            else:
-                lines.append(f"{start + i} {v}")
+    for i, v in enumerate(values):
+        if isinstance(v, Fraction):
+            lines.append(f"{start + i} {v.numerator}/{v.denominator}")
+        else:
+            lines.append(f"{start + i} {v}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -206,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("seq", help="emit sequence terms, b-file style")
-    p.add_argument("--id", choices=sorted(SEQ_TAGS), required=True)
+    p.add_argument("--id", choices=sorted(sequences.SEQUENCES), required=True)
     p.add_argument("--count", type=int, default=15)
     p.add_argument("--out")
     p.set_defaults(func=cmd_seq)

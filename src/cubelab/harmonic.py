@@ -15,7 +15,7 @@ import numpy as np
 
 from .cubegraphs import tricube_laplacian
 from .meshcotan import dirichlet_energy
-from .spectra import KERNEL_TOL, eig_sym, symmetric_entries
+from .spectra import KERNEL_TOL, Spectrum, eig_sym, symmetric_entries
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,6 @@ class PoissonSolution:
     u: np.ndarray
     residual: float
     energy: float
-    pattern: tuple | None = None
 
     @property
     def norm_l2(self) -> float:
@@ -43,14 +42,19 @@ class MinEnergyResult:
 
 def kernel_basis(L) -> list[np.ndarray]:
     """Unit kernel basis: the one constant direction, ||L v|| <= KERNEL_TOL * scale."""
-    spec = eig_sym(L)
+    return kernel_from_spectrum(symmetric_entries(L), eig_sym(L))
+
+
+def kernel_from_spectrum(entries: np.ndarray, spec: Spectrum) -> list[np.ndarray]:
+    """`kernel_basis` of the Laplacian `entries` from its spectrum `spec`,
+    for a caller that has already solved it."""
     idx = np.flatnonzero(spec.in_kernel())
     if idx.size != 1:
         raise ValueError(f"kernel dimension {idx.size}, expected 1 (connected graph)")
     v = spec.vectors[:, idx[0]]
     if v.sum() < 0:
         v = -v
-    if np.linalg.norm(symmetric_entries(L) @ v) > KERNEL_TOL * spec.scale:
+    if np.linalg.norm(entries @ v) > KERNEL_TOL * spec.scale:
         raise ValueError("kernel vector fails the residual check")
     return [v]
 
@@ -63,7 +67,7 @@ def pseudoinverse(L) -> np.ndarray:
     return (spec.vectors * inv) @ spec.vectors.T
 
 
-def solve_min_norm(L, f, pattern=None) -> PoissonSolution:
+def solve_min_norm(L, f) -> PoissonSolution:
     """Minimum-norm solution of Lu = f.
 
     When f is orthogonal to the kernel this is the unique solution with
@@ -76,7 +80,7 @@ def solve_min_norm(L, f, pattern=None) -> PoissonSolution:
         raise ValueError(f"dimension mismatch: {f.shape[0]} vs {entries.shape[0]}")
     u = pseudoinverse(L) @ f
     residual = float(np.linalg.norm(entries @ u - f))
-    return PoissonSolution(u=u, residual=residual, energy=dirichlet_energy(L, u), pattern=pattern)
+    return PoissonSolution(u=u, residual=residual, energy=dirichlet_energy(L, u))
 
 
 def min_energy_search(n: int, ordering="binary") -> MinEnergyResult:

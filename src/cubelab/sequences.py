@@ -1,13 +1,17 @@
 """Closed-form generators for the integer sequences and scalar formulas
 attached to the cube families.
 
-Triangle tags return row lists; scalar tags return flat integer (or
-Fraction) lists starting at the tag's natural index (START_INDEX).  The
-Pell-type pairs A075848/A072221 are computed by integer recurrence rather
-than floating powers of 3 +- 2*sqrt(2), so they stay exact at large k.
+`SEQUENCES` holds one row per tag: its generator, the index of its first
+term, and the OEIS entry the offline fixture check compares it against.
+Triangle tags (start None) return row lists, numbered row by row from 0;
+scalar tags return flat integer (or Fraction) lists starting at the
+tag's natural index, the row's `start`.  The Pell-type pairs
+A075848/A072221 are computed by integer recurrence rather than floating
+powers of 3 +- 2*sqrt(2), so they stay exact at large k.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,21 +28,6 @@ A003946_NEG = "A003946neg"
 A060188 = "A060188"
 A279019 = "A279019"
 BALL_COEFF = "ballcoeff"
-
-TRIANGLE_TAGS = (TRINOMIAL, POW_TRI_MULT, A013609, A038220)
-
-# first index generated per scalar tag
-START_INDEX = {
-    A080956_NEG: 0,
-    A075848: 0,
-    A072221: 0,
-    A120908: 2,
-    PROD_SEQ: 1,
-    A003946_NEG: 2,
-    A060188: 0,
-    A279019: 0,
-    BALL_COEFF: 0,
-}
 
 
 def _poly_power_rows(coeffs: dict, count: int) -> list[list[int]]:
@@ -58,14 +47,14 @@ def _poly_power_rows(coeffs: dict, count: int) -> list[list[int]]:
 
 def trinomial_row(n: int) -> list[int]:
     """Coefficients of (1 + x + x^2)^n."""
-    return _poly_power_rows({0: 1, 1: 1, 2: 1}, n + 1)[n]
+    return generate(TRINOMIAL, n + 1)[n]
 
 
 def powtri_mult_row(n: int) -> list[int]:
     """Multiplicities of the glued-cube Laplacian eigenvalues 0..3n:
     coefficients of (1 + x + x^3)^n, i.e. counts of n-tuples over {0,1,3}
     with a given sum.  The coefficient of 3n-1 is always zero."""
-    return _poly_power_rows({0: 1, 1: 1, 3: 1}, n + 1)[n]
+    return generate(POW_TRI_MULT, n + 1)[n]
 
 
 def _a075848(count: int) -> list[int]:
@@ -92,14 +81,45 @@ def ball_coefficient(n: int) -> Fraction:
     return f
 
 
-_SCALAR_FORMULAS = {
-    A080956_NEG: lambda k: (k + 1) * (k - 2) // 2,
-    A120908: lambda n: 4 * (n - 1) * 3 ** (n - 2),
-    PROD_SEQ: lambda n: -2 * n * 3 ** (2 * n - 2),
-    A003946_NEG: lambda n: -4 * 3 ** (n - 2),
-    A060188: lambda n: 3**n - n - 1,
-    A279019: lambda n: n * (n + 1),
-    BALL_COEFF: ball_coefficient,
+@dataclass(frozen=True)
+class Sequence:
+    """One generated sequence.
+
+    `terms(count)` gives the first `count` rows of a triangle (`start`
+    None) or terms numbered from `start`.  `oeis` is the (A-number, b-file
+    offset, sign) the offline fixture check compares sign * terms against,
+    or None when no OEIS entry is reproduced.
+    """
+
+    terms: Callable[[int], list]
+    start: int | None
+    oeis: tuple[str, int, int] | None
+
+
+def _closed_form(start: int, formula, oeis=None) -> Sequence:
+    return Sequence(lambda count: [formula(i) for i in range(start, start + count)], start, oeis)
+
+
+def _powers(coeffs: dict, anum: str) -> Sequence:
+    """The triangle whose row n holds the coefficients of p(x)^n, with p
+    given as {exponent: coefficient}."""
+    return Sequence(lambda count: _poly_power_rows(coeffs, count), None, (anum, 0, 1))
+
+
+SEQUENCES = {
+    TRINOMIAL: _powers({0: 1, 1: 1, 2: 1}, "A027907"),
+    POW_TRI_MULT: _powers({0: 1, 1: 1, 3: 1}, "A038717"),
+    A013609: _powers({0: 1, 1: 2}, "A013609"),  # (1 + 2x)^n: C(n,k) 2^k
+    A038220: _powers({0: 3, 1: 2}, "A038220"),  # (3 + 2x)^n: C(n,k) 3^(n-k) 2^k
+    A080956_NEG: _closed_form(0, lambda k: (k + 1) * (k - 2) // 2, ("A080956", 0, -1)),
+    A075848: Sequence(_a075848, 0, ("A075848", 0, 1)),
+    A072221: Sequence(_a072221, 0, ("A072221", 0, 1)),
+    A120908: _closed_form(2, lambda n: 4 * (n - 1) * 3 ** (n - 2), ("A120908", 2, 1)),
+    PROD_SEQ: _closed_form(1, lambda n: -2 * n * 3 ** (2 * n - 2)),
+    A003946_NEG: _closed_form(2, lambda n: -4 * 3 ** (n - 2), ("A003946", 1, -1)),
+    A060188: _closed_form(0, lambda n: 3**n - n - 1, ("A060188", 0, 1)),
+    A279019: _closed_form(0, lambda n: n * (n + 1), ("A279019", 0, 1)),
+    BALL_COEFF: _closed_form(0, ball_coefficient),
 }
 
 
@@ -107,25 +127,9 @@ def generate(tag: str, count: int):
     """First `count` rows (triangle tags) or terms (scalar tags)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if tag == TRINOMIAL:
-        return _poly_power_rows({0: 1, 1: 1, 2: 1}, count)
-    if tag == POW_TRI_MULT:
-        return _poly_power_rows({0: 1, 1: 1, 3: 1}, count)
-    if tag == A013609:
-        return [[math.comb(n, k) * 2**k for k in range(n + 1)] for n in range(count)]
-    if tag == A038220:
-        return [
-            [math.comb(n, k) * 3 ** (n - k) * 2**k for k in range(n + 1)]
-            for n in range(count)
-        ]
-    if tag == A075848:
-        return _a075848(count)
-    if tag == A072221:
-        return _a072221(count)
-    if tag in _SCALAR_FORMULAS:
-        start = START_INDEX[tag]
-        return [_SCALAR_FORMULAS[tag](i) for i in range(start, start + count)]
-    raise ValueError(f"unknown sequence tag {tag!r}")
+    if tag not in SEQUENCES:
+        raise ValueError(f"unknown sequence tag {tag!r}")
+    return SEQUENCES[tag].terms(count)
 
 
 @dataclass(frozen=True)

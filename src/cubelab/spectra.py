@@ -51,7 +51,6 @@ class Spectrum:
 
     values: np.ndarray
     clusters: tuple
-    source: dict
     vectors: np.ndarray | None = None
 
     @property
@@ -119,7 +118,7 @@ def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
     return tuple(clusters)
 
 
-def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
+def eig_sym(M, tol: float = 1e-8) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
     Raises ValueError on a non-symmetric raw array and ResidualError when
@@ -134,19 +133,13 @@ def eig_sym(M, tol: float = 1e-8, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     factor that does not match the entries, raises ResidualError.
     """
     entries = symmetric_entries(M)
-    graph = isinstance(M, GraphMatrix)
-    if graph and M.factor is not None:
+    if isinstance(M, GraphMatrix) and M.factor is not None:
         values, vectors = _kron_eigh(M.factor, M.n)
     elif entries.shape[0] > 1 and _centro_deviation(entries) <= STRUCTURE_TOL:
         values, vectors = _centro_eigh(entries)
     else:
         values, vectors = np.linalg.eigh(entries)
-    spec = Spectrum(
-        values=values,
-        clusters=cluster_eigenvalues(values, cluster_tol),
-        source={k: getattr(M, k) for k in ("family", "kind", "n", "ordering")} if graph else {},
-        vectors=vectors,
-    )
+    spec = Spectrum(values=values, clusters=cluster_eigenvalues(values), vectors=vectors)
     residual = float(_residual_norms(entries, values, vectors).max())
     if not (math.isfinite(spec.scale) and residual <= tol * spec.scale):
         raise ResidualError(
@@ -336,9 +329,9 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     return CentroBlocks(minus_block=minus, plus_block=plus, offdiag_norm=offdiag)
 
 
-def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> RamanujanResult:
+def ramanujan_check(adj, degree: int | None = None) -> RamanujanResult:
     """Compare the largest nontrivial adjacency eigenvalue magnitude with
-    the Ramanujan bound 2*sqrt(degree - 1).
+    the Ramanujan bound 2*sqrt(degree - 1), allowing 1e-9 above it.
 
     Every eigenvalue of magnitude equal to the degree is trivial (this
     covers -degree on bipartite graphs).  A centrosymmetric adjacency
@@ -360,7 +353,7 @@ def ramanujan_check(adj, degree: int | None = None, slack: float = 1e-9) -> Rama
     max_nontrivial = float(nontrivial.max()) if nontrivial.size else 0.0
     bound = 2.0 * math.sqrt(degree - 1)
     return RamanujanResult(
-        is_ramanujan=max_nontrivial <= bound + slack,
+        is_ramanujan=max_nontrivial <= bound + 1e-9,
         max_nontrivial=max_nontrivial,
         bound=bound,
         degree=degree,

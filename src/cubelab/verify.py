@@ -5,6 +5,12 @@ details}.  Status is "pass", "fail", or "discrepancy-noted"; the latter is
 reserved for the known formula-vs-oracle mismatch of the degree-regular
 cube at n = 3, so known ambiguities never break CI.  Reports are
 deterministic: fixed RNG seeds, no timestamps, sorted JSON keys.
+
+`CLAIMS` maps each claim id, in report order, to its check and its
+default dimensions; `run_verification` restricts those to the requested
+n once and hands each check its list of n.  The `sequences` claim checks
+every `sequences.SEQUENCES` row that names an OEIS entry against that
+entry's bundled b-file.
 """
 
 import itertools
@@ -26,7 +32,7 @@ from .cubegraphs import (
     regular_tricube_adjacency,
     tricube_laplacian,
 )
-from .harmonic import kernel_basis, min_energy_search
+from .harmonic import kernel_from_spectrum, min_energy_search
 from .meshcotan import BOTH, EVEN, ODD, build_cube_cotan_geometric
 from .predicates import caf, n_related, n_shared
 from .spectra import (
@@ -37,39 +43,6 @@ from .spectra import (
     ramanujan_check,
     spectral_stats,
 )
-
-CLAIM_IDS = (
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "theorem4",
-    "theorem5",
-    "theorem6",
-    "theorem7",
-    "properties-L",
-    "properties-D",
-    "sequences",
-    "extremes",
-    "euler",
-    "poisson",
-    "caf",
-    "identity",
-)
-
-DEFAULT_RANGES = {
-    "theorem1": range(3, 7),
-    "theorem2": range(2, 9),
-    "theorem3": range(2, 11),
-    "theorem5": range(1, 8),
-    "theorem6": range(1, 8),
-    "theorem7": range(1, 7),
-    "properties-L": range(1, 7),
-    "properties-D": range(2, 9),
-    "extremes": range(2, 7),
-    "euler": range(3, 7),
-    "identity": range(2, 4),
-}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -105,15 +78,8 @@ def _entry(claim, n, ok, err, details="", status="pass") -> dict:
     }
 
 
-def _restrict(claim: str, n_range) -> list[int]:
-    default = DEFAULT_RANGES[claim]
-    if n_range is None:
-        return list(default)
-    return [n for n in n_range if n in default]
-
-
-def _check_theorem1(n_range):
-    for n in _restrict("theorem1", n_range):
+def _check_theorem1(ns):
+    for n in ns:
         ref = tricube_laplacian(n).entries
         err = 0.0
         for arrangement in (EVEN, ODD, BOTH):
@@ -129,8 +95,8 @@ def _binomial_laplacian_spectrum(n: int) -> np.ndarray:
     return np.array(sorted(values))
 
 
-def _check_theorem2(n_range):
-    for n in _restrict("theorem2", n_range):
+def _check_theorem2(ns):
+    for n in ns:
         spec = eig_sym(tricube_laplacian(n))
         err = float(np.abs(spec.values - _binomial_laplacian_spectrum(n)).max())
         ok = err <= 1e-8
@@ -144,8 +110,8 @@ def _check_theorem2(n_range):
         yield _entry("theorem2", n, ok, err, details)
 
 
-def _check_theorem3(n_range):
-    for n in _restrict("theorem3", n_range):
+def _check_theorem3(ns):
+    for n in ns:
         result = ramanujan_check(regular_tricube_adjacency(n))
         ram_ok = result.is_ramanujan == (n < 6)
         formula = n * (n - 3) / 2.0
@@ -168,7 +134,7 @@ def _check_theorem3(n_range):
         yield _entry("theorem3", n, ok, err, details, status)
 
 
-def _check_theorem4(n_range):
+def _check_theorem4():
     a = sequences.generate(sequences.A075848, 6)
     b = sequences.generate(sequences.A072221, 6)
     ok = a[:5] == [0, 6, 36, 210, 1224] and b[:5] == [1, 4, 25, 148, 865]
@@ -182,9 +148,9 @@ def _check_theorem4(n_range):
     )
 
 
-def _check_theorem5(n_range):
+def _check_theorem5(ns):
     unit = math.sqrt(2.0)
-    for n in _restrict("theorem5", n_range):
+    for n in ns:
         spec = eig_sym(pow_cube_adjacency(n))
         err = float(np.abs(spec.values - np.round(spec.values / unit) * unit).max())
         counts = classify_lattice(spec, unit)
@@ -199,8 +165,8 @@ def _powtri_oracle(n: int) -> np.ndarray:
     return np.array(sorted(sums))
 
 
-def _check_theorem6(n_range):
-    for n in _restrict("theorem6", n_range):
+def _check_theorem6(ns):
+    for n in ns:
         spec = eig_sym(pow_tricube_laplacian(n))
         oracle = _powtri_oracle(n)
         err = float(np.abs(spec.values - oracle).max())
@@ -216,8 +182,8 @@ def _check_theorem6(n_range):
         )
 
 
-def _check_theorem7(n_range):
-    for n in _restrict("theorem7", n_range):
+def _check_theorem7(ns):
+    for n in ns:
         a = pow_hamming_matrix(n, "ternary").entries
         b = pow_hamming_matrix(n, "ternary-gray").entries
         ok = np.array_equal(a, b)
@@ -247,12 +213,12 @@ def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> float:
     # matrix's own spectrum is the independent reference here
     full_values = np.linalg.eigvalsh(entries)
     err = max(err, float(np.abs(block_values - full_values).max()))
-    kernel_basis(gm)
+    kernel_from_spectrum(entries, spec)
     return err
 
 
-def _check_properties_l(n_range):
-    for n in _restrict("properties-L", n_range):
+def _check_properties_l(ns):
+    for n in ns:
         L = tricube_laplacian(n)
         err = _laplacian_structure_err(L, radius=2.0 * n, eigengap=2.0, spectral_gap=2.0)
         err = max(err, float(np.abs(L.entries.sum(axis=1)).max()))
@@ -276,8 +242,8 @@ def _check_properties_l(n_range):
         yield _entry("properties-L", n, structure_ok and err <= 1e-9, err, details)
 
 
-def _check_properties_d(n_range):
-    for n in _restrict("properties-D", n_range):
+def _check_properties_d(ns):
+    for n in ns:
         err = 0.0
         N = 1 << n
         for ordering, counterdiag in (("binary", float(n)), ("gray", 1.0)):
@@ -297,37 +263,20 @@ def _check_properties_d(n_range):
         )
 
 
-_FIXTURE_CHECKS = (
-    # (generator tag, fixture id, offset into the b-file, negate local)
-    (sequences.A013609, "A013609", 0, False),
-    (sequences.A038220, "A038220", 0, False),
-    (sequences.POW_TRI_MULT, "A038717", 0, False),
-    (sequences.TRINOMIAL, "A027907", 0, False),
-    (sequences.A075848, "A075848", 0, False),
-    (sequences.A072221, "A072221", 0, False),
-    (sequences.A080956_NEG, "A080956", 0, True),
-    (sequences.A120908, "A120908", 2, False),
-    (sequences.A003946_NEG, "A003946", 1, True),
-    (sequences.A060188, "A060188", 0, False),
-    (sequences.A279019, "A279019", 0, False),
-)
-
-
-def _local_terms(tag: str, min_terms: int = 15) -> list[int]:
-    if tag in sequences.TRIANGLE_TAGS:
-        rows = sequences.generate(tag, 7)
-        return [v for row in rows for v in row][:40]
-    return sequences.generate(tag, min_terms)
-
-
-def _check_sequences(n_range, offline=True):
+def _check_sequences(offline):
+    # each generator with an OEIS entry against its b-file: 15 terms, or
+    # the first 40 entries of a triangle's rows
     mismatches = []
-    for tag, anum, offset, negate in _FIXTURE_CHECKS:
-        local = _local_terms(tag)
-        if negate:
-            local = [-v for v in local]
+    for tag, seq in sequences.SEQUENCES.items():
+        if seq.oeis is None:
+            continue
+        anum, offset, sign = seq.oeis
+        if seq.start is None:
+            local = [v for row in sequences.generate(tag, 7) for v in row][:40]
+        else:
+            local = sequences.generate(tag, 15)
         bfile = oeisclient.fetch(anum, offline=offline)
-        result = oeisclient.compare(local, bfile, offset=offset)
+        result = oeisclient.compare([sign * v for v in local], bfile, offset=offset)
         if result.first_mismatch is not None or result.matched < min(15, len(local)):
             mismatches.append(f"{tag} vs {anum}: {result}")
     ok = not mismatches
@@ -361,8 +310,8 @@ def _check_sequences(n_range, offline=True):
     yield _entry("sequences", None, ok, err, details)
 
 
-def _check_extremes(n_range):
-    for n in _restrict("extremes", n_range):
+def _check_extremes(ns):
+    for n in ns:
         spec = eig_sym(pow_hamming_matrix(n))
         closed = sequences.pow_hamming_extremes(n)
         lo, hi = float(spec.values[0]), float(spec.values[-1])
@@ -397,8 +346,8 @@ def _validate_circuit(circuit, adjacency, n_edges: int) -> bool:
     return len(edges) == n_edges and 2 * n_edges == int(adjacency.sum())
 
 
-def _check_euler(n_range):
-    for n in _restrict("euler", n_range):
+def _check_euler(ns):
+    for n in ns:
         circuit = eulerian_circuit(n)
         degree = n * (n + 1) // 2
         if degree % 2 == 0:
@@ -412,7 +361,7 @@ def _check_euler(n_range):
         yield _entry("euler", n, ok, 0.0, details)
 
 
-def _check_poisson(n_range):
+def _check_poisson():
     result = min_energy_search(3)
     err = abs(result.best_energy - 2.0 / 3.0)
     ok = err <= 1e-10
@@ -432,7 +381,7 @@ def _predicate_oracle(n: int) -> dict[int, list[int]]:
     return by_rank
 
 
-def _check_caf(n_range):
+def _check_caf():
     ok = all(caf(3, r, 1) == Fraction(r, 8) for r in range(1, 9))
     for n in range(1, 6):
         ok = ok and all(caf(n, 2**n, p) == 1 for p in range(1, 2**n + 1))
@@ -455,9 +404,9 @@ def _check_caf(n_range):
     )
 
 
-def _check_identity(n_range, seed: int = 20240913):
-    rng = np.random.default_rng(seed)
-    for n in _restrict("identity", n_range):
+def _check_identity(ns):
+    rng = np.random.default_rng(20240913)
+    for n in ns:
         L = tricube_laplacian(n)
         worst = 0.0
         ok = True
@@ -469,36 +418,44 @@ def _check_identity(n_range, seed: int = 20240913):
         yield _entry("identity", n, ok, worst, "det(B^T L B) identity on 10 random B")
 
 
-_CHECKS = {
-    "theorem1": _check_theorem1,
-    "theorem2": _check_theorem2,
-    "theorem3": _check_theorem3,
-    "theorem4": _check_theorem4,
-    "theorem5": _check_theorem5,
-    "theorem6": _check_theorem6,
-    "theorem7": _check_theorem7,
-    "properties-L": _check_properties_l,
-    "properties-D": _check_properties_d,
-    "sequences": _check_sequences,
-    "extremes": _check_extremes,
-    "euler": _check_euler,
-    "poisson": _check_poisson,
-    "caf": _check_caf,
-    "identity": _check_identity,
+# claim id -> (check, default dimensions, or None for a claim without n)
+CLAIMS = {
+    "theorem1": (_check_theorem1, range(3, 7)),
+    "theorem2": (_check_theorem2, range(2, 9)),
+    "theorem3": (_check_theorem3, range(2, 11)),
+    "theorem4": (_check_theorem4, None),
+    "theorem5": (_check_theorem5, range(1, 8)),
+    "theorem6": (_check_theorem6, range(1, 8)),
+    "theorem7": (_check_theorem7, range(1, 7)),
+    "properties-L": (_check_properties_l, range(1, 7)),
+    "properties-D": (_check_properties_d, range(2, 9)),
+    "sequences": (_check_sequences, None),
+    "extremes": (_check_extremes, range(2, 7)),
+    "euler": (_check_euler, range(3, 7)),
+    "poisson": (_check_poisson, None),
+    "caf": (_check_caf, None),
+    "identity": (_check_identity, range(2, 4)),
 }
 
 
 def run_verification(claims=None, n_range=None, offline: bool = True) -> VerificationReport:
-    """Run the requested claims (all by default) and collect a report."""
+    """Run the requested claims (all by default) and collect a report.
+
+    A claim with default dimensions checks those of them in `n_range`
+    (all of them when it is None); a claim without n ignores `n_range`.
+    """
     if claims is None:
-        claims = CLAIM_IDS
+        claims = CLAIMS
     entries = []
     for claim in claims:
-        if claim not in _CHECKS:
+        if claim not in CLAIMS:
             raise ValueError(f"unknown claim id {claim!r}")
-        check = _CHECKS[claim]
-        if claim == "sequences":
-            entries.extend(check(n_range, offline=offline))
+        check, default = CLAIMS[claim]
+        if default is not None:
+            ns = list(default) if n_range is None else [n for n in n_range if n in default]
+            entries.extend(check(ns))
+        elif claim == "sequences":
+            entries.extend(check(offline))
         else:
-            entries.extend(check(n_range))
+            entries.extend(check())
     return VerificationReport(entries=tuple(entries))

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from cubelab.verify import CLAIM_IDS, run_verification
+from cubelab.verify import CLAIMS, run_verification
 
 # the one entry reported rather than failed, with its exact error: the
 # formula n(n-3)/2 gives lambda_1 = 0 where the oracle's largest
@@ -28,7 +28,7 @@ def report(criterion, ok, detail=""):
 def runs():
     """claim -> (entries, seconds) of one `run_verification` per claim."""
     out = {}
-    for claim in CLAIM_IDS:
+    for claim in CLAIMS:
         start = time.perf_counter()
         entries = run_verification(claims=[claim]).entries
         out[claim] = (entries, time.perf_counter() - start)

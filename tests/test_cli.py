@@ -143,6 +143,31 @@ def test_seq_triangle_output(capsys):
     assert len(lines) == 1 + 3 + 5
 
 
+# the first three rows or terms of every `seq` id, with its index column
+SEQ_STDOUT = {
+    "A003946neg": ["2 -4", "3 -12", "4 -36"],
+    "A013609": ["0 1", "1 1", "2 2", "3 1", "4 4", "5 4"],
+    "A038220": ["0 1", "1 3", "2 2", "3 9", "4 12", "5 4"],
+    "A060188": ["0 0", "1 1", "2 6"],
+    "A072221": ["0 1", "1 4", "2 25"],
+    "A075848": ["0 0", "1 6", "2 36"],
+    "A080956neg": ["0 -1", "1 -1", "2 0"],
+    "A120908": ["2 4", "3 24", "4 108"],
+    "A279019": ["0 0", "1 2", "2 6"],
+    "ballcoeff": ["0 1/1", "1 2/1", "2 1/1"],
+    "powtrimult": ["0 1", "1 1", "2 1", "3 0", "4 1", "5 1", "6 2", "7 1", "8 2", "9 2",
+                   "10 0", "11 1"],
+    "prodseq": ["1 -2", "2 -36", "3 -486"],
+    "trinomial": ["0 1", "1 1", "2 1", "3 1", "4 1", "5 2", "6 3", "7 2", "8 1"],
+}
+
+
+@pytest.mark.parametrize("seq_id", sorted(SEQ_STDOUT))
+def test_seq_stdout_of_every_id(capsys, seq_id):
+    assert main(["seq", "--id", seq_id, "--count", "3"]) == 0
+    assert capsys.readouterr().out == "\n".join(SEQ_STDOUT[seq_id]) + "\n"
+
+
 def test_euler_output(capsys):
     assert main(["euler", "--n", "3", "--one-based"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 
 import numpy as np
@@ -138,6 +139,12 @@ def test_fine_structure():
     assert fine_structure(math.pi) == pytest.approx(137.036303776, abs=1e-9)
     assert fine_structure(0.0) == 0.0
     assert fine_structure(4.0) / 2.0 - 1.0 == 137.0
+
+
+def test_bundled_fixtures_are_the_sequence_table_entries():
+    bundled = {ref.name for ref in (resources.files("cubelab") / "fixtures").iterdir()}
+    named = {f"b{seq.oeis[0][1:]}.txt" for seq in sequences.SEQUENCES.values() if seq.oeis}
+    assert bundled == named
 
 
 def test_generate_rejects_unknown():

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from cubelab import cubegraphs, verify
+from cubelab import cubegraphs, harmonic, verify
 from cubelab.cubegraphs import regular_tricube_adjacency
 from cubelab.predicates import n_related
-from cubelab.spectra import ramanujan_check
-from cubelab.verify import CLAIM_IDS, DEFAULT_RANGES, run_verification
+from cubelab.spectra import eig_sym, ramanujan_check
+from cubelab.verify import CLAIMS, run_verification
 
 
 def test_unknown_claim_rejected():
@@ -42,7 +42,7 @@ def test_report_json_round_trip(tmp_path):
 
 
 def test_every_claim_id_has_a_check():
-    assert set(DEFAULT_RANGES) <= set(CLAIM_IDS)
+    assert all(callable(check) for check, _ in CLAIMS.values())
     report = run_verification(
         claims=["theorem5", "theorem6", "theorem7"], n_range=range(1, 3)
     )
@@ -93,3 +93,18 @@ def test_euler_checks_the_exact_edge_count(monkeypatch):
     monkeypatch.setattr(verify, "regular_tricube_adjacency", one_edge_fewer)
     [entry] = run_verification(claims=["euler"], n_range=[3]).entries
     assert entry["status"] == "fail"
+
+
+def test_properties_l_solves_each_matrix_once(monkeypatch):
+    orders = []
+
+    def counting(M, *args, **kwargs):
+        orders.append(M.N)
+        return eig_sym(M, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "eig_sym", counting)
+    monkeypatch.setattr(harmonic, "eig_sym", counting)
+    entries = list(verify._check_properties_l(range(1, 7)))
+    assert [e["status"] for e in entries] == ["pass"] * 6
+    # tricube n = 1..6 and powtri n = 1..5, one solve each
+    assert sorted(orders) == sorted([2**n for n in range(1, 7)] + [3**n for n in range(1, 6)])
