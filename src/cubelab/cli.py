@@ -16,7 +16,7 @@ from .cubegraphs import FAMILIES, build, eulerian_circuit, matrix_to_csv, matrix
 from .harmonic import min_energy_search
 from .predicates import caf_table
 from .oeisclient import FetchError
-from .spectra import ResidualError, eig_sym, spectrum_to_csv
+from .spectra import RESIDUAL_TOL, ResidualError, eig_sym, spectrum_to_csv
 
 def _parse_range(text: str) -> range:
     if ".." in text:
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_ordering(p)
-    p.add_argument("--tol", type=float, default=1e-8, help="eigensolve residual tolerance")
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOL, help="eigensolve residual tolerance")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the claim verification harness")

@@ -5,8 +5,12 @@ for an interior edge, half that for a boundary edge with a single incident
 triangle.  Cube boundary edges in dimension > 3 see more than two incident
 triangles, all with equal opposite angles; the weight is then taken from a
 representative pair, i.e. cot of the common angle.
+
+Every corner angle comes from one array pass over the gathered triangle
+corners, and `build_wdm` and `build_cube_cotan_geometric` share one assembly.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,23 +38,18 @@ class TriMesh:
         for tri in self.triangles:
             if len(set(tri)) != 3 or not all(0 <= i < nv for i in tri):
                 raise ValueError(f"bad triangle {tri}")
-            if _triangle_area(self.vertices, tri) < 1e-14:
-                raise ValueError(f"degenerate triangle {tri}")
+        u, v = (e[:, 0] for e in _corner_edges(self))
+        gram = (u * u).sum(-1) * (v * v).sum(-1) - (u * v).sum(-1) ** 2
+        degenerate = np.flatnonzero(0.5 * np.sqrt(np.maximum(gram, 0.0)) < 1e-14)
+        if degenerate.size:
+            raise ValueError(f"degenerate triangle {self.triangles[degenerate[0]]}")
 
 
-def _triangle_area(vertices: np.ndarray, tri) -> float:
-    a, b, c = (vertices[i] for i in tri)
-    u, v = b - a, c - a
-    gram = np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2
-    return 0.5 * math.sqrt(max(gram, 0.0))
-
-
-def _opposite_angle(vertices: np.ndarray, apex: int, i: int, j: int) -> float:
-    """Angle at `apex` subtending the edge (i, j)."""
-    u = vertices[i] - vertices[apex]
-    v = vertices[j] - vertices[apex]
-    cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    return math.acos(min(1.0, max(-1.0, cosang)))
+def _corner_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors from corner k of each triangle to the next and to the
+    previous corner, both of shape (T, 3, d)."""
+    corners = mesh.vertices[np.array(mesh.triangles, dtype=np.intp).reshape(-1, 3)]
+    return np.roll(corners, -1, axis=1) - corners, np.roll(corners, 1, axis=1) - corners
 
 
 def cotan_weight(alphas, sign: str = OLP) -> float:
@@ -77,17 +76,24 @@ def cotan_weight(alphas, sign: str = OLP) -> float:
 
 
 def _edge_angle_map(mesh: TriMesh) -> dict:
+    """Edge -> opposite angles, in first-appearance order: triangle (a, b, c)
+    adds its angles at c, a and b, opposite (a, b), (b, c) and (c, a)."""
+    u, v = _corner_edges(mesh)
+    cosang = (u * v).sum(-1) / (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
+    corner_angles = np.arccos(np.clip(cosang, -1.0, 1.0)).tolist()
     angles: dict = {}
-    for a, b, c in mesh.triangles:
-        for apex, i, j in ((c, a, b), (a, b, c), (b, c, a)):
-            key = (i, j) if i < j else (j, i)
-            angles.setdefault(key, []).append(_opposite_angle(mesh.vertices, apex, i, j))
+    for tri, alphas in zip(mesh.triangles, corner_angles):
+        for k in (2, 0, 1):
+            i, j = tri[k - 2], tri[k - 1]
+            angles.setdefault((i, j) if i < j else (j, i), []).append(alphas[k])
     return angles
 
 
-def _assemble(n_vertices: int, weights: dict) -> np.ndarray:
+def _assemble(n_vertices: int, angles: dict, sign: str) -> np.ndarray:
+    """Laplacian with the `cotan_weight` of each edge, accumulated in edge order."""
     L = np.zeros((n_vertices, n_vertices))
-    for (i, j), w in weights.items():
+    for (i, j), alphas in angles.items():
+        w = cotan_weight(alphas, sign)
         L[i, j] -= w
         L[j, i] -= w
         L[i, i] += w
@@ -104,8 +110,7 @@ def build_wdm(mesh: TriMesh, sign: str = OLP) -> GraphMatrix:
     for edge, alphas in angles.items():
         if len(alphas) > 2:
             raise ValueError(f"edge {edge} has {len(alphas)} incident triangles")
-    weights = {e: cotan_weight(a, sign) for e, a in angles.items()}
-    entries = _assemble(mesh.vertices.shape[0], weights)
+    entries = _assemble(mesh.vertices.shape[0], angles, sign)
     return GraphMatrix("mesh", LAPLACIAN, mesh.vertices.shape[1], "custom", entries)
 
 
@@ -119,28 +124,19 @@ def cube_face_triangulation(n: int, arrangement: str = EVEN) -> TriMesh:
         raise ValueError("no triangulation exists below dimension 2")
     if arrangement not in (EVEN, ODD, BOTH):
         raise ValueError(f"unknown arrangement {arrangement!r}")
-    vertices = np.array([[(v >> k) & 1 for k in range(n)] for v in range(1 << n)], dtype=float)
+    vertices = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
     triangles = []
-    axes = range(n)
-    for i in axes:
-        for j in axes:
-            if j <= i:
+    for i, j in itertools.combinations(range(n), 2):
+        free = (1 << i) | (1 << j)
+        for base in range(1 << n):
+            if base & free:
                 continue
-            free = (1 << i) | (1 << j)
-            for base in range(1 << n):
-                if base & free:
-                    continue
-                v00, v10 = base, base | (1 << i)
-                v01, v11 = base | (1 << j), base | free
-                even_pair = ((v00, v10, v11), (v00, v01, v11))
-                odd_pair = ((v10, v00, v01), (v10, v11, v01))
-                if arrangement == EVEN:
-                    triangles.extend(even_pair)
-                elif arrangement == ODD:
-                    triangles.extend(odd_pair)
-                else:
-                    triangles.extend(even_pair)
-                    triangles.extend(odd_pair)
+            v00, v10 = base, base | (1 << i)
+            v01, v11 = base | (1 << j), base | free
+            if arrangement in (EVEN, BOTH):
+                triangles.extend(((v00, v10, v11), (v00, v01, v11)))
+            if arrangement in (ODD, BOTH):
+                triangles.extend(((v10, v00, v01), (v10, v11, v01)))
     return TriMesh(vertices=vertices, triangles=tuple(triangles))
 
 
@@ -153,9 +149,7 @@ def build_cube_cotan_geometric(n: int, arrangement: str = EVEN, sign: str = OLP)
     the half-weight boundary form with spectrum {0, 1, 1, 2}.
     """
     mesh = cube_face_triangulation(n, arrangement)
-    angles = _edge_angle_map(mesh)
-    weights = {e: cotan_weight(a, sign) for e, a in angles.items()}
-    entries = _assemble(mesh.vertices.shape[0], weights)
+    entries = _assemble(mesh.vertices.shape[0], _edge_angle_map(mesh), sign)
     if n >= 3:
         snapped = np.round(entries)
         if np.abs(entries - snapped).max() > 1e-12:

@@ -33,6 +33,8 @@ import numpy as np
 from .cubegraphs import STRUCTURE_TOL, GraphMatrix, asymmetry
 
 CLUSTER_TOL = 1e-6
+# ||Mv - lambda v|| <= RESIDUAL_TOL * max(|lambda|_max, 1) for every pair
+RESIDUAL_TOL = 1e-8
 KERNEL_TOL = 1e-9
 
 # residual row-tile side, 3^4, so that tiles line up with the digit blocks of
@@ -118,7 +120,7 @@ def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
     return tuple(clusters)
 
 
-def eig_sym(M, tol: float = 1e-8) -> Spectrum:
+def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
     Raises ValueError on a non-symmetric raw array and ResidualError when
@@ -135,7 +137,7 @@ def eig_sym(M, tol: float = 1e-8) -> Spectrum:
     entries = symmetric_entries(M)
     if isinstance(M, GraphMatrix) and M.factor is not None:
         values, vectors = _kron_eigh(M.factor, M.n)
-    elif entries.shape[0] > 1 and _centro_deviation(entries) <= STRUCTURE_TOL:
+    elif entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
         values, vectors = _centro_eigh(entries)
     else:
         values, vectors = np.linalg.eigh(entries)
@@ -240,7 +242,7 @@ def exchange_matrix(m: int) -> np.ndarray:
     return np.fliplr(np.eye(m))
 
 
-def _centro_deviation(entries: np.ndarray) -> float:
+def centro_deviation(entries: np.ndarray) -> float:
     """Largest entrywise change under reversing both index orders (J M J)."""
     return float(np.abs(entries[::-1, ::-1] - entries).max())
 
@@ -310,7 +312,7 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     through these same blocks.
     """
     entries = symmetric_entries(M)
-    if _centro_deviation(entries) > STRUCTURE_TOL:
+    if centro_deviation(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not bisymmetric")
     N = entries.shape[0]
     m = N // 2
@@ -345,7 +347,7 @@ def ramanujan_check(adj, degree: int | None = None) -> RamanujanResult:
         degree = int(round(degrees[0]))
     if np.abs(degrees - degree).max() > 1e-9:
         raise ValueError("graph is not regular of the stated degree")
-    if entries.shape[0] > 1 and _centro_deviation(entries) <= STRUCTURE_TOL:
+    if entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
         values = np.concatenate([np.linalg.eigvalsh(b) for b in _centro_blocks(entries)])
     else:
         values = np.linalg.eigvalsh(entries)

@@ -37,6 +37,7 @@ from .meshcotan import BOTH, EVEN, ODD, build_cube_cotan_geometric
 from .predicates import caf, n_related, n_shared
 from .spectra import (
     centro_block_diagonalize,
+    centro_deviation,
     classify_lattice,
     eig_identity_check,
     eig_sym,
@@ -193,8 +194,7 @@ def _check_theorem7(ns):
 
 def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> float:
     entries = gm.entries
-    # J M J with J the exchange matrix, as a reversed view
-    err = float(np.abs(entries[::-1, ::-1] - entries).max())
+    err = centro_deviation(entries)
     spec = eig_sym(gm)
     stats = spectral_stats(spec)
     err = max(err, abs(stats.radius - radius))
@@ -250,7 +250,7 @@ def _check_properties_d(ns):
             D = hamming_distance_matrix(n, ordering).entries
             err = max(err, float(np.abs(D - D.T).max()), float(np.abs(np.diag(D)).max()))
             err = max(err, abs(float(np.trace(D))))
-            err = max(err, float(np.abs(D[::-1, ::-1] - D).max()))
+            err = max(err, centro_deviation(D))
             err = max(err, float(np.abs(np.fliplr(D).diagonal() - counterdiag).max()))
             if n <= 6:
                 for k in range(N):
@@ -447,7 +447,7 @@ def run_verification(claims=None, n_range=None, offline: bool = True) -> Verific
     if claims is None:
         claims = CLAIMS
     entries = []
-    for claim in claims:
+    for claim in dict.fromkeys(claims):
         if claim not in CLAIMS:
             raise ValueError(f"unknown claim id {claim!r}")
         check, default = CLAIMS[claim]

@@ -74,6 +74,27 @@ def test_wdm_route_agrees_with_combinatorial_for_3cube():
     assert np.abs(L - tricube_laplacian(3).entries).max() < 1e-12
 
 
+def test_wdm_matches_per_corner_loop_on_irregular_mesh():
+    # a perturbed grid, so no angle is exact; the reference adds cot/2 of
+    # each corner to the edge it faces, one corner at a time
+    rng = np.random.default_rng(0)
+    k = 6
+    vertices = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float)
+    vertices += rng.uniform(-0.2, 0.2, vertices.shape)
+    triangles = []
+    for a in (y * k + x for y in range(k - 1) for x in range(k - 1)):
+        triangles += [(a, a + 1, a + k + 1), (a, a + k, a + k + 1)]
+    ref = np.zeros((k * k, k * k))
+    for a, b, c in triangles:
+        for apex, i, j in ((c, a, b), (a, b, c), (b, c, a)):
+            u, v = vertices[i] - vertices[apex], vertices[j] - vertices[apex]
+            w = 0.5 / math.tan(math.acos(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))))
+            ref[[i, j], [j, i]] -= w
+            ref[[i, j], [i, j]] += w
+    L = build_wdm(TriMesh(vertices, tuple(triangles))).entries
+    assert np.abs(L - ref).max() <= 1e-12
+
+
 def test_triangulation_counts():
     assert len(cube_face_triangulation(2, EVEN).triangles) == 2
     assert len(cube_face_triangulation(3, EVEN).triangles) == 12
@@ -82,11 +103,12 @@ def test_triangulation_counts():
         cube_face_triangulation(1, EVEN)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("arrangement", [EVEN, ODD, BOTH])
 def test_geometric_equals_combinatorial(n, arrangement):
+    # the integer snap makes the geometric route exact, not just close
     geo = build_cube_cotan_geometric(n, arrangement).entries
-    assert np.abs(geo - tricube_laplacian(n).entries).max() <= 1e-12
+    assert np.array_equal(geo, tricube_laplacian(n).entries)
 
 
 def test_boundary_square_spectrum():
@@ -151,6 +173,10 @@ def test_delaunay_edge_predicate():
 def test_degenerate_triangle_rejected():
     with pytest.raises(ValueError):
         TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), ((0, 1, 2),))
+    # the message names the first degenerate triangle, not the first triangle
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^degenerate triangle \(0, 1, 3\)$"):
+        TriMesh(vertices, ((0, 1, 2), (0, 1, 3), (1, 3, 0)))
 
 
 def test_mesh_file_round_trip(tmp_path):

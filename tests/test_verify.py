@@ -16,6 +16,14 @@ def test_unknown_claim_rejected():
         run_verification(claims=["theorem0"])
 
 
+def test_repeated_claim_ids_run_once():
+    repeated = run_verification(claims=["theorem4", "euler", "theorem4"], n_range=range(2, 4))
+    once = run_verification(claims=["theorem4", "euler"], n_range=range(2, 4))
+    assert repeated.entries == once.entries
+    with pytest.raises(ValueError):
+        run_verification(claims=["theorem4", "theorem0", "theorem4"])
+
+
 def test_entries_unique_and_statuses_legal():
     report = run_verification(claims=["theorem2", "theorem3", "theorem4", "euler"])
     keys = [(e["claim"], e["n"]) for e in report.entries]
