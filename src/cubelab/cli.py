@@ -4,9 +4,13 @@ powhamming eigenvalue extremes as plot data (CSV only; rendering is out of
 scope).  `build` and `spectrum` take their family choices from
 `cubegraphs.FAMILIES` and make the matrix with `cubegraphs.build`; `seq`
 takes its ids and index origin from `sequences.SEQUENCES`.
+
+The parser is built on the first `main` call and reused by every later
+one, so `main` may be called repeatedly in-process.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -140,8 +144,12 @@ def _add_ordering(parser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cubelab", description=__doc__)
+    """The `cubelab` parser, built once per process and shared by every
+    `main` call; callers must not mutate it."""
+    # the first paragraph of the module docstring; the rest is for readers of the code
+    parser = argparse.ArgumentParser(prog="cubelab", description=__doc__.partition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="write a family matrix to CSV or JSON")

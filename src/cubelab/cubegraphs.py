@@ -57,13 +57,28 @@ STRUCTURE_TOL = 1e-10
 MAX_DENSE_BYTES = 1 << 30
 
 
+# rows per slab of the symmetry test: a 128-column slab row is 1 KiB of float64
+_SYMMETRY_SLAB = 128
+
+
 def asymmetry(entries: np.ndarray) -> float:
-    """Largest entry of |M - M^T|: 0 without the subtraction when M is
-    exactly symmetric, and inf when an entry is NaN."""
-    if np.array_equal(entries, entries.T):
+    """Largest entry of |M - M^T|: 0.0 when M is exactly symmetric, and inf
+    when an entry is NaN.
+
+    The exact test walks the diagonal in slabs of `_SYMMETRY_SLAB` rows,
+    comparing row slab M[i:i+s, i:] with column slab M[i:, i:i+s]^T, so it
+    reads every pair (j, k), j <= k, once in short contiguous runs rather
+    than the whole transpose, and stops at the first mismatch.  Only a
+    mismatch pays for the full |M - M^T|.
+    """
+    if entries.ndim < 2:  # a 0-d or 1-d array is its own transpose
         return 0.0
-    deviation = float(np.abs(entries - entries.T).max())
-    return math.inf if math.isnan(deviation) else deviation
+    s = _SYMMETRY_SLAB
+    for i in range(0, entries.shape[0], s):
+        if not np.array_equal(entries[i : i + s, i:], entries[i:, i : i + s].T):
+            deviation = float(np.abs(entries - entries.T).max())
+            return math.inf if math.isnan(deviation) else deviation
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -320,12 +335,27 @@ def eulerian_circuit(n: int):
 
 
 def matrix_to_csv(gm: GraphMatrix, path) -> None:
-    """Write a matrix as CSV: metadata header line, then row-major entries."""
+    """Write a matrix as CSV: metadata header line, then row-major entries,
+    each as repr(float(x)).
+
+    Each distinct entry is formatted once into a value table keyed on its
+    float64 bit pattern (so -0.0 stays apart from 0.0), and each row is a
+    join of table lookups.  The table comes from one sort of the bit
+    patterns; `np.unique` would give the same table, but the hash table it
+    builds in recent numpy raises the peak memory of a process that writes
+    many matrices.
+    """
+    bits = np.asarray(gm.entries, dtype=np.float64).view(np.uint64)
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.shape, dtype=bool)  # the first of each run of equal patterns
+    first[1:] = ordered[1:] != ordered[:-1]
+    table = ordered[first]
+    text = np.array([repr(float(v)) for v in table.view(np.float64)], dtype=object)
     with open(path, "w") as fh:
         fh.write("family,kind,n,ordering,N\n")
         fh.write(f"{gm.family},{gm.kind},{gm.n},{gm.ordering},{gm.N}\n")
-        for row in gm.entries:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in bits:
+            fh.write(",".join(text[np.searchsorted(table, row)].tolist()) + "\n")
 
 
 def matrix_to_json(gm: GraphMatrix, path) -> None:

@@ -373,31 +373,28 @@ def _check_poisson():
     )
 
 
-def _predicate_oracle(n: int) -> dict[int, list[int]]:
-    """Every nonempty subset of the 2^n vertices as a bitmask, by rank."""
-    by_rank: dict[int, list[int]] = {}
-    for subset in range(1, 1 << 2**n):
-        by_rank.setdefault(subset.bit_count(), []).append(subset)
-    return by_rank
-
-
 def _check_caf():
     ok = all(caf(3, r, 1) == Fraction(r, 8) for r in range(1, 9))
     for n in range(1, 6):
         ok = ok and all(caf(n, 2**n, p) == 1 for p in range(1, 2**n + 1))
         ok = ok and all(caf(n, r, 2**n) == 1 for r in range(1, 2**n + 1))
     # exhaustive census over every fixed subset, which also checks that
-    # the counts depend only on its size p
+    # the counts depend only on its size p.  Every nonempty subset of the
+    # 2^n vertices is a bitmask; meet[f, s] = fixed subset f & subset s, and
+    # each count is taken per rank r of s through the one-hot `of_rank`.
+    # The formulas are asked once per fixed subset, with its p.
     for n in range(1, 4):
-        by_rank = _predicate_oracle(n)
-        for fixed in range(1, 1 << 2**n):
-            p = fixed.bit_count()
-            for r, subsets in by_rank.items():
-                related = sum(1 for s in subsets if s & fixed)
-                ok = ok and related == n_related(n, r, p)
-                if p <= r:
-                    shared = sum(1 for s in subsets if s & fixed == fixed)
-                    ok = ok and shared == n_shared(n, r, p)
+        subsets = np.arange(1, 1 << 2**n)
+        size = np.bitwise_count(subsets)
+        ranks = range(1, 2**n + 1)
+        of_rank = (size[:, None] == np.array(ranks)).astype(np.int64)
+        meet = subsets[:, None] & subsets
+        related = (meet != 0) @ of_rank
+        shared = (meet == subsets[:, None]) @ of_rank
+        # a rank-r subset holds no fixed subset of size p > r, hence the 0
+        want_related = [[n_related(n, r, p) for r in ranks] for p in size.tolist()]
+        want_shared = [[n_shared(n, r, p) if p <= r else 0 for r in ranks] for p in size.tolist()]
+        ok = ok and np.array_equal(related, want_related) and np.array_equal(shared, want_shared)
     yield _entry(
         "caf", None, ok, 0.0,
         "linear p=1 sequence, saturation, exhaustive oracle and invariance at n <= 3",

@@ -77,6 +77,24 @@ def test_spectrum_non_finite_exits_cleanly(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    spec = tmp_path / "spec.csv"
+    spectrum = ["spectrum", "--family", "powtri", "--n", "2", "--out", str(spec)]
+    assert main(spectrum + ["--tol", "1e-300"]) == 2
+    assert main(spectrum) == 0
+    out = tmp_path / "m.out"
+    build = ["build", "--family", "ncube", "--n", "2", "--out", str(out)]
+    assert main(build + ["--format", "json"]) == 0
+    assert main(build) == 0
+    assert out.read_text().splitlines()[0] == "family,kind,n,ordering,N"
+    capsys.readouterr()
+    assert main(["euler", "--n", "3", "--one-based"]) == 0
+    assert capsys.readouterr().out.split()[0] == "1"
+    assert main(["euler", "--n", "3"]) == 0
+    assert capsys.readouterr().out.split()[0] == "0"
+
+
 def test_verify_fetch_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
     monkeypatch.setattr(oeisclient, "_fixture_text", lambda anum: None)

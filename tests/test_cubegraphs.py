@@ -1,11 +1,20 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubelab import cubegraphs
-from cubelab.bitspace import bits_of, enumerate_addresses, hamming, ternary_ordering, ternary_vertex
+from cubelab.bitspace import (
+    BINARY_SCHEMES,
+    TERNARY_SCHEMES,
+    bits_of,
+    enumerate_addresses,
+    hamming,
+    ternary_ordering,
+    ternary_vertex,
+)
 from cubelab.cubegraphs import (
     DISTANCE,
     FAMILIES,
@@ -15,6 +24,7 @@ from cubelab.cubegraphs import (
     _PATH3_ADJ,
     _PATH3_LAP,
     _ternary_product,
+    asymmetry,
     build,
     eulerian_circuit,
     face_count,
@@ -69,6 +79,30 @@ def test_graph_matrix_symmetry_bound_is_absolute():
     L[0, 1] = L[1, 0] = np.nan
     with pytest.raises(ValueError, match="symmetric"):
         GraphMatrix("tricube", LAPLACIAN, 2, "binary", L)
+
+
+def full_asymmetry(entries):
+    """Reference: the whole |M - M^T| at once, inf on NaN."""
+    deviation = float(np.abs(entries - entries.T).max())
+    return math.inf if math.isnan(deviation) else deviation
+
+
+@pytest.mark.parametrize("N, edits", [
+    (300, []),
+    (300, [((299, 260), 0.5)]),
+    (256, [((127, 128), 1e-3)]),
+    (256, [((128, 127), -2.0), ((5, 200), 1e-12)]),
+    (300, [((3, 290), np.nan)]),
+    (130, [((129, 129), np.nan)]),
+], ids=["symmetric-N=300", "last-slab", "straddles-127-128", "two-slabs", "nan", "nan-diagonal"])
+def test_asymmetry_matches_full_deviation(N, edits):
+    # 128-row slabs: N = 300 ends in a partial one, N = 256 in a full one
+    A = np.random.default_rng(N).standard_normal((N, N))
+    M = A + A.T
+    for (j, k), delta in edits:
+        M[j, k] += delta
+    assert asymmetry(M) == full_asymmetry(M)
+    assert (asymmetry(M) == 0.0) == (edits == [])
 
 
 def test_ncube_1():
@@ -336,6 +370,33 @@ def test_matrix_export(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["family"] == "tricube" and payload["N"] == 4
     assert np.array_equal(np.array(payload["entries"]), gm.entries)
+
+
+def per_entry_csv_rows(entries):
+    """Reference: every entry through repr(float(x)), one at a time."""
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in entries)
+
+
+CSV_MATRICES = {
+    f"{family}-{n}-{ordering}": build(family, n, ordering)
+    for family, row in FAMILIES.items()
+    for n in range(row.min_n, 5)
+    for ordering in (BINARY_SCHEMES if row.base == 2 else TERNARY_SCHEMES)
+}
+CSV_MATRICES["hamming-3-custom"] = build("hamming", 3, [5, 0, 7, 2, 1, 6, 3, 4])
+CSV_MATRICES["tricube-4-binary-oln"] = tricube_laplacian(4, sign=OLN)
+_mixed = tricube_laplacian(2).entries.copy()
+_mixed[0, 3] = _mixed[3, 0] = -0.0  # beside the 0.0 entries: must print as -0.0
+CSV_MATRICES["tricube-2-mixed-zeros"] = GraphMatrix("tricube", LAPLACIAN, 2, "binary", _mixed)
+
+
+@pytest.mark.parametrize("name", CSV_MATRICES)
+def test_matrix_to_csv_matches_per_entry_repr(tmp_path, name):
+    gm = CSV_MATRICES[name]
+    path = tmp_path / "m.csv"
+    matrix_to_csv(gm, path)
+    header = f"family,kind,n,ordering,N\n{gm.family},{gm.kind},{gm.n},{gm.ordering},{gm.N}\n"
+    assert path.read_text() == header + per_entry_csv_rows(gm.entries)
 
 
 def test_constructor_preconditions():

@@ -6,7 +6,7 @@ import pytest
 
 from cubelab import cubegraphs, harmonic, verify
 from cubelab.cubegraphs import regular_tricube_adjacency
-from cubelab.predicates import n_related
+from cubelab.predicates import n_related, n_shared
 from cubelab.spectra import eig_sym, ramanujan_check
 from cubelab.verify import CLAIMS, run_verification
 
@@ -69,6 +69,16 @@ def test_caf_checks_every_fixed_subset(monkeypatch):
         return n_related(n, r, p) + (0 if first else 1)
 
     monkeypatch.setattr(verify, "n_related", prefix_only)
+    [entry] = run_verification(claims=["caf"]).entries
+    assert entry["status"] == "fail"
+
+
+@pytest.mark.parametrize("name, formula", [("n_related", n_related), ("n_shared", n_shared)])
+def test_caf_census_catches_one_wrong_count(monkeypatch, name, formula):
+    def off_by_one_at_3_4_2(n, r, p):
+        return formula(n, r, p) + ((n, r, p) == (3, 4, 2))
+
+    monkeypatch.setattr(verify, name, off_by_one_at_3_4_2)
     [entry] = run_verification(claims=["caf"]).entries
     assert entry["status"] == "fail"
 
