@@ -294,21 +294,29 @@ def face_total(n: int) -> int:
     return sum(face_count(n, k) for k in range(n + 1))
 
 
+def _regtricube_neighbors(n: int) -> list[list[int]]:
+    """Ascending neighbour list of every vertex of `regular_tricube_adjacency`
+    in the binary ordering: v ^ m over the masks m of weight 1 or 2, with
+    no adjacency matrix formed."""
+    # j == i gives the weight-1 masks
+    masks = np.array([(1 << i) | (1 << j) for i in range(n) for j in range(i + 1)])
+    return np.sort(np.arange(2**n)[:, None] ^ masks, axis=1).tolist()
+
+
 def eulerian_circuit(n: int):
     """Eulerian circuit of the cube-plus-both-diagonals graph, or None.
 
     The graph is n(n+1)/2-regular, so a circuit exists iff that degree is
-    even (n = 0 or 3 mod 4).  Built with Hierholzer's algorithm; the
-    returned vertex list starts and ends at vertex 0 and traverses every
-    edge exactly once.
+    even (n = 0 or 3 mod 4).  Built with Hierholzer's algorithm over
+    `_regtricube_neighbors`; the returned vertex list starts and ends at
+    vertex 0 and traverses every edge exactly once.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     degree = n * (n + 1) // 2
     if degree % 2 != 0:
         return None
-    adj = regular_tricube_adjacency(n).entries
-    neighbors = [list(np.flatnonzero(adj[v])) for v in range(adj.shape[0])]
+    neighbors = _regtricube_neighbors(n)
     next_slot = [0] * len(neighbors)
     used = set()
     stack = [0]
@@ -328,7 +336,7 @@ def eulerian_circuit(n: int):
         if not advanced:
             circuit.append(stack.pop())
     circuit.reverse()
-    n_edges = int(adj.sum()) // 2
+    n_edges = 2**n * degree // 2
     if len(circuit) != n_edges + 1 or circuit[0] != circuit[-1]:
         raise RuntimeError("circuit construction failed to cover the graph")
     return circuit

@@ -17,10 +17,13 @@ spectra.  `symmetric_entries` is the one symmetry gate for raw arrays; a
 - any other input takes one eigh of the full matrix.
 
 Whatever the route, every returned pair is residual-checked against every
-entry of the full matrix.  M V is formed one row tile at a time (81 rows
-when N is a multiple of 81 and at least 729, else one tile of N rows),
-skipping only tiles whose entries are all exactly 0, and a non-finite
-eigenvalue or residual fails the check.  Clustering groups eigenvalues
+entry of the full matrix, and a non-finite eigenvalue or residual fails
+the check.  When N is a multiple of 81 and at least 729, M is read as
+81 x 81 tiles: all-zero tiles are skipped, the tiles that are exactly c I
+(c != 0; 108 of the 135 nonzero tiles of powcube and powtri at n = 7)
+enter through one matmul of their count x count scale matrix per block of
+243 eigenvector columns, and each run of other nonzero tiles through one
+GEMM.  Any other N takes one plain GEMM.  Clustering groups eigenvalues
 whose spread stays within an absolute tolerance (default 1e-6; the
 spectra handled here have true gaps of at least sqrt(2) - 1).
 """
@@ -37,10 +40,13 @@ CLUSTER_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
 KERNEL_TOL = 1e-9
 
-# residual row-tile side, 3^4, so that tiles line up with the digit blocks of
-# the 3^n families; orders of fewer than _MIN_TILES tiles take one tile of N
+# residual tile side, 3^4, so that tiles line up with the digit blocks of the
+# 3^n families; orders of fewer than _MIN_TILES tiles take one plain GEMM, and
+# the walk over c I tiles takes _COLUMN_TILES tiles of eigenvector columns at
+# a time
 _RESIDUAL_TILE = 81
 _MIN_TILES = 9
+_COLUMN_TILES = 3
 
 
 class ResidualError(RuntimeError):
@@ -97,10 +103,13 @@ class IdentityResult:
 
 
 def symmetric_entries(M) -> np.ndarray:
-    """M's entries; a raw array must be symmetric within STRUCTURE_TOL."""
+    """M's entries; a raw array must be square, 2-d and symmetric within
+    STRUCTURE_TOL."""
     if isinstance(M, GraphMatrix):
         return M.entries
     entries = np.asarray(M, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("matrix must be a square 2-d array")
     if asymmetry(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not symmetric")
     return entries
@@ -123,16 +132,17 @@ def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
 def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
-    Raises ValueError on a non-symmetric raw array and ResidualError when
-    a pair fails the residual check.  A GraphMatrix with a `factor` is
-    solved from one eigh of it (`_kron_eigh`); otherwise a centrosymmetric
-    input (N > 1, within 1e-10 absolute) from the two half-size blocks of
-    `centro_block_diagonalize`; anything else by one eigh of the full
-    matrix.  Whatever the route, ||Mv - lambda v|| <= tol*max(|lambda|_max,
-    1) is verified for every pair on every entry of the input before
-    returning (by row tiles, skipping only all-zero tiles, see
-    `_residual_norms`), so a non-finite eigenvalue or residual, or a
-    factor that does not match the entries, raises ResidualError.
+    Raises ValueError on a raw array that is not square, 2-d and
+    symmetric, and ResidualError when a pair fails the residual check.  A
+    GraphMatrix with a `factor` is solved from one eigh of it
+    (`_kron_eigh`); otherwise a centrosymmetric input (N > 1, within 1e-10
+    absolute) from the two half-size blocks of `centro_block_diagonalize`;
+    anything else by one eigh of the full matrix.  Whatever the route,
+    ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
+    pair on every entry of the input before returning (skipping only
+    all-zero tiles, see `_residual_norms`), so a non-finite eigenvalue or
+    residual, or a factor that does not match the entries, raises
+    ResidualError.
     """
     entries = symmetric_entries(M)
     if isinstance(M, GraphMatrix) and M.factor is not None:
@@ -154,30 +164,75 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
 def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """||M v - lambda v|| for every eigenpair, computed on every entry of M.
 
-    M V is formed one row tile at a time: the accumulator starts at
-    -lambda v on the tile's rows, and each run of consecutive column tiles
-    holding a nonzero entry adds its GEMM.  Only tiles whose entries are
-    all exactly 0 are skipped, so the result differs from
-    M @ V - V * lambda in summation order only.  Tiles are
-    `_RESIDUAL_TILE` rows when N is a multiple of it spanning at least
-    `_MIN_TILES` tiles, which keeps the working set to one row tile;
-    other N take a single tile of N rows, one GEMM and two N x N
-    temporaries.
+    Orders below `_MIN_TILES` tiles, or not a multiple of `_RESIDUAL_TILE`,
+    take one GEMM, M @ V - V * lambda.  Larger orders are read as a grid
+    of `_RESIDUAL_TILE`-square tiles, each classified from its own entries
+    as zero (skipped), c I with c != 0 (exactly one nonzero per row, on
+    the diagonal, all equal, so a NaN never qualifies) or general, and
+    each run of adjacent general tiles in a tile row takes one GEMM.
+    Without a c I tile, M V - V * lambda is formed one tile row at a time
+    over every column of V.  Otherwise the columns of V are walked in
+    blocks of `_COLUMN_TILES` tiles: a block's accumulator starts at
+    (H (x) I) V_b, with the scales c in H, as one matmul of H batched over
+    the rows within a tile and read in place from V; then V_b * lambda_b
+    is subtracted and the general runs are added.  The result differs
+    from M @ V - V * lambda in summation order only, and the temporaries
+    are O(N * `_COLUMN_TILES` * `_RESIDUAL_TILE`) floats.
     """
     N = entries.shape[0]
-    tiled = N % _RESIDUAL_TILE == 0 and N >= _MIN_TILES * _RESIDUAL_TILE
-    count = N // _RESIDUAL_TILE if tiled else 1
-    side = N // count
-    nonzero = entries.reshape(count, side, count, side).any(axis=(1, 3))
-    squares = np.zeros(N)
-    for r, tiles in enumerate(nonzero):
-        rows = slice(r * side, (r + 1) * side)
-        acc = vectors[rows] * -values
-        # [start, stop) bounds of each run of nonzero tiles in this row tile
-        edges = np.diff(np.concatenate(([False], tiles, [False])))
-        for start, stop in np.flatnonzero(edges).reshape(-1, 2) * side:
-            acc += entries[rows, start:stop] @ vectors[start:stop]
-        squares += np.einsum("ij,ij->j", acc, acc)
+    side = _RESIDUAL_TILE
+    if N % side or N < _MIN_TILES * side:
+        residual = entries @ vectors
+        residual -= vectors * values
+        return np.sqrt(np.einsum("ij,ij->j", residual, residual))
+    count = N // side
+    # nonzeros per tile, one tile row at a time: down the rows, then across
+    # each tile's columns (at most 81^2, so uint16 does not wrap)
+    nonzeros = np.array([
+        np.add.reduce(rows != 0, axis=0, dtype=np.uint16).reshape(count, side).sum(axis=1)
+        for rows in entries.reshape(count, side, N)
+    ])
+    diagonals = np.diagonal(entries.reshape(count, side, count, side), axis1=1, axis2=3)
+    scales = diagonals[:, :, 0]
+    scaled = (nonzeros == side) & (scales != 0) & (diagonals == scales[:, :, None]).all(axis=2)
+    # [start, stop) columns of M of each run of adjacent general tiles, per
+    # tile row
+    runs = [
+        np.flatnonzero(np.diff(row, prepend=False, append=False)).reshape(-1, 2) * side
+        for row in (nonzeros > 0) & ~scaled
+    ]
+    if not scaled.any():
+        # one tile row of M V at a time, over every column of V: column
+        # blocks would shrink the GEMMs of a dense matrix and slow them down
+        squares = np.zeros(N)
+        for r, row_runs in enumerate(runs):
+            rows = slice(r * side, (r + 1) * side)
+            acc = vectors[rows] * -values
+            for start, stop in row_runs:
+                acc += entries[rows, start:stop] @ vectors[start:stop]
+            squares += np.einsum("ij,ij->j", acc, acc)
+        return np.sqrt(squares)
+    H = np.where(scaled, scales, 0.0)
+    width = _COLUMN_TILES * side
+    acc_buffer = np.empty(N * width)
+    squares = np.empty(N)
+    for c in range(0, N, width):
+        cols = slice(c, min(c + width, N))
+        w = cols.stop - c
+        acc = acc_buffer[: N * w].reshape(N, w)
+        block = vectors[:, cols]
+        # in place, batched over the rows within a tile: a contiguous copy of
+        # V_b for one 2-d GEMM was faster but grew the peak memory
+        np.matmul(
+            H, block.reshape(count, side, w).transpose(1, 0, 2),
+            out=acc.reshape(count, side, w).transpose(1, 0, 2),
+        )
+        for r, row_runs in enumerate(runs):
+            rows = slice(r * side, (r + 1) * side)
+            acc[rows] -= block[rows] * values[cols]
+            for start, stop in row_runs:
+                acc[rows] += entries[rows, start:stop] @ block[start:stop]
+        squares[cols] = np.einsum("ij,ij->j", acc, acc)
     return np.sqrt(squares)
 
 
@@ -209,18 +264,18 @@ def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def classify_lattice(spec: Spectrum, unit: float, tol: float = CLUSTER_TOL):
     """Map eigenvalues to integer multiples of `unit`.
 
-    Returns {k: multiplicity} when every eigenvalue sits within tol of
-    k*unit for some integer k, otherwise None.
+    Returns {k: multiplicity}, keys ascending, when every eigenvalue sits
+    within tol of k*unit for the nearest integer k (ties to even, as
+    Python's `round`), otherwise None.
     """
     if unit <= 0:
         raise ValueError("unit must be positive")
-    counts: dict[int, int] = {}
-    for v in spec.values:
-        k = round(v / unit)
-        if abs(v - k * unit) > tol:
-            return None
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    k = np.rint(spec.values / unit)
+    if not (np.abs(spec.values - k * unit) <= tol).all():
+        return None
+    # keys through Python's int, which cannot wrap as an int64 cast could
+    keys, counts = np.unique(k, return_counts=True)
+    return {int(key): count for key, count in zip(keys.tolist(), counts.tolist())}
 
 
 def spectral_stats(spec: Spectrum) -> SpectralStats:

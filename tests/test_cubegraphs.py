@@ -351,6 +351,13 @@ def test_eulerian_circuit_absent_for_odd_degree(n):
     assert eulerian_circuit(n) is None
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_euler_neighbor_lists_match_the_dense_adjacency(n):
+    adj = regular_tricube_adjacency(n).entries
+    expected = [np.flatnonzero(row).tolist() for row in adj]
+    assert cubegraphs._regtricube_neighbors(n) == expected
+
+
 def test_euler_3_has_24_edges():
     assert len(eulerian_circuit(3)) == 25
 

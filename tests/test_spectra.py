@@ -25,6 +25,7 @@ from cubelab.cubegraphs import (
 from cubelab.harmonic import pseudoinverse, solve_min_norm
 from cubelab.meshcotan import dirichlet_energy
 from cubelab.spectra import (
+    CLUSTER_TOL,
     ResidualError,
     centro_block_diagonalize,
     classify_lattice,
@@ -247,6 +248,36 @@ def test_eig_sym_non_finite_fails_residual_gate(M):
         eig_sym(M)
 
 
+def _minus_identity_tile(M):
+    """Row and column offsets of the first 81 x 81 tile of M that is -I."""
+    count = M.shape[0] // 81
+    tiles = M.reshape(count, 81, count, 81)
+    r, s = next(
+        (r, s) for r in range(count) for s in range(count)
+        if np.array_equal(tiles[r, :, s], -np.eye(81))
+    )
+    return 81 * r, 81 * s
+
+
+def _powtri_729_with(value, dr, ds):
+    """powtri n = 6 with the symmetric pair at (dr, ds) inside its first -I
+    tile set to value."""
+    M = pow_tricube_laplacian(6).entries.copy()
+    r, s = _minus_identity_tile(M)
+    M[r + dr, s + ds] = M[s + ds, r + dr] = value
+    return M
+
+
+def _identity_with_shift_tiles():
+    """I_810 (ten tiles, so the last column block is one tile wide) whose
+    tiles (0, 1) and (1, 0) hold a cyclic shift and its transpose: 81
+    nonzeros each, none on the tile diagonal."""
+    M = np.eye(810)
+    shift = np.roll(np.eye(81), 1, axis=1)
+    M[:81, 81:162], M[81:162, :81] = shift, shift.T
+    return M
+
+
 RESIDUAL_CASES = [
     lambda: pow_cube_adjacency(6),
     lambda: pow_hamming_matrix(6),
@@ -254,20 +285,47 @@ RESIDUAL_CASES = [
     lambda: hamming_distance_matrix(10),
     lambda: ncube_adjacency(10, _seeded_permutation(10)),
     lambda: ncube_adjacency(11),
+    # +I tiles, and zero tiles of -0.0
+    lambda: pow_tricube_laplacian(6, "ternary", OLN),
+    # a -I tile with a stray off-diagonal entry, or one changed diagonal
+    # entry, is a general tile
+    lambda: _powtri_729_with(-0.5, 3, 5),
+    lambda: _powtri_729_with(-2.0, 7, 7),
+    lambda: 2.0 * np.eye(729),
+    # 81 nonzeros off the diagonal and a zero diagonal is not 0 * I
+    _identity_with_shift_tiles,
 ]
 
 
 @pytest.mark.parametrize("make", RESIDUAL_CASES, ids=[
     "powcube-729", "powhamming-729", "powtri-2187", "hamming-1024", "ncube-1024-custom",
-    "ncube-2048",
+    "ncube-2048", "powtri-729-oln", "stray-pair-in-minus-identity",
+    "changed-diagonal-in-minus-identity", "2I-729", "shift-tiles-810",
 ])
 def test_tiled_residual_matches_dense_reference(make):
-    M = make().entries
+    M = make()
+    M = M.entries if isinstance(M, GraphMatrix) else M
     spec = eig_sym(M)
     tiled = spectra._residual_norms(M, spec.values, spec.vectors)
     dense = np.linalg.norm(M @ spec.vectors - spec.vectors * spec.values, axis=0)
     scale = max(float(np.abs(spec.values).max()), 1.0)
     assert np.abs(tiled - dense).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("value,dr,ds", [
+    (np.nan, 7, 7), (np.nan, 3, 5), (np.inf, None, None),
+], ids=["nan-on-diagonal", "nan-off-diagonal", "inf-scale"])
+def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, dr, ds):
+    M = pow_tricube_laplacian(6).entries.copy()
+    spec = eig_sym(M)
+    r, s = _minus_identity_tile(M)
+    if dr is None:  # the whole tile becomes inf * I
+        M[r : r + 81, s : s + 81] = np.diag(np.full(81, value))
+    else:
+        M[r + dr, s + ds] = value
+    with np.errstate(invalid="ignore"):
+        residual = spectra._residual_norms(M, spec.values, spec.vectors)
+    assert not np.isfinite(residual).all()
 
 
 def test_tiled_residual_failure_raises():
@@ -337,6 +395,42 @@ def test_classify_lattice():
     assert counts == {0: 1, 1: 2, 2: 1, 3: 2, 4: 2, 6: 1}
     assert 5 not in counts
     assert classify_lattice(eig_sym(pow_cube_adjacency(1)), 1.0) is None
+
+
+def _classify_lattice_loop(values, unit, tol=CLUSTER_TOL):
+    """The per-value reference: Python's round, in order of appearance."""
+    counts = {}
+    for v in values:
+        k = round(v / unit)
+        if abs(v - k * unit) > tol:
+            return None
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("family,n", [
+    (family, n) for family, row in cubegraphs.FAMILIES.items() for n in range(row.min_n, 6)
+])
+def test_classify_lattice_matches_per_value_loop(family, n):
+    spec = eig_sym(cubegraphs.build(family, n))
+    for unit in (1.0, 2.0, SQRT2):
+        counts = classify_lattice(spec, unit)
+        expected = _classify_lattice_loop(spec.values, unit)
+        assert counts == expected
+        if counts is not None:
+            assert list(counts.items()) == list(expected.items())
+            assert all(type(k) is int for k in counts)
+
+
+@pytest.mark.parametrize("values,tol,expected", [
+    ([0.5, 1.5, 2.5, 3.0], 0.5, {0: 1, 2: 2, 3: 1}),  # ties go to the even neighbour
+    ([1.0, 2.0 + 0.999e-6], 1e-6, {1: 1, 2: 1}),
+    ([1.0, 2.0 + 1.001e-6], 1e-6, None),  # just past tol
+], ids=["ties-to-even", "inside-tol", "past-tol"])
+def test_classify_lattice_edge_values(values, tol, expected):
+    counts = classify_lattice(spectra.Spectrum(values=np.array(values), clusters=()), 1.0, tol)
+    assert counts == expected == _classify_lattice_loop(values, 1.0, tol)
+    assert counts is None or list(counts) == sorted(counts)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -490,6 +584,13 @@ def test_asymmetric_input_is_rejected():
         solve_min_norm(L, [1.0, 0.0, -1.0])
     with pytest.raises(ValueError, match="not symmetric"):
         dirichlet_energy(L, [1.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("M", [np.arange(3.0), np.zeros((2, 3))], ids=["1-d", "2x3"])
+def test_raw_arrays_must_be_square_and_2d(M):
+    for call in (eig_sym, pseudoinverse, ramanujan_check, lambda A: dirichlet_energy(A, np.zeros(3))):
+        with pytest.raises(ValueError, match="square"):
+            call(M)
 
 
 def test_eig_identity_needs_simple_kernel():
