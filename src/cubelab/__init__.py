@@ -17,8 +17,6 @@ from .bitspace import (
 from .cubegraphs import (
     GraphMatrix,
     eulerian_circuit,
-    face_count,
-    face_total,
     hamming_distance_matrix,
     ncube_adjacency,
     pow_cube_adjacency,
@@ -38,9 +36,8 @@ from .meshcotan import (
     cotan_weight,
     cube_face_triangulation,
     dirichlet_energy,
-    is_delaunay_edge,
 )
-from .predicates import caf, ict_count, logistic, n_related, n_shared
+from .predicates import caf, logistic, n_related, n_shared
 from .sequences import (
     ball_measures,
     fine_structure,

@@ -72,10 +72,6 @@ class TernaryVertex:
     coords: tuple[int, ...]
     address: tuple[int, ...]
 
-    @property
-    def k_norm(self) -> int:
-        return sum(self.address)
-
 
 def ternary_digits(m: int, n: int) -> tuple[int, ...]:
     """Base-3 digits of m, least significant first."""

@@ -51,7 +51,7 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     claims = args.claims.split(",") if args.claims else None
     n_range = _parse_range(args.n_range) if args.n_range else None
-    report = verify.run_verification(claims=claims, n_range=n_range, offline=args.offline)
+    report = verify.run_verification(claims=claims, n_range=n_range)
     if args.report:
         report.write(args.report)
     for e in report.entries:
@@ -172,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p.add_argument("--n-range", help="override dimension range, e.g. 2..6")
     p.add_argument("--report", help="write the JSON report here")
-    p.add_argument("--online", dest="offline", action="store_false", default=True,
-                   help="allow network OEIS fetches (offline by default)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("activation", help="emit activation-function CSV data")

@@ -282,18 +282,6 @@ def pow_hamming_matrix(n: int, ordering=TERNARY) -> GraphMatrix:
     return build("powhamming", n, ordering)
 
 
-def face_count(n: int, k: int) -> int:
-    """Number of k-faces of the glued 2^n-cube structure."""
-    if not 0 <= k <= n:
-        raise ValueError(f"face dimension {k} out of range [0, {n}]")
-    return math.comb(n, k) * 3 ** (n - k) * 2**k
-
-
-def face_total(n: int) -> int:
-    """Total face count over all dimensions; equals 5^n."""
-    return sum(face_count(n, k) for k in range(n + 1))
-
-
 def _regtricube_neighbors(n: int) -> list[list[int]]:
     """Ascending neighbour list of every vertex of `regular_tricube_adjacency`
     in the binary ordering: v ^ m over the masks m of weight 1 or 2, with

@@ -167,13 +167,6 @@ def dirichlet_energy(L, u) -> float:
     return 0.5 * float(u @ entries @ u)
 
 
-def is_delaunay_edge(alpha: float, beta: float) -> bool:
-    """Empty-circle test for an interior edge: alpha + beta <= pi."""
-    if not (0.0 < alpha < math.pi and 0.0 < beta < math.pi):
-        raise ValueError("angles must lie in (0, pi)")
-    return alpha + beta <= math.pi + 1e-12
-
-
 def save_mesh(mesh: TriMesh, path) -> None:
     """Plain text: one vertex per line, blank line, one triangle per line."""
     with open(path, "w") as fh:

@@ -1,24 +1,15 @@
-"""OEIS b-file access with an on-disk cache and bundled offline fixtures.
+"""OEIS b-files, read from the fixtures bundled with the package.
 
-Offline is the default: only the cache and the fixtures shipped with the
-package are consulted, keeping the test suite deterministic.  Online mode
-falls back to the b-file endpoint and writes through to the cache; it needs
-`requests`, which the `online` extra installs.  A cache file that does not
-parse is passed over, never trusted.
+Every A-number that `cubelab verify` compares against ships as a b-file
+under `cubelab/fixtures/`; nothing else is consulted, so the verdict does
+not depend on the machine it runs on.
 """
 
-import os
 import re
-import threading
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 _ANUM_RE = re.compile(r"^A\d{6}$")
-_BFILE_URL = "https://oeis.org/{anum}/b{digits}.txt"
-
-_locks_guard = threading.Lock()
-_locks: dict[str, threading.Lock] = {}
 
 
 class FetchError(RuntimeError):
@@ -33,18 +24,6 @@ class BFile:
 
     def as_dict(self) -> dict:
         return dict(self.terms)
-
-
-def _lock_for(anum: str) -> threading.Lock:
-    with _locks_guard:
-        return _locks.setdefault(anum, threading.Lock())
-
-
-def cache_dir() -> Path:
-    env = os.environ.get("CUBELAB_OEIS_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "cubelab" / "oeis"
 
 
 def parse_bfile(text: str) -> tuple:
@@ -70,55 +49,18 @@ def parse_bfile(text: str) -> tuple:
     return tuple(terms)
 
 
-def _fixture_text(anum: str) -> str | None:
-    name = f"b{anum[1:]}.txt"
-    ref = resources.files("cubelab") / "fixtures" / name
-    if ref.is_file():
-        return ref.read_text()
-    return None
+def fetch(anum: str) -> BFile:
+    """The b-file of `anum` bundled under `cubelab/fixtures/`.
 
-
-def fetch(anum: str, offline: bool = True, timeout: float = 10.0) -> BFile:
-    """Fetch a b-file: cache, then fixture; online mode adds the network
-    endpoint and caches what it downloads.
-
-    A cache file that fails `parse_bfile` (truncated or corrupt) is
-    skipped; the download replaces it atomically.
+    Raises ValueError for a malformed identifier and FetchError when no
+    fixture is bundled for it.
     """
     if not _ANUM_RE.match(anum or ""):
         raise ValueError(f"invalid OEIS identifier {anum!r}")
-    cache_path = cache_dir() / f"b{anum[1:]}.txt"
-    with _lock_for(anum):
-        if cache_path.is_file():
-            try:
-                return BFile(anum, parse_bfile(cache_path.read_text()), "cache")
-            except ValueError:
-                pass  # corrupt cache: fall through to the fixture or the network
-        fixture = _fixture_text(anum)
-        if fixture is not None:
-            return BFile(anum, parse_bfile(fixture), "fixture")
-        if offline:
-            raise FetchError(f"{anum} not cached and no fixture bundled (offline mode)")
-        try:
-            import requests
-        except ImportError:
-            raise FetchError(
-                f"online fetch of {anum} needs requests: pip install cubelab[online]"
-            ) from None
-
-        url = _BFILE_URL.format(anum=anum, digits=anum[1:])
-        try:
-            response = requests.get(url, timeout=timeout)
-            response.raise_for_status()
-        except requests.RequestException as exc:
-            raise FetchError(f"network fetch of {anum} failed: {exc}") from exc
-        terms = parse_bfile(response.text)
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        # readers never see a partly written file: write aside, then rename
-        partial = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
-        partial.write_text(response.text)
-        os.replace(partial, cache_path)
-        return BFile(anum, terms, "network")
+    ref = resources.files("cubelab") / "fixtures" / f"b{anum[1:]}.txt"
+    if not ref.is_file():
+        raise FetchError(f"no b-file bundled for {anum}")
+    return BFile(anum, parse_bfile(ref.read_text()), "fixture")
 
 
 @dataclass(frozen=True)

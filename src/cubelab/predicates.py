@@ -44,16 +44,6 @@ def caf(n: int, r: int, p: int) -> Fraction:
     return Fraction(n_related(n, r, p), math.comb(2**n, r))
 
 
-def ict_count(n: int, c: int) -> int:
-    """Atomic predicates remaining after c independent implicational
-    constraints: (3/4)^c * 2^n, integral only while 2c <= n."""
-    if c < 0:
-        raise ValueError("constraint count must be nonnegative")
-    if 2 * c > n:
-        raise ValueError(f"(3/4)^{c} * 2^{n} is not an integer")
-    return 3**c * 2 ** (n - 2 * c)
-
-
 def logistic(x: float, mu: float = 1.0) -> float:
     """Logistic activation 1 / (exp(-mu x) + 1), the comparison curve."""
     return 1.0 / (math.exp(-mu * x) + 1.0)

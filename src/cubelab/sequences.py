@@ -2,7 +2,7 @@
 attached to the cube families.
 
 `SEQUENCES` holds one row per tag: its generator, the index of its first
-term, and the OEIS entry the offline fixture check compares it against.
+term, and the OEIS entry the bundled fixture check compares it against.
 Triangle tags (start None) return row lists, numbered row by row from 0;
 scalar tags return flat integer (or Fraction) lists starting at the
 tag's natural index, the row's `start`.  The Pell-type pairs
@@ -87,7 +87,7 @@ class Sequence:
 
     `terms(count)` gives the first `count` rows of a triangle (`start`
     None) or terms numbered from `start`.  `oeis` is the (A-number, b-file
-    offset, sign) the offline fixture check compares sign * terms against,
+    offset, sign) the bundled fixture check compares sign * terms against,
     or None when no OEIS entry is reproduced.
     """
 

@@ -253,11 +253,14 @@ def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(values, kind="stable")
     # the last Kronecker level, formed straight into the sorted columns:
     # column 3 h + l of kron(vectors, Q) is vectors[:, h] (x) Q[:, l]; the
-    # C-order output keeps the residual's row tiles contiguous
+    # C-order output keeps the residual's row tiles contiguous, and filling
+    # it one block of rows at a time bounds the gathered temporary
     high, low = divmod(order, 3)
     size = 3**n
     product = np.empty((size // 3, 3, size))
-    np.multiply(np.take(vectors, high, axis=1)[:, None, :], Q[:, low], out=product)
+    for start in range(0, size // 3, _RESIDUAL_TILE):
+        rows = slice(start, start + _RESIDUAL_TILE)
+        np.multiply(np.take(vectors[rows], high, axis=1)[:, None, :], Q[:, low], out=product[rows])
     return values[order], product.reshape(size, size)
 
 
@@ -291,10 +294,6 @@ def spectral_stats(spec: Spectrum) -> SpectralStats:
         spectral_gap=diffs[-1] if diffs else None,
         trace=float(spec.values.sum()),
     )
-
-
-def exchange_matrix(m: int) -> np.ndarray:
-    return np.fliplr(np.eye(m))
 
 
 def centro_deviation(entries: np.ndarray) -> float:

@@ -263,7 +263,7 @@ def _check_properties_d(ns):
         )
 
 
-def _check_sequences(offline):
+def _check_sequences():
     # each generator with an OEIS entry against its b-file: 15 terms, or
     # the first 40 entries of a triangle's rows
     mismatches = []
@@ -275,7 +275,7 @@ def _check_sequences(offline):
             local = [v for row in sequences.generate(tag, 7) for v in row][:40]
         else:
             local = sequences.generate(tag, 15)
-        bfile = oeisclient.fetch(anum, offline=offline)
+        bfile = oeisclient.fetch(anum)
         result = oeisclient.compare([sign * v for v in local], bfile, offset=offset)
         if result.first_mismatch is not None or result.matched < min(15, len(local)):
             mismatches.append(f"{tag} vs {anum}: {result}")
@@ -435,7 +435,7 @@ CLAIMS = {
 }
 
 
-def run_verification(claims=None, n_range=None, offline: bool = True) -> VerificationReport:
+def run_verification(claims=None, n_range=None) -> VerificationReport:
     """Run the requested claims (all by default) and collect a report.
 
     A claim with default dimensions checks those of them in `n_range`
@@ -451,8 +451,6 @@ def run_verification(claims=None, n_range=None, offline: bool = True) -> Verific
         if default is not None:
             ns = list(default) if n_range is None else [n for n in n_range if n in default]
             entries.extend(check(ns))
-        elif claim == "sequences":
-            entries.extend(check(offline))
         else:
             entries.extend(check())
     return VerificationReport(entries=tuple(entries))

@@ -101,7 +101,7 @@ def test_ternary_round_trip(n, data):
 def test_k_norm_census(n):
     counts = [0] * (n + 1)
     for m in range(3**n):
-        counts[ternary_vertex(n, m).k_norm] += 1
+        counts[sum(ternary_vertex(n, m).address)] += 1
     assert counts == [math.comb(n, k) * 2**k for k in range(n + 1)]
 
 

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,11 +97,11 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
 
 def test_verify_fetch_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
-    monkeypatch.setattr(oeisclient, "_fixture_text", lambda anum: None)
+    # a package without its fixtures directory
+    monkeypatch.setattr(oeisclient, "resources", SimpleNamespace(files=lambda package: tmp_path))
     assert main(["verify", "--claims", "sequences"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "offline mode" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and "no b-file bundled" in err[0]
 
 
 def test_verify_subset_and_determinism(tmp_path):

@@ -27,8 +27,6 @@ from cubelab.cubegraphs import (
     asymmetry,
     build,
     eulerian_circuit,
-    face_count,
-    face_total,
     hamming_distance_matrix,
     matrix_to_csv,
     matrix_to_json,
@@ -312,19 +310,6 @@ def test_pow_hamming_ordering_invariance(n):
     a = pow_hamming_matrix(n, "ternary").entries
     b = pow_hamming_matrix(n, "ternary-gray").entries
     assert np.array_equal(a, b)
-
-
-def test_face_counts():
-    assert face_count(3, 0) == 27
-    assert face_count(3, 3) == 8
-    assert face_total(3) == 125
-    with pytest.raises(ValueError):
-        face_count(3, 4)
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_face_total_is_power_of_five(n):
-    assert face_total(n) == 5**n
 
 
 def validate_circuit(circuit, adj):

@@ -14,7 +14,6 @@ from cubelab.meshcotan import (
     cotan_weight,
     cube_face_triangulation,
     dirichlet_energy,
-    is_delaunay_edge,
     load_mesh,
     save_mesh,
 )
@@ -159,15 +158,6 @@ def test_dirichlet_energy_matches_edge_sum_on_path():
     u = np.array([2.0, -1.0, 0.5])
     edge_sum = 0.5 * (0.5 * (u[0] - u[1]) ** 2 + 1.0 * (u[1] - u[2]) ** 2)
     assert dirichlet_energy(L, u) == pytest.approx(edge_sum, abs=1e-14)
-
-
-def test_delaunay_edge_predicate():
-    assert is_delaunay_edge(math.pi / 2, math.pi / 2)
-    assert is_delaunay_edge(math.pi / 3, math.pi / 3)
-    assert not is_delaunay_edge(2 * math.pi / 3, 2 * math.pi / 3)
-    # equivalent cotangent form
-    for a, b in ((0.3, 1.1), (1.2, 2.2), (2.0, 1.3)):
-        assert is_delaunay_edge(a, b) == (1 / math.tan(a) + 1 / math.tan(b) >= -1e-12)
 
 
 def test_degenerate_triangle_rejected():

@@ -1,13 +1,11 @@
-import sys
-
 import pytest
-import requests
 
 from cubelab.oeisclient import BFile, FetchError, compare, fetch, parse_bfile
+from cubelab.verify import run_verification
 
 
 def test_fixture_fetch():
-    b = fetch("A038717", offline=True)
+    b = fetch("A038717")
     assert b.source == "fixture"
     assert b.terms[:5] == ((0, 1), (1, 1), (2, 1), (3, 0), (4, 1))
 
@@ -19,8 +17,8 @@ def test_invalid_identifier():
 
 
 def test_valid_identifier_without_fixture_offline():
-    with pytest.raises(FetchError):
-        fetch("A000045", offline=True)
+    with pytest.raises(FetchError, match="no b-file bundled for A000045"):
+        fetch("A000045")
 
 
 def test_parse_skips_comments_and_rejects_junk():
@@ -34,48 +32,20 @@ def test_parse_skips_comments_and_rejects_junk():
         parse_bfile("1 1\n1 2\n")  # non-increasing index
 
 
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
-    first = fetch("A075848", offline=True)
-    assert first.source == "fixture"
-    (tmp_path / "b075848.txt").write_text("0 0\n1 6\n2 36\n")
-    cached = fetch("A075848", offline=True)
-    assert cached.source == "cache"
-    assert cached.terms == ((0, 0), (1, 6), (2, 36))
-
-
-def test_truncated_cache_does_not_shadow_fixture(tmp_path, monkeypatch):
-    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
-    (tmp_path / "b075848.txt").write_text("0 0\n1 6\n2")  # cut mid-line
-    b = fetch("A075848", offline=True)
-    assert b.source == "fixture"
-    assert b.terms[:3] == ((0, 0), (1, 6), (2, 36))
-
-
-class _Response:
-    text = "0 0\n1 1\n2 1\n3 2\n"
-
-    def raise_for_status(self):
-        pass
-
-
-def test_corrupt_cache_is_replaced_from_network(tmp_path, monkeypatch):
-    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
-    monkeypatch.setattr(requests, "get", lambda url, timeout: _Response())
-    (tmp_path / "b000045.txt").write_text("0 0\n1 x\n")
-    with pytest.raises(FetchError):
-        fetch("A000045", offline=True)
-    b = fetch("A000045", offline=False)
-    assert b.source == "network" and b.terms[3] == (3, 2)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["b000045.txt"]
-    assert fetch("A000045", offline=True).source == "cache"
-
-
-def test_online_fetch_without_requests(tmp_path, monkeypatch):
-    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(tmp_path))
-    monkeypatch.setitem(sys.modules, "requests", None)
-    with pytest.raises(FetchError, match=r"pip install cubelab\[online\]"):
-        fetch("A000045", offline=False)
+def test_verify_ignores_old_cache(tmp_path, monkeypatch):
+    # a wrong but parseable A038717 where the old cache lived: at
+    # $CUBELAB_OEIS_CACHE and under ~/.cache
+    wrong = "0 1\n1 1\n2 1\n3 1\n"
+    env_cache = tmp_path / "env-cache"
+    home_cache = tmp_path / "home" / ".cache" / "cubelab" / "oeis"
+    for cache in (env_cache, home_cache):
+        cache.mkdir(parents=True)
+        (cache / "b038717.txt").write_text(wrong)
+    monkeypatch.setenv("CUBELAB_OEIS_CACHE", str(env_cache))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert fetch("A038717").source == "fixture"
+    entries = run_verification(claims=["sequences"]).entries
+    assert [e["status"] for e in entries] == ["pass"]
 
 
 def test_compare_identical():

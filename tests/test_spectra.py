@@ -32,7 +32,6 @@ from cubelab.spectra import (
     cluster_eigenvalues,
     eig_identity_check,
     eig_sym,
-    exchange_matrix,
     ramanujan_check,
     spectral_stats,
     spectrum_to_csv,
@@ -345,6 +344,20 @@ def test_eig_sym_peak_allocation_on_the_kron_route():
     assert peak < 2 * 8 * M.N**2
 
 
+def test_kron_eigh_peak_allocation():
+    # the eigenvector matrix itself is 8 N^2 bytes; the gather that fills
+    # it must not add a temporary of a sizeable fraction of that
+    N = 3**7
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spectra._kron_eigh(_PATH3_ADJ, 7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * N**2
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ramanujan_split_matches_single_eigvalsh(monkeypatch, n):
     A = regular_tricube_adjacency(n)
@@ -481,7 +494,7 @@ def test_centro_blocks_preserve_spectrum(make, n):
 def _dense_k(N):
     """K = [[I, -J], [I, J]] / sqrt(2), with a sqrt(2) centre row for odd N."""
     m = N // 2
-    J = exchange_matrix(m)
+    J = np.fliplr(np.eye(m))
     K = np.zeros((N, N))
     if N % 2 == 0:
         K[:m, :m] = np.eye(m); K[:m, m:] = -J
