@@ -45,8 +45,12 @@ def caf(n: int, r: int, p: int) -> Fraction:
 
 
 def logistic(x: float, mu: float = 1.0) -> float:
-    """Logistic activation 1 / (exp(-mu x) + 1), the comparison curve."""
-    return 1.0 / (math.exp(-mu * x) + 1.0)
+    """Logistic activation 1 / (exp(-mu x) + 1), the comparison curve; 0.0,
+    its limit, where exp(-mu x) overflows."""
+    try:
+        return 1.0 / (math.exp(-mu * x) + 1.0)
+    except OverflowError:
+        return 0.0
 
 
 def caf_table(n: int, p_values=None, mu: float = 1.0, scale: float = 1.0):

@@ -9,7 +9,9 @@ spectra.  `symmetric_entries` is the one symmetry gate for raw arrays; a
   (powcube and powtri in the natural ternary ordering, n >= 2) is solved
   from one eigh of that 3x3 factor: the values are the n-fold sums of its
   eigenvalues, the vectors the n-fold Kronecker products of its
-  eigenvectors;
+  eigenvectors.  The check generates those vectors one block of columns at
+  a time, and the N x N matrix of them is built on the first read of
+  `Spectrum.vectors` only;
 - a bisymmetric input (unchanged by reversing both index orders, as
   every family is in its default ordering) is split by the exact
   orthogonal centrosymmetric reduction into two half-size blocks, each
@@ -28,8 +30,10 @@ whose spread stays within an absolute tolerance (default 1e-6; the
 spectra handled here have true gaps of at least sqrt(2) - 1).
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,11 +59,22 @@ class ResidualError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with tolerance-clustered multiplicity groups."""
+    """Ascending eigenvalues with tolerance-clustered multiplicity groups.
+
+    `vectors` holds the matching unit eigenvectors as columns, or None.  It
+    is read from `basis`: the array itself, or a function that builds it,
+    which `eig_sym`'s factor route passes so that a caller that reads the
+    values only never forms the N x N matrix.  The function is called on
+    the first read of `vectors`, and later reads return the same array.
+    """
 
     values: np.ndarray
     clusters: tuple
-    vectors: np.ndarray | None = None
+    basis: np.ndarray | Callable[[], np.ndarray] | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray | None:
+        return self.basis() if callable(self.basis) else self.basis
 
     @property
     def scale(self) -> float:
@@ -135,24 +150,30 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     Raises ValueError on a raw array that is not square, 2-d and
     symmetric, and ResidualError when a pair fails the residual check.  A
     GraphMatrix with a `factor` is solved from one eigh of it
-    (`_kron_eigh`); otherwise a centrosymmetric input (N > 1, within 1e-10
+    (`_kron_basis`); otherwise a centrosymmetric input (N > 1, within 1e-10
     absolute) from the two half-size blocks of `centro_block_diagonalize`;
     anything else by one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
     pair on every entry of the input before returning (skipping only
     all-zero tiles, see `_residual_norms`), so a non-finite eigenvalue or
     residual, or a factor that does not match the entries, raises
-    ResidualError.
+    ResidualError.  The factor route checks its eigenvectors block by block
+    in their natural Kronecker order, and builds the sorted N x N matrix
+    (`_kron_vectors`) on the first read of `Spectrum.vectors` only.
     """
     entries = symmetric_entries(M)
     if isinstance(M, GraphMatrix) and M.factor is not None:
-        values, vectors = _kron_eigh(M.factor, M.n)
-    elif entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
-        values, vectors = _centro_eigh(entries)
+        natural, Q, W, order = _kron_basis(M.factor, M.n)
+        residual = _residual_norms(entries, natural, _kron_columns(Q, W))
+        values, vectors = natural[order], functools.partial(_kron_vectors, Q, W, order)
     else:
-        values, vectors = np.linalg.eigh(entries)
-    spec = Spectrum(values=values, clusters=cluster_eigenvalues(values), vectors=vectors)
-    residual = float(_residual_norms(entries, values, vectors).max())
+        if entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
+            values, vectors = _centro_eigh(entries)
+        else:
+            values, vectors = np.linalg.eigh(entries)
+        residual = _residual_norms(entries, values, vectors)
+    spec = Spectrum(values=values, clusters=cluster_eigenvalues(values), basis=vectors)
+    residual = float(residual.max())
     if not (math.isfinite(spec.scale) and residual <= tol * spec.scale):
         raise ResidualError(
             f"eigenpair residual {residual:.3e} at scale {spec.scale:.3e}: "
@@ -161,29 +182,35 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     return spec
 
 
-def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors) -> np.ndarray:
     """||M v - lambda v|| for every eigenpair, computed on every entry of M.
 
-    Orders below `_MIN_TILES` tiles, or not a multiple of `_RESIDUAL_TILE`,
-    take one GEMM, M @ V - V * lambda.  Larger orders are read as a grid
-    of `_RESIDUAL_TILE`-square tiles, each classified from its own entries
-    as zero (skipped), c I with c != 0 (exactly one nonzero per row, on
-    the diagonal, all equal, so a NaN never qualifies) or general, and
-    each run of adjacent general tiles in a tile row takes one GEMM.
-    Without a c I tile, M V - V * lambda is formed one tile row at a time
-    over every column of V.  Otherwise the columns of V are walked in
-    blocks of `_COLUMN_TILES` tiles: a block's accumulator starts at
-    (H (x) I) V_b, with the scales c in H, as one matmul of H batched over
-    the rows within a tile and read in place from V; then V_b * lambda_b
-    is subtracted and the general runs are added.  The result differs
-    from M @ V - V * lambda in summation order only, and the temporaries
-    are O(N * `_COLUMN_TILES` * `_RESIDUAL_TILE`) floats.
+    `vectors` is the N x N matrix V whose columns pair with `values`, or a
+    function that returns the columns of V in a slice (the factor route's
+    `_kron_columns`, so that V is never stored whole).  Orders below
+    `_MIN_TILES` tiles, or not a multiple of `_RESIDUAL_TILE`, take one
+    GEMM, M @ V - V * lambda.  Larger orders are read as a grid of
+    `_RESIDUAL_TILE`-square tiles, each classified from its own entries as
+    zero (skipped), c I with c != 0 (exactly one nonzero per row, on the
+    diagonal, all equal, so a NaN never qualifies) or general, and each
+    run of adjacent general tiles in a tile row takes one GEMM.  When V is
+    an array and no tile is c I, M V - V * lambda is formed one tile row at
+    a time over every column of V.  Otherwise the columns of V are walked
+    in blocks of `_COLUMN_TILES` tiles: a block's accumulator starts at
+    (H (x) I) V_b, with the scales c in H (all zero without a c I tile), as
+    one matmul of H batched over the rows within a tile and read in place
+    from V_b; then V_b * lambda_b is subtracted and the general runs are
+    added.  The result differs from M @ V - V * lambda in summation order
+    only, and the temporaries are O(N * `_COLUMN_TILES` * `_RESIDUAL_TILE`)
+    floats.
     """
     N = entries.shape[0]
     side = _RESIDUAL_TILE
+    columns = vectors if callable(vectors) else lambda cols: vectors[:, cols]
     if N % side or N < _MIN_TILES * side:
-        residual = entries @ vectors
-        residual -= vectors * values
+        V = columns(slice(0, N))
+        residual = entries @ V
+        residual -= V * values
         return np.sqrt(np.einsum("ij,ij->j", residual, residual))
     count = N // side
     # nonzeros per tile, one tile row at a time: down the rows, then across
@@ -201,7 +228,7 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
         np.flatnonzero(np.diff(row, prepend=False, append=False)).reshape(-1, 2) * side
         for row in (nonzeros > 0) & ~scaled
     ]
-    if not scaled.any():
+    if not (scaled.any() or callable(vectors)):
         # one tile row of M V at a time, over every column of V: column
         # blocks would shrink the GEMMs of a dense matrix and slow them down
         squares = np.zeros(N)
@@ -220,7 +247,7 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
         cols = slice(c, min(c + width, N))
         w = cols.stop - c
         acc = acc_buffer[: N * w].reshape(N, w)
-        block = vectors[:, cols]
+        block = columns(cols)
         # in place, batched over the rows within a tile: a contiguous copy of
         # V_b for one 2-d GEMM was faster but grew the peak memory
         np.matmul(
@@ -236,32 +263,72 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
     return np.sqrt(squares)
 
 
-def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of the n-fold Kronecker sum of a 3x3 factor.
+def _kron_basis(factor: np.ndarray, n: int):
+    """The eigenpairs of the n-fold Kronecker sum of a 3x3 factor, from one
+    eigh of it, in natural column order.
 
-    With factor = Q diag(w) Q^T, column sum_k j_k 3^k holds the Kronecker
-    product of Q[:, j_k] over the digits (axis k at the k-th slot from the
-    right, as in `_ternary_product`) and the value sum_k w[j_k].  Values
-    are ordered with a stable sort.
+    With factor = Q diag(w) Q^T, natural column sum_k j_k 3^k is the
+    Kronecker product of Q[:, j_k] over the digits (axis k at the k-th slot
+    from the right, as in `_ternary_product`), with the value sum_k w[j_k].
+    Returns those values, Q, W = the (n - 1)-fold Kronecker power of Q (so
+    that column 3 h + l is W[:, h] (x) Q[:, l]) and the stable ascending
+    order of the values.
     """
     w, Q = np.linalg.eigh(factor)
-    values, vectors = w, Q
+    values, W = w, Q
     for _ in range(n - 1):
         values = np.add.outer(values, w).ravel()
     for _ in range(n - 2):
-        vectors = np.kron(vectors, Q)
-    order = np.argsort(values, kind="stable")
-    # the last Kronecker level, formed straight into the sorted columns:
-    # column 3 h + l of kron(vectors, Q) is vectors[:, h] (x) Q[:, l]; the
-    # C-order output keeps the residual's row tiles contiguous, and filling
-    # it one block of rows at a time bounds the gathered temporary
+        W = np.kron(W, Q)
+    return values, Q, W, np.argsort(values, kind="stable")
+
+
+def _kron_columns(Q: np.ndarray, W: np.ndarray):
+    """A function returning the natural columns in a slice of kron(W, Q).
+
+    The slice's bounds must be multiples of 3, and it may span at most
+    `_COLUMN_TILES * _RESIDUAL_TILE` columns (or all of them, when there
+    are fewer).  Each call overwrites one buffer, and each entry is the
+    single product W[a, h] * Q[b, l] that `_kron_vectors` forms.
+    """
+    size = 3 * W.shape[0]
+    buffer = np.empty(size * min(size, _COLUMN_TILES * _RESIDUAL_TILE))
+
+    def columns(cols: slice) -> np.ndarray:
+        width = cols.stop - cols.start
+        block = buffer[: size * width].reshape(size // 3, 3, width)
+        # row 3 a + b of column 3 h + l; long inner loops over the block's
+        # columns, not a broadcast with an inner axis of length 3
+        high = np.repeat(W[:, cols.start // 3 : cols.stop // 3], 3, axis=1)
+        for b in range(3):
+            np.multiply(high, np.tile(Q[b], width // 3), out=block[:, b])
+        return block.reshape(size, width)
+
+    return columns
+
+
+def _kron_vectors(Q: np.ndarray, W: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The columns of kron(W, Q) in `order`, as one C-order N x N array.
+
+    Column 3 h + l of kron(W, Q) is W[:, h] (x) Q[:, l], formed straight
+    into its sorted column; filling the output one block of rows at a time
+    bounds the gathered temporary.
+    """
     high, low = divmod(order, 3)
-    size = 3**n
+    size = 3 * W.shape[0]
     product = np.empty((size // 3, 3, size))
     for start in range(0, size // 3, _RESIDUAL_TILE):
         rows = slice(start, start + _RESIDUAL_TILE)
-        np.multiply(np.take(vectors[rows], high, axis=1)[:, None, :], Q[:, low], out=product[rows])
-    return values[order], product.reshape(size, size)
+        np.multiply(np.take(W[rows], high, axis=1)[:, None, :], Q[:, low], out=product[rows])
+    return product.reshape(size, size)
+
+
+def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the n-fold Kronecker sum of a 3x3 factor, as
+    `eig_sym`'s factor route returns them once `Spectrum.vectors` is read:
+    values ordered with a stable sort, vectors from `_kron_vectors`."""
+    values, Q, W, order = _kron_basis(factor, n)
+    return values[order], _kron_vectors(Q, W, order)
 
 
 def classify_lattice(spec: Spectrum, unit: float, tol: float = CLUSTER_TOL):

@@ -140,6 +140,15 @@ def test_activation_csv(tmp_path):
     assert first[:4] == ["1", "1", "1", "8"]
 
 
+@pytest.mark.parametrize("option", [["--scale", "-1000"], ["--mu", "-800"]])
+def test_activation_with_overflowing_logistic(tmp_path, option):
+    out = tmp_path / "caf.csv"
+    assert main(["activation", "--n", "2", *option, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 16  # 4 ranks x 4 supports
+    assert {row.split(",")[-1] for row in rows} == {"0.0"}
+
+
 def test_poisson_json(tmp_path, capsys):
     out = tmp_path / "poisson.json"
     assert main(["poisson", "--n", "3", "--out", str(out)]) == 0

@@ -96,6 +96,9 @@ def test_logistic():
     assert logistic(0.0, 5.0) == 0.5
     assert logistic(50.0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert logistic(1.0, 1.0) == pytest.approx(0.7310585786300049, abs=1e-15)
+    # exp(-mu x) overflows: the limit, not an OverflowError
+    assert logistic(-1000.0) == 0.0
+    assert logistic(1.0, -800.0) == 0.0
 
 
 def test_caf_table_shape():

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -156,6 +157,27 @@ def test_eig_sym_kron_sum_solves_the_3x3_factor(monkeypatch, make, sign, n):
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(M.N)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("make,sign", [
+    (pow_cube_adjacency, None),
+    (pow_tricube_laplacian, OLP),
+    (pow_tricube_laplacian, OLN),
+])
+def test_kron_route_vectors_are_the_sorted_kronecker_power(monkeypatch, make, sign, n):
+    M = make(n) if sign is None else make(n, "ternary", sign)
+    w, Q = np.linalg.eigh(M.factor)
+    values = functools.reduce(lambda v, _: np.add.outer(v, w).ravel(), range(n - 1), w)
+    expected = functools.reduce(np.kron, [Q] * n)[:, np.argsort(values, kind="stable")]
+    sizes = _record_sizes(monkeypatch, "eigh")
+    spec = eig_sym(M)
+    vectors = spec.vectors
+    # built on the first read from the factor's one eigh, then cached
+    assert sizes == [3]
+    assert vectors.shape == expected.shape
+    assert vectors.tobytes() == expected.tobytes()
+    assert spec.vectors is vectors
+
+
 def test_eig_sym_kron_sum_of_random_factor(monkeypatch):
     X = np.random.default_rng(3).standard_normal((3, 3))
     # zero row sums, so that the Kronecker sum is a valid LAPLACIAN entry set
@@ -311,6 +333,24 @@ def test_tiled_residual_matches_dense_reference(make):
     assert np.abs(tiled - dense).max() <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("n,make", [
+    (6, lambda: _powtri_729_with(-0.5, 3, 5)),
+    # diagonal tiles that are not c I and all-zero tiles elsewhere
+    (6, lambda: np.diag(np.arange(729.0) % 7)),
+    (5, lambda: np.diag(np.arange(243.0) % 7)),
+], ids=["minus-identity-tiles-729", "no-scaled-tile-729", "untiled-243"])
+def test_kron_column_blocks_match_dense_reference(n, make):
+    # the factor route's walk, with columns that are not M's eigenvectors so
+    # that every residual is checked, not only zeros
+    M = make()
+    natural, Q, W, _ = spectra._kron_basis(_PATH3_LAP, n)
+    blocks = spectra._residual_norms(M, natural, spectra._kron_columns(Q, W))
+    V = np.kron(W, Q)
+    dense = np.linalg.norm(M @ V - V * natural, axis=0)
+    assert dense.max() > 1e-3
+    assert np.abs(blocks - dense).max() <= 1e-14 * max(float(np.abs(natural).max()), 1.0)
+
+
 @pytest.mark.parametrize("value,dr,ds", [
     (np.nan, 7, 7), (np.nan, 3, 5), (np.inf, None, None),
 ], ids=["nan-on-diagonal", "nan-off-diagonal", "inf-scale"])
@@ -330,6 +370,29 @@ def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, dr, ds):
 def test_tiled_residual_failure_raises():
     with pytest.raises(ResidualError):
         eig_sym(pow_cube_adjacency(6), tol=1e-20)
+
+
+def _nudged_powtri(n, pair):
+    """powtri's entries with the symmetric pair at `pair` raised by 1e-6 and
+    its two diagonal entries lowered by 1e-6 (row sums stay zero), declaring
+    the unchanged factor."""
+    M = pow_tricube_laplacian(n).entries.copy()
+    i, j = pair(M)
+    M[i, j] += 1e-6
+    M[j, i] += 1e-6
+    M[i, i] -= 1e-6
+    M[j, j] -= 1e-6
+    return GraphMatrix("powtri", LAPLACIAN, n, "ternary", M, _PATH3_LAP)
+
+
+@pytest.mark.parametrize("n,pair", [
+    (6, lambda M: tuple(np.add(_minus_identity_tile(M), (3, 5)))),
+    (6, lambda M: (0, 1)),
+    (4, lambda M: (0, 1)),
+], ids=["minus-identity-tile-729", "general-tile-729", "untiled-81"])
+def test_kron_route_residual_finds_entries_off_the_factor(n, pair):
+    with pytest.raises(ResidualError):
+        eig_sym(_nudged_powtri(n, pair))
 
 
 def test_eig_sym_peak_allocation_on_the_kron_route():
@@ -356,6 +419,21 @@ def test_kron_eigh_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 8 * N**2
+
+
+def test_kron_route_values_only_never_form_the_vectors():
+    # the check walks blocks of columns; the 8 N^2 bytes of the sorted
+    # eigenvector matrix are spent only when Spectrum.vectors is read
+    M = pow_cube_adjacency(7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec = eig_sym(M)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(spec.values) == M.N
+    assert peak < 0.5 * 8 * M.N**2
 
 
 @pytest.mark.parametrize("n", range(2, 11))
