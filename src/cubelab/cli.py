@@ -126,11 +126,12 @@ def cmd_euler(args) -> int:
 
 def cmd_plotdata(args) -> int:
     n_range = _parse_range(args.n_range) if args.n_range else range(2, 8)
+    # every row before the file is opened, so a bad n leaves no partial file
+    rows = [sequences.pow_hamming_extremes(n) for n in n_range]
     with open(args.out, "w") as fh:
         fh.write("n,lambda_min,lambda_max,sum,product\n")
-        for n in n_range:
-            e = sequences.pow_hamming_extremes(n)
-            fh.write(f"{n},{e.lambda_min!r},{e.lambda_max!r},{e.sum},{e.product}\n")
+        for e in rows:
+            fh.write(f"{e.n},{e.lambda_min!r},{e.lambda_max!r},{e.sum},{e.product}\n")
     print(f"wrote extremes for n in {list(n_range)} to {args.out}")
     return 0
 

@@ -9,8 +9,9 @@ spectra.  `symmetric_entries` is the one symmetry gate for raw arrays; a
   (powcube and powtri in the natural ternary ordering, n >= 2) is solved
   from one eigh of that 3x3 factor: the values are the n-fold sums of its
   eigenvalues, the vectors the n-fold Kronecker products of its
-  eigenvectors.  The check generates those vectors one block of columns at
-  a time, and the N x N matrix of them is built on the first read of
+  eigenvectors.  The check applies M to the 3x3 eigenvector matrix and to
+  its (n - 1)-fold Kronecker power apart, so it generates no eigenvector,
+  and the N x N matrix of them is built on the first read of
   `Spectrum.vectors` only;
 - a bisymmetric input (unchanged by reversing both index orders, as
   every family is in its default ordering) is split by the exact
@@ -23,11 +24,12 @@ entry of the full matrix, and a non-finite eigenvalue or residual fails
 the check.  When N is a multiple of 81 and at least 729, M is read as
 81 x 81 tiles: all-zero tiles are skipped, the tiles that are exactly c I
 (c != 0; 108 of the 135 nonzero tiles of powcube and powtri at n = 7)
-enter through one matmul of their count x count scale matrix per block of
-243 eigenvector columns, and each run of other nonzero tiles through one
-GEMM.  Any other N takes one plain GEMM.  Clustering groups eigenvalues
-whose spread stays within an absolute tolerance (default 1e-6; the
-spectra handled here have true gaps of at least sqrt(2) - 1).
+enter through one matmul of their count x count scale matrix, and each
+run of other nonzero tiles through one GEMM (on the factor route, one
+per digit of Q with inner dimension 27).  Any other N takes one plain
+GEMM.  Clustering groups eigenvalues whose spread stays within an
+absolute tolerance (default 1e-6; the spectra handled here have true gaps
+of at least sqrt(2) - 1).
 """
 
 import functools
@@ -46,8 +48,8 @@ KERNEL_TOL = 1e-9
 
 # residual tile side, 3^4, so that tiles line up with the digit blocks of the
 # 3^n families; orders of fewer than _MIN_TILES tiles take one plain GEMM, and
-# the walk over c I tiles takes _COLUMN_TILES tiles of eigenvector columns at
-# a time
+# the walk of an eigenvector array over c I tiles takes _COLUMN_TILES tiles of
+# its columns at a time
 _RESIDUAL_TILE = 81
 _MIN_TILES = 9
 _COLUMN_TILES = 3
@@ -147,24 +149,28 @@ def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
 def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix.
 
-    Raises ValueError on a raw array that is not square, 2-d and
-    symmetric, and ResidualError when a pair fails the residual check.  A
-    GraphMatrix with a `factor` is solved from one eigh of it
-    (`_kron_basis`); otherwise a centrosymmetric input (N > 1, within 1e-10
-    absolute) from the two half-size blocks of `centro_block_diagonalize`;
-    anything else by one eigh of the full matrix.  Whatever the route,
+    Raises ValueError, before solving anything, when `tol` is not a finite
+    number > 0 or a raw array is not square, 2-d and symmetric, and
+    ResidualError when a pair fails the residual check.  A GraphMatrix
+    with a `factor` is solved from one eigh of it (`_kron_basis`);
+    otherwise a centrosymmetric input (N > 1, within 1e-10 absolute) from
+    the two half-size blocks of `centro_block_diagonalize`; anything else
+    by one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
     pair on every entry of the input before returning (skipping only
-    all-zero tiles, see `_residual_norms`), so a non-finite eigenvalue or
+    all-zero tiles, see `_tile_census`), so a non-finite eigenvalue or
     residual, or a factor that does not match the entries, raises
-    ResidualError.  The factor route checks its eigenvectors block by block
-    in their natural Kronecker order, and builds the sorted N x N matrix
-    (`_kron_vectors`) on the first read of `Spectrum.vectors` only.
+    ResidualError.  The factor route checks its eigenvectors in factored
+    form (`_kron_residual_norms`), with M applied to Q and to W apart, and
+    builds the sorted N x N matrix (`_kron_vectors`) on the first read of
+    `Spectrum.vectors` only.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
     entries = symmetric_entries(M)
     if isinstance(M, GraphMatrix) and M.factor is not None:
         natural, Q, W, order = _kron_basis(M.factor, M.n)
-        residual = _residual_norms(entries, natural, _kron_columns(Q, W))
+        residual = _kron_residual_norms(entries, natural, Q, W)
         values, vectors = natural[order], functools.partial(_kron_vectors, Q, W, order)
     else:
         if entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
@@ -182,53 +188,30 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     return spec
 
 
-def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors) -> np.ndarray:
+def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """||M v - lambda v|| for every eigenpair, computed on every entry of M.
 
-    `vectors` is the N x N matrix V whose columns pair with `values`, or a
-    function that returns the columns of V in a slice (the factor route's
-    `_kron_columns`, so that V is never stored whole).  Orders below
-    `_MIN_TILES` tiles, or not a multiple of `_RESIDUAL_TILE`, take one
-    GEMM, M @ V - V * lambda.  Larger orders are read as a grid of
-    `_RESIDUAL_TILE`-square tiles, each classified from its own entries as
-    zero (skipped), c I with c != 0 (exactly one nonzero per row, on the
-    diagonal, all equal, so a NaN never qualifies) or general, and each
-    run of adjacent general tiles in a tile row takes one GEMM.  When V is
-    an array and no tile is c I, M V - V * lambda is formed one tile row at
-    a time over every column of V.  Otherwise the columns of V are walked
-    in blocks of `_COLUMN_TILES` tiles: a block's accumulator starts at
-    (H (x) I) V_b, with the scales c in H (all zero without a c I tile), as
-    one matmul of H batched over the rows within a tile and read in place
-    from V_b; then V_b * lambda_b is subtracted and the general runs are
-    added.  The result differs from M @ V - V * lambda in summation order
-    only, and the temporaries are O(N * `_COLUMN_TILES` * `_RESIDUAL_TILE`)
-    floats.
+    `vectors` is the N x N matrix V whose columns pair with `values`.  An
+    order that `_tile_census` does not tile takes one GEMM, M @ V - V *
+    lambda.  Otherwise all-zero tiles are skipped and each run of adjacent
+    general tiles in a tile row takes one GEMM.  Without a c I tile,
+    M V - V * lambda is formed one tile row at a time over every column of
+    V.  Otherwise the columns of V are walked in blocks of `_COLUMN_TILES`
+    tiles: a block's accumulator starts at (H (x) I) V_b, with the scales c
+    in H, as one matmul of H batched over the rows within a tile and read in
+    place from V_b; then V_b * lambda_b is subtracted and the general runs
+    are added.  The result differs from M @ V - V * lambda in summation
+    order only, and the temporaries are O(N * `_COLUMN_TILES` *
+    `_RESIDUAL_TILE`) floats.
     """
-    N = entries.shape[0]
-    side = _RESIDUAL_TILE
-    columns = vectors if callable(vectors) else lambda cols: vectors[:, cols]
-    if N % side or N < _MIN_TILES * side:
-        V = columns(slice(0, N))
-        residual = entries @ V
-        residual -= V * values
+    census = _tile_census(entries)
+    if census is None:
+        residual = entries @ vectors
+        residual -= vectors * values
         return np.sqrt(np.einsum("ij,ij->j", residual, residual))
-    count = N // side
-    # nonzeros per tile, one tile row at a time: down the rows, then across
-    # each tile's columns (at most 81^2, so uint16 does not wrap)
-    nonzeros = np.array([
-        np.add.reduce(rows != 0, axis=0, dtype=np.uint16).reshape(count, side).sum(axis=1)
-        for rows in entries.reshape(count, side, N)
-    ])
-    diagonals = np.diagonal(entries.reshape(count, side, count, side), axis1=1, axis2=3)
-    scales = diagonals[:, :, 0]
-    scaled = (nonzeros == side) & (scales != 0) & (diagonals == scales[:, :, None]).all(axis=2)
-    # [start, stop) columns of M of each run of adjacent general tiles, per
-    # tile row
-    runs = [
-        np.flatnonzero(np.diff(row, prepend=False, append=False)).reshape(-1, 2) * side
-        for row in (nonzeros > 0) & ~scaled
-    ]
-    if not (scaled.any() or callable(vectors)):
+    H, runs = census
+    N, count, side = entries.shape[0], H.shape[0], _RESIDUAL_TILE
+    if not H.any():
         # one tile row of M V at a time, over every column of V: column
         # blocks would shrink the GEMMs of a dense matrix and slow them down
         squares = np.zeros(N)
@@ -239,7 +222,6 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors) -> np.ndar
                 acc += entries[rows, start:stop] @ vectors[start:stop]
             squares += np.einsum("ij,ij->j", acc, acc)
         return np.sqrt(squares)
-    H = np.where(scaled, scales, 0.0)
     width = _COLUMN_TILES * side
     acc_buffer = np.empty(N * width)
     squares = np.empty(N)
@@ -247,7 +229,7 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors) -> np.ndar
         cols = slice(c, min(c + width, N))
         w = cols.stop - c
         acc = acc_buffer[: N * w].reshape(N, w)
-        block = columns(cols)
+        block = vectors[:, cols]
         # in place, batched over the rows within a tile: a contiguous copy of
         # V_b for one 2-d GEMM was faster but grew the peak memory
         np.matmul(
@@ -261,6 +243,99 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors) -> np.ndar
                 acc[rows] += entries[rows, start:stop] @ block[start:stop]
         squares[cols] = np.einsum("ij,ij->j", acc, acc)
     return np.sqrt(squares)
+
+
+def _tile_census(entries: np.ndarray):
+    """M read as a grid of `_RESIDUAL_TILE`-square tiles, or None for an
+    order below `_MIN_TILES` tiles or not a multiple of the tile side.
+
+    Each tile is classified from its own entries as zero, c I with c != 0
+    (exactly one nonzero per row, on the diagonal, all equal, so a NaN
+    never qualifies) or general.  Returns H, the count x count matrix of
+    the scales c (0 where a tile is not c I), and per tile row the
+    [start, stop) columns of M of each run of adjacent general tiles.
+    """
+    N = entries.shape[0]
+    side = _RESIDUAL_TILE
+    if N % side or N < _MIN_TILES * side:
+        return None
+    count = N // side
+    # nonzeros per tile, one tile row at a time: down the rows, then across
+    # each tile's columns (at most 81^2, so uint16 does not wrap)
+    nonzeros = np.array([
+        np.add.reduce(rows != 0, axis=0, dtype=np.uint16).reshape(count, side).sum(axis=1)
+        for rows in entries.reshape(count, side, N)
+    ])
+    diagonals = np.diagonal(entries.reshape(count, side, count, side), axis1=1, axis2=3)
+    scales = diagonals[:, :, 0]
+    scaled = (nonzeros == side) & (scales != 0) & (diagonals == scales[:, :, None]).all(axis=2)
+    runs = [
+        np.flatnonzero(np.diff(row, prepend=False, append=False)).reshape(-1, 2) * side
+        for row in (nonzeros > 0) & ~scaled
+    ]
+    return np.where(scaled, scales, 0.0), runs
+
+
+def _kron_residual_norms(
+    entries: np.ndarray, natural: np.ndarray, Q: np.ndarray, W: np.ndarray
+) -> np.ndarray:
+    """||M v - lambda v|| for the natural eigenpairs of `_kron_basis`, on
+    every entry of M, without forming a column of V = kron(W, Q).
+
+    Column 3 h + l of V is W[:, h] (x) Q[:, l], and row 3 a + b of V pairs
+    W's row a with Q's row b, so by the mixed-product rule the columns of
+    digit l of M V are P_l W, where P = M (I (x) Q) and P_l takes its
+    columns of digit l.  On `_tile_census`'s grid, tile row r holds W's
+    rows a in [27 r, 27 r + 27), and its residual rows for digit l are
+
+        sum over general runs of P_l[rows, run] @ W[run / 3]
+            + (Y[a] - W[a] * lambda[:, l]) (x) Q[:, l],  Y = (H (x) I_27) W,
+
+    one K = 27 GEMM per general tile, each into one reused 81 x N/3
+    buffer.  An untiled order (n <= 5) takes `_residual_norms` on
+    kron(W, Q), one plain GEMM.
+
+    The walk checks the exact products W[a, h] Q[b, l], of which
+    `_kron_vectors` returns the float roundings (within half an ulp per
+    entry), and it reassociates (m q) w against m (w q) as well as the
+    order of the sums.  Both differences are of order eps * scale, far
+    below `RESIDUAL_TOL`.  A NaN in a general tile reaches the residual
+    through P, and an inf * I tile through Y, so a non-finite residual
+    still fails the check.
+    """
+    census = _tile_census(entries)
+    if census is None:
+        return _residual_norms(entries, natural, np.kron(W, Q))
+    H, runs = census
+    side, third, size = _RESIDUAL_TILE, _RESIDUAL_TILE // 3, W.shape[0]
+    Y = (H @ W.reshape(H.shape[0], -1)).reshape(size, size)
+    # lam[l, h] is the value of natural column 3 h + l
+    lam = natural.reshape(size, 3).T.copy()
+    # the 81 x N/3 accumulator and GEMM output are reused: a GEMM that
+    # allocated its output per call took two to five times as long
+    acc, tmp, low = np.empty((side, size)), np.empty((side, size)), np.empty((third, size))
+    squares = np.zeros((3, size))
+    for r, row_runs in enumerate(runs):
+        rows, high = slice(r * side, (r + 1) * side), slice(r * third, (r + 1) * third)
+        # P over each general run, as (digit l, row, W row) with each P_l
+        # contiguous for its GEMM
+        contracted = [
+            (np.tensordot(Q, entries[rows, start:stop].reshape(side, -1, 3), axes=(0, 2)),
+             W[start // 3 : stop // 3])
+            for start, stop in row_runs
+        ]
+        for l in range(3):
+            np.multiply(W[high], lam[l], out=low)
+            np.subtract(Y[high], low, out=low)
+            # row 3 a + b of the tile row; one scalar multiply per b took
+            # half the time of a broadcast over b
+            for b in range(3):
+                np.multiply(low, Q[b, l], out=acc.reshape(third, 3, size)[:, b])
+            for P, W_run in contracted:
+                np.matmul(P[l], W_run, out=tmp)
+                acc += tmp
+            squares[l] += np.einsum("ij,ij->j", acc, acc)
+    return np.sqrt(squares.T.ravel())
 
 
 def _kron_basis(factor: np.ndarray, n: int):
@@ -283,30 +358,6 @@ def _kron_basis(factor: np.ndarray, n: int):
     return values, Q, W, np.argsort(values, kind="stable")
 
 
-def _kron_columns(Q: np.ndarray, W: np.ndarray):
-    """A function returning the natural columns in a slice of kron(W, Q).
-
-    The slice's bounds must be multiples of 3, and it may span at most
-    `_COLUMN_TILES * _RESIDUAL_TILE` columns (or all of them, when there
-    are fewer).  Each call overwrites one buffer, and each entry is the
-    single product W[a, h] * Q[b, l] that `_kron_vectors` forms.
-    """
-    size = 3 * W.shape[0]
-    buffer = np.empty(size * min(size, _COLUMN_TILES * _RESIDUAL_TILE))
-
-    def columns(cols: slice) -> np.ndarray:
-        width = cols.stop - cols.start
-        block = buffer[: size * width].reshape(size // 3, 3, width)
-        # row 3 a + b of column 3 h + l; long inner loops over the block's
-        # columns, not a broadcast with an inner axis of length 3
-        high = np.repeat(W[:, cols.start // 3 : cols.stop // 3], 3, axis=1)
-        for b in range(3):
-            np.multiply(high, np.tile(Q[b], width // 3), out=block[:, b])
-        return block.reshape(size, width)
-
-    return columns
-
-
 def _kron_vectors(Q: np.ndarray, W: np.ndarray, order: np.ndarray) -> np.ndarray:
     """The columns of kron(W, Q) in `order`, as one C-order N x N array.
 
@@ -321,14 +372,6 @@ def _kron_vectors(Q: np.ndarray, W: np.ndarray, order: np.ndarray) -> np.ndarray
         rows = slice(start, start + _RESIDUAL_TILE)
         np.multiply(np.take(W[rows], high, axis=1)[:, None, :], Q[:, low], out=product[rows])
     return product.reshape(size, size)
-
-
-def _kron_eigh(factor: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of the n-fold Kronecker sum of a 3x3 factor, as
-    `eig_sym`'s factor route returns them once `Spectrum.vectors` is read:
-    values ordered with a stable sort, vectors from `_kron_vectors`."""
-    values, Q, W, order = _kron_basis(factor, n)
-    return values[order], _kron_vectors(Q, W, order)
 
 
 def classify_lattice(spec: Spectrum, unit: float, tol: float = CLUSTER_TOL):

@@ -63,6 +63,18 @@ def test_spectrum_residual_failure_exits_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "-1", "0", "nan"])
+def test_spectrum_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
+    # inf would switch the residual check off; the others failed it with a
+    # misleading residual message
+    out = tmp_path / "spec.csv"
+    rc = main(["spectrum", "--family", "powcube", "--n", "3", "--tol", tol, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: residual tolerance must be a finite number > 0, got {float(tol)!r}"]
+    assert not out.exists()
+
+
 def test_spectrum_non_finite_exits_cleanly(tmp_path, monkeypatch, capsys):
     def infinite_distance(family, n, ordering):
         entries = np.array([[0.0, np.inf], [np.inf, 0.0]])
@@ -215,6 +227,14 @@ def test_plotdata_extremes(tmp_path):
     assert lines[0] == "n,lambda_min,lambda_max,sum,product"
     assert len(lines) == 7
     assert lines[1].split(",")[3] == "4"
+
+
+def test_plotdata_bad_n_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    rc = main(["plotdata", "--what", "extremes", "--n-range", "0..2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: closed forms need n >= 2")
+    assert not out.exists()
 
 
 def test_plotdata_caf(tmp_path):

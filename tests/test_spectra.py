@@ -137,6 +137,15 @@ def test_eig_sym_near_bisymmetric_takes_single_eigh(monkeypatch):
     assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [math.inf, -1.0, 0.0, math.nan])
+def test_eig_sym_rejects_a_tolerance_that_is_not_finite_and_positive(monkeypatch, tol):
+    sizes = _record_sizes(monkeypatch, "eigh")
+    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+        eig_sym(pow_cube_adjacency(3), tol=tol)
+    # rejected before anything is solved
+    assert sizes == []
+
+
 def test_eig_sym_residual_failure_raises():
     with pytest.raises(ResidualError):
         eig_sym(pow_tricube_laplacian(2), tol=1e-20)
@@ -333,18 +342,35 @@ def test_tiled_residual_matches_dense_reference(make):
     assert np.abs(tiled - dense).max() <= 1e-14 * scale
 
 
+def _two_run_tiles():
+    """2 I_729 whose tile row 0 (and tile column 0) also holds random
+    general tiles 2, 3 and 6: two runs, the first two tiles long."""
+    M = 2.0 * np.eye(729)
+    for s in (2, 3, 6):
+        tile = np.random.default_rng(s).standard_normal((81, 81))
+        M[:81, 81 * s : 81 * (s + 1)], M[81 * s : 81 * (s + 1), :81] = tile, tile.T
+    return M
+
+
 @pytest.mark.parametrize("n,make", [
     (6, lambda: _powtri_729_with(-0.5, 3, 5)),
     # diagonal tiles that are not c I and all-zero tiles elsewhere
     (6, lambda: np.diag(np.arange(729.0) % 7)),
     (5, lambda: np.diag(np.arange(243.0) % 7)),
-], ids=["minus-identity-tiles-729", "no-scaled-tile-729", "untiled-243"])
+    # +I tiles and zero tiles of -0.0
+    (6, lambda: pow_tricube_laplacian(6, "ternary", OLN).entries),
+    (6, _two_run_tiles),
+    (5, lambda: pow_cube_adjacency(5).entries),
+], ids=[
+    "minus-identity-tiles-729", "no-scaled-tile-729", "untiled-243",
+    "powtri-oln-729", "two-runs-729", "powcube-untiled-243",
+])
 def test_kron_column_blocks_match_dense_reference(n, make):
-    # the factor route's walk, with columns that are not M's eigenvectors so
-    # that every residual is checked, not only zeros
+    # the factor route's factored walk, with columns that are not M's
+    # eigenvectors so that every residual is checked, not only zeros
     M = make()
     natural, Q, W, _ = spectra._kron_basis(_PATH3_LAP, n)
-    blocks = spectra._residual_norms(M, natural, spectra._kron_columns(Q, W))
+    blocks = spectra._kron_residual_norms(M, natural, Q, W)
     V = np.kron(W, Q)
     dense = np.linalg.norm(M @ V - V * natural, axis=0)
     assert dense.max() > 1e-3
@@ -365,6 +391,48 @@ def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, dr, ds):
     with np.errstate(invalid="ignore"):
         residual = spectra._residual_norms(M, spec.values, spec.vectors)
     assert not np.isfinite(residual).all()
+
+
+@pytest.mark.parametrize("case", ["nan-in-scaled-tile", "nan-in-general-tile", "inf-scale"])
+def test_kron_route_non_finite_tile_fails_residual(case):
+    entries = pow_tricube_laplacian(6).entries.copy()
+    # the GraphMatrix checks reject NaN and inf, so the entries change after
+    # they ran
+    M = GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries.view(), _PATH3_LAP)
+    r, s = _minus_identity_tile(entries)
+    if case == "nan-in-scaled-tile":
+        entries[r + 7, s + 7] = entries[s + 7, r + 7] = np.nan
+    elif case == "nan-in-general-tile":  # tile (0, 0) is general
+        entries[0, 1] = entries[1, 0] = np.nan
+    else:
+        tile = np.diag(np.full(81, np.inf))
+        entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
+    natural, Q, W, _ = spectra._kron_basis(M.factor, M.n)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(spectra._kron_residual_norms(M.entries, natural, Q, W)).all()
+        with pytest.raises(ResidualError):
+            eig_sym(M)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kron_route_below_729_takes_one_plain_gemm(monkeypatch, n):
+    # the factored walk is slower than one GEMM on kron(W, Q) below 9 tiles
+    M = pow_cube_adjacency(n)
+    _, Q, W, _ = spectra._kron_basis(M.factor, n)
+    calls = []
+    residual_norms = spectra._residual_norms
+
+    def recording(entries, values, vectors):
+        calls.append(vectors.tobytes() == np.kron(W, Q).tobytes())
+        return residual_norms(entries, values, vectors)
+
+    monkeypatch.setattr(spectra, "_residual_norms", recording)
+    eig_sym(M)
+    if n <= 5:
+        assert spectra._tile_census(M.entries) is None
+        assert calls == [True]
+    else:
+        assert calls == []
 
 
 def test_tiled_residual_failure_raises():
@@ -414,7 +482,7 @@ def test_kron_eigh_peak_allocation():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        spectra._kron_eigh(_PATH3_ADJ, 7)
+        spectra._kron_vectors(*spectra._kron_basis(_PATH3_ADJ, 7)[1:])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
