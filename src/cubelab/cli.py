@@ -23,9 +23,13 @@ from .oeisclient import FetchError
 from .spectra import RESIDUAL_TOL, ResidualError, eig_sym, spectrum_to_csv
 
 def _parse_range(text: str) -> range:
+    """`lo..hi` (both ends included) or one integer; hi < lo is an error."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError(f"range {text!r} is inverted: {hi} < {lo}")
+        return range(lo, hi + 1)
     value = int(text)
     return range(value, value + 1)
 

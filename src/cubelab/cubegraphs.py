@@ -22,15 +22,23 @@ one of two rules:
   tricube, regtricube, and powhamming, whose address bit k says whether
   coordinate k is nonzero);
 - per-axis factor: the matrix is the n-fold Kronecker sum of a 3x3 factor,
-  the 3-vertex path's adjacency or Laplacian (powcube, powtri), declared
-  as `GraphMatrix.factor` in the natural ternary ordering for n >= 2.
+  the 3-vertex path's adjacency or Laplacian (powcube, powtri).
 
-`build` refuses a matrix whose dense float64 entries would exceed
-`MAX_DENSE_BYTES` (up to 2^13 and 3^8 vertices fit) before it builds
-anything.  The seven named constructors are single `build` calls.
-Matrices are dense, which suits desk scale (N <= 3^7); the sparse
-families pay off instead in `spectra.eig_sym`, whose residual check
-skips the tiles of the matrix whose entries are all 0.
+`build` also declares the exact structure it built, as
+`GraphMatrix.structure`, for `spectra.eig_sym` to solve from:
+
+- KRONECKER, the 3x3 factor: powcube and powtri in the natural ternary
+  ordering, n >= 2;
+- WALSH: the base-2 profile rows (ncube, hamming, tricube, regtricube) in
+  the binary ordering, where entry (i, j) is g_n(popcount(i ^ j));
+- LOW_RANK, the N x n address bits A: powhamming in any ordering, whose
+  distances s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at most n + 1.
+
+Every other matrix declares none.  `build` refuses a matrix whose dense
+float64 entries would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
+vertices fit) before it builds anything.  The seven named constructors
+are single `build` calls.  Matrices are dense, which suits desk scale
+(N <= 3^7); the structure pays off instead in `spectra.eig_sym`.
 """
 
 import json
@@ -81,12 +89,35 @@ def asymmetry(entries: np.ndarray) -> float:
     return 0.0
 
 
+KRONECKER = "kronecker"
+WALSH = "walsh"
+LOW_RANK = "low-rank"
+
+
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """The exact structure `build` declares for a matrix's entries.
+
+    kind  KRONECKER: `data`, a 3x3 factor, has them as its n-fold
+              `_ternary_product` (N = 3^n, n >= 2);
+          WALSH: entry (i, j) is a function of popcount(i ^ j) alone
+              (N = 2^n), and `data` is None;
+          LOW_RANK: every column lies in the span of the ones vector and
+              the columns of `data`, the N x n matrix of 0/1 address bits.
+    """
+
+    kind: str
+    data: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class GraphMatrix:
     """Dense square matrix tagged with its graph family and construction.
 
     Construction validates the entries once and makes them read-only.  A
-    3x3 `factor`, when set, declares them its n-fold `_ternary_product`.
+    `structure`, when set, declares how they were built; `spectra.eig_sym`
+    proposes the eigenpairs from it and its residual check, which reads
+    every entry, rejects a false declaration.
     """
 
     family: str
@@ -94,7 +125,7 @@ class GraphMatrix:
     n: int
     ordering: str
     entries: np.ndarray
-    factor: np.ndarray | None = None
+    structure: Structure | None = None
 
     @property
     def N(self) -> int:
@@ -117,13 +148,27 @@ class GraphMatrix:
                 raise ValueError("laplacian must have zero row sums")
         else:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
-        f = self.factor
-        if f is not None:  # O(1) facts only; eig_sym's residual check finds a false one
-            symmetric3 = f.shape == (3, 3) and asymmetry(f) <= STRUCTURE_TOL
-            if not (symmetric3 and self.n >= 2 and e.shape[0] == 3**self.n):
-                raise ValueError("factor must be a symmetric 3x3 of a 3^n matrix, n >= 2")
-            f.setflags(write=False)
+        if self.structure is not None:
+            self._check_structure()
         e.setflags(write=False)
+
+    def _check_structure(self):
+        """O(1) facts only: eig_sym's residual check finds a false declaration."""
+        kind, data, N = self.structure.kind, self.structure.data, self.N
+        if kind == KRONECKER:
+            if not (np.shape(data) == (3, 3) and asymmetry(data) <= STRUCTURE_TOL
+                    and self.n >= 2 and N == 3**self.n):
+                raise ValueError("factor must be a symmetric 3x3 of a 3^n matrix, n >= 2")
+        elif kind == WALSH:
+            if data is not None or N != 2**self.n:
+                raise ValueError("a Walsh structure declares no data, on 2^n vertices")
+        elif kind == LOW_RANK:
+            if np.shape(data) != (N, self.n):
+                raise ValueError("low-rank address bits must be an N x n array")
+        else:
+            raise ValueError(f"unknown structure kind {kind!r}")
+        if data is not None:
+            data.setflags(write=False)
 
 
 _PATH3_ADJ = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -188,11 +233,11 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
     `ordering` is a scheme tag for the family's vertex base or, for the
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  OLN negates the matrix and applies only to
-    Laplacians.  A factor row in the ternary ordering with n >= 2 declares
-    its factor, signed like the entries.  An unknown family or sign, n
-    below the family's smallest, or dense entries over `MAX_DENSE_BYTES`
-    (n > 13 for 2^n, n > 8 for 3^n) raise ValueError before any ordering
-    or array is built.
+    Laplacians.  The matrix declares its `Structure` (see the module
+    docstring); a Kronecker factor is signed like the entries.  An
+    unknown family or sign, n below the family's smallest, or dense
+    entries over `MAX_DENSE_BYTES` (n > 13 for 2^n, n > 8 for 3^n) raise
+    ValueError before any ordering or array is built.
     """
     row = FAMILIES.get(family)
     if row is None:
@@ -211,25 +256,31 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
     if ordering is None:
         ordering = default
     perm = np.array(vertex_ordering(n, ordering))
-    factor = None
+    identity = np.array_equal(perm, np.arange(perm.size))
+    structure = None
     if row.factor is not None:
         entries = _ternary_product(row.factor, n)
-        if not np.array_equal(perm, np.arange(perm.size)):
+        if not identity:
             entries = entries[np.ix_(perm, perm)]
         elif n >= 2:
-            factor = row.factor
+            structure = Structure(KRONECKER, row.factor)
     else:
         addresses = perm
         if row.base == 3:  # address bit k: coordinate k = digit k - 1 is nonzero
-            addresses = sum((perm // 3**k % 3 != 1) << k for k in range(n))
+            bits = np.stack([perm // 3**k % 3 != 1 for k in range(n)], axis=1)
+            addresses = bits @ (1 << np.arange(n))
+            structure = Structure(LOW_RANK, bits.astype(float))
+        elif identity:
+            structure = Structure(WALSH)
         addresses = addresses.astype(np.uint16)
         distance = np.bitwise_count(np.bitwise_xor.outer(addresses, addresses))
         entries = np.asarray(row.profile(np.arange(n + 1), n), dtype=float)[distance]
     if sign == OLN:  # negate what was built, not g or row.factor: every 0 becomes -0.0
         np.negative(entries, out=entries)
-        factor = None if factor is None else -factor
+        if structure is not None and structure.kind == KRONECKER:
+            structure = Structure(KRONECKER, -structure.data)
     ordering_tag = ordering if isinstance(ordering, str) else "custom"
-    return GraphMatrix(family, row.kind, n, ordering_tag, entries, factor)
+    return GraphMatrix(family, row.kind, n, ordering_tag, entries, structure)
 
 
 def ncube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:

@@ -1,35 +1,46 @@
 """Symmetric eigensolving, multiplicity clustering, and spectrum checks.
 
-Eigendecomposition is LAPACK's eigh (deterministic per platform), through
-`eig_sym` except in `ramanujan_check` (values only) and `verify`'s reference
-spectra.  `symmetric_entries` is the one symmetry gate for raw arrays; a
-`GraphMatrix` was tested when built.  `eig_sym` has three routes:
+`eig_sym` is the one full eigendecomposition; only `verify`'s reference
+spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
+the one symmetry gate for raw arrays; a `GraphMatrix` was tested when
+built.  `eig_sym` has five routes, chosen by the `structure` that
+`cubegraphs.build` declared:
 
-- a `GraphMatrix` whose Kronecker factor `cubegraphs.build` declared
-  (powcube and powtri in the natural ternary ordering, n >= 2) is solved
-  from one eigh of that 3x3 factor: the values are the n-fold sums of its
+- KRONECKER (powcube and powtri in the natural ternary ordering, n >= 2):
+  one eigh of the 3x3 factor; the values are the n-fold sums of its
   eigenvalues, the vectors the n-fold Kronecker products of its
-  eigenvectors.  The check applies M to the 3x3 eigenvector matrix and to
-  its (n - 1)-fold Kronecker power apart, so it generates no eigenvector,
-  and the N x N matrix of them is built on the first read of
-  `Spectrum.vectors` only;
-- a bisymmetric input (unchanged by reversing both index orders, as
-  every family is in its default ordering) is split by the exact
+  eigenvectors.  The check applies M to the 3x3 eigenvector matrix and
+  to its (n - 1)-fold Kronecker power apart, so it generates no
+  eigenvector;
+- WALSH (ncube, hamming, tricube and regtricube in the binary ordering):
+  the values are the fast Walsh-Hadamard transform of row 0 and the
+  vectors the Sylvester Hadamard columns, with no LAPACK call.  The check
+  transforms M block by block in O(N^2 n), and asserts the paper's
+  statement that the value of k depends on popcount(k) only;
+- LOW_RANK (powhamming, any ordering): one eigh of the (n + 1)-order
+  projection of M onto the span of the ones vector and the address bits,
+  every other value 0.  The range pairs are checked directly, and the
+  kernel pairs by the norm of M minus its projection;
+- any other bisymmetric input (unchanged by reversing both index orders,
+  as every family is in its default ordering) is split by the exact
   orthogonal centrosymmetric reduction into two half-size blocks, each
   solved by its own eigh;
-- any other input takes one eigh of the full matrix.
+- anything else takes one eigh of the full matrix.
 
-Whatever the route, every returned pair is residual-checked against every
-entry of the full matrix, and a non-finite eigenvalue or residual fails
-the check.  When N is a multiple of 81 and at least 729, M is read as
-81 x 81 tiles: all-zero tiles are skipped, the tiles that are exactly c I
-(c != 0; 108 of the 135 nonzero tiles of powcube and powtri at n = 7)
-enter through one matmul of their count x count scale matrix, and each
-run of other nonzero tiles through one GEMM (on the factor route, one
-per digit of Q with inner dimension 27).  Any other N takes one plain
-GEMM.  Clustering groups eigenvalues whose spread stays within an
-absolute tolerance (default 1e-6; the spectra handled here have true gaps
-of at least sqrt(2) - 1).
+On the three declared routes the N x N matrix of eigenvectors is built on
+the first read of `Spectrum.vectors` only.  Whatever the route, every
+returned pair is residual-checked against every entry of the full
+matrix, and a non-finite eigenvalue or residual fails the check, so a
+false declaration raises `ResidualError`.  On the two undeclared routes,
+when N is a multiple of 81 and at least 729, M is read as 81 x 81 tiles:
+all-zero tiles are skipped, the tiles that are exactly c I (c != 0; 108 of
+the 135 nonzero tiles of powcube and powtri at n = 7) enter through one
+matmul of their count x count scale matrix, and each run of other nonzero
+tiles through one GEMM (on the Kronecker route, one per digit of Q with
+inner dimension 27).  Any other N takes one plain GEMM.  Clustering
+groups eigenvalues whose spread stays within an absolute tolerance
+(default 1e-6; the spectra handled here have true gaps of at least
+sqrt(2) - 1).
 """
 
 import functools
@@ -39,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubegraphs import STRUCTURE_TOL, GraphMatrix, asymmetry
+from .cubegraphs import KRONECKER, LOW_RANK, STRUCTURE_TOL, WALSH, GraphMatrix, asymmetry
 
 CLUSTER_TOL = 1e-6
 # ||Mv - lambda v|| <= RESIDUAL_TOL * max(|lambda|_max, 1) for every pair
@@ -53,6 +64,9 @@ KERNEL_TOL = 1e-9
 _RESIDUAL_TILE = 81
 _MIN_TILES = 9
 _COLUMN_TILES = 3
+# columns per block of the Walsh check, and rows per block of the low-rank
+# kernel bound and of the Walsh vectors
+_BLOCK = 64
 
 
 class ResidualError(RuntimeError):
@@ -65,7 +79,7 @@ class Spectrum:
 
     `vectors` holds the matching unit eigenvectors as columns, or None.  It
     is read from `basis`: the array itself, or a function that builds it,
-    which `eig_sym`'s factor route passes so that a caller that reads the
+    which `eig_sym`'s declared routes pass so that a caller that reads the
     values only never forms the N x N matrix.  The function is called on
     the first read of `vectors`, and later reads return the same array.
     """
@@ -151,27 +165,38 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
 
     Raises ValueError, before solving anything, when `tol` is not a finite
     number > 0 or a raw array is not square, 2-d and symmetric, and
-    ResidualError when a pair fails the residual check.  A GraphMatrix
-    with a `factor` is solved from one eigh of it (`_kron_basis`);
-    otherwise a centrosymmetric input (N > 1, within 1e-10 absolute) from
-    the two half-size blocks of `centro_block_diagonalize`; anything else
-    by one eigh of the full matrix.  Whatever the route,
+    ResidualError when a pair fails the residual check.  The route (see
+    the module docstring) follows a GraphMatrix's `structure`: KRONECKER
+    solves one 3x3 eigh (`_kron_basis`), WALSH none (`_walsh_eig`),
+    LOW_RANK one of order n + 1 (`_low_rank_eig`).  Undeclared input is
+    solved, when centrosymmetric (N > 1, within 1e-10 absolute), from the
+    two half-size blocks of `centro_block_diagonalize`, and otherwise by
+    one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
-    pair on every entry of the input before returning (skipping only
-    all-zero tiles, see `_tile_census`), so a non-finite eigenvalue or
-    residual, or a factor that does not match the entries, raises
-    ResidualError.  The factor route checks its eigenvectors in factored
-    form (`_kron_residual_norms`), with M applied to Q and to W apart, and
-    builds the sorted N x N matrix (`_kron_vectors`) on the first read of
-    `Spectrum.vectors` only.
+    pair on every entry of the input before returning (the tiled walks
+    skip only all-zero tiles, see `_tile_census`), so a non-finite
+    eigenvalue or residual, or a structure that does not match the
+    entries, raises ResidualError.  The WALSH route also raises it when
+    two values of one popcount class differ by more than that bound.  The
+    declared routes build the sorted N x N eigenvector matrix on the
+    first read of `Spectrum.vectors` only.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
     entries = symmetric_entries(M)
-    if isinstance(M, GraphMatrix) and M.factor is not None:
-        natural, Q, W, order = _kron_basis(M.factor, M.n)
+    structure = M.structure if isinstance(M, GraphMatrix) else None
+    kind = None if structure is None else structure.kind
+    deviation = 0.0
+    if kind == KRONECKER:
+        natural, Q, W, order = _kron_basis(structure.data, M.n)
         residual = _kron_residual_norms(entries, natural, Q, W)
         values, vectors = natural[order], functools.partial(_kron_vectors, Q, W, order)
+    elif kind == WALSH:
+        natural, residual, deviation = _walsh_eig(entries)
+        order = np.argsort(natural, kind="stable")
+        values, vectors = natural[order], functools.partial(_walsh_vectors, order)
+    elif kind == LOW_RANK:
+        values, vectors, residual = _low_rank_eig(entries, structure.data)
     else:
         if entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
             values, vectors = _centro_eigh(entries)
@@ -185,7 +210,128 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
             f"eigenpair residual {residual:.3e} at scale {spec.scale:.3e}: "
             "not finite or exceeds tolerance"
         )
+    if not deviation <= tol * spec.scale:
+        raise ResidualError(
+            f"Walsh values differ by {deviation:.3e} within one popcount class "
+            f"at scale {spec.scale:.3e}"
+        )
     return spec
+
+
+def _fwht(x: np.ndarray) -> np.ndarray:
+    """x, a C-contiguous array whose axis 0 has length 2^n, overwritten with
+    H x and returned, where H[k, j] = (-1)^popcount(k & j) is the Sylvester
+    Hadamard matrix (the unnormalised fast Walsh-Hadamard transform).
+
+    Each of the n butterfly levels maps a pair (a, b) to (a + b, a - b),
+    the latter as (a + b) - 2 b, in place.
+    """
+    N, h = x.shape[0], 1
+    while h < N:
+        pairs = x.reshape(N // (2 * h), 2, h, -1)
+        a, b = pairs[:, 0], pairs[:, 1]
+        a += b
+        b *= -2.0
+        b += a
+        h *= 2
+    return x
+
+
+def _sylvester(N: int) -> np.ndarray:
+    """The N x N Sylvester Hadamard matrix, H[k, j] = (-1)^popcount(k & j)."""
+    k = np.arange(N)
+    return 1.0 - 2.0 * (np.bitwise_count(k[:, None] & k) & 1)
+
+
+def _walsh_eig(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Walsh values lambda_k, in natural order, ||M h_k - lambda_k h_k||
+    for every k (h_k = H[:, k] / sqrt(N)), computed on every entry of M,
+    and the largest |lambda_k - lambda_j| with popcount(k) = popcount(j).
+
+    M is symmetric, so (M h_k)^T is row k of H M / sqrt(N), and lambda is
+    its column 0, the transform of M's row 0.  H = H_hi (x) H_w, with w =
+    min(N, `_BLOCK`), so each block of w columns of M is transformed
+    by one batched GEMM with H_w and then `_fwht` over the high index;
+    lambda_k H[k, cols] is subtracted from its row k (H[:, cols] is one
+    sign per high index times H_w) and the squares of each row are summed
+    over the blocks.  Each lambda_k is compared with the value of
+    2^popcount(k) - 1, the first index of its popcount.
+    """
+    N = entries.shape[0]
+    width = min(N, _BLOCK)
+    count = N // width
+    low = _sylvester(width)
+    high = _sylvester(count)
+    block, term = np.empty((count, width, width)), np.empty((count, width, width))
+    squares = np.zeros(N)
+    for q in range(count):
+        np.matmul(low, entries[:, q * width : (q + 1) * width].reshape(count, width, width),
+                  out=block)
+        _fwht(block)
+        if q == 0:
+            natural = block[:, :, 0].flatten()
+            lam = natural.reshape(count, width)
+        np.multiply((lam * high[:, q : q + 1])[:, :, None], low, out=term)
+        block -= term
+        squares += np.einsum("ij,ij->i", block.reshape(N, width), block.reshape(N, width))
+    weight = np.bitwise_count(np.arange(N)).astype(np.intp)  # a uint8 would wrap 1 << weight
+    deviation = float(np.abs(natural - natural[(1 << weight) - 1]).max())
+    return natural, np.sqrt(squares / N), deviation
+
+
+def _walsh_vectors(order: np.ndarray) -> np.ndarray:
+    """The columns H[:, order] / sqrt(N) as one C-order N x N array, filled
+    one block of `_BLOCK` rows at a time."""
+    N = order.size
+    scale = 1.0 / math.sqrt(N)
+    vectors = np.empty((N, N))
+    for start in range(0, N, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, N))
+        odd = np.bitwise_count(rows[:, None] & order) & 1
+        vectors[rows] = np.where(odd, -scale, scale)
+    return vectors
+
+
+def _low_rank_eig(entries: np.ndarray, bits: np.ndarray):
+    """Values, lazy vectors and residuals of a matrix whose columns lie in
+    the span of X = [1 | bits], from one eigh of order n + 1.
+
+    With Q_X the orthonormal factor of X's QR, S = Q_X^T (M Q_X) is one
+    N^2 (n + 1) GEMM over every entry, and its eigenpairs (theta, u) give
+    the range pairs (theta, Q_X u), each checked as ||M Q_X u - theta
+    Q_X u||.  Every other value is exactly 0, on the complement of Q_X's
+    range.  For a unit v there, M v = (M - Q_X S Q_X^T) v, so
+    ||M - Q_X S Q_X^T||_F, summed over blocks of `_BLOCK` rows,
+    bounds the residual of every kernel pair; it stands for each of them.
+    The vectors (`_low_rank_vectors`) are built on first read.
+    """
+    N = entries.shape[0]
+    X = np.column_stack([np.ones(N), bits])
+    Q = np.linalg.qr(X)[0]
+    MQ = entries @ Q
+    S = Q.T @ MQ
+    theta, U = np.linalg.eigh(S)
+    QU = Q @ U
+    range_residual = np.linalg.norm(MQ @ U - QU * theta, axis=0)
+    SQt = S @ Q.T
+    squares = 0.0
+    for start in range(0, N, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        off = entries[rows] - Q[rows] @ SQt
+        squares += float(np.einsum("ij,ij->", off, off))
+    rank = theta.size
+    natural = np.concatenate([theta, np.zeros(N - rank)])
+    residual = np.concatenate([range_residual, np.full(N - rank, math.sqrt(squares))])
+    order = np.argsort(natural, kind="stable")
+    return natural[order], functools.partial(_low_rank_vectors, X, QU, order), residual
+
+
+def _low_rank_vectors(X: np.ndarray, QU: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The checked range vectors QU beside the complement of X's range from
+    its complete QR, in `order`, as one N x N array."""
+    complete = np.linalg.qr(X, mode="complete")[0]
+    complete[:, : QU.shape[1]] = QU
+    return complete[:, order]
 
 
 def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -472,7 +618,7 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     of antisymmetric eigenvectors (Jx = -x), the plus block the symmetric
     ones.  Both blocks and the largest entry of the off-diagonal blocks of
     K M K^T are read from slices of M in O(N^2); K is never formed.
-    `eig_sym` solves bisymmetric inputs that declare no Kronecker factor
+    `eig_sym` solves bisymmetric inputs that declare no structure
     through these same blocks.
     """
     entries = symmetric_entries(M)
@@ -500,10 +646,9 @@ def ramanujan_check(adj, degree: int | None = None) -> RamanujanResult:
     the Ramanujan bound 2*sqrt(degree - 1), allowing 1e-9 above it.
 
     Every eigenvalue of magnitude equal to the degree is trivial (this
-    covers -degree on bipartite graphs).  A centrosymmetric adjacency
-    (within 1e-10, as in `eig_sym`) is solved as its two half-size blocks.
-    Values only, not via `eig_sym`, which made the default theorem3 claim
-    take 187 ms instead of 72 ms (median), about 15% of `run_verification()`.
+    covers -degree on bipartite graphs).  The values come from `eig_sym`,
+    so a declared structure takes its route (regtricube in the binary
+    ordering the Walsh one) and every pair is residual-checked.
     """
     entries = symmetric_entries(adj)
     degrees = entries.sum(axis=1)
@@ -511,10 +656,7 @@ def ramanujan_check(adj, degree: int | None = None) -> RamanujanResult:
         degree = int(round(degrees[0]))
     if np.abs(degrees - degree).max() > 1e-9:
         raise ValueError("graph is not regular of the stated degree")
-    if entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
-        values = np.concatenate([np.linalg.eigvalsh(b) for b in _centro_blocks(entries)])
-    else:
-        values = np.linalg.eigvalsh(entries)
+    values = eig_sym(adj).values
     nontrivial = np.abs(values)[np.abs(np.abs(values) - degree) > 1e-6]
     max_nontrivial = float(nontrivial.max()) if nontrivial.size else 0.0
     bound = 2.0 * math.sqrt(degree - 1)

@@ -176,10 +176,14 @@ def _check_theorem6(ns):
             counts.get(k, 0) > 0 for k in range(3 * n + 1) if k != 3 * n - 1
         )
         absent = counts is not None and counts.get(3 * n - 1, 0) == 0
-        ok = err <= 1e-8 and present and absent
+        # the multiplicities the paper names: row n of A038717
+        row = sequences.powtri_mult_row(n)
+        a038717 = counts == {k: m for k, m in enumerate(row) if m}
+        ok = err <= 1e-8 and present and absent and a038717
         yield _entry(
             "theorem6", n, ok, err,
-            "spectrum = sums over {0,1,3}^n; all integers 0..3n except 3n-1",
+            "spectrum = sums over {0,1,3}^n; all integers 0..3n except 3n-1; "
+            "multiplicities = A038717 row n",
         )
 
 

@@ -245,3 +245,16 @@ def test_plotdata_caf(tmp_path):
             main(["plotdata", "--what", what, "--out", str(out)])
         assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--n-range", "5..3"], "--report"),
+    (["activation", "--n", "3", "--p", "5..2"], "--out"),
+    (["plotdata", "--what", "extremes", "--n-range", "5..3"], "--out"),
+], ids=["verify", "activation", "plotdata"])
+def test_inverted_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main([*argv, flag, str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: range ") and "inverted" in err[0]
+    assert not out.exists()

@@ -9,6 +9,7 @@ from cubelab import cubegraphs
 from cubelab.bitspace import (
     BINARY_SCHEMES,
     TERNARY_SCHEMES,
+    binary_ordering,
     bits_of,
     enumerate_addresses,
     hamming,
@@ -18,8 +19,11 @@ from cubelab.bitspace import (
 from cubelab.cubegraphs import (
     DISTANCE,
     FAMILIES,
+    KRONECKER,
     LAPLACIAN,
+    LOW_RANK,
     OLN,
+    WALSH,
     GraphMatrix,
     _PATH3_ADJ,
     _PATH3_LAP,
@@ -231,11 +235,24 @@ def test_build_matches_oracles(data):
         # bytes, not values: the zeros of -L are -0.0 and must stay so
         built.append(build(family, n, ordering, OLN))
         assert built[1].entries.tobytes() == (-gm.entries).tobytes()
-    declared = row.factor is not None and ordering == "ternary" and n >= 2
+    if row.factor is not None:
+        declared = KRONECKER if ordering == "ternary" and n >= 2 else None
+    elif row.base == 3:
+        declared = LOW_RANK
+    else:
+        perm = binary_ordering(n, ordering) if isinstance(ordering, str) else ordering
+        declared = WALSH if list(perm) == list(range(2**n)) else None
     for m in built:
-        assert (m.factor is not None) == declared
-        if declared:
-            assert np.array_equal(kron_ternary_product(m.factor, n), m.entries)
+        assert (m.structure and m.structure.kind) == declared
+        if declared == KRONECKER:
+            assert np.array_equal(kron_ternary_product(m.structure.data, n), m.entries)
+        elif declared == WALSH:  # entry (i, j) is entry (0, 2^popcount(i ^ j) - 1)
+            i = np.arange(2**n)
+            weight = np.bitwise_count(i[:, None] ^ i).astype(int)
+            assert np.array_equal(m.entries, m.entries[0, (1 << weight) - 1])
+        elif declared == LOW_RANK:
+            addresses = [ternary_vertex(n, v).address for v in ternary_ordering(n, ordering)]
+            assert np.array_equal(m.structure.data, addresses)
 
 
 def _built_past_guard(*args):

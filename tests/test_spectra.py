@@ -8,10 +8,15 @@ import pytest
 from cubelab import cubegraphs, spectra
 from cubelab.cubegraphs import (
     ADJACENCY,
+    DISTANCE,
+    KRONECKER,
     LAPLACIAN,
+    LOW_RANK,
     OLN,
     OLP,
+    WALSH,
     GraphMatrix,
+    Structure,
     _PATH3_ADJ,
     _PATH3_LAP,
     _ternary_product,
@@ -174,7 +179,7 @@ def test_eig_sym_kron_sum_solves_the_3x3_factor(monkeypatch, make, sign, n):
 ])
 def test_kron_route_vectors_are_the_sorted_kronecker_power(monkeypatch, make, sign, n):
     M = make(n) if sign is None else make(n, "ternary", sign)
-    w, Q = np.linalg.eigh(M.factor)
+    w, Q = np.linalg.eigh(M.structure.data)
     values = functools.reduce(lambda v, _: np.add.outer(v, w).ravel(), range(n - 1), w)
     expected = functools.reduce(np.kron, [Q] * n)[:, np.argsort(values, kind="stable")]
     sizes = _record_sizes(monkeypatch, "eigh")
@@ -193,7 +198,7 @@ def test_eig_sym_kron_sum_of_random_factor(monkeypatch):
     F = X + X.T - np.diag((X + X.T).sum(axis=1))
     M = _ternary_product(F, 3)
     sizes = _record_sizes(monkeypatch, "eigh")
-    spec = eig_sym(GraphMatrix("random", LAPLACIAN, 3, "ternary", M, F))
+    spec = eig_sym(GraphMatrix("random", LAPLACIAN, 3, "ternary", M, Structure(KRONECKER, F)))
     assert sizes == [3]
     assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(27)).max() <= 1e-12
@@ -237,7 +242,7 @@ def test_kron_row_check_skips_the_full_accumulation(monkeypatch, make, ordering)
 def test_eig_sym_false_factor_fails_residual():
     A = pow_cube_adjacency(3).entries
     with pytest.raises(ResidualError):
-        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A, _PATH3_LAP))
+        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A, Structure(KRONECKER, _PATH3_LAP)))
 
 
 @pytest.mark.parametrize("entries,n,factor", [
@@ -249,7 +254,7 @@ def test_eig_sym_false_factor_fails_residual():
 ], ids=["2x2", "asymmetric", "N=4", "N!=3^n", "n=1"])
 def test_graph_matrix_rejects_malformed_factor(entries, n, factor):
     with pytest.raises(ValueError, match="factor"):
-        GraphMatrix("powcube", ADJACENCY, n, "ternary", entries, factor)
+        GraphMatrix("powcube", ADJACENCY, n, "ternary", entries, Structure(KRONECKER, factor))
 
 
 def test_graph_matrix_symmetry_is_not_retested(monkeypatch):
@@ -398,7 +403,7 @@ def test_kron_route_non_finite_tile_fails_residual(case):
     entries = pow_tricube_laplacian(6).entries.copy()
     # the GraphMatrix checks reject NaN and inf, so the entries change after
     # they ran
-    M = GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries.view(), _PATH3_LAP)
+    M = GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries.view(), Structure(KRONECKER, _PATH3_LAP))
     r, s = _minus_identity_tile(entries)
     if case == "nan-in-scaled-tile":
         entries[r + 7, s + 7] = entries[s + 7, r + 7] = np.nan
@@ -407,7 +412,7 @@ def test_kron_route_non_finite_tile_fails_residual(case):
     else:
         tile = np.diag(np.full(81, np.inf))
         entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
-    natural, Q, W, _ = spectra._kron_basis(M.factor, M.n)
+    natural, Q, W, _ = spectra._kron_basis(M.structure.data, M.n)
     with np.errstate(all="ignore"):
         assert not np.isfinite(spectra._kron_residual_norms(M.entries, natural, Q, W)).all()
         with pytest.raises(ResidualError):
@@ -418,7 +423,7 @@ def test_kron_route_non_finite_tile_fails_residual(case):
 def test_kron_route_below_729_takes_one_plain_gemm(monkeypatch, n):
     # the factored walk is slower than one GEMM on kron(W, Q) below 9 tiles
     M = pow_cube_adjacency(n)
-    _, Q, W, _ = spectra._kron_basis(M.factor, n)
+    _, Q, W, _ = spectra._kron_basis(M.structure.data, n)
     calls = []
     residual_norms = spectra._residual_norms
 
@@ -450,7 +455,7 @@ def _nudged_powtri(n, pair):
     M[j, i] += 1e-6
     M[i, i] -= 1e-6
     M[j, j] -= 1e-6
-    return GraphMatrix("powtri", LAPLACIAN, n, "ternary", M, _PATH3_LAP)
+    return GraphMatrix("powtri", LAPLACIAN, n, "ternary", M, Structure(KRONECKER, _PATH3_LAP))
 
 
 @pytest.mark.parametrize("n,pair", [
@@ -490,8 +495,9 @@ def test_kron_eigh_peak_allocation():
 
 
 def test_kron_route_values_only_never_form_the_vectors():
-    # the check walks blocks of columns; the 8 N^2 bytes of the sorted
-    # eigenvector matrix are spent only when Spectrum.vectors is read
+    # the factored check applies M to Q and to W apart and forms no
+    # eigenvector column; the 8 N^2 bytes of the sorted eigenvector matrix
+    # are spent only when Spectrum.vectors is read
     M = pow_cube_adjacency(7)
     tracemalloc.start()
     try:
@@ -504,18 +510,159 @@ def test_kron_route_values_only_never_form_the_vectors():
     assert peak < 0.5 * 8 * M.N**2
 
 
+@pytest.mark.parametrize("make,kind", [
+    (lambda: tricube_laplacian(5), WALSH),
+    (lambda: tricube_laplacian(5, "binary", OLN), WALSH),
+    (lambda: regular_tricube_adjacency(6), WALSH),
+    (lambda: hamming_distance_matrix(1), WALSH),
+    (lambda: pow_hamming_matrix(1), LOW_RANK),
+    (lambda: pow_hamming_matrix(4), LOW_RANK),
+    (lambda: pow_hamming_matrix(4, "ternary-gray"), LOW_RANK),
+], ids=["tricube-5", "tricube-5-oln", "regtricube-6", "hamming-1", "powhamming-1",
+        "powhamming-4", "powhamming-4-gray"])
+def test_structured_routes_return_checked_eigenpairs(monkeypatch, make, kind):
+    M = make()
+    assert M.structure.kind == kind
+    sizes = _record_sizes(monkeypatch, "eigh")
+    spec = eig_sym(M)
+    # the Walsh route solves nothing; the low-rank route one (n + 1)-order eigh
+    assert sizes == ([] if kind == WALSH else [M.n + 1])
+    assert np.array_equal(spec.values, np.sort(spec.values))
+    V = spec.vectors
+    assert spec.vectors is V
+    assert np.abs(M.entries @ V - V * spec.values).max() <= 1e-12 * spec.scale
+    assert np.abs(V.T @ V - np.eye(M.N)).max() <= 1e-12
+
+
+def test_walsh_vectors_are_the_sorted_sylvester_columns():
+    M = regular_tricube_adjacency(5)
+    spec = eig_sym(M)
+    k = np.arange(M.N)
+    H = (-1.0) ** np.bitwise_count(k[:, None] & k)
+    order = np.argsort(H @ M.entries[0], kind="stable")
+    assert np.array_equal(spec.vectors, H[:, order] / math.sqrt(M.N))
+
+
+def _nudged(M, i, j, delta):
+    """M's entries with the symmetric pair (i, j) raised by delta and, for a
+    Laplacian, its two diagonal entries lowered by delta (row sums stay
+    zero), declaring M's unchanged structure."""
+    E = M.entries.copy()
+    E[i, j] += delta
+    E[j, i] += delta
+    if M.kind == LAPLACIAN:
+        E[i, i] -= delta
+        E[j, j] -= delta
+    return GraphMatrix(M.family, M.kind, M.n, M.ordering, E, M.structure)
+
+
+@pytest.mark.parametrize("make,i,j,delta", [
+    # 2 sqrt(2) delta / sqrt(N) against tol * scale = 1.6e-7
+    (lambda: tricube_laplacian(8), 0, 3, 1e-5),
+    (lambda: tricube_laplacian(8), 17, 200, 1e-5),
+    # sqrt(2) delta against tol * scale, about 2e-5
+    (lambda: pow_hamming_matrix(6), 0, 1, 1e-3),
+    (lambda: pow_hamming_matrix(6, "ternary-gray"), 100, 500, 1e-3),
+], ids=["walsh-row-0", "walsh-inner", "low-rank", "low-rank-gray"])
+def test_structured_route_residual_finds_entries_off_the_structure(make, i, j, delta):
+    M = make()
+    eig_sym(M)
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(_nudged(M, i, j, delta))
+
+
+def test_false_structure_fails_residual():
+    # a shuffled cube is not a function of i ^ j
+    P = ncube_adjacency(4, _seeded_permutation(4))
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "binary", P.entries, Structure(WALSH)))
+    # the Gray map is linear over Z_2, so the gray cube is a function of
+    # i ^ j, but not of popcount(i ^ j)
+    G = ncube_adjacency(4, "gray")
+    with pytest.raises(ResidualError, match="popcount"):
+        eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "binary", G.entries, Structure(WALSH)))
+    # powcube's adjacency at n = 3 has rank 20, far past the n + 1 = 4 of the bits
+    A, bits = pow_cube_adjacency(3), pow_hamming_matrix(3).structure.data
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A.entries,
+                            Structure(LOW_RANK, bits)))
+
+
+def test_walsh_values_must_depend_on_popcount_only():
+    # a Cayley graph of Z_2^3 joined along bit 0 only: exactly a function of
+    # i ^ j, so every residual is 0, but lambda_k = (-1)^(k & 1)
+    k = np.arange(8)
+    A = ((k[:, None] ^ k) == 1).astype(float)
+    M = GraphMatrix("ncube", ADJACENCY, 3, "binary", A, Structure(WALSH))
+    with pytest.raises(ResidualError, match="popcount"):
+        eig_sym(M)
+
+
+@pytest.mark.parametrize("entries,n,structure", [
+    (ncube_adjacency(2).entries, 3, Structure(WALSH)),
+    (ncube_adjacency(2).entries, 2, Structure(WALSH, np.zeros((4, 2)))),
+    (pow_hamming_matrix(2).entries, 2, Structure(LOW_RANK, np.zeros((9, 3)))),
+    (pow_hamming_matrix(2).entries, 2, Structure(LOW_RANK)),
+    (pow_hamming_matrix(2).entries, 2, Structure("fourier")),
+], ids=["walsh-N!=2^n", "walsh-with-data", "low-rank-shape", "low-rank-no-bits", "unknown"])
+def test_graph_matrix_rejects_malformed_structure(entries, n, structure):
+    with pytest.raises(ValueError, match="structure|Walsh|low-rank"):
+        GraphMatrix("hamming", DISTANCE, n, "binary", entries, structure)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hamming_distance_matrix(10), lambda: pow_hamming_matrix(7),
+], ids=["walsh-hamming-1024", "low-rank-powhamming-2187"])
+def test_structured_routes_values_only_never_form_the_vectors(make):
+    M = make()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spec = eig_sym(M)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(spec.values) == M.N
+    assert peak < 0.5 * 8 * M.N**2
+
+
+@pytest.mark.parametrize("make,n", [(hamming_distance_matrix, 12), (pow_hamming_matrix, 7)])
+def test_structured_reach_takes_no_large_eigh(monkeypatch, make, n):
+    M = make(n)
+    recorded = [_record_sizes(monkeypatch, name) for name in ("eigh", "eigvalsh")]
+    spec = eig_sym(M)
+    assert all(size <= n + 1 for sizes in recorded for size in sizes)
+    # the distance matrices' spectra: Hamming n 2^(n-1), -2^(n-1) n times
+    # and 0; powhamming two closed-form extremes, -4 3^(n-2) n - 1 times
+    # and 0
+    if make is hamming_distance_matrix:
+        expected = np.concatenate(
+            [[-(2.0 ** (n - 1))] * n, np.zeros(M.N - n - 1), [n * 2.0 ** (n - 1)]]
+        )
+        assert np.array_equal(spec.values, expected)
+    else:
+        s = math.sqrt(2 * (2 * n + 1) * (n + 2))
+        lo, hi = (2 * (n - 1) - s) * 3 ** (n - 2), (2 * (n - 1) + s) * 3 ** (n - 2)
+        expected = np.concatenate(
+            [[lo], [-4.0 * 3 ** (n - 2)] * (n - 1), np.zeros(M.N - n - 1), [hi]]
+        )
+        assert np.abs(spec.values - expected).max() <= 1e-9 * spec.scale
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ramanujan_split_matches_single_eigvalsh(monkeypatch, n):
     A = regular_tricube_adjacency(n)
     values = np.abs(np.linalg.eigvalsh(A.entries))
     dense = values[np.abs(values - n * (n + 1) // 2) > 1e-6].max()
     sizes = _record_sizes(monkeypatch, "eigvalsh")
+    eigh_sizes = _record_sizes(monkeypatch, "eigh")
     split = ramanujan_check(A)
-    assert sizes == [2 ** (n - 1)] * 2
+    # the binary ordering takes eig_sym's Walsh route, with no LAPACK solve
+    assert sizes == eigh_sizes == []
     assert split.max_nontrivial == pytest.approx(dense, abs=1e-9)
     if n >= 3:  # at n = 2 the graph is K4, bisymmetric under every ordering
         single = ramanujan_check(regular_tricube_adjacency(n, _seeded_permutation(n)))
-        assert sizes[2:] == [2**n]
+        assert sizes == [] and eigh_sizes == [2**n]
         assert single.max_nontrivial == pytest.approx(split.max_nontrivial, abs=1e-9)
         assert single.is_ramanujan == split.is_ramanujan
 
