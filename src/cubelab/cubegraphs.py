@@ -31,8 +31,9 @@ one of two rules:
   ordering, n >= 2;
 - WALSH: the base-2 profile rows (ncube, hamming, tricube, regtricube) in
   the binary ordering, where entry (i, j) is g_n(popcount(i ^ j));
-- LOW_RANK, the N x n address bits A: powhamming in any ordering, whose
-  distances s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at most n + 1.
+- LOW_RANK, the N x n address bits A: powhamming in any ordering with
+  n >= 3, whose distances s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at
+  most n + 1.
 
 Every other matrix declares none.  `build` refuses a matrix whose dense
 float64 entries would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
@@ -269,7 +270,9 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
         if row.base == 3:  # address bit k: coordinate k = digit k - 1 is nonzero
             bits = np.stack([perm // 3**k % 3 != 1 for k in range(n)], axis=1)
             addresses = bits @ (1 << np.arange(n))
-            structure = Structure(LOW_RANK, bits.astype(float))
+            # below 27 vertices the projection costs more than the dense split
+            if n >= 3:
+                structure = Structure(LOW_RANK, bits.astype(float))
         elif identity:
             structure = Structure(WALSH)
         addresses = addresses.astype(np.uint16)

@@ -17,9 +17,9 @@ built.  `eig_sym` has five routes, chosen by the `structure` that
   vectors the Sylvester Hadamard columns, with no LAPACK call.  The check
   transforms M block by block in O(N^2 n), and asserts the paper's
   statement that the value of k depends on popcount(k) only;
-- LOW_RANK (powhamming, any ordering): one eigh of the (n + 1)-order
-  projection of M onto the span of the ones vector and the address bits,
-  every other value 0.  The range pairs are checked directly, and the
+- LOW_RANK (powhamming, any ordering, n >= 3): one eigh of the
+  (n + 1)-order projection of M onto the span of the ones vector and the
+  address bits, every other value 0.  The range pairs are checked directly, and the
   kernel pairs by the norm of M minus its projection;
 - any other bisymmetric input (unchanged by reversing both index orders,
   as every family is in its default ordering) is split by the exact
@@ -204,16 +204,16 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
             values, vectors = np.linalg.eigh(entries)
         residual = _residual_norms(entries, values, vectors)
     spec = Spectrum(values=values, clusters=cluster_eigenvalues(values), basis=vectors)
-    residual = float(residual.max())
-    if not (math.isfinite(spec.scale) and residual <= tol * spec.scale):
+    residual, scale = float(residual.max()), spec.scale
+    if not (math.isfinite(scale) and residual <= tol * scale):
         raise ResidualError(
-            f"eigenpair residual {residual:.3e} at scale {spec.scale:.3e}: "
+            f"eigenpair residual {residual:.3e} at scale {scale:.3e}: "
             "not finite or exceeds tolerance"
         )
-    if not deviation <= tol * spec.scale:
+    if not deviation <= tol * scale:
         raise ResidualError(
             f"Walsh values differ by {deviation:.3e} within one popcount class "
-            f"at scale {spec.scale:.3e}"
+            f"at scale {scale:.3e}"
         )
     return spec
 
@@ -306,13 +306,14 @@ def _low_rank_eig(entries: np.ndarray, bits: np.ndarray):
     The vectors (`_low_rank_vectors`) are built on first read.
     """
     N = entries.shape[0]
-    X = np.column_stack([np.ones(N), bits])
+    X = np.concatenate([np.ones((N, 1)), bits], axis=1)
     Q = np.linalg.qr(X)[0]
     MQ = entries @ Q
     S = Q.T @ MQ
     theta, U = np.linalg.eigh(S)
     QU = Q @ U
-    range_residual = np.linalg.norm(MQ @ U - QU * theta, axis=0)
+    R = MQ @ U - QU * theta
+    range_residual = np.sqrt(np.einsum("ij,ij->j", R, R))
     SQt = S @ Q.T
     squares = 0.0
     for start in range(0, N, _BLOCK):

@@ -238,7 +238,7 @@ def test_build_matches_oracles(data):
     if row.factor is not None:
         declared = KRONECKER if ordering == "ternary" and n >= 2 else None
     elif row.base == 3:
-        declared = LOW_RANK
+        declared = LOW_RANK if n >= 3 else None
     else:
         perm = binary_ordering(n, ordering) if isinstance(ordering, str) else ordering
         declared = WALSH if list(perm) == list(range(2**n)) else None

@@ -515,10 +515,10 @@ def test_kron_route_values_only_never_form_the_vectors():
     (lambda: tricube_laplacian(5, "binary", OLN), WALSH),
     (lambda: regular_tricube_adjacency(6), WALSH),
     (lambda: hamming_distance_matrix(1), WALSH),
-    (lambda: pow_hamming_matrix(1), LOW_RANK),
+    (lambda: pow_hamming_matrix(3), LOW_RANK),
     (lambda: pow_hamming_matrix(4), LOW_RANK),
     (lambda: pow_hamming_matrix(4, "ternary-gray"), LOW_RANK),
-], ids=["tricube-5", "tricube-5-oln", "regtricube-6", "hamming-1", "powhamming-1",
+], ids=["tricube-5", "tricube-5-oln", "regtricube-6", "hamming-1", "powhamming-3",
         "powhamming-4", "powhamming-4-gray"])
 def test_structured_routes_return_checked_eigenpairs(monkeypatch, make, kind):
     M = make()
