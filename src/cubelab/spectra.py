@@ -19,8 +19,8 @@ built.  `eig_sym` has five routes, chosen by the `structure` that
   statement that the value of k depends on popcount(k) only;
 - LOW_RANK (powhamming, any ordering, n >= 3): one eigh of the
   (n + 1)-order projection of M onto the span of the ones vector and the
-  address bits, every other value 0.  The range pairs are checked directly, and the
-  kernel pairs by the norm of M minus its projection;
+  address bits, every other value 0.  The range pairs are checked
+  directly, and the kernel pairs by the norm of M minus its projection;
 - any other bisymmetric input (unchanged by reversing both index orders,
   as every family is in its default ordering) is split by the exact
   orthogonal centrosymmetric reduction into two half-size blocks, each

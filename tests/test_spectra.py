@@ -242,7 +242,8 @@ def test_kron_row_check_skips_the_full_accumulation(monkeypatch, make, ordering)
 def test_eig_sym_false_factor_fails_residual():
     A = pow_cube_adjacency(3).entries
     with pytest.raises(ResidualError):
-        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A, Structure(KRONECKER, _PATH3_LAP)))
+        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A,
+                            Structure(KRONECKER, _PATH3_LAP)))
 
 
 @pytest.mark.parametrize("entries,n,factor", [
@@ -403,7 +404,8 @@ def test_kron_route_non_finite_tile_fails_residual(case):
     entries = pow_tricube_laplacian(6).entries.copy()
     # the GraphMatrix checks reject NaN and inf, so the entries change after
     # they ran
-    M = GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries.view(), Structure(KRONECKER, _PATH3_LAP))
+    M = GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries.view(),
+                    Structure(KRONECKER, _PATH3_LAP))
     r, s = _minus_identity_tile(entries)
     if case == "nan-in-scaled-tile":
         entries[r + 7, s + 7] = entries[s + 7, r + 7] = np.nan
