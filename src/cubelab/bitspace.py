@@ -11,6 +11,8 @@ bit first, matching the usual numeral convention.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 BINARY = "binary"
 GRAY = "gray"
 TERNARY = "ternary"
@@ -108,12 +110,23 @@ def ternary_gray_digits(m: int, n: int) -> tuple[int, ...]:
 
 
 def ternary_ordering(n: int, scheme: str = TERNARY) -> list[int]:
-    """Permutation of [0, 3^n): base-3 vertex index at each position."""
+    """Permutation of [0, 3^n): base-3 vertex index at each position.
+
+    The ternary-Gray words are `ternary_gray_digits`'s, taken for every
+    position at once by digit arithmetic, most significant digit first.
+    """
     if scheme not in TERNARY_SCHEMES:
         raise ValueError(f"unsupported scheme {scheme!r} for a 3^n-vertex family")
     if scheme == TERNARY:
         return list(range(3**n))
-    return [ternary_index(ternary_gray_digits(m, n)) for m in range(3**n)]
+    position = np.arange(3**n)
+    index = np.zeros_like(position)
+    parity = np.zeros_like(position)  # sum of the more significant source digits
+    for k in range(n - 1, -1, -1):
+        digit = position // 3**k % 3
+        index += np.where(parity % 2, 2 - digit, digit) * 3**k
+        parity += digit
+    return index.tolist()
 
 
 def binary_ordering(n: int, scheme=BINARY) -> list[int]:

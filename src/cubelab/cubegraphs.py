@@ -40,12 +40,19 @@ float64 entries would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
 vertices fit) before it builds anything.  The seven named constructors
 are single `build` calls.  Matrices are dense, which suits desk scale
 (N <= 3^7); the structure pays off instead in `spectra.eig_sym`.
+
+`GraphMatrix` validates its entries when it is made.  An order that is a
+multiple of `TILE` = 81 and at least 729 (every 3^n family from n = 6) is
+first read once, whole, by `_tile_census`, which sorts the 81 x 81 tiles
+into zero, c I and general; symmetry and the kind's entry rule then follow
+from the tile classes and the general tiles, the only ones read again.
+The census stays with the matrix for `spectra.eig_sym`'s residual walks.
 """
 
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +97,96 @@ def asymmetry(entries: np.ndarray) -> float:
     return 0.0
 
 
+# side of the census tiles, 3^4, so that tiles line up with the digit blocks
+# of the 3^n families; orders of fewer than _MIN_TILES tiles are not tiled
+TILE = 81
+_MIN_TILES = 9
+
+
+@dataclass(frozen=True, eq=False)
+class TileCensus:
+    """A square matrix M read as a grid of `TILE`-square tiles.
+
+    Each tile is classified from its own entries as zero, c I with c != 0
+    (exactly one nonzero per row, on the diagonal, all equal, so a NaN
+    never qualifies) or general.
+
+    scales   H, the count x count matrix of the scales c (0 where a tile is
+             not c I)
+    general  the count x count mask of the general tiles
+    runs     per tile row, the [start, stop) columns of M of each run of
+             adjacent general tiles
+    """
+
+    scales: np.ndarray
+    general: np.ndarray
+    runs: list
+
+    def blocks(self, entries: np.ndarray):
+        """(rows, block) for each run of general tiles: the slice of M's
+        rows the run lies in, and the run's entries."""
+        for r, row_runs in enumerate(self.runs):
+            rows = slice(r * TILE, (r + 1) * TILE)
+            for start, stop in row_runs:
+                yield rows, entries[rows, start:stop]
+
+    def row_sums(self, entries: np.ndarray) -> np.ndarray:
+        """M's row sums: each tile row's sum of H, plus the row sums of its
+        general tiles."""
+        sums = np.repeat(self.scales.sum(axis=1), TILE)
+        for rows, block in self.blocks(entries):
+            sums[rows] += block.sum(axis=1)
+        return sums
+
+    def symmetric(self, entries: np.ndarray) -> bool:
+        """Whether the tiles prove M exactly symmetric: H and the general
+        mask are symmetric, and every general tile on or right of the
+        diagonal equals the transpose of its partner, so each pair is read
+        once.  False says only that this test did not prove it."""
+        if not (np.array_equal(self.scales, self.scales.T)
+                and np.array_equal(self.general, self.general.T)):
+            return False
+        for r, row_runs in enumerate(self.runs):
+            rows = slice(r * TILE, (r + 1) * TILE)
+            for start, stop in row_runs:
+                start = max(start, rows.start)
+                if start < stop and not np.array_equal(
+                    entries[rows, start:stop], entries[start:stop, rows].T
+                ):
+                    return False
+        return True
+
+
+def _tile_census(entries: np.ndarray) -> TileCensus | None:
+    """The `TileCensus` of a square matrix, or None for an order below
+    `_MIN_TILES` tiles or not a multiple of `TILE`.
+
+    This reads every entry once, one tile row at a time: nonzeros are
+    counted down the rows, then across each tile's columns (at most 81^2,
+    so uint16 does not wrap), and each tile's diagonal is compared with
+    its first entry.
+    """
+    N = entries.shape[0]
+    if N % TILE or N < _MIN_TILES * TILE:
+        return None
+    count = N // TILE
+    nonzeros = np.empty((count, count), dtype=np.uint16)
+    diagonals = np.empty((count, count, TILE))
+    for r in range(count):
+        rows = entries[r * TILE : (r + 1) * TILE]
+        counts = np.add.reduce(rows != 0, axis=0, dtype=np.uint16)
+        nonzeros[r] = counts.reshape(count, TILE).sum(axis=1)
+        diagonals[r] = np.diagonal(rows.reshape(TILE, count, TILE), axis1=0, axis2=2)
+    scales = diagonals[:, :, 0]
+    scaled = (nonzeros == TILE) & (scales != 0) & (diagonals == scales[:, :, None]).all(axis=2)
+    general = (nonzeros > 0) & ~scaled
+    runs = [
+        np.flatnonzero(np.diff(row, prepend=False, append=False)).reshape(-1, 2) * TILE
+        for row in general
+    ]
+    return TileCensus(np.where(scaled, scales, 0.0), general, runs)
+
+
 KRONECKER = "kronecker"
 WALSH = "walsh"
 LOW_RANK = "low-rank"
@@ -115,10 +212,18 @@ class Structure:
 class GraphMatrix:
     """Dense square matrix tagged with its graph family and construction.
 
-    Construction validates the entries once and makes them read-only.  A
-    `structure`, when set, declares how they were built; `spectra.eig_sym`
-    proposes the eigenpairs from it and its residual check, which reads
-    every entry, rejects a false declaration.
+    Construction validates the entries once and makes them read-only: they
+    must be symmetric (within `STRUCTURE_TOL`) and meet the kind's rule,
+    hollow 0/1 for ADJACENCY, hollow and nonnegative for DISTANCE, zero row
+    sums (within 1e-9) for LAPLACIAN.  An order `_tile_census` tiles is
+    validated from its census (see the module docstring).  The matrix keeps
+    that census, for `spectra.eig_sym`'s residual walks, when the entries
+    own their memory: making them read-only then freezes what the census
+    read, while the base of a view may still be written.  A `structure`,
+    when set, declares how they were built; `spectra.eig_sym` proposes the
+    eigenpairs from it and its residual check, which reads every entry
+    (through the census, all but the zero tiles), rejects a false
+    declaration.
     """
 
     family: str
@@ -127,6 +232,7 @@ class GraphMatrix:
     ordering: str
     entries: np.ndarray
     structure: Structure | None = None
+    _census: TileCensus | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -136,22 +242,30 @@ class GraphMatrix:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
-        if asymmetry(e) > STRUCTURE_TOL:
+        census = _tile_census(e)
+        # near-symmetric entries, or any the tiles do not prove symmetric,
+        # take the full |M - M^T|
+        if not (census is not None and census.symmetric(e)) and asymmetry(e) > STRUCTURE_TOL:
             raise ValueError("entries must be symmetric")
+        # every entry is 0, a scale c of H, or in a general tile
+        pieces = [e] if census is None else [census.scales, *(b for _, b in census.blocks(e))]
         if self.kind == ADJACENCY:
-            if not (np.all((e == 0) | (e == 1)) and np.all(np.diag(e) == 0)):
+            if not (all(np.all((p == 0) | (p == 1)) for p in pieces) and np.all(np.diag(e) == 0)):
                 raise ValueError("adjacency matrix must be hollow 0/1")
         elif self.kind == DISTANCE:
-            if np.any(np.diag(e) != 0) or np.any(e < 0):
+            if np.any(np.diag(e) != 0) or any(np.any(p < 0) for p in pieces):
                 raise ValueError("distance matrix must be hollow and nonnegative")
         elif self.kind == LAPLACIAN:
-            if np.abs(e.sum(axis=1)).max() > 1e-9:
+            sums = e.sum(axis=1) if census is None else census.row_sums(e)
+            if np.abs(sums).max() > 1e-9:
                 raise ValueError("laplacian must have zero row sums")
         else:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if self.structure is not None:
             self._check_structure()
         e.setflags(write=False)
+        if e.flags.owndata:
+            object.__setattr__(self, "_census", census)
 
     def _check_structure(self):
         """O(1) facts only: eig_sym's residual check finds a false declaration."""

@@ -55,7 +55,10 @@ def logistic(x: float, mu: float = 1.0) -> float:
 
 def caf_table(n: int, p_values=None, mu: float = 1.0, scale: float = 1.0):
     """Rows (r, p, numerator, denominator, value, logistic(r*scale, mu))
-    for every rank r and requested p."""
+    for every rank r and requested p; mu and scale must be finite."""
+    for name, value in (("mu", mu), ("scale", scale)):
+        if not math.isfinite(value):
+            raise ValueError(f"logistic {name} must be a finite number, got {value!r}")
     if p_values is None:
         p_values = range(1, 2**n + 1)
     rows = []

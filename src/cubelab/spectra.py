@@ -2,9 +2,10 @@
 
 `eig_sym` is the one full eigendecomposition; only `verify`'s reference
 spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
-the one symmetry gate for raw arrays; a `GraphMatrix` was tested when
-built.  `eig_sym` has five routes, chosen by the `structure` that
-`cubegraphs.build` declared:
+the one symmetry gate for raw arrays, which takes their tile census
+(`cubegraphs._tile_census`) first; a `GraphMatrix` was tested when built
+and keeps its census.  `eig_sym` has five routes, chosen by the
+`structure` that `cubegraphs.build` declared:
 
 - KRONECKER (powcube and powtri in the natural ternary ordering, n >= 2):
   one eigh of the 3x3 factor; the values are the n-fold sums of its
@@ -31,13 +32,15 @@ On the three declared routes the N x N matrix of eigenvectors is built on
 the first read of `Spectrum.vectors` only.  Whatever the route, every
 returned pair is residual-checked against every entry of the full
 matrix, and a non-finite eigenvalue or residual fails the check, so a
-false declaration raises `ResidualError`.  On the two undeclared routes,
-when N is a multiple of 81 and at least 729, M is read as 81 x 81 tiles:
-all-zero tiles are skipped, the tiles that are exactly c I (c != 0; 108 of
-the 135 nonzero tiles of powcube and powtri at n = 7) enter through one
-matmul of their count x count scale matrix, and each run of other nonzero
-tiles through one GEMM (on the Kronecker route, one per digit of Q with
-inner dimension 27).  Any other N takes one plain GEMM.  Clustering
+false declaration raises `ResidualError`.  On the Kronecker route and the
+two undeclared ones, when N is a multiple of 81 and at least 729, M is
+read through its census of 81 x 81 tiles, taken once, when the matrix was
+validated: all-zero tiles are skipped, the tiles that are exactly c I
+(c != 0; 108 of the 135 nonzero tiles of powcube and powtri at n = 7)
+enter as c times rows of the vectors (on the Kronecker route, through one
+matmul of their count x count scale matrix), and each run of other
+nonzero tiles through one GEMM (on the Kronecker route, one per digit of
+Q with inner dimension 27).  Any other N takes one plain GEMM.  Clustering
 groups eigenvalues whose spread stays within an absolute tolerance
 (default 1e-6; the spectra handled here have true gaps of at least
 sqrt(2) - 1).
@@ -50,20 +53,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubegraphs import KRONECKER, LOW_RANK, STRUCTURE_TOL, WALSH, GraphMatrix, asymmetry
+from .cubegraphs import (
+    KRONECKER, LOW_RANK, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, TileCensus, _tile_census,
+    asymmetry,
+)
 
 CLUSTER_TOL = 1e-6
 # ||Mv - lambda v|| <= RESIDUAL_TOL * max(|lambda|_max, 1) for every pair
 RESIDUAL_TOL = 1e-8
 KERNEL_TOL = 1e-9
 
-# residual tile side, 3^4, so that tiles line up with the digit blocks of the
-# 3^n families; orders of fewer than _MIN_TILES tiles take one plain GEMM, and
-# the walk of an eigenvector array over c I tiles takes _COLUMN_TILES tiles of
-# its columns at a time
-_RESIDUAL_TILE = 81
-_MIN_TILES = 9
-_COLUMN_TILES = 3
 # columns per block of the Walsh check, and rows per block of the low-rank
 # kernel bound and of the Walsh vectors
 _BLOCK = 64
@@ -136,27 +135,47 @@ class IdentityResult:
 def symmetric_entries(M) -> np.ndarray:
     """M's entries; a raw array must be square, 2-d and symmetric within
     STRUCTURE_TOL."""
+    return _checked(M)[0]
+
+
+def _checked(M) -> tuple[np.ndarray, TileCensus | None]:
+    """M's entries and their tile census: a GraphMatrix's own, or one taken
+    here from a raw array, which proves it symmetric when it can; an order
+    the census does not tile, or a near-symmetric array, takes
+    `asymmetry`."""
     if isinstance(M, GraphMatrix):
-        return M.entries
+        return M.entries, M._census
     entries = np.asarray(M, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("matrix must be a square 2-d array")
-    if asymmetry(entries) > STRUCTURE_TOL:
+    census = _tile_census(entries)
+    if not (census is not None and census.symmetric(entries)) and asymmetry(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not symmetric")
-    return entries
+    return entries, census
 
 
 def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
-    """Greedy ascending grouping; within a cluster max - min <= tol."""
+    """Greedy grouping of ascending values; within a cluster max - min <=
+    tol, and each cluster is (mean, size).
+
+    A value v opens a new cluster when v - first > tol for the first value
+    of the current one.  That difference rounds monotonically in v, so each
+    cluster's end is found by `searchsorted` at first + tol and then moved
+    to where the exact rule changes.
+    """
+    values = np.asarray(values, dtype=float)
+    floats = values.tolist()
     clusters = []
-    group: list[float] = []
-    for v in values:
-        if group and v - group[0] > tol:
-            clusters.append((float(np.mean(group)), len(group)))
-            group = []
-        group.append(float(v))
-    if group:
-        clusters.append((float(np.mean(group)), len(group)))
+    start, N = 0, len(floats)
+    while start < N:
+        first = floats[start]
+        stop = max(int(np.searchsorted(values, first + tol, side="right")), start + 1)
+        while stop < N and not floats[stop] - first > tol:
+            stop += 1
+        while stop > start + 1 and floats[stop - 1] - first > tol:
+            stop -= 1
+        clusters.append((float(np.mean(values[start:stop])), stop - start))
+        start = stop
     return tuple(clusters)
 
 
@@ -174,7 +193,8 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
     pair on every entry of the input before returning (the tiled walks
-    skip only all-zero tiles, see `_tile_census`), so a non-finite
+    skip only all-zero tiles, read from the census that validation took,
+    see `cubegraphs._tile_census`), so a non-finite
     eigenvalue or residual, or a structure that does not match the
     entries, raises ResidualError.  The WALSH route also raises it when
     two values of one popcount class differ by more than that bound.  The
@@ -183,13 +203,13 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
-    entries = symmetric_entries(M)
+    entries, census = _checked(M)
     structure = M.structure if isinstance(M, GraphMatrix) else None
     kind = None if structure is None else structure.kind
     deviation = 0.0
     if kind == KRONECKER:
         natural, Q, W, order = _kron_basis(structure.data, M.n)
-        residual = _kron_residual_norms(entries, natural, Q, W)
+        residual = _kron_residual_norms(entries, natural, Q, W, census)
         values, vectors = natural[order], functools.partial(_kron_vectors, Q, W, order)
     elif kind == WALSH:
         natural, residual, deviation = _walsh_eig(entries)
@@ -202,7 +222,7 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
             values, vectors = _centro_eigh(entries)
         else:
             values, vectors = np.linalg.eigh(entries)
-        residual = _residual_norms(entries, values, vectors)
+        residual = _residual_norms(entries, values, vectors, census)
     spec = Spectrum(values=values, clusters=cluster_eigenvalues(values), basis=vectors)
     residual, scale = float(residual.max()), spec.scale
     if not (math.isfinite(scale) and residual <= tol * scale):
@@ -335,96 +355,42 @@ def _low_rank_vectors(X: np.ndarray, QU: np.ndarray, order: np.ndarray) -> np.nd
     return complete[:, order]
 
 
-def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _residual_norms(
+    entries: np.ndarray, values: np.ndarray, vectors: np.ndarray, census: TileCensus | None = None
+) -> np.ndarray:
     """||M v - lambda v|| for every eigenpair, computed on every entry of M.
 
-    `vectors` is the N x N matrix V whose columns pair with `values`.  An
-    order that `_tile_census` does not tile takes one GEMM, M @ V - V *
-    lambda.  Otherwise all-zero tiles are skipped and each run of adjacent
-    general tiles in a tile row takes one GEMM.  Without a c I tile,
+    `vectors` is the N x N matrix V whose columns pair with `values`, and
+    `census` M's `TileCensus`, taken here when not given.  An order the
+    census does not tile takes one GEMM, M @ V - V * lambda.  Otherwise
     M V - V * lambda is formed one tile row at a time over every column of
-    V.  Otherwise the columns of V are walked in blocks of `_COLUMN_TILES`
-    tiles: a block's accumulator starts at (H (x) I) V_b, with the scales c
-    in H, as one matmul of H batched over the rows within a tile and read in
-    place from V_b; then V_b * lambda_b is subtracted and the general runs
-    are added.  The result differs from M @ V - V * lambda in summation
-    order only, and the temporaries are O(N * `_COLUMN_TILES` *
-    `_RESIDUAL_TILE`) floats.
+    V (column blocks would shrink the GEMMs of a dense matrix and slow them
+    down): all-zero tiles are skipped, each c I tile adds c times its
+    tile's rows of V, and each run of adjacent general tiles takes one
+    GEMM.  The result differs from M @ V - V * lambda in summation order
+    only.
     """
-    census = _tile_census(entries)
+    if census is None:
+        census = _tile_census(entries)
     if census is None:
         residual = entries @ vectors
         residual -= vectors * values
         return np.sqrt(np.einsum("ij,ij->j", residual, residual))
-    H, runs = census
-    N, count, side = entries.shape[0], H.shape[0], _RESIDUAL_TILE
-    if not H.any():
-        # one tile row of M V at a time, over every column of V: column
-        # blocks would shrink the GEMMs of a dense matrix and slow them down
-        squares = np.zeros(N)
-        for r, row_runs in enumerate(runs):
-            rows = slice(r * side, (r + 1) * side)
-            acc = vectors[rows] * -values
-            for start, stop in row_runs:
-                acc += entries[rows, start:stop] @ vectors[start:stop]
-            squares += np.einsum("ij,ij->j", acc, acc)
-        return np.sqrt(squares)
-    width = _COLUMN_TILES * side
-    acc_buffer = np.empty(N * width)
-    squares = np.empty(N)
-    for c in range(0, N, width):
-        cols = slice(c, min(c + width, N))
-        w = cols.stop - c
-        acc = acc_buffer[: N * w].reshape(N, w)
-        block = vectors[:, cols]
-        # in place, batched over the rows within a tile: a contiguous copy of
-        # V_b for one 2-d GEMM was faster but grew the peak memory
-        np.matmul(
-            H, block.reshape(count, side, w).transpose(1, 0, 2),
-            out=acc.reshape(count, side, w).transpose(1, 0, 2),
-        )
-        for r, row_runs in enumerate(runs):
-            rows = slice(r * side, (r + 1) * side)
-            acc[rows] -= block[rows] * values[cols]
-            for start, stop in row_runs:
-                acc[rows] += entries[rows, start:stop] @ block[start:stop]
-        squares[cols] = np.einsum("ij,ij->j", acc, acc)
+    squares = np.zeros(entries.shape[0])
+    for r, row_runs in enumerate(census.runs):
+        rows = slice(r * TILE, (r + 1) * TILE)
+        acc = vectors[rows] * -values
+        for s in np.flatnonzero(census.scales[r]):
+            acc += census.scales[r, s] * vectors[s * TILE : (s + 1) * TILE]
+        for start, stop in row_runs:
+            acc += entries[rows, start:stop] @ vectors[start:stop]
+        squares += np.einsum("ij,ij->j", acc, acc)
     return np.sqrt(squares)
 
 
-def _tile_census(entries: np.ndarray):
-    """M read as a grid of `_RESIDUAL_TILE`-square tiles, or None for an
-    order below `_MIN_TILES` tiles or not a multiple of the tile side.
-
-    Each tile is classified from its own entries as zero, c I with c != 0
-    (exactly one nonzero per row, on the diagonal, all equal, so a NaN
-    never qualifies) or general.  Returns H, the count x count matrix of
-    the scales c (0 where a tile is not c I), and per tile row the
-    [start, stop) columns of M of each run of adjacent general tiles.
-    """
-    N = entries.shape[0]
-    side = _RESIDUAL_TILE
-    if N % side or N < _MIN_TILES * side:
-        return None
-    count = N // side
-    # nonzeros per tile, one tile row at a time: down the rows, then across
-    # each tile's columns (at most 81^2, so uint16 does not wrap)
-    nonzeros = np.array([
-        np.add.reduce(rows != 0, axis=0, dtype=np.uint16).reshape(count, side).sum(axis=1)
-        for rows in entries.reshape(count, side, N)
-    ])
-    diagonals = np.diagonal(entries.reshape(count, side, count, side), axis1=1, axis2=3)
-    scales = diagonals[:, :, 0]
-    scaled = (nonzeros == side) & (scales != 0) & (diagonals == scales[:, :, None]).all(axis=2)
-    runs = [
-        np.flatnonzero(np.diff(row, prepend=False, append=False)).reshape(-1, 2) * side
-        for row in (nonzeros > 0) & ~scaled
-    ]
-    return np.where(scaled, scales, 0.0), runs
-
-
 def _kron_residual_norms(
-    entries: np.ndarray, natural: np.ndarray, Q: np.ndarray, W: np.ndarray
+    entries: np.ndarray, natural: np.ndarray, Q: np.ndarray, W: np.ndarray,
+    census: TileCensus | None = None,
 ) -> np.ndarray:
     """||M v - lambda v|| for the natural eigenpairs of `_kron_basis`, on
     every entry of M, without forming a column of V = kron(W, Q).
@@ -432,8 +398,9 @@ def _kron_residual_norms(
     Column 3 h + l of V is W[:, h] (x) Q[:, l], and row 3 a + b of V pairs
     W's row a with Q's row b, so by the mixed-product rule the columns of
     digit l of M V are P_l W, where P = M (I (x) Q) and P_l takes its
-    columns of digit l.  On `_tile_census`'s grid, tile row r holds W's
-    rows a in [27 r, 27 r + 27), and its residual rows for digit l are
+    columns of digit l.  On the grid of `census` (M's `TileCensus`, taken
+    here when not given), tile row r holds W's rows a in [27 r, 27 r + 27),
+    and its residual rows for digit l are
 
         sum over general runs of P_l[rows, run] @ W[run / 3]
             + (Y[a] - W[a] * lambda[:, l]) (x) Q[:, l],  Y = (H (x) I_27) W,
@@ -450,11 +417,12 @@ def _kron_residual_norms(
     through P, and an inf * I tile through Y, so a non-finite residual
     still fails the check.
     """
-    census = _tile_census(entries)
+    if census is None:
+        census = _tile_census(entries)
     if census is None:
         return _residual_norms(entries, natural, np.kron(W, Q))
-    H, runs = census
-    side, third, size = _RESIDUAL_TILE, _RESIDUAL_TILE // 3, W.shape[0]
+    H, runs = census.scales, census.runs
+    side, third, size = TILE, TILE // 3, W.shape[0]
     Y = (H @ W.reshape(H.shape[0], -1)).reshape(size, size)
     # lam[l, h] is the value of natural column 3 h + l
     lam = natural.reshape(size, 3).T.copy()
@@ -515,8 +483,8 @@ def _kron_vectors(Q: np.ndarray, W: np.ndarray, order: np.ndarray) -> np.ndarray
     high, low = divmod(order, 3)
     size = 3 * W.shape[0]
     product = np.empty((size // 3, 3, size))
-    for start in range(0, size // 3, _RESIDUAL_TILE):
-        rows = slice(start, start + _RESIDUAL_TILE)
+    for start in range(0, size // 3, TILE):
+        rows = slice(start, start + TILE)
         np.multiply(np.take(W[rows], high, axis=1)[:, None, :], Q[:, low], out=product[rows])
     return product.reshape(size, size)
 

@@ -117,6 +117,13 @@ def test_ternary_orderings():
         ternary_ordering(2, BINARY)
 
 
+@pytest.mark.parametrize("n", range(0, 8))
+def test_ternary_gray_ordering_matches_the_digit_oracle(n):
+    ordering = ternary_ordering(n, TERNARY_GRAY)
+    assert ordering == [ternary_index(ternary_gray_digits(m, n)) for m in range(3**n)]
+    assert all(type(v) is int for v in ordering)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_ternary_gray_steps_by_one_digit(n):
     seq = [ternary_gray_digits(m, n) for m in range(3**n)]

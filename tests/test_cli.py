@@ -161,6 +161,24 @@ def test_activation_with_overflowing_logistic(tmp_path, option):
     assert {row.split(",")[-1] for row in rows} == {"0.0"}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_activation_rejects_a_mu_that_is_not_finite(tmp_path, capsys, value):
+    out = tmp_path / "caf.csv"
+    assert main(["activation", "--n", "3", f"--mu={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: logistic mu must be a finite number, got {float(value)!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_activation_rejects_a_scale_that_is_not_finite(tmp_path, capsys, value):
+    out = tmp_path / "caf.csv"
+    assert main(["activation", "--n", "3", f"--scale={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: logistic scale must be a finite number, got {float(value)!r}"]
+    assert not out.exists()
+
+
 def test_poisson_json(tmp_path, capsys):
     out = tmp_path / "poisson.json"
     assert main(["poisson", "--n", "3", "--out", str(out)]) == 0

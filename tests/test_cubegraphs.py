@@ -17,6 +17,7 @@ from cubelab.bitspace import (
     ternary_vertex,
 )
 from cubelab.cubegraphs import (
+    ADJACENCY,
     DISTANCE,
     FAMILIES,
     KRONECKER,
@@ -105,6 +106,182 @@ def test_asymmetry_matches_full_deviation(N, edits):
         M[j, k] += delta
     assert asymmetry(M) == full_asymmetry(M)
     assert (asymmetry(M) == 0.0) == (edits == [])
+
+
+def _tile(entries, r, s):
+    """Tile (r, s) of the 81 x 81 grid, as a view."""
+    return entries[81 * r : 81 * (r + 1), 81 * s : 81 * (s + 1)]
+
+
+def _tile_pair(entries, test):
+    """(r, s), r < s, of the first tile above the diagonal that passes test."""
+    count = entries.shape[0] // 81
+    return next(
+        (r, s) for r in range(count) for s in range(r + 1, count) if test(_tile(entries, r, s))
+    )
+
+
+def _set_tile_pair(entries, test, tile):
+    """The first tile above the diagonal that passes test, and its partner,
+    set to tile and its transpose."""
+    r, s = _tile_pair(entries, test)
+    _tile(entries, r, s)[...] = tile
+    _tile(entries, s, r)[...] = tile.T
+    return entries
+
+
+def _is_zero(tile):
+    return not tile.any()
+
+
+def _is_scaled(c):
+    return lambda tile: np.array_equal(tile, c * np.eye(81))
+
+
+def _stray_in_zero_tile(n):
+    A = pow_cube_adjacency(n).entries.copy()
+    r, s = _tile_pair(A, _is_zero)
+    _tile(A, r, s)[3, 5] = 1.0
+    return ADJACENCY, A
+
+
+def _partner_scales_differ(n):
+    L = pow_tricube_laplacian(n).entries.copy()
+    r, s = _tile_pair(L, _is_scaled(-1.0))
+    _tile(L, r, s)[...] = -2.0 * np.eye(81)
+    return LAPLACIAN, L
+
+
+def _asymmetric_general_tile(delta):
+    def make(n):
+        L = pow_tricube_laplacian(n).entries.copy()
+        L[0, 1] += delta  # tile (0, 0) is general
+        return LAPLACIAN, L
+    return make
+
+
+def _scaled_tiles_set_to(make, kind, c, new):
+    return lambda n: (kind, _set_tile_pair(make(n).entries.copy(), _is_scaled(c), new))
+
+
+def _nan_pair(make, kind, test, j, k):
+    def nan_pair(n):
+        M = make(n).entries.copy()
+        r, s = _tile_pair(M, test)
+        _tile(M, r, s)[j, k] = _tile(M, s, r)[k, j] = np.nan
+        return kind, M
+    return nan_pair
+
+
+@pytest.mark.parametrize("n", [6, 7], ids=["N=729", "N=2187"])
+@pytest.mark.parametrize("make,message", [
+    (_stray_in_zero_tile, "symmetric"),
+    (_partner_scales_differ, "symmetric"),
+    (_asymmetric_general_tile(1e-6), "symmetric"),
+    (_scaled_tiles_set_to(pow_cube_adjacency, ADJACENCY, 1.0, 2.0 * np.eye(81)), "hollow 0/1"),
+    # powcube's entries are hollow and nonnegative, so a valid distance matrix
+    (_scaled_tiles_set_to(pow_cube_adjacency, DISTANCE, 1.0, -np.eye(81)), "nonnegative"),
+    (_scaled_tiles_set_to(pow_tricube_laplacian, LAPLACIAN, -1.0, -(1 + 1e-8) * np.eye(81)),
+     "zero row sums"),
+    (_nan_pair(pow_cube_adjacency, ADJACENCY, _is_zero, 3, 5), "symmetric"),
+    (_nan_pair(pow_tricube_laplacian, LAPLACIAN, _is_scaled(-1.0), 7, 7), "symmetric"),
+], ids=[
+    "stray-entry-in-zero-tile", "partner-scaled-tiles-differ", "general-tile-asymmetric-1e-6",
+    "2I-tile-in-adjacency", "negative-scaled-tile-in-distance",
+    "row-sum-error-in-scaled-tile", "nan-in-zero-tile", "nan-on-scaled-diagonal",
+])
+def test_tiled_validation_rejects_one_wrong_place(make, message, n):
+    kind, entries = make(n)
+    with pytest.raises(ValueError, match=message):
+        GraphMatrix("test", kind, n, "ternary", entries)
+
+
+@pytest.mark.parametrize("n", [6, 7], ids=["N=729", "N=2187"])
+@pytest.mark.parametrize("make", [
+    _asymmetric_general_tile(1e-12),
+    lambda n: (DISTANCE, pow_cube_adjacency(n).entries.copy()),
+], ids=["general-tile-asymmetric-1e-12", "powcube-as-distance"])
+def test_tiled_validation_accepts(make, n):
+    kind, entries = make(n)
+    GraphMatrix("test", kind, n, "ternary", entries)
+
+
+def brute_census(entries):
+    """Reference: each 81 x 81 tile compared whole with c I (c its first
+    entry, nonzero) and with zero."""
+    count = entries.shape[0] // 81
+    scales, general = np.zeros((count, count)), np.zeros((count, count), dtype=bool)
+    for r in range(count):
+        for s in range(count):
+            tile = _tile(entries, r, s)
+            c = tile[0, 0]
+            if c != 0 and np.array_equal(tile, np.diag(np.full(81, c))):
+                scales[r, s] = c
+            elif np.count_nonzero(tile):
+                general[r, s] = True
+    return scales, general
+
+
+def _shift_and_inf_tiles():
+    """2 I_810 with a cyclic shift in tile (0, 1) and its transpose in
+    (1, 0) (81 nonzeros, none on the tile diagonal), inf I tiles at (2, 3)
+    and (3, 2), and one NaN on the diagonal of tile (4, 4)."""
+    M = 2.0 * np.eye(810)
+    shift = np.roll(np.eye(81), 1, axis=1)
+    _tile(M, 0, 1)[...], _tile(M, 1, 0)[...] = shift, shift.T
+    _tile(M, 2, 3)[...] = _tile(M, 3, 2)[...] = np.diag(np.full(81, np.inf))
+    _tile(M, 4, 4)[5, 5] = np.nan
+    return M
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pow_cube_adjacency(6),
+    lambda: pow_cube_adjacency(6, "ternary-gray"),
+    lambda: pow_tricube_laplacian(7),
+    lambda: pow_tricube_laplacian(6, "ternary", OLN),
+    lambda: pow_hamming_matrix(6),
+    _shift_and_inf_tiles,
+], ids=["powcube-729", "powcube-729-gray", "powtri-2187", "powtri-729-oln", "powhamming-729",
+        "shift-and-inf-tiles-810"])
+def test_census_matches_brute_force_classification(make):
+    M = make()
+    census = M._census if isinstance(M, GraphMatrix) else cubegraphs._tile_census(M)
+    entries = M.entries if isinstance(M, GraphMatrix) else M
+    scales, general = brute_census(entries)
+    assert np.array_equal(census.scales, scales) and np.array_equal(census.general, general)
+    covered = np.zeros_like(general)
+    for r, row_runs in enumerate(census.runs):
+        for start, stop in row_runs:
+            assert not covered[r, start // 81 : stop // 81].any()
+            covered[r, start // 81 : stop // 81] = True
+    assert np.array_equal(covered, general)
+
+
+def test_census_is_kept_only_for_entries_that_own_their_memory():
+    # a view's base may still be written, which would leave the census stale
+    entries = pow_cube_adjacency(6).entries.copy()
+    assert GraphMatrix("powcube", ADJACENCY, 6, "ternary", entries)._census is not None
+    view = pow_cube_adjacency(6).entries.copy().view()
+    assert GraphMatrix("powcube", ADJACENCY, 6, "ternary", view)._census is None
+    assert cubegraphs._tile_census(pow_cube_adjacency(5).entries) is None
+
+
+@pytest.mark.parametrize("family,n,ordering", [
+    ("powcube", 7, "ternary"), ("powtri", 7, "ternary"), ("powcube", 6, "ternary-gray"),
+    ("powhamming", 6, "ternary"), ("powhamming", 6, "ternary-gray"),
+])
+def test_tileable_build_never_reads_the_whole_transpose(monkeypatch, family, n, ordering):
+    calls = []
+
+    def recording(entries):
+        calls.append(entries.shape)
+        return asymmetry(entries)
+
+    monkeypatch.setattr(cubegraphs, "asymmetry", recording)
+    M = build(family, n, ordering)
+    assert M._census is not None
+    # only the 3 x 3 factor of a Kronecker declaration is tested for symmetry
+    assert set(calls) <= {(3, 3)}
 
 
 def test_ncube_1():

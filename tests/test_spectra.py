@@ -442,6 +442,37 @@ def test_kron_route_below_729_takes_one_plain_gemm(monkeypatch, n):
         assert calls == []
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pow_cube_adjacency(7),
+    # the row walk of `_residual_norms`: no declared structure
+    lambda: pow_cube_adjacency(6, "ternary-gray"),
+], ids=["powcube-2187-kronecker", "powcube-729-gray"])
+def test_eig_sym_takes_no_second_census(monkeypatch, make):
+    M = make()
+    calls = []
+
+    def counting(entries):
+        calls.append(entries.shape)
+        return cubegraphs._tile_census(entries)
+
+    monkeypatch.setattr(spectra, "_tile_census", counting)
+    eig_sym(M)
+    assert calls == []
+
+
+def test_raw_array_takes_one_census_in_the_symmetry_gate(monkeypatch):
+    entries = np.array(pow_cube_adjacency(6, "ternary-gray").entries)
+    calls = []
+
+    def counting(entries):
+        calls.append(entries.shape)
+        return cubegraphs._tile_census(entries)
+
+    monkeypatch.setattr(spectra, "_tile_census", counting)
+    eig_sym(entries)
+    assert calls == [(729, 729)]
+
+
 def test_tiled_residual_failure_raises():
     with pytest.raises(ResidualError):
         eig_sym(pow_cube_adjacency(6), tol=1e-20)
@@ -694,6 +725,35 @@ def test_degenerate_subspace_rotation_freedom():
 def test_cluster_eigenvalues_tolerance():
     clusters = cluster_eigenvalues([0.0, 1e-8, 1.0, 2.0, 2.0 + 5e-7], tol=1e-6)
     assert [m for _, m in clusters] == [2, 1, 2]
+
+
+def greedy_clusters(values, tol):
+    """Reference: one ascending pass, a value opening a cluster when it
+    exceeds the cluster's first value by more than tol."""
+    clusters, group = [], []
+    for v in values:
+        if group and v - group[0] > tol:
+            clusters.append((float(np.mean(group)), len(group)))
+            group = []
+        group.append(float(v))
+    if group:
+        clusters.append((float(np.mean(group)), len(group)))
+    return tuple(clusters)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 0.0, 0.5])
+def test_cluster_eigenvalues_matches_the_greedy_pass(tol):
+    # spreads near tol, and copies shifted by exactly tol, put values on
+    # the boundary of the rule, where v - first and first + tol round apart
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        N = int(rng.integers(1, 100))
+        base = rng.integers(-5, 6, N) * rng.choice([1.0, SQRT2, 0.1, 1e-6])
+        spread = rng.choice([0.0, 1e-7, 5e-7, 1e-6, 2e-6, 1e-3])
+        v = np.sort(base + rng.standard_normal(N) * spread)
+        for values in (v, np.sort(np.concatenate([v, v + 1e-6, v + 2e-6]))):
+            assert cluster_eigenvalues(values, tol) == greedy_clusters(values, tol)
+    assert cluster_eigenvalues([], tol) == ()
 
 
 def test_classify_lattice():
