@@ -25,7 +25,7 @@ from .cubegraphs import (
     regular_tricube_adjacency,
     tricube_laplacian,
 )
-from .harmonic import kernel_basis, min_energy_search, solve_min_norm
+from .harmonic import kernel_basis, min_energy_search
 from .meshcotan import (
     BOTH,
     EVEN,

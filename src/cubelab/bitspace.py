@@ -5,8 +5,7 @@ families, in {-1,0,1}^n with a base-3 index and a derived binary address
 whose bit k records whether coordinate k is nonzero.
 
 Bit k of an address corresponds to axis k, i.e. the 3^k digit position
-(least significant digit = axis 0).  String forms render most significant
-bit first, matching the usual numeral convention.
+(least significant digit = axis 0).
 """
 
 from dataclasses import dataclass
@@ -30,11 +29,6 @@ def gray_value(i: int) -> int:
 def bits_of(value: int, n: int) -> tuple[int, ...]:
     """n-bit address of an integer, least significant bit first."""
     return tuple((value >> k) & 1 for k in range(n))
-
-
-def format_bits(bits) -> str:
-    """Render an address as a numeral string, most significant bit first."""
-    return "".join(str(b) for b in reversed(bits))
 
 
 def enumerate_addresses(n: int, scheme: str = BINARY) -> list[tuple[int, ...]]:
@@ -78,10 +72,6 @@ class TernaryVertex:
 def ternary_digits(m: int, n: int) -> tuple[int, ...]:
     """Base-3 digits of m, least significant first."""
     return tuple((m // 3**k) % 3 for k in range(n))
-
-
-def ternary_index(digits) -> int:
-    return sum(d * 3**k for k, d in enumerate(digits))
 
 
 def ternary_vertex(n: int, m: int) -> TernaryVertex:

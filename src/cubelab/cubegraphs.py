@@ -43,10 +43,11 @@ are single `build` calls.  Matrices are dense, which suits desk scale
 
 `GraphMatrix` validates its entries when it is made.  An order that is a
 multiple of `TILE` = 81 and at least 729 (every 3^n family from n = 6) is
-first read once, whole, by `_tile_census`, which sorts the 81 x 81 tiles
-into zero, c I and general; symmetry and the kind's entry rule then follow
-from the tile classes and the general tiles, the only ones read again.
-The census stays with the matrix for `spectra.eig_sym`'s residual walks.
+first read once, whole, by a tile census (`TileCensus`), which sorts the
+81 x 81 tiles into zero, c I and general; symmetry and the kind's entry
+rule then follow from the tile classes and the general tiles, the only
+ones read again.  The census stays with the matrix; in `spectra`, only
+the Kronecker route's residual walk reads it.
 """
 
 import json
@@ -215,15 +216,14 @@ class GraphMatrix:
     Construction validates the entries once and makes them read-only: they
     must be symmetric (within `STRUCTURE_TOL`) and meet the kind's rule,
     hollow 0/1 for ADJACENCY, hollow and nonnegative for DISTANCE, zero row
-    sums (within 1e-9) for LAPLACIAN.  An order `_tile_census` tiles is
-    validated from its census (see the module docstring).  The matrix keeps
-    that census, for `spectra.eig_sym`'s residual walks, when the entries
-    own their memory: making them read-only then freezes what the census
-    read, while the base of a view may still be written.  A `structure`,
-    when set, declares how they were built; `spectra.eig_sym` proposes the
-    eigenpairs from it and its residual check, which reads every entry
-    (through the census, all but the zero tiles), rejects a false
-    declaration.
+    sums (within 1e-9) for LAPLACIAN.  Entries that do not own their memory
+    (a view, whose base could still be written) are copied first.  A tiled
+    order is validated from its census (see the module docstring), and the
+    matrix keeps it as `_census` for the Kronecker route's residual walk in
+    `spectra.eig_sym`.  A `structure`, when set, declares how the entries
+    were built; `spectra.eig_sym` proposes the eigenpairs from it and its
+    residual check, which reads every entry (the Kronecker walk all but the
+    census's zero tiles), rejects a false declaration.
     """
 
     family: str
@@ -240,6 +240,9 @@ class GraphMatrix:
 
     def __post_init__(self):
         e = self.entries
+        if not e.flags.owndata:
+            e = e.copy()
+            object.__setattr__(self, "entries", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
         census = _tile_census(e)
@@ -264,8 +267,7 @@ class GraphMatrix:
         if self.structure is not None:
             self._check_structure()
         e.setflags(write=False)
-        if e.flags.owndata:
-            object.__setattr__(self, "_census", census)
+        object.__setattr__(self, "_census", census)
 
     def _check_structure(self):
         """O(1) facts only: eig_sym's residual check finds a false declaration."""

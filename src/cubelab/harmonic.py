@@ -14,19 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .cubegraphs import tricube_laplacian
-from .meshcotan import dirichlet_energy
 from .spectra import KERNEL_TOL, Spectrum, eig_sym, symmetric_entries
-
-
-@dataclass(frozen=True)
-class PoissonSolution:
-    u: np.ndarray
-    residual: float
-    energy: float
-
-    @property
-    def norm_l2(self) -> float:
-        return float(np.linalg.norm(self.u))
 
 
 @dataclass(frozen=True)
@@ -65,22 +53,6 @@ def pseudoinverse(L) -> np.ndarray:
     spec = eig_sym(L)
     inv = np.divide(1.0, spec.values, out=np.zeros_like(spec.values), where=~spec.in_kernel())
     return (spec.vectors * inv) @ spec.vectors.T
-
-
-def solve_min_norm(L, f) -> PoissonSolution:
-    """Minimum-norm solution of Lu = f.
-
-    When f is orthogonal to the kernel this is the unique solution with
-    zero mean; otherwise it is the least-squares u and the reported
-    residual is nonzero.
-    """
-    entries = symmetric_entries(L)
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != entries.shape[0]:
-        raise ValueError(f"dimension mismatch: {f.shape[0]} vs {entries.shape[0]}")
-    u = pseudoinverse(L) @ f
-    residual = float(np.linalg.norm(entries @ u - f))
-    return PoissonSolution(u=u, residual=residual, energy=dirichlet_energy(L, u))
 
 
 def min_energy_search(n: int, ordering="binary") -> MinEnergyResult:

@@ -165,27 +165,3 @@ def dirichlet_energy(L, u) -> float:
     if u.shape[0] != entries.shape[0]:
         raise ValueError(f"dimension mismatch: {u.shape[0]} vs {entries.shape[0]}")
     return 0.5 * float(u @ entries @ u)
-
-
-def save_mesh(mesh: TriMesh, path) -> None:
-    """Plain text: one vertex per line, blank line, one triangle per line."""
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(" ".join(repr(float(x)) for x in v) + "\n")
-        fh.write("\n")
-        for tri in mesh.triangles:
-            fh.write(" ".join(str(i) for i in tri) + "\n")
-
-
-def load_mesh(path) -> TriMesh:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh]
-    if "" not in lines:
-        raise ValueError("mesh file has no blank separator line")
-    split = lines.index("")
-    vertices = np.array([[float(x) for x in line.split()] for line in lines[:split]])
-    triangles = tuple(
-        tuple(int(i) for i in line.split()) for line in lines[split + 1 :] if line
-    )
-    return TriMesh(vertices=vertices, triangles=triangles)
-

@@ -55,7 +55,10 @@ def logistic(x: float, mu: float = 1.0) -> float:
 
 def caf_table(n: int, p_values=None, mu: float = 1.0, scale: float = 1.0):
     """Rows (r, p, numerator, denominator, value, logistic(r*scale, mu))
-    for every rank r and requested p; mu and scale must be finite."""
+    for every rank r and requested p; n must be >= 1, and mu and scale
+    finite."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     for name, value in (("mu", mu), ("scale", scale)):
         if not math.isfinite(value):
             raise ValueError(f"logistic {name} must be a finite number, got {value!r}")

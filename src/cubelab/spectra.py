@@ -2,10 +2,9 @@
 
 `eig_sym` is the one full eigendecomposition; only `verify`'s reference
 spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
-the one symmetry gate for raw arrays, which takes their tile census
-(`cubegraphs._tile_census`) first; a `GraphMatrix` was tested when built
-and keeps its census.  `eig_sym` has five routes, chosen by the
-`structure` that `cubegraphs.build` declared:
+the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
+`GraphMatrix` was tested when built.  `eig_sym` has five routes, chosen by
+the `structure` that `cubegraphs.build` declared:
 
 - KRONECKER (powcube and powtri in the natural ternary ordering, n >= 2):
   one eigh of the 3x3 factor; the values are the n-fold sums of its
@@ -32,15 +31,15 @@ On the three declared routes the N x N matrix of eigenvectors is built on
 the first read of `Spectrum.vectors` only.  Whatever the route, every
 returned pair is residual-checked against every entry of the full
 matrix, and a non-finite eigenvalue or residual fails the check, so a
-false declaration raises `ResidualError`.  On the Kronecker route and the
-two undeclared ones, when N is a multiple of 81 and at least 729, M is
-read through its census of 81 x 81 tiles, taken once, when the matrix was
-validated: all-zero tiles are skipped, the tiles that are exactly c I
-(c != 0; 108 of the 135 nonzero tiles of powcube and powtri at n = 7)
-enter as c times rows of the vectors (on the Kronecker route, through one
-matmul of their count x count scale matrix), and each run of other
-nonzero tiles through one GEMM (on the Kronecker route, one per digit of
-Q with inner dimension 27).  Any other N takes one plain GEMM.  Clustering
+false declaration raises `ResidualError`.  The two undeclared routes check
+by one GEMM, M V - V lambda.  The Kronecker route, when N is a multiple of
+81 and at least 729, reads M through the census of 81 x 81 tiles that
+`GraphMatrix` took when it validated the entries: all-zero tiles are
+skipped, the tiles that are exactly c I (c != 0; 108 of the 135 nonzero
+tiles of powcube and powtri at n = 7) enter through one matmul of their
+count x count scale matrix, and each run of other nonzero tiles through
+one GEMM per digit of Q with inner dimension 27; a smaller N takes one
+GEMM on the Kronecker product of the factor's eigenvectors.  Clustering
 groups eigenvalues whose spread stays within an absolute tolerance
 (default 1e-6; the spectra handled here have true gaps of at least
 sqrt(2) - 1).
@@ -54,8 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubegraphs import (
-    KRONECKER, LOW_RANK, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, TileCensus, _tile_census,
-    asymmetry,
+    KRONECKER, LOW_RANK, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, TileCensus, asymmetry,
 )
 
 CLUSTER_TOL = 1e-6
@@ -135,23 +133,14 @@ class IdentityResult:
 def symmetric_entries(M) -> np.ndarray:
     """M's entries; a raw array must be square, 2-d and symmetric within
     STRUCTURE_TOL."""
-    return _checked(M)[0]
-
-
-def _checked(M) -> tuple[np.ndarray, TileCensus | None]:
-    """M's entries and their tile census: a GraphMatrix's own, or one taken
-    here from a raw array, which proves it symmetric when it can; an order
-    the census does not tile, or a near-symmetric array, takes
-    `asymmetry`."""
     if isinstance(M, GraphMatrix):
-        return M.entries, M._census
+        return M.entries
     entries = np.asarray(M, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("matrix must be a square 2-d array")
-    census = _tile_census(entries)
-    if not (census is not None and census.symmetric(entries)) and asymmetry(entries) > STRUCTURE_TOL:
+    if asymmetry(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not symmetric")
-    return entries, census
+    return entries
 
 
 def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
@@ -192,24 +181,23 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     two half-size blocks of `centro_block_diagonalize`, and otherwise by
     one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
-    pair on every entry of the input before returning (the tiled walks
-    skip only all-zero tiles, read from the census that validation took,
-    see `cubegraphs._tile_census`), so a non-finite
-    eigenvalue or residual, or a structure that does not match the
-    entries, raises ResidualError.  The WALSH route also raises it when
+    pair on every entry of the input before returning (the Kronecker
+    route's walk skips only the all-zero tiles of `M._census`), so a
+    non-finite eigenvalue or residual, or a structure that does not match
+    the entries, raises ResidualError.  The WALSH route also raises it when
     two values of one popcount class differ by more than that bound.  The
     declared routes build the sorted N x N eigenvector matrix on the
     first read of `Spectrum.vectors` only.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
-    entries, census = _checked(M)
+    entries = symmetric_entries(M)
     structure = M.structure if isinstance(M, GraphMatrix) else None
     kind = None if structure is None else structure.kind
     deviation = 0.0
     if kind == KRONECKER:
         natural, Q, W, order = _kron_basis(structure.data, M.n)
-        residual = _kron_residual_norms(entries, natural, Q, W, census)
+        residual = _kron_residual_norms(entries, natural, Q, W, M._census)
         values, vectors = natural[order], functools.partial(_kron_vectors, Q, W, order)
     elif kind == WALSH:
         natural, residual, deviation = _walsh_eig(entries)
@@ -222,7 +210,7 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
             values, vectors = _centro_eigh(entries)
         else:
             values, vectors = np.linalg.eigh(entries)
-        residual = _residual_norms(entries, values, vectors, census)
+        residual = _residual_norms(entries, values, vectors)
     spec = Spectrum(values=values, clusters=cluster_eigenvalues(values), basis=vectors)
     residual, scale = float(residual.max()), spec.scale
     if not (math.isfinite(scale) and residual <= tol * scale):
@@ -355,42 +343,18 @@ def _low_rank_vectors(X: np.ndarray, QU: np.ndarray, order: np.ndarray) -> np.nd
     return complete[:, order]
 
 
-def _residual_norms(
-    entries: np.ndarray, values: np.ndarray, vectors: np.ndarray, census: TileCensus | None = None
-) -> np.ndarray:
-    """||M v - lambda v|| for every eigenpair, computed on every entry of M.
-
-    `vectors` is the N x N matrix V whose columns pair with `values`, and
-    `census` M's `TileCensus`, taken here when not given.  An order the
-    census does not tile takes one GEMM, M @ V - V * lambda.  Otherwise
-    M V - V * lambda is formed one tile row at a time over every column of
-    V (column blocks would shrink the GEMMs of a dense matrix and slow them
-    down): all-zero tiles are skipped, each c I tile adds c times its
-    tile's rows of V, and each run of adjacent general tiles takes one
-    GEMM.  The result differs from M @ V - V * lambda in summation order
-    only.
-    """
-    if census is None:
-        census = _tile_census(entries)
-    if census is None:
-        residual = entries @ vectors
-        residual -= vectors * values
-        return np.sqrt(np.einsum("ij,ij->j", residual, residual))
-    squares = np.zeros(entries.shape[0])
-    for r, row_runs in enumerate(census.runs):
-        rows = slice(r * TILE, (r + 1) * TILE)
-        acc = vectors[rows] * -values
-        for s in np.flatnonzero(census.scales[r]):
-            acc += census.scales[r, s] * vectors[s * TILE : (s + 1) * TILE]
-        for start, stop in row_runs:
-            acc += entries[rows, start:stop] @ vectors[start:stop]
-        squares += np.einsum("ij,ij->j", acc, acc)
-    return np.sqrt(squares)
+def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """||M v - lambda v|| for every eigenpair, computed on every entry of M
+    by one GEMM, M @ V - V * lambda, where V is the N x N matrix whose
+    columns pair with `values`."""
+    residual = entries @ vectors
+    residual -= vectors * values
+    return np.sqrt(np.einsum("ij,ij->j", residual, residual))
 
 
 def _kron_residual_norms(
     entries: np.ndarray, natural: np.ndarray, Q: np.ndarray, W: np.ndarray,
-    census: TileCensus | None = None,
+    census: TileCensus | None,
 ) -> np.ndarray:
     """||M v - lambda v|| for the natural eigenpairs of `_kron_basis`, on
     every entry of M, without forming a column of V = kron(W, Q).
@@ -398,16 +362,16 @@ def _kron_residual_norms(
     Column 3 h + l of V is W[:, h] (x) Q[:, l], and row 3 a + b of V pairs
     W's row a with Q's row b, so by the mixed-product rule the columns of
     digit l of M V are P_l W, where P = M (I (x) Q) and P_l takes its
-    columns of digit l.  On the grid of `census` (M's `TileCensus`, taken
-    here when not given), tile row r holds W's rows a in [27 r, 27 r + 27),
-    and its residual rows for digit l are
+    columns of digit l.  On the grid of `census` (the `TileCensus` that
+    `GraphMatrix` took of M), tile row r holds W's rows a in
+    [27 r, 27 r + 27), and its residual rows for digit l are
 
         sum over general runs of P_l[rows, run] @ W[run / 3]
             + (Y[a] - W[a] * lambda[:, l]) (x) Q[:, l],  Y = (H (x) I_27) W,
 
     one K = 27 GEMM per general tile, each into one reused 81 x N/3
-    buffer.  An untiled order (n <= 5) takes `_residual_norms` on
-    kron(W, Q), one plain GEMM.
+    buffer.  A census of None, an untiled order (n <= 5), takes
+    `_residual_norms` on kron(W, Q), one plain GEMM.
 
     The walk checks the exact products W[a, h] Q[b, l], of which
     `_kron_vectors` returns the float roundings (within half an ulp per
@@ -417,8 +381,6 @@ def _kron_residual_norms(
     through P, and an inf * I tile through Y, so a non-finite residual
     still fails the check.
     """
-    if census is None:
-        census = _tile_census(entries)
     if census is None:
         return _residual_norms(entries, natural, np.kron(W, Q))
     H, runs = census.scales, census.runs

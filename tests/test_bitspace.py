@@ -11,14 +11,21 @@ from cubelab.bitspace import (
     TERNARY_GRAY,
     binary_ordering,
     enumerate_addresses,
-    format_bits,
     hamming,
     ternary_digits,
     ternary_gray_digits,
-    ternary_index,
     ternary_ordering,
     ternary_vertex,
 )
+
+
+def numerals(addresses):
+    """Each address as a numeral string, most significant bit first."""
+    return ["".join(str(b) for b in reversed(a)) for a in addresses]
+
+
+def ternary_index(digits):
+    return sum(d * 3**k for k, d in enumerate(digits))
 
 
 def reflected_gray_words(n):
@@ -30,15 +37,15 @@ def reflected_gray_words(n):
 
 
 def test_gray_2():
-    assert [format_bits(a) for a in enumerate_addresses(2, GRAY)] == ["00", "01", "11", "10"]
+    assert numerals(enumerate_addresses(2, GRAY)) == ["00", "01", "11", "10"]
 
 
 def test_binary_1():
-    assert [format_bits(a) for a in enumerate_addresses(1, BINARY)] == ["0", "1"]
+    assert numerals(enumerate_addresses(1, BINARY)) == ["0", "1"]
 
 
 def test_gray_3_matches_reflect_and_prefix():
-    assert [format_bits(a) for a in enumerate_addresses(3, GRAY)] == reflected_gray_words(3)
+    assert numerals(enumerate_addresses(3, GRAY)) == reflected_gray_words(3)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -179,6 +179,15 @@ def test_activation_rejects_a_scale_that_is_not_finite(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_activation_rejects_a_dimension_below_1(tmp_path, capsys, n):
+    out = tmp_path / "caf.csv"
+    assert main(["activation", "--n", str(n), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: dimension must be >= 1, got {n}"]
+    assert not out.exists()
+
+
 def test_poisson_json(tmp_path, capsys):
     out = tmp_path / "poisson.json"
     assert main(["poisson", "--n", "3", "--out", str(out)]) == 0

@@ -258,11 +258,15 @@ def test_census_matches_brute_force_classification(make):
 
 
 def test_census_is_kept_only_for_entries_that_own_their_memory():
-    # a view's base may still be written, which would leave the census stale
+    # a view is copied before validation, so writes to its base after
+    # construction change neither the entries nor what the census read
     entries = pow_cube_adjacency(6).entries.copy()
     assert GraphMatrix("powcube", ADJACENCY, 6, "ternary", entries)._census is not None
-    view = pow_cube_adjacency(6).entries.copy().view()
-    assert GraphMatrix("powcube", ADJACENCY, 6, "ternary", view)._census is None
+    base = pow_cube_adjacency(6).entries.copy()
+    M = GraphMatrix("powcube", ADJACENCY, 6, "ternary", base.view())
+    assert M._census is not None and M.entries.flags.owndata
+    base[0, 1] = base[1, 0] = np.nan
+    assert np.array_equal(M.entries, pow_cube_adjacency(6).entries)
     assert cubegraphs._tile_census(pow_cube_adjacency(5).entries) is None
 
 

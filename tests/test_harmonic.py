@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cubelab.cubegraphs import pow_tricube_laplacian, tricube_laplacian
-from cubelab.harmonic import kernel_basis, min_energy_search, pseudoinverse, solve_min_norm
+from cubelab.harmonic import kernel_basis, min_energy_search, pseudoinverse
+from cubelab.meshcotan import dirichlet_energy
 from cubelab.spectra import eig_identity_check
 
 
@@ -40,9 +41,8 @@ def test_kernel_basis_solves_a_declared_factor(eigh_sizes):
 
 @pytest.mark.parametrize("solve", [
     pseudoinverse,
-    lambda L: solve_min_norm(L, np.arange(27.0) - 13.0),
     lambda L: eig_identity_check(L, np.eye(27)[:, :26]),
-], ids=["pseudoinverse", "solve_min_norm", "eig_identity_check"])
+], ids=["pseudoinverse", "eig_identity_check"])
 def test_pseudoinverse_and_identity_solve_a_declared_factor(eigh_sizes, solve):
     solve(pow_tricube_laplacian(3))
     assert eigh_sizes == [3]
@@ -54,47 +54,16 @@ def test_kernel_rejects_disconnected():
         kernel_basis(L)
 
 
-def parity_vector(n):
-    return np.array([1.0 if bin(i).count("1") % 2 else -1.0 for i in range(2**n)])
-
-
-def test_solve_min_norm_parity_rhs():
-    L = tricube_laplacian(3)
-    f = parity_vector(3)
-    sol = solve_min_norm(L, f)
-    assert np.allclose(sol.u, f / 6.0, atol=1e-12)
-    assert sol.energy == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert sol.norm_l2 == pytest.approx(np.sqrt(2.0) / 3.0, abs=1e-12)
-    assert sol.residual <= 1e-10
-
-
-def test_solve_min_norm_trivial_and_infeasible():
-    L = tricube_laplacian(2)
-    sol = solve_min_norm(L, np.zeros(4))
-    assert np.allclose(sol.u, 0.0) and sol.energy == 0.0
-    sol = solve_min_norm(L, np.ones(4))
-    assert sol.residual > 1.0  # kernel obstruction is reported, not raised
-
-
-def test_solve_min_norm_representative_has_zero_mean():
-    L = tricube_laplacian(3)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(8)
-    f -= f.mean()
-    sol = solve_min_norm(L, f)
-    assert abs(sol.u.sum()) <= 1e-10
-    assert sol.residual <= 1e-9
-
-
 def test_energy_agrees_between_routes():
-    """Eigendecomposition pseudoinverse vs direct quadratic form."""
+    """The search's shortcut f^T L^+ f / 2 vs the Dirichlet energy of the
+    solution u = L^+ f."""
     L = tricube_laplacian(3)
     pinv = pseudoinverse(L)
     for plus in combinations(range(8), 4):
         f = -np.ones(8)
         f[list(plus)] = 1.0
         direct = 0.5 * float(f @ pinv @ f)
-        assert solve_min_norm(L, f).energy == pytest.approx(direct, abs=1e-10)
+        assert dirichlet_energy(L, pinv @ f) == pytest.approx(direct, abs=1e-10)
 
 
 def test_min_energy_search_1():
@@ -102,8 +71,8 @@ def test_min_energy_search_1():
     result = min_energy_search(1)
     assert result.best_energy == pytest.approx(0.5, abs=1e-12)
     assert result.best_patterns == ((0,), (1,))
-    sol = solve_min_norm(tricube_laplacian(1), np.array([1.0, -1.0]))
-    assert np.allclose(sol.u, [0.5, -0.5], atol=1e-12)
+    u = pseudoinverse(tricube_laplacian(1)) @ np.array([1.0, -1.0])
+    assert np.allclose(u, [0.5, -0.5], atol=1e-12)
 
 
 def test_min_energy_search_2():

@@ -14,8 +14,6 @@ from cubelab.meshcotan import (
     cotan_weight,
     cube_face_triangulation,
     dirichlet_energy,
-    load_mesh,
-    save_mesh,
 )
 
 
@@ -167,12 +165,3 @@ def test_degenerate_triangle_rejected():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match=r"^degenerate triangle \(0, 1, 3\)$"):
         TriMesh(vertices, ((0, 1, 2), (0, 1, 3), (1, 3, 0)))
-
-
-def test_mesh_file_round_trip(tmp_path):
-    mesh = cube_face_triangulation(3, ODD)
-    path = tmp_path / "mesh.txt"
-    save_mesh(mesh, path)
-    loaded = load_mesh(path)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert loaded.triangles == mesh.triangles

@@ -28,7 +28,7 @@ from cubelab.cubegraphs import (
     regular_tricube_adjacency,
     tricube_laplacian,
 )
-from cubelab.harmonic import pseudoinverse, solve_min_norm
+from cubelab.harmonic import pseudoinverse
 from cubelab.meshcotan import dirichlet_energy
 from cubelab.spectra import (
     CLUSTER_TOL,
@@ -339,13 +339,16 @@ RESIDUAL_CASES = [
     "changed-diagonal-in-minus-identity", "2I-729", "shift-tiles-810",
 ])
 def test_tiled_residual_matches_dense_reference(make):
+    # tile patterns of every class as raw arrays, on the undeclared routes,
+    # whose check is one GEMM: the pairs eig_sym returns pass the reference
     M = make()
     M = M.entries if isinstance(M, GraphMatrix) else M
     spec = eig_sym(M)
-    tiled = spectra._residual_norms(M, spec.values, spec.vectors)
+    checked = spectra._residual_norms(M, spec.values, spec.vectors)
     dense = np.linalg.norm(M @ spec.vectors - spec.vectors * spec.values, axis=0)
     scale = max(float(np.abs(spec.values).max()), 1.0)
-    assert np.abs(tiled - dense).max() <= 1e-14 * scale
+    assert np.abs(checked - dense).max() <= 1e-14 * scale
+    assert dense.max() <= spectra.RESIDUAL_TOL * scale
 
 
 def _two_run_tiles():
@@ -372,11 +375,12 @@ def _two_run_tiles():
     "powtri-oln-729", "two-runs-729", "powcube-untiled-243",
 ])
 def test_kron_column_blocks_match_dense_reference(n, make):
-    # the factor route's factored walk, with columns that are not M's
-    # eigenvectors so that every residual is checked, not only zeros
+    # the factor route's factored walk on M's census (None below 729, the
+    # one GEMM on kron(W, Q)), with columns that are not M's eigenvectors
+    # so that every residual is checked, not only zeros
     M = make()
     natural, Q, W, _ = spectra._kron_basis(_PATH3_LAP, n)
-    blocks = spectra._kron_residual_norms(M, natural, Q, W)
+    blocks = spectra._kron_residual_norms(M, natural, Q, W, cubegraphs._tile_census(M))
     V = np.kron(W, Q)
     dense = np.linalg.norm(M @ V - V * natural, axis=0)
     assert dense.max() > 1e-3
@@ -401,11 +405,9 @@ def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, dr, ds):
 
 @pytest.mark.parametrize("case", ["nan-in-scaled-tile", "nan-in-general-tile", "inf-scale"])
 def test_kron_route_non_finite_tile_fails_residual(case):
+    # a GraphMatrix rejects NaN and inf when it is made, and a view is
+    # copied first, so the walk takes the census of a raw copy
     entries = pow_tricube_laplacian(6).entries.copy()
-    # the GraphMatrix checks reject NaN and inf, so the entries change after
-    # they ran
-    M = GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries.view(),
-                    Structure(KRONECKER, _PATH3_LAP))
     r, s = _minus_identity_tile(entries)
     if case == "nan-in-scaled-tile":
         entries[r + 7, s + 7] = entries[s + 7, r + 7] = np.nan
@@ -414,11 +416,12 @@ def test_kron_route_non_finite_tile_fails_residual(case):
     else:
         tile = np.diag(np.full(81, np.inf))
         entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
-    natural, Q, W, _ = spectra._kron_basis(M.structure.data, M.n)
+    natural, Q, W, _ = spectra._kron_basis(_PATH3_LAP, 6)
+    census = cubegraphs._tile_census(entries)
     with np.errstate(all="ignore"):
-        assert not np.isfinite(spectra._kron_residual_norms(M.entries, natural, Q, W)).all()
-        with pytest.raises(ResidualError):
-            eig_sym(M)
+        assert not np.isfinite(spectra._kron_residual_norms(entries, natural, Q, W, census)).all()
+        with pytest.raises(ValueError):
+            GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -436,41 +439,46 @@ def test_kron_route_below_729_takes_one_plain_gemm(monkeypatch, n):
     monkeypatch.setattr(spectra, "_residual_norms", recording)
     eig_sym(M)
     if n <= 5:
-        assert spectra._tile_census(M.entries) is None
+        assert M._census is None
         assert calls == [True]
     else:
         assert calls == []
 
 
+def _count_censuses(monkeypatch):
+    """The shapes of the matrices `cubegraphs._tile_census` reads from now
+    on, in call order."""
+    calls = []
+    census = cubegraphs._tile_census
+
+    def counting(entries):
+        calls.append(entries.shape)
+        return census(entries)
+
+    monkeypatch.setattr(cubegraphs, "_tile_census", counting)
+    return calls
+
+
 @pytest.mark.parametrize("make", [
     lambda: pow_cube_adjacency(7),
-    # the row walk of `_residual_norms`: no declared structure
+    # one GEMM on the centro pairs: no declared structure
     lambda: pow_cube_adjacency(6, "ternary-gray"),
 ], ids=["powcube-2187-kronecker", "powcube-729-gray"])
 def test_eig_sym_takes_no_second_census(monkeypatch, make):
     M = make()
-    calls = []
-
-    def counting(entries):
-        calls.append(entries.shape)
-        return cubegraphs._tile_census(entries)
-
-    monkeypatch.setattr(spectra, "_tile_census", counting)
+    calls = _count_censuses(monkeypatch)
     eig_sym(M)
     assert calls == []
 
 
-def test_raw_array_takes_one_census_in_the_symmetry_gate(monkeypatch):
+def test_raw_array_takes_no_census(monkeypatch):
+    # `GraphMatrix` is the census's only owner; the raw-array gate and the
+    # undeclared routes' one-GEMM check take none
     entries = np.array(pow_cube_adjacency(6, "ternary-gray").entries)
-    calls = []
-
-    def counting(entries):
-        calls.append(entries.shape)
-        return cubegraphs._tile_census(entries)
-
-    monkeypatch.setattr(spectra, "_tile_census", counting)
+    calls = _count_censuses(monkeypatch)
     eig_sym(entries)
-    assert calls == [(729, 729)]
+    assert calls == []
+    assert not hasattr(spectra, "_tile_census")
 
 
 def test_tiled_residual_failure_raises():
@@ -938,8 +946,8 @@ def test_eig_identity_beyond_float_range():
 
 def test_asymmetric_input_is_rejected():
     # a directed 3-cycle: its lower triangle alone looks like a Ramanujan graph,
-    # and its "Laplacian" agrees with the identity and gets a Poisson solution
-    # (residual 0.707) and a Dirichlet energy
+    # and its "Laplacian" agrees with the identity and gets a pseudoinverse
+    # and a Dirichlet energy
     cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     L = np.eye(3) - cycle
     with pytest.raises(ValueError, match="not symmetric"):
@@ -948,8 +956,6 @@ def test_asymmetric_input_is_rejected():
         eig_identity_check(L, np.eye(3)[:, :2])
     with pytest.raises(ValueError, match="not symmetric"):
         pseudoinverse(L)
-    with pytest.raises(ValueError, match="not symmetric"):
-        solve_min_norm(L, [1.0, 0.0, -1.0])
     with pytest.raises(ValueError, match="not symmetric"):
         dirichlet_energy(L, [1.0, 0.0, -1.0])
 
