@@ -73,6 +73,10 @@ STRUCTURE_TOL = 1e-10
 # bound on the 8 N^2 bytes of a built matrix's entries
 MAX_DENSE_BYTES = 1 << 30
 
+# bound on the edges of an Eulerian circuit: n = 16 (4.46M edges) runs in
+# ~20 s, and n = 20 (110M) ran out of memory in its Python lists and sets
+MAX_CIRCUIT_EDGES = 1 << 23
+
 
 # rows per slab of the symmetry test: a 128-column slab row is 1 KiB of float64
 _SYMMETRY_SLAB = 128
@@ -467,13 +471,17 @@ def eulerian_circuit(n: int):
     The graph is n(n+1)/2-regular, so a circuit exists iff that degree is
     even (n = 0 or 3 mod 4).  Built with Hierholzer's algorithm over
     `_regtricube_neighbors`; the returned vertex list starts and ends at
-    vertex 0 and traverses every edge exactly once.
+    vertex 0 and traverses every edge exactly once.  A circuit of more than
+    `MAX_CIRCUIT_EDGES` edges (n >= 19) raises ValueError before anything
+    is allocated.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     degree = n * (n + 1) // 2
     if degree % 2 != 0:
         return None
+    if n >= MAX_CIRCUIT_EDGES.bit_length() or (degree // 2) << n > MAX_CIRCUIT_EDGES:
+        raise ValueError(f"euler n={n}: the circuit exceeds {MAX_CIRCUIT_EDGES} edges")
     neighbors = _regtricube_neighbors(n)
     next_slot = [0] * len(neighbors)
     used = set()
@@ -494,7 +502,7 @@ def eulerian_circuit(n: int):
         if not advanced:
             circuit.append(stack.pop())
     circuit.reverse()
-    n_edges = 2**n * degree // 2
+    n_edges = (degree // 2) << n
     if len(circuit) != n_edges + 1 or circuit[0] != circuit[-1]:
         raise RuntimeError("circuit construction failed to cover the graph")
     return circuit

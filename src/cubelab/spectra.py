@@ -9,9 +9,9 @@ the `structure` that `cubegraphs.build` declared:
 - KRONECKER (powcube and powtri in the natural ternary ordering, n >= 2):
   one eigh of the 3x3 factor; the values are the n-fold sums of its
   eigenvalues, the vectors the n-fold Kronecker products of its
-  eigenvectors.  The check applies M to the 3x3 eigenvector matrix and
-  to its (n - 1)-fold Kronecker power apart, so it generates no
-  eigenvector;
+  eigenvectors.  The check applies each tile of M to the 81 x 81
+  Kronecker power Q^(x)4 of the 3x3 eigenvector matrix Q and combines
+  the results with Q^(x)(n - 4), so it generates no eigenvector;
 - WALSH (ncube, hamming, tricube and regtricube in the binary ordering):
   the values are the fast Walsh-Hadamard transform of row 0 and the
   vectors the Sylvester Hadamard columns, with no LAPACK call.  The check
@@ -37,12 +37,13 @@ by one GEMM, M V - V lambda.  The Kronecker route, when N is a multiple of
 `GraphMatrix` took when it validated the entries: all-zero tiles are
 skipped, the tiles that are exactly c I (c != 0; 108 of the 135 nonzero
 tiles of powcube and powtri at n = 7) enter through one matmul of their
-count x count scale matrix, and each run of other nonzero tiles through
-one GEMM per digit of Q with inner dimension 27; a smaller N takes one
-GEMM on the Kronecker product of the factor's eigenvectors.  Clustering
-groups eigenvalues whose spread stays within an absolute tolerance
-(default 1e-6; the spectra handled here have true gaps of at least
-sqrt(2) - 1).
+count x count scale matrix with Q^(x)(n - 4), and each other nonzero tile
+through one product with Q^(x)4.  Per tile row, one batched matmul of
+inner dimension k + 1 (k general tiles) writes the row's residual block,
+so neither Q^(x)(n - 1) nor M applied to it is formed; a smaller N takes
+one GEMM on Q^(x)n.  Clustering groups eigenvalues whose spread stays
+within an absolute tolerance (default 1e-6; the spectra handled here have
+true gaps of at least sqrt(2) - 1).
 """
 
 import functools
@@ -182,12 +183,13 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
     pair on every entry of the input before returning (the Kronecker
-    route's walk skips only the all-zero tiles of `M._census`), so a
-    non-finite eigenvalue or residual, or a structure that does not match
-    the entries, raises ResidualError.  The WALSH route also raises it when
-    two values of one popcount class differ by more than that bound.  The
-    declared routes build the sorted N x N eigenvector matrix on the
-    first read of `Spectrum.vectors` only.
+    route's walk, `_kron_residual_norms`, skips only the all-zero tiles of
+    `M._census`, and from N = 729 forms no Kronecker power of Q larger
+    than 81 x 81 or N/81 x N/81), so a non-finite eigenvalue or residual,
+    or a structure that does not match the entries, raises ResidualError.
+    The WALSH route also raises it when two values of one popcount class
+    differ by more than that bound.  The declared routes build the sorted
+    N x N eigenvector matrix on the first read of `Spectrum.vectors` only.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
@@ -196,9 +198,9 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     kind = None if structure is None else structure.kind
     deviation = 0.0
     if kind == KRONECKER:
-        natural, Q, W, order = _kron_basis(structure.data, M.n)
-        residual = _kron_residual_norms(entries, natural, Q, W, M._census)
-        values, vectors = natural[order], functools.partial(_kron_vectors, Q, W, order)
+        natural, Q, order = _kron_basis(structure.data, M.n)
+        residual = _kron_residual_norms(entries, natural, Q, M.n, M._census)
+        values, vectors = natural[order], functools.partial(_kron_vectors, Q, M.n, order)
     elif kind == WALSH:
         natural, residual, deviation = _walsh_eig(entries)
         order = np.argsort(natural, kind="stable")
@@ -353,66 +355,70 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
 
 
 def _kron_residual_norms(
-    entries: np.ndarray, natural: np.ndarray, Q: np.ndarray, W: np.ndarray,
+    entries: np.ndarray, natural: np.ndarray, Q: np.ndarray, n: int,
     census: TileCensus | None,
 ) -> np.ndarray:
     """||M v - lambda v|| for the natural eigenpairs of `_kron_basis`, on
-    every entry of M, without forming a column of V = kron(W, Q).
+    every entry of M, without forming V = Q^(x)n or any column of it.
 
-    Column 3 h + l of V is W[:, h] (x) Q[:, l], and row 3 a + b of V pairs
-    W's row a with Q's row b, so by the mixed-product rule the columns of
-    digit l of M V are P_l W, where P = M (I (x) Q) and P_l takes its
-    columns of digit l.  On the grid of `census` (the `TileCensus` that
-    `GraphMatrix` took of M), tile row r holds W's rows a in
-    [27 r, 27 r + 27), and its residual rows for digit l are
+    On the grid of `census` (the `TileCensus` that `GraphMatrix` took of
+    M), V = Whi (x) Q4, with Whi = Q^(x)(n - 4) (count x count) and Q4 =
+    Q^(x)4 (81 x 81), so natural column 81 t + j is Whi[:, t] (x) Q4[:, j].
+    By the mixed-product rule, column j of tile (r, t) of M V - V lambda is
 
-        sum over general runs of P_l[rows, run] @ W[run / 3]
-            + (Y[a] - W[a] * lambda[:, l]) (x) Q[:, l],  Y = (H (x) I_27) W,
+        sum over the general tiles s of row r of Whi[s, t] (M_rs Q4)[:, j]
+            + Q4[:, j] ((H Whi)[r, t] - Whi[r, t] lambda[81 t + j]),
 
-    one K = 27 GEMM per general tile, each into one reused 81 x N/3
-    buffer.  A census of None, an untiled order (n <= 5), takes
-    `_residual_norms` on kron(W, Q), one plain GEMM.
+    where H holds the scales of the c I tiles.  So for each tile row, with
+    k general tiles, one batched matmul over j of the count x (k + 1)
+    matrix [Whi[s].T | the bracket] by the (k + 1) x 81 matrix
+    [(M_rs Q4)[:, j] ; Q4[:, j]] writes the row's whole 81 x count x 81
+    residual block into one reused buffer, and `np.vecdot` sums its squares
+    along the contiguous last axis.  All-zero tiles are skipped and every
+    general tile is read in full.  A census of None, an untiled order
+    (n <= 5), takes `_residual_norms` on Q^(x)n, one plain GEMM.
 
-    The walk checks the exact products W[a, h] Q[b, l], of which
-    `_kron_vectors` returns the float roundings (within half an ulp per
-    entry), and it reassociates (m q) w against m (w q) as well as the
-    order of the sums.  Both differences are of order eps * scale, far
-    below `RESIDUAL_TOL`.  A NaN in a general tile reaches the residual
-    through P, and an inf * I tile through Y, so a non-finite residual
-    still fails the check.
+    The walk checks the products of Q's entries as Whi and Q4 round them,
+    `_kron_vectors` as Q^(x)(n - 1) and Q do (each within a few ulps of
+    the exact product), and it reassociates the sums.  Both differences
+    are of order eps * scale, far below `RESIDUAL_TOL`.  A NaN in a
+    general tile reaches the residual through M_rs Q4, and an inf * I tile
+    through H Whi, so a non-finite residual still fails the check.
     """
     if census is None:
-        return _residual_norms(entries, natural, np.kron(W, Q))
-    H, runs = census.scales, census.runs
-    side, third, size = TILE, TILE // 3, W.shape[0]
-    Y = (H @ W.reshape(H.shape[0], -1)).reshape(size, size)
-    # lam[l, h] is the value of natural column 3 h + l
-    lam = natural.reshape(size, 3).T.copy()
-    # the 81 x N/3 accumulator and GEMM output are reused: a GEMM that
-    # allocated its output per call took two to five times as long
-    acc, tmp, low = np.empty((side, size)), np.empty((side, size)), np.empty((third, size))
-    squares = np.zeros((3, size))
-    for r, row_runs in enumerate(runs):
-        rows, high = slice(r * side, (r + 1) * side), slice(r * third, (r + 1) * third)
-        # P over each general run, as (digit l, row, W row) with each P_l
-        # contiguous for its GEMM
-        contracted = [
-            (np.tensordot(Q, entries[rows, start:stop].reshape(side, -1, 3), axes=(0, 2)),
-             W[start // 3 : stop // 3])
-            for start, stop in row_runs
-        ]
-        for l in range(3):
-            np.multiply(W[high], lam[l], out=low)
-            np.subtract(Y[high], low, out=low)
-            # row 3 a + b of the tile row; one scalar multiply per b took
-            # half the time of a broadcast over b
-            for b in range(3):
-                np.multiply(low, Q[b, l], out=acc.reshape(third, 3, size)[:, b])
-            for P, W_run in contracted:
-                np.matmul(P[l], W_run, out=tmp)
-                acc += tmp
-            squares[l] += np.einsum("ij,ij->j", acc, acc)
+        return _residual_norms(entries, natural, _kron_power(Q, n))
+    H = census.scales
+    count = H.shape[0]
+    Whi, Q4 = _kron_power(Q, n - 4), _kron_power(Q, 4)
+    HW = H @ Whi
+    # lam[j, t] is the value of natural column 81 t + j
+    lam = natural.reshape(count, TILE).T.copy()
+    block = np.empty((TILE, count, TILE))
+    squares = np.zeros((TILE, count))
+    for r, general in enumerate(census.general):
+        s = np.flatnonzero(general)
+        k = s.size
+        # left[j] = [Whi[s].T | bracket[:, j]], right[j] = [(M_rs Q4)[:, j] ; Q4[:, j]]
+        left, right = np.empty((TILE, count, k + 1)), np.empty((TILE, k + 1, TILE))
+        left[:, :, :k] = Whi[s].T
+        bracket = left[:, :, k]
+        np.multiply(Whi[r], lam, out=bracket)
+        np.subtract(HW[r], bracket, out=bracket)
+        tiles = entries[r * TILE : (r + 1) * TILE].reshape(TILE, count, TILE)[:, s]
+        right[:, :k] = (tiles.reshape(-1, TILE) @ Q4).reshape(TILE, k, TILE).transpose(2, 1, 0)
+        right[:, k] = Q4.T
+        np.matmul(left, right, out=block)
+        squares += np.vecdot(block, block)
     return np.sqrt(squares.T.ravel())
+
+
+def _kron_power(Q: np.ndarray, k: int) -> np.ndarray:
+    """The k-fold Kronecker power of Q by the left-to-right chain
+    kron(... kron(kron(Q, Q), Q) ..., Q)."""
+    power = Q
+    for _ in range(k - 1):
+        power = np.kron(power, Q)
+    return power
 
 
 def _kron_basis(factor: np.ndarray, n: int):
@@ -422,26 +428,24 @@ def _kron_basis(factor: np.ndarray, n: int):
     With factor = Q diag(w) Q^T, natural column sum_k j_k 3^k is the
     Kronecker product of Q[:, j_k] over the digits (axis k at the k-th slot
     from the right, as in `_ternary_product`), with the value sum_k w[j_k].
-    Returns those values, Q, W = the (n - 1)-fold Kronecker power of Q (so
-    that column 3 h + l is W[:, h] (x) Q[:, l]) and the stable ascending
-    order of the values.
+    Returns those values, Q and the stable ascending order of the values;
+    no Kronecker power of Q is formed.
     """
     w, Q = np.linalg.eigh(factor)
-    values, W = w, Q
+    values = w
     for _ in range(n - 1):
         values = np.add.outer(values, w).ravel()
-    for _ in range(n - 2):
-        W = np.kron(W, Q)
-    return values, Q, W, np.argsort(values, kind="stable")
+    return values, Q, np.argsort(values, kind="stable")
 
 
-def _kron_vectors(Q: np.ndarray, W: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The columns of kron(W, Q) in `order`, as one C-order N x N array.
+def _kron_vectors(Q: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
+    """The columns of Q^(x)n in `order`, as one C-order N x N array.
 
-    Column 3 h + l of kron(W, Q) is W[:, h] (x) Q[:, l], formed straight
-    into its sorted column; filling the output one block of rows at a time
-    bounds the gathered temporary.
+    Column 3 h + l of Q^(x)n is W[:, h] (x) Q[:, l], W = `_kron_power`(Q,
+    n - 1), formed straight into its sorted column; filling the output one
+    block of rows at a time bounds the gathered temporary.
     """
+    W = _kron_power(Q, n - 1)
     high, low = divmod(order, 3)
     size = 3 * W.shape[0]
     product = np.empty((size // 3, 3, size))

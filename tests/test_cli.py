@@ -246,6 +246,26 @@ def test_euler_output(capsys):
     assert "no Eulerian circuit" in capsys.readouterr().out
 
 
+def test_euler_beyond_circuit_guard_exits_cleanly(monkeypatch, capsys):
+    def built_past_guard(*args):
+        raise AssertionError("built past the circuit guard")
+
+    # every even-degree n >= 19 is refused before its neighbour lists exist
+    monkeypatch.setattr(cubegraphs, "_regtricube_neighbors", built_past_guard)
+    for n in (19, 20, 24, 10**9):
+        assert main(["euler", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "edges" in err[0]
+        assert captured.out == ""
+    # odd degrees still have no circuit, and n = 16 passes the guard (and
+    # stops at the stub)
+    assert main(["euler", "--n", "18"]) == 0
+    assert "no Eulerian circuit" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="past the circuit guard"):
+        main(["euler", "--n", "16"])
+
+
 def test_plotdata_extremes(tmp_path):
     out = tmp_path / "ext.csv"
     rc = main(["plotdata", "--what", "extremes", "--n-range", "2..7", "--out", str(out)])

@@ -361,27 +361,35 @@ def _two_run_tiles():
     return M
 
 
+def _random_symmetric_729():
+    """A random symmetric 729 x 729 matrix: every tile is general."""
+    X = np.random.default_rng(729).standard_normal((729, 729))
+    return X + X.T
+
+
 @pytest.mark.parametrize("n,make", [
     (6, lambda: _powtri_729_with(-0.5, 3, 5)),
     # diagonal tiles that are not c I and all-zero tiles elsewhere
     (6, lambda: np.diag(np.arange(729.0) % 7)),
+    (7, lambda: np.diag(np.arange(2187.0) % 7)),
     (5, lambda: np.diag(np.arange(243.0) % 7)),
     # +I tiles and zero tiles of -0.0
     (6, lambda: pow_tricube_laplacian(6, "ternary", OLN).entries),
     (6, _two_run_tiles),
+    (6, _random_symmetric_729),
     (5, lambda: pow_cube_adjacency(5).entries),
 ], ids=[
-    "minus-identity-tiles-729", "no-scaled-tile-729", "untiled-243",
-    "powtri-oln-729", "two-runs-729", "powcube-untiled-243",
+    "minus-identity-tiles-729", "no-scaled-tile-729", "no-scaled-tile-2187", "untiled-243",
+    "powtri-oln-729", "two-runs-729", "all-general-random-729", "powcube-untiled-243",
 ])
 def test_kron_column_blocks_match_dense_reference(n, make):
     # the factor route's factored walk on M's census (None below 729, the
-    # one GEMM on kron(W, Q)), with columns that are not M's eigenvectors
-    # so that every residual is checked, not only zeros
+    # one GEMM on Q^(x)n), with columns that are not M's eigenvectors so
+    # that every residual is checked, not only zeros
     M = make()
-    natural, Q, W, _ = spectra._kron_basis(_PATH3_LAP, n)
-    blocks = spectra._kron_residual_norms(M, natural, Q, W, cubegraphs._tile_census(M))
-    V = np.kron(W, Q)
+    natural, Q, _ = spectra._kron_basis(_PATH3_LAP, n)
+    blocks = spectra._kron_residual_norms(M, natural, Q, n, cubegraphs._tile_census(M))
+    V = functools.reduce(np.kron, [Q] * n)
     dense = np.linalg.norm(M @ V - V * natural, axis=0)
     assert dense.max() > 1e-3
     assert np.abs(blocks - dense).max() <= 1e-14 * max(float(np.abs(natural).max()), 1.0)
@@ -416,24 +424,24 @@ def test_kron_route_non_finite_tile_fails_residual(case):
     else:
         tile = np.diag(np.full(81, np.inf))
         entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
-    natural, Q, W, _ = spectra._kron_basis(_PATH3_LAP, 6)
+    natural, Q, _ = spectra._kron_basis(_PATH3_LAP, 6)
     census = cubegraphs._tile_census(entries)
     with np.errstate(all="ignore"):
-        assert not np.isfinite(spectra._kron_residual_norms(entries, natural, Q, W, census)).all()
+        assert not np.isfinite(spectra._kron_residual_norms(entries, natural, Q, 6, census)).all()
         with pytest.raises(ValueError):
             GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_kron_route_below_729_takes_one_plain_gemm(monkeypatch, n):
-    # the factored walk is slower than one GEMM on kron(W, Q) below 9 tiles
+    # the factored walk is slower than one GEMM on Q^(x)n below 9 tiles
     M = pow_cube_adjacency(n)
-    _, Q, W, _ = spectra._kron_basis(M.structure.data, n)
+    _, Q, _ = spectra._kron_basis(M.structure.data, n)
     calls = []
     residual_norms = spectra._residual_norms
 
     def recording(entries, values, vectors):
-        calls.append(vectors.tobytes() == np.kron(W, Q).tobytes())
+        calls.append(vectors.tobytes() == functools.reduce(np.kron, [Q] * n).tobytes())
         return residual_norms(entries, values, vectors)
 
     monkeypatch.setattr(spectra, "_residual_norms", recording)
@@ -510,6 +518,8 @@ def test_kron_route_residual_finds_entries_off_the_factor(n, pair):
 
 
 def test_eig_sym_peak_allocation_on_the_kron_route():
+    # the walk forms neither Q^(x)(n - 1) nor M applied to it, only one
+    # 81 x N residual block at a time
     M = pow_cube_adjacency(7)
     tracemalloc.start()
     try:
@@ -518,7 +528,7 @@ def test_eig_sym_peak_allocation_on_the_kron_route():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * M.N**2
+    assert peak < 0.15 * 8 * M.N**2
 
 
 def test_kron_eigh_peak_allocation():
@@ -528,7 +538,8 @@ def test_kron_eigh_peak_allocation():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        spectra._kron_vectors(*spectra._kron_basis(_PATH3_ADJ, 7)[1:])
+        _, Q, order = spectra._kron_basis(_PATH3_ADJ, 7)
+        spectra._kron_vectors(Q, 7, order)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
