@@ -63,9 +63,6 @@ ADJACENCY = "adjacency"
 DISTANCE = "distance"
 LAPLACIAN = "laplacian"
 
-OLP = "olp"
-OLN = "oln"
-
 # absolute bound for every exact-structure test on float entries: symmetry
 # here and on raw arrays in `spectra`, centrosymmetry there
 STRUCTURE_TOL = 1e-10
@@ -73,8 +70,9 @@ STRUCTURE_TOL = 1e-10
 # bound on the 8 N^2 bytes of a built matrix's entries
 MAX_DENSE_BYTES = 1 << 30
 
-# bound on the edges of an Eulerian circuit: n = 16 (4.46M edges) runs in
-# ~20 s, and n = 20 (110M) ran out of memory in its Python lists and sets
+# bound on the edges of an Eulerian circuit: n = 16 (4.46M edges) takes ~3 s
+# and ~290 MB, and n = 19 (50M) would need ~2 GB for the returned list of
+# Python ints alone
 MAX_CIRCUIT_EDGES = 1 << 23
 
 
@@ -221,7 +219,10 @@ class GraphMatrix:
     must be symmetric (within `STRUCTURE_TOL`) and meet the kind's rule,
     hollow 0/1 for ADJACENCY, hollow and nonnegative for DISTANCE, zero row
     sums (within 1e-9) for LAPLACIAN.  Entries that do not own their memory
-    (a view, whose base could still be written) are copied first.  A tiled
+    (a view, whose base could still be written) are copied first.  Entries
+    that own it are kept, so a writable view of them taken before
+    construction can still change them after validation; `build` and the
+    mesh builders never leave such a view.  A tiled
     order is validated from its census (see the module docstring), and the
     matrix keeps it as `_census` for the Kronecker route's residual walk in
     `spectra.eig_sym`.  A `structure`, when set, declares how the entries
@@ -348,17 +349,15 @@ FAMILIES = {
 _ORDERINGS = {2: (BINARY, binary_ordering), 3: (TERNARY, ternary_ordering)}
 
 
-def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
+def build(family: str, n: int, ordering=None) -> GraphMatrix:
     """The `FAMILIES[family]` matrix on n axes.
 
     `ordering` is a scheme tag for the family's vertex base or, for the
     2^n families, an explicit permutation; None takes binary for 2^n and
-    ternary for 3^n.  OLN negates the matrix and applies only to
-    Laplacians.  The matrix declares its `Structure` (see the module
-    docstring); a Kronecker factor is signed like the entries.  An
-    unknown family or sign, n below the family's smallest, or dense
-    entries over `MAX_DENSE_BYTES` (n > 13 for 2^n, n > 8 for 3^n) raise
-    ValueError before any ordering or array is built.
+    ternary for 3^n.  The matrix declares its `Structure` (see the module
+    docstring).  An unknown family, n below the family's smallest, or
+    dense entries over `MAX_DENSE_BYTES` (n > 13 for 2^n, n > 8 for 3^n)
+    raise ValueError before any ordering or array is built.
     """
     row = FAMILIES.get(family)
     if row is None:
@@ -371,8 +370,6 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
         raise ValueError(
             f"{family} n={n}: dense float64 entries exceed {MAX_DENSE_BYTES >> 20} MiB"
         )
-    if sign not in (OLP, OLN) or (sign == OLN and row.kind != LAPLACIAN):
-        raise ValueError(f"sign convention {sign!r} does not apply to {family}")
     default, vertex_ordering = _ORDERINGS[row.base]
     if ordering is None:
         ordering = default
@@ -398,10 +395,6 @@ def build(family: str, n: int, ordering=None, sign: str = OLP) -> GraphMatrix:
         addresses = addresses.astype(np.uint16)
         distance = np.bitwise_count(np.bitwise_xor.outer(addresses, addresses))
         entries = np.asarray(row.profile(np.arange(n + 1), n), dtype=float)[distance]
-    if sign == OLN:  # negate what was built, not g or row.factor: every 0 becomes -0.0
-        np.negative(entries, out=entries)
-        if structure is not None and structure.kind == KRONECKER:
-            structure = Structure(KRONECKER, -structure.data)
     ordering_tag = ordering if isinstance(ordering, str) else "custom"
     return GraphMatrix(family, row.kind, n, ordering_tag, entries, structure)
 
@@ -417,14 +410,13 @@ def hamming_distance_matrix(n: int, ordering=BINARY) -> GraphMatrix:
     return build("hamming", n, ordering)
 
 
-def tricube_laplacian(n: int, ordering=BINARY, sign: str = OLP) -> GraphMatrix:
+def tricube_laplacian(n: int, ordering=BINARY) -> GraphMatrix:
     """Cotan Laplacian of the cube with triangulated 2-faces: n*I - E.
 
     Diagonal entries n, -1 at Hamming-distance-1 pairs, 0 elsewhere
     (diagonal weights vanish since both opposite angles are right).
-    OLN negates the whole matrix.
     """
-    return build("tricube", n, ordering, sign)
+    return build("tricube", n, ordering)
 
 
 def regular_tricube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:
@@ -441,10 +433,10 @@ def pow_cube_adjacency(n: int, ordering=TERNARY) -> GraphMatrix:
     return build("powcube", n, ordering)
 
 
-def pow_tricube_laplacian(n: int, ordering=TERNARY, sign: str = OLP) -> GraphMatrix:
+def pow_tricube_laplacian(n: int, ordering=TERNARY) -> GraphMatrix:
     """Kirchhoff/cotan Laplacian L = G - E of the glued-cube structure;
     diagonal entries span n to 2n (degree = n + number of zero coordinates)."""
-    return build("powtri", n, ordering, sign)
+    return build("powtri", n, ordering)
 
 
 def pow_hamming_matrix(n: int, ordering=TERNARY) -> GraphMatrix:
@@ -456,13 +448,14 @@ def pow_hamming_matrix(n: int, ordering=TERNARY) -> GraphMatrix:
     return build("powhamming", n, ordering)
 
 
-def _regtricube_neighbors(n: int) -> list[list[int]]:
-    """Ascending neighbour list of every vertex of `regular_tricube_adjacency`
-    in the binary ordering: v ^ m over the masks m of weight 1 or 2, with
-    no adjacency matrix formed."""
+def _regtricube_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of `regular_tricube_adjacency` in the binary ordering, as
+    XOR masks: the masks m of weight 1 or 2 (vertex v's neighbours are
+    v ^ m), and per vertex the mask indices in ascending order of that
+    neighbour, from one argsort, with no adjacency matrix formed."""
     # j == i gives the weight-1 masks
     masks = np.array([(1 << i) | (1 << j) for i in range(n) for j in range(i + 1)])
-    return np.sort(np.arange(2**n)[:, None] ^ masks, axis=1).tolist()
+    return masks, np.argsort(np.arange(2**n)[:, None] ^ masks, axis=1)
 
 
 def eulerian_circuit(n: int):
@@ -470,10 +463,12 @@ def eulerian_circuit(n: int):
 
     The graph is n(n+1)/2-regular, so a circuit exists iff that degree is
     even (n = 0 or 3 mod 4).  Built with Hierholzer's algorithm over
-    `_regtricube_neighbors`; the returned vertex list starts and ends at
-    vertex 0 and traverses every edge exactly once.  A circuit of more than
-    `MAX_CIRCUIT_EDGES` edges (n >= 19) raises ValueError before anything
-    is allocated.
+    `_regtricube_masks`, taking each vertex's neighbours in ascending
+    order; edge {v, v ^ m} has the same mask index from both ends, so one
+    byte per (vertex, mask index) marks it used.  The returned vertex list
+    starts and ends at vertex 0 and traverses every edge exactly once.  A
+    circuit of more than `MAX_CIRCUIT_EDGES` edges (n >= 19) raises
+    ValueError before anything is allocated.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -482,24 +477,21 @@ def eulerian_circuit(n: int):
         return None
     if n >= MAX_CIRCUIT_EDGES.bit_length() or (degree // 2) << n > MAX_CIRCUIT_EDGES:
         raise ValueError(f"euler n={n}: the circuit exceeds {MAX_CIRCUIT_EDGES} edges")
-    neighbors = _regtricube_neighbors(n)
-    next_slot = [0] * len(neighbors)
-    used = set()
+    masks, order = _regtricube_masks(n)
+    # one iterator per vertex resumes after the last mask index taken there
+    masks, order = masks.tolist(), [iter(row) for row in order.tolist()]
+    used = bytearray(degree << n)
     stack = [0]
     circuit = []
     while stack:
         v = stack[-1]
-        advanced = False
-        while next_slot[v] < len(neighbors[v]):
-            w = neighbors[v][next_slot[v]]
-            next_slot[v] += 1
-            if (v, w) not in used:
-                used.add((v, w))
-                used.add((w, v))
+        for m in order[v]:
+            if not used[v * degree + m]:
+                w = v ^ masks[m]
+                used[v * degree + m] = used[w * degree + m] = 1
                 stack.append(w)
-                advanced = True
                 break
-        if not advanced:
+        else:
             circuit.append(stack.pop())
     circuit.reverse()
     n_edges = (degree // 2) << n

@@ -24,8 +24,9 @@ class MinEnergyResult:
     best_patterns: tuple
     norm_l2: float
 
-    def energy_as_fraction(self, max_denominator: int = 10**6) -> Fraction:
-        return Fraction(self.best_energy).limit_denominator(max_denominator)
+    def energy_as_fraction(self) -> Fraction:
+        """The best energy as the nearest fraction with denominator <= 10^6."""
+        return Fraction(self.best_energy).limit_denominator(10**6)
 
 
 def kernel_basis(L) -> list[np.ndarray]:

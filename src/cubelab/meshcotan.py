@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubegraphs import LAPLACIAN, OLN, OLP, GraphMatrix
+from .cubegraphs import LAPLACIAN, GraphMatrix
 from .spectra import symmetric_entries
 
 EVEN = "even"
@@ -52,7 +52,7 @@ def _corner_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return np.roll(corners, -1, axis=1) - corners, np.roll(corners, 1, axis=1) - corners
 
 
-def cotan_weight(alphas, sign: str = OLP) -> float:
+def cotan_weight(alphas) -> float:
     """Edge weight from the list of opposite angles.
 
     One or two angles: w = sum(cot)/2.  More than two incident triangles:
@@ -65,14 +65,12 @@ def cotan_weight(alphas, sign: str = OLP) -> float:
     if any(not 0.0 < a < math.pi for a in alphas):
         raise ValueError("angles must lie in (0, pi)")
     if len(alphas) <= 2:
-        w = 0.5 * sum(1.0 / math.tan(a) for a in alphas)
-    else:
-        if max(alphas) - min(alphas) > _ANGLE_EQ_TOL:
-            raise ValueError(
-                "ambiguous weight: more than two incident triangles with unequal angles"
-            )
-        w = 1.0 / math.tan(alphas[0])
-    return -w if sign == OLN else w
+        return 0.5 * sum(1.0 / math.tan(a) for a in alphas)
+    if max(alphas) - min(alphas) > _ANGLE_EQ_TOL:
+        raise ValueError(
+            "ambiguous weight: more than two incident triangles with unequal angles"
+        )
+    return 1.0 / math.tan(alphas[0])
 
 
 def _edge_angle_map(mesh: TriMesh) -> dict:
@@ -89,11 +87,11 @@ def _edge_angle_map(mesh: TriMesh) -> dict:
     return angles
 
 
-def _assemble(n_vertices: int, angles: dict, sign: str) -> np.ndarray:
+def _assemble(n_vertices: int, angles: dict) -> np.ndarray:
     """Laplacian with the `cotan_weight` of each edge, accumulated in edge order."""
     L = np.zeros((n_vertices, n_vertices))
     for (i, j), alphas in angles.items():
-        w = cotan_weight(alphas, sign)
+        w = cotan_weight(alphas)
         L[i, j] -= w
         L[j, i] -= w
         L[i, i] += w
@@ -101,7 +99,7 @@ def _assemble(n_vertices: int, angles: dict, sign: str) -> np.ndarray:
     return L
 
 
-def build_wdm(mesh: TriMesh, sign: str = OLP) -> GraphMatrix:
+def build_wdm(mesh: TriMesh) -> GraphMatrix:
     """Weakly defined discrete Laplace matrix of a triangle mesh.
 
     Requires a locally disk-like mesh: at most two triangles per edge.
@@ -110,7 +108,7 @@ def build_wdm(mesh: TriMesh, sign: str = OLP) -> GraphMatrix:
     for edge, alphas in angles.items():
         if len(alphas) > 2:
             raise ValueError(f"edge {edge} has {len(alphas)} incident triangles")
-    entries = _assemble(mesh.vertices.shape[0], angles, sign)
+    entries = _assemble(mesh.vertices.shape[0], angles)
     return GraphMatrix("mesh", LAPLACIAN, mesh.vertices.shape[1], "custom", entries)
 
 
@@ -140,7 +138,7 @@ def cube_face_triangulation(n: int, arrangement: str = EVEN) -> TriMesh:
     return TriMesh(vertices=vertices, triangles=tuple(triangles))
 
 
-def build_cube_cotan_geometric(n: int, arrangement: str = EVEN, sign: str = OLP) -> GraphMatrix:
+def build_cube_cotan_geometric(n: int, arrangement: str = EVEN) -> GraphMatrix:
     """Cotan Laplacian of the triangulated cube from embedded geometry.
 
     For n >= 3 this reproduces tricube_laplacian(n) exactly (entries are
@@ -149,7 +147,7 @@ def build_cube_cotan_geometric(n: int, arrangement: str = EVEN, sign: str = OLP)
     the half-weight boundary form with spectrum {0, 1, 1, 2}.
     """
     mesh = cube_face_triangulation(n, arrangement)
-    entries = _assemble(mesh.vertices.shape[0], _edge_angle_map(mesh), sign)
+    entries = _assemble(mesh.vertices.shape[0], _edge_angle_map(mesh))
     if n >= 3:
         snapped = np.round(entries)
         if np.abs(entries - snapped).max() > 1e-12:

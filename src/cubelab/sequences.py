@@ -194,15 +194,9 @@ def vector_equilibrium(n: int) -> VectorEquilibrium:
     leftover vertices n^2 - n + 2 match the 2^n a Cartesian frame needs."""
     if n < -1:
         raise ValueError("dimension must be >= -1")
-    v_count = n * (n + 1)
-    recurrence = 0
-    for m in range(0, n + 1):
-        recurrence += 2 * m
-    if n >= 0 and recurrence != v_count:
-        raise RuntimeError("vertex-count recurrence disagrees with n(n+1)")
     return VectorEquilibrium(
         n=n,
-        v_count=v_count,
+        v_count=n * (n + 1),
         kissing_known=_KISSING_KNOWN.get(n),
         cartesian_embeddable=(n * n - n + 2 == 2**n),
     )

@@ -41,9 +41,9 @@ count x count scale matrix with Q^(x)(n - 4), and each other nonzero tile
 through one product with Q^(x)4.  Per tile row, one batched matmul of
 inner dimension k + 1 (k general tiles) writes the row's residual block,
 so neither Q^(x)(n - 1) nor M applied to it is formed; a smaller N takes
-one GEMM on Q^(x)n.  Clustering groups eigenvalues whose spread stays
-within an absolute tolerance (default 1e-6; the spectra handled here have
-true gaps of at least sqrt(2) - 1).
+one GEMM on Q^(x)n.  `Spectrum.clusters` groups the eigenvalues whose
+spread stays within the absolute `CLUSTER_TOL` = 1e-6 (the spectra handled
+here have true gaps of at least sqrt(2) - 1), on its first read only.
 """
 
 import functools
@@ -73,22 +73,27 @@ class ResidualError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with tolerance-clustered multiplicity groups.
+    """Ascending eigenvalues and, from `basis`, their eigenvectors.
 
     `vectors` holds the matching unit eigenvectors as columns, or None.  It
     is read from `basis`: the array itself, or a function that builds it,
     which `eig_sym`'s declared routes pass so that a caller that reads the
     values only never forms the N x N matrix.  The function is called on
     the first read of `vectors`, and later reads return the same array.
+    `clusters`, the (mean, size) multiplicity groups of
+    `cluster_eigenvalues`, are likewise formed on their first read.
     """
 
     values: np.ndarray
-    clusters: tuple
-    basis: np.ndarray | Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    basis: np.ndarray | Callable[[], np.ndarray] | None = field(repr=False)
 
     @functools.cached_property
     def vectors(self) -> np.ndarray | None:
         return self.basis() if callable(self.basis) else self.basis
+
+    @functools.cached_property
+    def clusters(self) -> tuple:
+        return cluster_eigenvalues(self.values)
 
     @property
     def scale(self) -> float:
@@ -144,14 +149,14 @@ def symmetric_entries(M) -> np.ndarray:
     return entries
 
 
-def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
+def cluster_eigenvalues(values) -> tuple:
     """Greedy grouping of ascending values; within a cluster max - min <=
-    tol, and each cluster is (mean, size).
+    `CLUSTER_TOL`, and each cluster is (mean, size).
 
-    A value v opens a new cluster when v - first > tol for the first value
-    of the current one.  That difference rounds monotonically in v, so each
-    cluster's end is found by `searchsorted` at first + tol and then moved
-    to where the exact rule changes.
+    A value v opens a new cluster when v - first > CLUSTER_TOL for the first
+    value of the current one.  That difference rounds monotonically in v,
+    so each cluster's end is found by `searchsorted` at first + CLUSTER_TOL
+    and then moved to where the exact rule changes.
     """
     values = np.asarray(values, dtype=float)
     floats = values.tolist()
@@ -159,10 +164,10 @@ def cluster_eigenvalues(values, tol: float = CLUSTER_TOL) -> tuple:
     start, N = 0, len(floats)
     while start < N:
         first = floats[start]
-        stop = max(int(np.searchsorted(values, first + tol, side="right")), start + 1)
-        while stop < N and not floats[stop] - first > tol:
+        stop = max(int(np.searchsorted(values, first + CLUSTER_TOL, side="right")), start + 1)
+        while stop < N and not floats[stop] - first > CLUSTER_TOL:
             stop += 1
-        while stop > start + 1 and floats[stop - 1] - first > tol:
+        while stop > start + 1 and floats[stop - 1] - first > CLUSTER_TOL:
             stop -= 1
         clusters.append((float(np.mean(values[start:stop])), stop - start))
         start = stop
@@ -213,7 +218,7 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
         else:
             values, vectors = np.linalg.eigh(entries)
         residual = _residual_norms(entries, values, vectors)
-    spec = Spectrum(values=values, clusters=cluster_eigenvalues(values), basis=vectors)
+    spec = Spectrum(values, vectors)
     residual, scale = float(residual.max()), spec.scale
     if not (math.isfinite(scale) and residual <= tol * scale):
         raise ResidualError(
@@ -576,21 +581,22 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     return CentroBlocks(minus_block=minus, plus_block=plus, offdiag_norm=offdiag)
 
 
-def ramanujan_check(adj, degree: int | None = None) -> RamanujanResult:
+def ramanujan_check(adj) -> RamanujanResult:
     """Compare the largest nontrivial adjacency eigenvalue magnitude with
     the Ramanujan bound 2*sqrt(degree - 1), allowing 1e-9 above it.
 
-    Every eigenvalue of magnitude equal to the degree is trivial (this
-    covers -degree on bipartite graphs).  The values come from `eig_sym`,
-    so a declared structure takes its route (regtricube in the binary
-    ordering the Walsh one) and every pair is residual-checked.
+    The degree is row 0's sum; a graph with a row sum more than 1e-9 from
+    it is not regular (ValueError).  Every eigenvalue of magnitude equal to
+    the degree is trivial (this covers -degree on bipartite graphs).  The
+    values come from `eig_sym`, so a declared structure takes its route
+    (regtricube in the binary ordering the Walsh one) and every pair is
+    residual-checked.
     """
     entries = symmetric_entries(adj)
     degrees = entries.sum(axis=1)
-    if degree is None:
-        degree = int(round(degrees[0]))
+    degree = int(round(degrees[0]))
     if np.abs(degrees - degree).max() > 1e-9:
-        raise ValueError("graph is not regular of the stated degree")
+        raise ValueError("graph is not regular")
     values = eig_sym(adj).values
     nontrivial = np.abs(values)[np.abs(np.abs(values) - degree) > 1e-6]
     max_nontrivial = float(nontrivial.max()) if nontrivial.size else 0.0
@@ -603,7 +609,7 @@ def ramanujan_check(adj, degree: int | None = None) -> RamanujanResult:
     )
 
 
-def eig_identity_check(L, B, tol: float = 1e-6) -> IdentityResult:
+def eig_identity_check(L, B) -> IdentityResult:
     """Determinant identity tying a singular Laplacian to its kernel vector.
 
     For N x (N-1) matrix B and unit kernel vector x of L (`eig_sym`'s, with
@@ -616,7 +622,7 @@ def eig_identity_check(L, B, tol: float = 1e-6) -> IdentityResult:
 
     Both sides are carried as (sign, log|.|) from slogdet, so they may
     exceed the float range (lhs and rhs then read +-inf).  They agree when
-    rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1) <= tol, evaluated after
+    rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1) <= 1e-6, evaluated after
     scaling both sides by that maximum.
     """
     entries = symmetric_entries(L)
@@ -638,7 +644,7 @@ def eig_identity_check(L, B, tol: float = 1e-6) -> IdentityResult:
     rel_err = float(abs(lhs_sign * np.exp(lhs_log - scale) - rhs_sign * np.exp(rhs_log - scale)))
     with np.errstate(over="ignore"):
         lhs, rhs = float(lhs_sign * np.exp(lhs_log)), float(rhs_sign * np.exp(rhs_log))
-    return IdentityResult(lhs=lhs, rhs=rhs, agree=rel_err <= tol, rel_err=rel_err)
+    return IdentityResult(lhs=lhs, rhs=rhs, agree=rel_err <= 1e-6, rel_err=rel_err)
 
 
 def spectrum_to_csv(spec: Spectrum, path) -> None:

@@ -1,0 +1,13 @@
+"""-L for the tests that need negated Laplacians: negative spectra, +I
+tiles and zeros of -0.0."""
+
+from cubelab.cubegraphs import KRONECKER, GraphMatrix, Structure
+
+
+def negated(M: GraphMatrix) -> GraphMatrix:
+    """M with every entry negated (each 0 becomes -0.0) and a declared
+    Kronecker factor negated with them, through the public constructor."""
+    structure = M.structure
+    if structure is not None and structure.kind == KRONECKER:
+        structure = Structure(KRONECKER, -structure.data)
+    return GraphMatrix(M.family, M.kind, M.n, M.ordering, -M.entries, structure)

@@ -250,8 +250,8 @@ def test_euler_beyond_circuit_guard_exits_cleanly(monkeypatch, capsys):
     def built_past_guard(*args):
         raise AssertionError("built past the circuit guard")
 
-    # every even-degree n >= 19 is refused before its neighbour lists exist
-    monkeypatch.setattr(cubegraphs, "_regtricube_neighbors", built_past_guard)
+    # every even-degree n >= 19 is refused before its edge masks exist
+    monkeypatch.setattr(cubegraphs, "_regtricube_masks", built_past_guard)
     for n in (19, 20, 24, 10**9):
         assert main(["euler", "--n", str(n)]) == 2
         captured = capsys.readouterr()

@@ -23,7 +23,6 @@ from cubelab.cubegraphs import (
     KRONECKER,
     LAPLACIAN,
     LOW_RANK,
-    OLN,
     WALSH,
     GraphMatrix,
     _PATH3_ADJ,
@@ -42,6 +41,7 @@ from cubelab.cubegraphs import (
     regular_tricube_adjacency,
     tricube_laplacian,
 )
+from negation import negated
 
 
 def brute_distance_matrix(n, ordering):
@@ -238,7 +238,7 @@ def _shift_and_inf_tiles():
     lambda: pow_cube_adjacency(6),
     lambda: pow_cube_adjacency(6, "ternary-gray"),
     lambda: pow_tricube_laplacian(7),
-    lambda: pow_tricube_laplacian(6, "ternary", OLN),
+    lambda: negated(pow_tricube_laplacian(6)),
     lambda: pow_hamming_matrix(6),
     _shift_and_inf_tiles,
 ], ids=["powcube-729", "powcube-729-gray", "powtri-2187", "powtri-729-oln", "powhamming-729",
@@ -330,7 +330,6 @@ def test_tricube_is_kirchhoff_form():
         assert np.array_equal(L, n * np.eye(2**n) - ncube_adjacency(n).entries)
         assert np.all(L.sum(axis=1) == 0)
         assert np.trace(L) == n * 2**n
-    assert np.array_equal(tricube_laplacian(2, sign="oln").entries, -tricube_laplacian(2).entries)
 
 
 def test_tricube_spectra():
@@ -413,8 +412,9 @@ def test_build_matches_oracles(data):
     assert np.array_equal(gm.entries, expected)
     built = [gm]
     if row.kind == LAPLACIAN:
-        # bytes, not values: the zeros of -L are -0.0 and must stay so
-        built.append(build(family, n, ordering, OLN))
+        # -L keeps the declared structure, negated; bytes, not values: the
+        # zeros of -L are -0.0 and the constructor must keep them so
+        built.append(negated(gm))
         assert built[1].entries.tobytes() == (-gm.entries).tobytes()
     if row.factor is not None:
         declared = KRONECKER if ordering == "ternary" and n >= 2 else None
@@ -537,8 +537,9 @@ def test_eulerian_circuit_absent_for_odd_degree(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_euler_neighbor_lists_match_the_dense_adjacency(n):
     adj = regular_tricube_adjacency(n).entries
-    expected = [np.flatnonzero(row).tolist() for row in adj]
-    assert cubegraphs._regtricube_neighbors(n) == expected
+    masks, order = cubegraphs._regtricube_masks(n)
+    neighbors = np.arange(2**n)[:, None] ^ masks[order]
+    assert neighbors.tolist() == [np.flatnonzero(row).tolist() for row in adj]
 
 
 def test_euler_3_has_24_edges():
@@ -574,7 +575,7 @@ CSV_MATRICES = {
     for ordering in (BINARY_SCHEMES if row.base == 2 else TERNARY_SCHEMES)
 }
 CSV_MATRICES["hamming-3-custom"] = build("hamming", 3, [5, 0, 7, 2, 1, 6, 3, 4])
-CSV_MATRICES["tricube-4-binary-oln"] = tricube_laplacian(4, sign=OLN)
+CSV_MATRICES["tricube-4-binary-oln"] = negated(tricube_laplacian(4))
 _mixed = tricube_laplacian(2).entries.copy()
 _mixed[0, 3] = _mixed[3, 0] = -0.0  # beside the 0.0 entries: must print as -0.0
 CSV_MATRICES["tricube-2-mixed-zeros"] = GraphMatrix("tricube", LAPLACIAN, 2, "binary", _mixed)
@@ -598,7 +599,3 @@ def test_constructor_preconditions():
         pow_cube_adjacency(2, "binary")
     with pytest.raises(ValueError, match="unknown family"):
         build("cube", 3)
-    with pytest.raises(ValueError, match="sign"):
-        build("ncube", 3, sign=OLN)
-    with pytest.raises(ValueError, match="sign"):
-        tricube_laplacian(2, sign="negative")

@@ -21,7 +21,6 @@ def test_cotan_weight_values():
     assert cotan_weight([math.pi / 4, math.pi / 4]) == pytest.approx(1.0, abs=1e-15)
     assert cotan_weight([math.pi / 2, math.pi / 2]) == pytest.approx(0.0, abs=1e-15)
     assert cotan_weight([math.pi / 4]) == pytest.approx(0.5, abs=1e-15)
-    assert cotan_weight([math.pi / 4, math.pi / 4], sign="oln") == pytest.approx(-1.0)
     # representative pair on a many-triangle boundary edge
     assert cotan_weight([math.pi / 4] * 4) == pytest.approx(1.0, abs=1e-15)
 
@@ -128,9 +127,6 @@ def test_geometric_psd_with_simple_kernel(n):
     assert values[0] > -1e-12
     assert np.sum(np.abs(values) < 1e-9) == 1
     assert np.abs(L @ np.ones(L.shape[0])).max() < 1e-12
-    # OLN flips to negative semi-definite
-    values_neg = np.linalg.eigvalsh(build_cube_cotan_geometric(n, EVEN, sign="oln").entries)
-    assert values_neg[-1] < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -12,8 +12,6 @@ from cubelab.cubegraphs import (
     KRONECKER,
     LAPLACIAN,
     LOW_RANK,
-    OLN,
-    OLP,
     WALSH,
     GraphMatrix,
     Structure,
@@ -42,6 +40,7 @@ from cubelab.spectra import (
     spectral_stats,
     spectrum_to_csv,
 )
+from negation import negated
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,7 +62,8 @@ def _seeded_permutation(n):
     return np.random.default_rng(n).permutation(2**n).tolist()
 
 
-# (constructor, ordering, sign, smallest n); "custom" is a seeded permutation
+# (constructor, ordering, sign, smallest n); "custom" is a seeded permutation,
+# and sign "oln" takes the negated Laplacian
 EIG_SYM_CASES = [
     (make, ordering, sign, lo)
     for make, lo, signed in (
@@ -73,7 +73,7 @@ EIG_SYM_CASES = [
         (regular_tricube_adjacency, 2, False),
     )
     for ordering in ("binary", "gray", "custom")
-    for sign in ((OLP, OLN) if signed else (None,))
+    for sign in (("olp", "oln") if signed else (None,))
 ] + [
     (make, ordering, sign, 1)
     for make, signed in (
@@ -82,7 +82,7 @@ EIG_SYM_CASES = [
         (pow_hamming_matrix, False),
     )
     for ordering in ("ternary", "ternary-gray")
-    for sign in ((OLP, OLN) if signed else (None,))
+    for sign in (("olp", "oln") if signed else (None,))
 ]
 
 
@@ -93,7 +93,8 @@ EIG_SYM_CASES = [
 def test_eig_sym_matches_dense_lapack(make, ordering, sign, lo):
     for n in range(lo, 7):
         order = _seeded_permutation(n) if ordering == "custom" else ordering
-        M = make(n, order) if sign is None else make(n, order, sign)
+        M = make(n, order)
+        M = negated(M) if sign == "oln" else M
         spec = eig_sym(M)
         assert np.abs(spec.values - np.linalg.eigvalsh(M.entries)).max() <= 1e-9
         V = spec.vectors
@@ -159,11 +160,11 @@ def test_eig_sym_residual_failure_raises():
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("make,sign", [
     (pow_cube_adjacency, None),
-    (pow_tricube_laplacian, OLP),
-    (pow_tricube_laplacian, OLN),
+    (pow_tricube_laplacian, "olp"),
+    (pow_tricube_laplacian, "oln"),
 ])
 def test_eig_sym_kron_sum_solves_the_3x3_factor(monkeypatch, make, sign, n):
-    M = make(n) if sign is None else make(n, "ternary", sign)
+    M = negated(make(n)) if sign == "oln" else make(n)
     sizes = _record_sizes(monkeypatch, "eigh")
     spec = eig_sym(M)
     assert sizes == [3]
@@ -174,11 +175,11 @@ def test_eig_sym_kron_sum_solves_the_3x3_factor(monkeypatch, make, sign, n):
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("make,sign", [
     (pow_cube_adjacency, None),
-    (pow_tricube_laplacian, OLP),
-    (pow_tricube_laplacian, OLN),
+    (pow_tricube_laplacian, "olp"),
+    (pow_tricube_laplacian, "oln"),
 ])
 def test_kron_route_vectors_are_the_sorted_kronecker_power(monkeypatch, make, sign, n):
-    M = make(n) if sign is None else make(n, "ternary", sign)
+    M = negated(make(n)) if sign == "oln" else make(n)
     w, Q = np.linalg.eigh(M.structure.data)
     values = functools.reduce(lambda v, _: np.add.outer(v, w).ravel(), range(n - 1), w)
     expected = functools.reduce(np.kron, [Q] * n)[:, np.argsort(values, kind="stable")]
@@ -322,7 +323,7 @@ RESIDUAL_CASES = [
     lambda: ncube_adjacency(10, _seeded_permutation(10)),
     lambda: ncube_adjacency(11),
     # +I tiles, and zero tiles of -0.0
-    lambda: pow_tricube_laplacian(6, "ternary", OLN),
+    lambda: negated(pow_tricube_laplacian(6)),
     # a -I tile with a stray off-diagonal entry, or one changed diagonal
     # entry, is a general tile
     lambda: _powtri_729_with(-0.5, 3, 5),
@@ -374,7 +375,7 @@ def _random_symmetric_729():
     (7, lambda: np.diag(np.arange(2187.0) % 7)),
     (5, lambda: np.diag(np.arange(243.0) % 7)),
     # +I tiles and zero tiles of -0.0
-    (6, lambda: pow_tricube_laplacian(6, "ternary", OLN).entries),
+    (6, lambda: negated(pow_tricube_laplacian(6)).entries),
     (6, _two_run_tiles),
     (6, _random_symmetric_729),
     (5, lambda: pow_cube_adjacency(5).entries),
@@ -564,7 +565,7 @@ def test_kron_route_values_only_never_form_the_vectors():
 
 @pytest.mark.parametrize("make,kind", [
     (lambda: tricube_laplacian(5), WALSH),
-    (lambda: tricube_laplacian(5, "binary", OLN), WALSH),
+    (lambda: negated(tricube_laplacian(5)), WALSH),
     (lambda: regular_tricube_adjacency(6), WALSH),
     (lambda: hamming_distance_matrix(1), WALSH),
     (lambda: pow_hamming_matrix(3), LOW_RANK),
@@ -742,7 +743,7 @@ def test_degenerate_subspace_rotation_freedom():
 
 
 def test_cluster_eigenvalues_tolerance():
-    clusters = cluster_eigenvalues([0.0, 1e-8, 1.0, 2.0, 2.0 + 5e-7], tol=1e-6)
+    clusters = cluster_eigenvalues([0.0, 1e-8, 1.0, 2.0, 2.0 + 5e-7])
     assert [m for _, m in clusters] == [2, 1, 2]
 
 
@@ -760,19 +761,34 @@ def greedy_clusters(values, tol):
     return tuple(clusters)
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 0.0, 0.5])
-def test_cluster_eigenvalues_matches_the_greedy_pass(tol):
-    # spreads near tol, and copies shifted by exactly tol, put values on
-    # the boundary of the rule, where v - first and first + tol round apart
+@pytest.mark.parametrize("shift", [1e-6, 1e-9, 0.0, 0.5])
+def test_cluster_eigenvalues_matches_the_greedy_pass(shift):
+    # spreads near CLUSTER_TOL, and copies shifted by exactly CLUSTER_TOL,
+    # put values on the boundary of the rule, where v - first and first +
+    # CLUSTER_TOL round apart; `shift` moves every value, and so the rounding
     rng = np.random.default_rng(17)
     for _ in range(60):
         N = int(rng.integers(1, 100))
         base = rng.integers(-5, 6, N) * rng.choice([1.0, SQRT2, 0.1, 1e-6])
         spread = rng.choice([0.0, 1e-7, 5e-7, 1e-6, 2e-6, 1e-3])
-        v = np.sort(base + rng.standard_normal(N) * spread)
-        for values in (v, np.sort(np.concatenate([v, v + 1e-6, v + 2e-6]))):
-            assert cluster_eigenvalues(values, tol) == greedy_clusters(values, tol)
-    assert cluster_eigenvalues([], tol) == ()
+        v = np.sort(base + rng.standard_normal(N) * spread) + shift
+        for values in (v, np.sort(np.concatenate([v, v + CLUSTER_TOL, v + 2 * CLUSTER_TOL]))):
+            assert cluster_eigenvalues(values) == greedy_clusters(values, CLUSTER_TOL)
+    assert cluster_eigenvalues([]) == ()
+
+
+def test_eig_sym_clusters_on_the_first_read_of_clusters(monkeypatch):
+    calls = []
+
+    def recording(values):
+        calls.append(len(values))
+        return cluster_eigenvalues(values)
+
+    monkeypatch.setattr(spectra, "cluster_eigenvalues", recording)
+    spec = eig_sym(tricube_laplacian(3))
+    assert calls == []
+    assert spec.clusters == spec.clusters == cluster_eigenvalues(spec.values)
+    assert calls == [8]
 
 
 def test_classify_lattice():
@@ -815,7 +831,7 @@ def test_classify_lattice_matches_per_value_loop(family, n):
     ([1.0, 2.0 + 1.001e-6], 1e-6, None),  # just past tol
 ], ids=["ties-to-even", "inside-tol", "past-tol"])
 def test_classify_lattice_edge_values(values, tol, expected):
-    counts = classify_lattice(spectra.Spectrum(values=np.array(values), clusters=()), 1.0, tol)
+    counts = classify_lattice(spectra.Spectrum(np.array(values), None), 1.0, tol)
     assert counts == expected == _classify_lattice_loop(values, 1.0, tol)
     assert counts is None or list(counts) == sorted(counts)
 
@@ -918,7 +934,7 @@ def test_ramanujan_results():
     assert result.max_nontrivial == pytest.approx(2.0, abs=1e-9)
     assert result.degree == 4
     with pytest.raises(ValueError):
-        ramanujan_check(np.array([[0.0, 1.0], [1.0, 0.0]]), degree=3)
+        ramanujan_check(_PATH3_ADJ)
 
 
 def test_eig_identity_basis_columns():
