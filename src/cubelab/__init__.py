@@ -48,7 +48,6 @@ from .sequences import (
 from .spectra import (
     Spectrum,
     centro_block_diagonalize,
-    classify_lattice,
     eig_identity_check,
     eig_sym,
     ramanujan_check,

@@ -460,23 +460,6 @@ def _kron_vectors(Q: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
     return product.reshape(size, size)
 
 
-def classify_lattice(spec: Spectrum, unit: float, tol: float = CLUSTER_TOL):
-    """Map eigenvalues to integer multiples of `unit`.
-
-    Returns {k: multiplicity}, keys ascending, when every eigenvalue sits
-    within tol of k*unit for the nearest integer k (ties to even, as
-    Python's `round`), otherwise None.
-    """
-    if unit <= 0:
-        raise ValueError("unit must be positive")
-    k = np.rint(spec.values / unit)
-    if not (np.abs(spec.values - k * unit) <= tol).all():
-        return None
-    # keys through Python's int, which cannot wrap as an int64 cast could
-    keys, counts = np.unique(k, return_counts=True)
-    return {int(key): count for key, count in zip(keys.tolist(), counts.tolist())}
-
-
 def spectral_stats(spec: Spectrum) -> SpectralStats:
     """Radius, minimal gap between distinct eigenvalues, gap between the
     two largest distinct eigenvalues, and the trace."""

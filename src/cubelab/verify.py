@@ -10,12 +10,14 @@ deterministic: fixed RNG seeds, no timestamps, sorted JSON keys.
 default dimensions; `run_verification` restricts those to the requested
 n once and hands each check its list of n.  The `sequences` claim checks
 every `sequences.SEQUENCES` row that names an OEIS entry against that
-entry's bundled b-file.
+entry's bundled b-file.  The spectral claims compare the ascending
+eigenvalues with an exact {value: multiplicity} oracle.
 """
 
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ import numpy as np
 from . import oeisclient, sequences
 from .bitspace import ternary_vertex
 from .cubegraphs import (
+    _ORDERINGS,
     eulerian_circuit,
     hamming_distance_matrix,
     pow_cube_adjacency,
@@ -38,7 +41,6 @@ from .predicates import caf, n_related, n_shared
 from .spectra import (
     centro_block_diagonalize,
     centro_deviation,
-    classify_lattice,
     eig_identity_check,
     eig_sym,
     ramanujan_check,
@@ -89,22 +91,26 @@ def _check_theorem1(ns):
         yield _entry("theorem1", n, err <= 1e-12, err, "geometric == n*I - E, all arrangements")
 
 
-def _binomial_laplacian_spectrum(n: int) -> np.ndarray:
-    values = []
-    for k in range(n + 1):
-        values.extend([2.0 * k] * math.comb(n, k))
-    return np.array(sorted(values))
+def _deviation(values: np.ndarray, exact: dict) -> np.ndarray:
+    """|values - oracle| per position: the ascending eigenvalues against
+    the ascending expansion of the exact {value: multiplicity} multiset,
+    or all inf when the total multiplicity is not len(values)."""
+    if sum(exact.values()) != len(values):
+        return np.full(len(values), math.inf)
+    keys = sorted(exact)
+    return np.abs(values - np.repeat(np.array(keys, dtype=float), [exact[k] for k in keys]))
 
 
 def _check_theorem2(ns):
     for n in ns:
         spec = eig_sym(tricube_laplacian(n))
-        err = float(np.abs(spec.values - _binomial_laplacian_spectrum(n)).max())
+        binomial = {2 * k: math.comb(n, k) for k in range(n + 1)}
+        err = float(_deviation(spec.values, binomial).max())
         ok = err <= 1e-8
         details = "spectrum = 2k with multiplicity C(n,k)"
         if n == 2:
             boundary = eig_sym(build_cube_cotan_geometric(2, EVEN))
-            berr = float(np.abs(boundary.values - np.array([0.0, 1.0, 1.0, 2.0])).max())
+            berr = float(_deviation(boundary.values, {0: 1, 1: 2, 2: 1}).max())
             err = max(err, berr)
             ok = ok and berr <= 1e-10
             details += "; boundary form spectrum = {0,1,1,2}"
@@ -153,29 +159,21 @@ def _check_theorem5(ns):
     unit = math.sqrt(2.0)
     for n in ns:
         spec = eig_sym(pow_cube_adjacency(n))
-        err = float(np.abs(spec.values - np.round(spec.values / unit) * unit).max())
-        counts = classify_lattice(spec, unit)
         row = sequences.trinomial_row(n)
-        expected = {j - n: row[j] for j in range(2 * n + 1)}
-        ok = counts == expected and err <= 1e-6
+        lattice = {j * unit: row[j + n] for j in range(-n, n + 1)}
+        err = float(_deviation(spec.values, lattice).max())
+        ok = err <= 1e-6
         yield _entry("theorem5", n, ok, err, "sqrt(2) lattice with trinomial multiplicities")
-
-
-def _powtri_oracle(n: int) -> np.ndarray:
-    sums = [float(sum(t)) for t in itertools.product((0, 1, 3), repeat=n)]
-    return np.array(sorted(sums))
 
 
 def _check_theorem6(ns):
     for n in ns:
         spec = eig_sym(pow_tricube_laplacian(n))
-        oracle = _powtri_oracle(n)
-        err = float(np.abs(spec.values - oracle).max())
-        counts = classify_lattice(spec, 1.0, tol=1e-8)
-        present = counts is not None and all(
-            counts.get(k, 0) > 0 for k in range(3 * n + 1) if k != 3 * n - 1
-        )
-        absent = counts is not None and counts.get(3 * n - 1, 0) == 0
+        # the independent oracle: every sum over {0,1,3}^n, enumerated
+        counts = Counter(map(sum, itertools.product((0, 1, 3), repeat=n)))
+        err = float(_deviation(spec.values, counts).max())
+        present = all(k in counts for k in range(3 * n + 1) if k != 3 * n - 1)
+        absent = 3 * n - 1 not in counts
         # the multiplicities the paper names: row n of A038717
         row = sequences.powtri_mult_row(n)
         a038717 = counts == {k: m for k, m in enumerate(row) if m}
@@ -188,10 +186,14 @@ def _check_theorem6(ns):
 
 
 def _check_theorem7(ns):
+    _, vertex_ordering = _ORDERINGS[3]
     for n in ns:
         a = pow_hamming_matrix(n, "ternary").entries
         b = pow_hamming_matrix(n, "ternary-gray").entries
-        ok = np.array_equal(a, b)
+        # from n = 2 on, the two encodings must order the vertices apart,
+        # or the equality below holds by construction
+        reordered = n < 2 or vertex_ordering(n, "ternary-gray") != list(range(3**n))
+        ok = reordered and np.array_equal(a, b)
         err = 0.0 if ok else float(np.abs(a - b).max())
         yield _entry("theorem7", n, ok, err, "distance matrix identical under both encodings")
 
@@ -318,15 +320,15 @@ def _check_extremes(ns):
     for n in ns:
         spec = eig_sym(pow_hamming_matrix(n))
         closed = sequences.pow_hamming_extremes(n)
-        lo, hi = float(spec.values[0]), float(spec.values[-1])
-        rel = max(
-            abs(lo - closed.lambda_min) / abs(closed.lambda_min),
-            abs(hi - closed.lambda_max) / abs(closed.lambda_max),
-        )
-        neg = -4.0 * 3 ** (n - 2)
-        mult_neg = int(np.sum(np.abs(spec.values - neg) <= 1e-6))
-        mult_zero = int(np.sum(np.abs(spec.values) <= 1e-6))
-        ok = rel <= 1e-6 and mult_neg >= n - 1 and mult_zero == 3**n - n - 1
+        mult_neg, mult_zero = n - 1, 3**n - n - 1
+        exact = {
+            closed.lambda_min: 1, -4.0 * 3 ** (n - 2): mult_neg, 0: mult_zero,
+            closed.lambda_max: 1,
+        }
+        dev = _deviation(spec.values, exact)
+        # relative on the two ends, absolute in between
+        rel = max(dev[0] / abs(closed.lambda_min), dev[-1] / abs(closed.lambda_max))
+        ok = rel <= 1e-6 and dev[1:-1].max() <= 1e-6
         yield _entry(
             "extremes", n, ok, rel,
             f"closed-form extremes; mult(-4*3^(n-2)) = {mult_neg}, mult(0) = {mult_zero}",

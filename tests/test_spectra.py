@@ -1,11 +1,12 @@
 import functools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cubelab import cubegraphs, spectra
+from cubelab import cubegraphs, spectra, verify
 from cubelab.cubegraphs import (
     ADJACENCY,
     DISTANCE,
@@ -32,7 +33,6 @@ from cubelab.spectra import (
     CLUSTER_TOL,
     ResidualError,
     centro_block_diagonalize,
-    classify_lattice,
     cluster_eigenvalues,
     eig_identity_check,
     eig_sym,
@@ -548,9 +548,10 @@ def test_kron_eigh_peak_allocation():
 
 
 def test_kron_route_values_only_never_form_the_vectors():
-    # the factored check applies M to Q and to W apart and forms no
-    # eigenvector column; the 8 N^2 bytes of the sorted eigenvector matrix
-    # are spent only when Spectrum.vectors is read
+    # the factored check applies each 81 x 81 tile of M to Q^(x)4 and forms
+    # neither W = Q^(x)(n - 1) nor any eigenvector column; the 8 N^2 bytes
+    # of the sorted eigenvector matrix are spent only when Spectrum.vectors
+    # is read
     M = pow_cube_adjacency(7)
     tracemalloc.start()
     try:
@@ -791,17 +792,9 @@ def test_eig_sym_clusters_on_the_first_read_of_clusters(monkeypatch):
     assert calls == [8]
 
 
-def test_classify_lattice():
-    counts = classify_lattice(eig_sym(pow_cube_adjacency(2)), SQRT2)
-    assert counts == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
-    counts = classify_lattice(eig_sym(pow_tricube_laplacian(2)), 1.0)
-    assert counts == {0: 1, 1: 2, 2: 1, 3: 2, 4: 2, 6: 1}
-    assert 5 not in counts
-    assert classify_lattice(eig_sym(pow_cube_adjacency(1)), 1.0) is None
-
-
-def _classify_lattice_loop(values, unit, tol=CLUSTER_TOL):
-    """The per-value reference: Python's round, in order of appearance."""
+def _lattice_counts_loop(values, unit, tol=CLUSTER_TOL):
+    """The per-value reference: Python's round, in order of appearance;
+    None when a value lies farther than tol from unit * Z."""
     counts = {}
     for v in values:
         k = round(v / unit)
@@ -811,18 +804,46 @@ def _classify_lattice_loop(values, unit, tol=CLUSTER_TOL):
     return counts
 
 
+def _on_lattice(counts, unit):
+    """{k: c} on unit * Z as the exact {k * unit: c} multiset."""
+    return {k * unit: c for k, c in counts.items()}
+
+
+def test_classify_lattice():
+    values = eig_sym(pow_cube_adjacency(2)).values
+    counts = {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
+    assert _lattice_counts_loop(values, SQRT2) == counts
+    assert verify._deviation(values, _on_lattice(counts, SQRT2)).max() <= CLUSTER_TOL
+    values = eig_sym(pow_tricube_laplacian(2)).values
+    counts = {0: 1, 1: 2, 2: 1, 3: 2, 4: 2, 6: 1}
+    assert _lattice_counts_loop(values, 1.0) == counts
+    assert verify._deviation(values, counts).max() <= CLUSTER_TOL
+    # 3n - 1 = 5 is no eigenvalue: a multiplicity moved onto it fails
+    moved = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1}
+    assert verify._deviation(values, moved).max() > CLUSTER_TOL
+    # +-sqrt(2) lie off the integer lattice
+    values = eig_sym(pow_cube_adjacency(1)).values
+    assert _lattice_counts_loop(values, 1.0) is None
+    assert verify._deviation(values, {-1: 1, 0: 1, 1: 1}).max() > CLUSTER_TOL
+
+
 @pytest.mark.parametrize("family,n", [
     (family, n) for family, row in cubegraphs.FAMILIES.items() for n in range(row.min_n, 6)
 ])
 def test_classify_lattice_matches_per_value_loop(family, n):
-    spec = eig_sym(cubegraphs.build(family, n))
+    # rounding is monotone, so the ascending eigenvalues pair with the
+    # ascending expansion of their rounded multiset value by value: the
+    # deviation is each value's own distance to its lattice point, in
+    # whatever order the multiset's keys were inserted
+    values = eig_sym(cubegraphs.build(family, n)).values
+    assert np.all(np.diff(values) >= 0)
     for unit in (1.0, 2.0, SQRT2):
-        counts = classify_lattice(spec, unit)
-        expected = _classify_lattice_loop(spec.values, unit)
-        assert counts == expected
-        if counts is not None:
-            assert list(counts.items()) == list(expected.items())
-            assert all(type(k) is int for k in counts)
+        rounded = Counter(round(v / unit) for v in values[::-1])
+        dev = verify._deviation(values, _on_lattice(rounded, unit))
+        assert dev.tolist() == [abs(v - round(v / unit) * unit) for v in values]
+        counts = _lattice_counts_loop(values, unit)
+        assert (counts is None) == bool(dev.max() > CLUSTER_TOL)
+        assert counts is None or counts == rounded
 
 
 @pytest.mark.parametrize("values,tol,expected", [
@@ -831,15 +852,18 @@ def test_classify_lattice_matches_per_value_loop(family, n):
     ([1.0, 2.0 + 1.001e-6], 1e-6, None),  # just past tol
 ], ids=["ties-to-even", "inside-tol", "past-tol"])
 def test_classify_lattice_edge_values(values, tol, expected):
-    counts = classify_lattice(spectra.Spectrum(np.array(values), None), 1.0, tol)
-    assert counts == expected == _classify_lattice_loop(values, 1.0, tol)
-    assert counts is None or list(counts) == sorted(counts)
+    assert _lattice_counts_loop(values, 1.0, tol) == expected
+    rounded = Counter(round(v) for v in values[::-1])
+    dev = verify._deviation(np.array(values), rounded)
+    assert bool(dev.max() <= tol) == (expected is not None)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tricube_classifies_on_even_lattice(n):
-    counts = classify_lattice(eig_sym(tricube_laplacian(n)), 2.0)
-    assert counts == {k: math.comb(n, k) for k in range(n + 1)}
+    values = eig_sym(tricube_laplacian(n)).values
+    assert _lattice_counts_loop(values, 2.0) == {k: math.comb(n, k) for k in range(n + 1)}
+    binomial = {2 * k: math.comb(n, k) for k in range(n + 1)}
+    assert verify._deviation(values, binomial).max() <= CLUSTER_TOL
 
 
 def test_spectral_stats():

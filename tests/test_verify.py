@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cubelab import cubegraphs, harmonic, verify
+from cubelab.bitspace import TERNARY
 from cubelab.cubegraphs import regular_tricube_adjacency
 from cubelab.predicates import n_related, n_shared
-from cubelab.spectra import eig_sym, ramanujan_check
+from cubelab.spectra import Spectrum, eig_sym, ramanujan_check
 from cubelab.verify import CLAIMS, run_verification
 
 
@@ -111,6 +112,40 @@ def test_euler_checks_the_exact_edge_count(monkeypatch):
     monkeypatch.setattr(verify, "regular_tricube_adjacency", one_edge_fewer)
     [entry] = run_verification(claims=["euler"], n_range=[3]).entries
     assert entry["status"] == "fail"
+
+
+def test_deviation_is_inf_when_the_multiplicities_do_not_total_n():
+    values = np.array([0.0, 2.0, 2.0, 4.0])
+    assert verify._deviation(values, {0: 1, 2: 2, 4: 1}).tolist() == [0.0] * 4
+    for exact in ({0: 1, 2: 2}, {0: 1, 2: 2, 4: 2}):
+        assert verify._deviation(values, exact).tolist() == [np.inf] * 4
+
+
+def test_one_moved_multiplicity_fails_every_spectral_claim(monkeypatch):
+    # the last copy of the first repeated eigenvalue takes the next distinct
+    # value: N and the distinct set stay, one multiplicity moves by one
+    def moved(M):
+        values = eig_sym(M).values.copy()
+        apart = np.diff(values) > 1e-6
+        j = next(i for i in range(1, len(apart)) if apart[i] and not apart[i - 1])
+        values[j] = values[j + 1]
+        return Spectrum(values, None)
+
+    monkeypatch.setattr(verify, "eig_sym", moved)
+    claims = ["theorem2", "theorem5", "theorem6", "extremes"]
+    entries = [e for e in run_verification(claims, n_range=[3]).entries if e["n"] == 3]
+    assert [(e["claim"], e["status"]) for e in entries] == [(c, "fail") for c in claims]
+
+
+def test_theorem7_fails_when_ternary_gray_is_the_natural_order(monkeypatch):
+    def natural(n, scheme):
+        return list(range(3**n))
+
+    monkeypatch.setitem(cubegraphs._ORDERINGS, 3, (TERNARY, natural))
+    entries = run_verification(["theorem7"]).entries
+    assert [(e["n"], e["status"]) for e in entries] == [(1, "pass")] + [
+        (n, "fail") for n in range(2, 7)
+    ]
 
 
 def test_properties_l_solves_each_matrix_once(monkeypatch):
