@@ -78,7 +78,7 @@ def cmd_activation(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    result = min_energy_search(args.n, args.ordering or "binary")
+    result = min_energy_search(args.n)
     energy = result.energy_as_fraction()
     exact = abs(float(energy) - result.best_energy) <= 1e-12
     payload = {
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poisson", help="minimum-energy balanced sign-pattern search")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--out")
-    _add_ordering(p)
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("seq", help="emit sequence terms, b-file style")

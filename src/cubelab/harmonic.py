@@ -56,7 +56,7 @@ def pseudoinverse(L) -> np.ndarray:
     return (spec.vectors * inv) @ spec.vectors.T
 
 
-def min_energy_search(n: int, ordering="binary") -> MinEnergyResult:
+def min_energy_search(n: int) -> MinEnergyResult:
     """Scan all balanced +-1 right-hand sides on the triangulated cube for
     the minimum Dirichlet energy.
 
@@ -66,7 +66,7 @@ def min_energy_search(n: int, ordering="binary") -> MinEnergyResult:
     """
     if n > 4:
         raise ValueError(f"exhaustive search over C(2^{n}, 2^{n - 1}) patterns is too large")
-    L = tricube_laplacian(n, ordering)
+    L = tricube_laplacian(n)
     N = L.N
     pinv = pseudoinverse(L)
     best_energy = None

@@ -28,10 +28,12 @@ def n_shared(n: int, r: int, p: int) -> int:
 
 
 def n_related(n: int, r: int, p: int) -> int:
-    """Rank-r predicates touching at least one of a fixed set of p vertices."""
+    """Rank-r predicates touching at least one of a fixed set of p vertices:
+    all C(2^n, r) less the C(2^n - p, r) that avoid them, which by the
+    hockey-stick identity is the sum of C(2^n - l, r - 1) over l = 1..p."""
     if not (1 <= r <= 2**n and 1 <= p <= 2**n):
         raise ValueError(f"need 1 <= r, p <= 2^{n}")
-    return sum(math.comb(2**n - l, r - 1) for l in range(1, p + 1))
+    return math.comb(2**n, r) - math.comb(2**n - p, r)
 
 
 def caf(n: int, r: int, p: int) -> Fraction:

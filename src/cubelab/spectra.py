@@ -109,7 +109,6 @@ class Spectrum:
 class CentroBlocks:
     minus_block: np.ndarray
     plus_block: np.ndarray
-    offdiag_norm: float
 
 
 @dataclass(frozen=True)
@@ -153,25 +152,17 @@ def cluster_eigenvalues(values) -> tuple:
     """Greedy grouping of ascending values; within a cluster max - min <=
     `CLUSTER_TOL`, and each cluster is (mean, size).
 
-    A value v opens a new cluster when v - first > CLUSTER_TOL for the first
-    value of the current one.  That difference rounds monotonically in v,
-    so each cluster's end is found by `searchsorted` at first + CLUSTER_TOL
-    and then moved to where the exact rule changes.
+    One ascending pass: a value v opens a new cluster when v - first >
+    CLUSTER_TOL for the first value of the current one.
     """
     values = np.asarray(values, dtype=float)
-    floats = values.tolist()
-    clusters = []
-    start, N = 0, len(floats)
-    while start < N:
-        first = floats[start]
-        stop = max(int(np.searchsorted(values, first + CLUSTER_TOL, side="right")), start + 1)
-        while stop < N and not floats[stop] - first > CLUSTER_TOL:
-            stop += 1
-        while stop > start + 1 and floats[stop - 1] - first > CLUSTER_TOL:
-            stop -= 1
-        clusters.append((float(np.mean(values[start:stop])), stop - start))
-        start = stop
-    return tuple(clusters)
+    starts, first = [], None
+    for i, v in enumerate(values.tolist()):
+        if first is None or v - first > CLUSTER_TOL:
+            starts.append(i)
+            first = v
+    ends = starts[1:] + [len(values)]
+    return tuple((float(np.mean(values[a:b])), b - a) for a, b in zip(starts, ends))
 
 
 def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
@@ -539,29 +530,17 @@ def centro_block_diagonalize(M) -> CentroBlocks:
     Uses K = (1/sqrt(2)) [[I, -J], [I, J]], with a sqrt(2) center row
     inserted for odd dimension.  The minus block carries the eigenvalues
     of antisymmetric eigenvectors (Jx = -x), the plus block the symmetric
-    ones.  Both blocks and the largest entry of the off-diagonal blocks of
-    K M K^T are read from slices of M in O(N^2); K is never formed.
-    `eig_sym` solves bisymmetric inputs that declare no structure
-    through these same blocks.
+    ones.  Both blocks of K M K^T are read from slices of M in O(N^2); K
+    is never formed.  A `centro_deviation` above STRUCTURE_TOL raises
+    ValueError; it also bounds the off-diagonal blocks of K M K^T, whose
+    entries are each half the sum of two entries of M - J M J.  `eig_sym`
+    solves bisymmetric inputs that declare no structure through these
+    same blocks.
     """
     entries = symmetric_entries(M)
     if centro_deviation(entries) > STRUCTURE_TOL:
         raise ValueError("matrix is not bisymmetric")
-    N = entries.shape[0]
-    m = N // 2
-    # off-diagonal blocks (A - JDJ +- (BJ - JC)) / 2 and, for odd N, the
-    # centre row and column (M[:m, m] - J M[N-m:, m]) / sqrt(2)
-    A, D = entries[:m, :m], entries[N - m :, N - m :][::-1, ::-1]
-    BJ, JC = entries[:m, N - m :][:, ::-1], entries[N - m :, :m][::-1]
-    offdiag = 0.5 * float((np.abs(A - D) + np.abs(BJ - JC)).max(initial=0.0))
-    if N % 2:
-        centre = np.concatenate([
-            entries[:m, m] - entries[N - m :, m][::-1],
-            entries[m, :m] - entries[m, N - m :][::-1],
-        ])
-        offdiag = max(offdiag, float(np.abs(centre).max(initial=0.0)) / math.sqrt(2.0))
-    minus, plus = _centro_blocks(entries)
-    return CentroBlocks(minus_block=minus, plus_block=plus, offdiag_norm=offdiag)
+    return CentroBlocks(*_centro_blocks(entries))
 
 
 def ramanujan_check(adj) -> RamanujanResult:

@@ -27,6 +27,7 @@ from . import oeisclient, sequences
 from .bitspace import ternary_vertex
 from .cubegraphs import (
     _ORDERINGS,
+    STRUCTURE_TOL,
     eulerian_circuit,
     hamming_distance_matrix,
     pow_cube_adjacency,
@@ -39,7 +40,7 @@ from .harmonic import kernel_from_spectrum, min_energy_search
 from .meshcotan import BOTH, EVEN, ODD, build_cube_cotan_geometric
 from .predicates import caf, n_related, n_shared
 from .spectra import (
-    centro_block_diagonalize,
+    _centro_blocks,
     centro_deviation,
     eig_identity_check,
     eig_sym,
@@ -198,9 +199,13 @@ def _check_theorem7(ns):
         yield _entry("theorem7", n, ok, err, "distance matrix identical under both encodings")
 
 
-def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> float:
+def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> tuple[float, bool]:
+    """(err, bisymmetric); a matrix off bisymmetry is not solved, and its
+    err is its `centro_deviation`."""
     entries = gm.entries
     err = centro_deviation(entries)
+    if err > STRUCTURE_TOL:
+        return err, False
     spec = eig_sym(gm)
     stats = spectral_stats(spec)
     err = max(err, abs(stats.radius - radius))
@@ -208,31 +213,26 @@ def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> float:
         err = max(err, abs(stats.eigengap - eigengap))
     if spectral_gap is not None:
         err = max(err, abs(stats.spectral_gap - spectral_gap))
-    blocks = centro_block_diagonalize(gm)
-    err = max(err, blocks.offdiag_norm)
-    block_values = np.sort(
-        np.concatenate(
-            [np.linalg.eigvalsh(blocks.minus_block), np.linalg.eigvalsh(blocks.plus_block)]
-        )
-    )
+    blocks = _centro_blocks(entries)
+    block_values = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     # eig_sym may solve the input through these same blocks, so the full
     # matrix's own spectrum is the independent reference here
     full_values = np.linalg.eigvalsh(entries)
     err = max(err, float(np.abs(block_values - full_values).max()))
     kernel_from_spectrum(entries, spec)
-    return err
+    return err, True
 
 
 def _check_properties_l(ns):
     for n in ns:
         L = tricube_laplacian(n)
-        err = _laplacian_structure_err(L, radius=2.0 * n, eigengap=2.0, spectral_gap=2.0)
+        err, ok = _laplacian_structure_err(L, radius=2.0 * n, eigengap=2.0, spectral_gap=2.0)
         err = max(err, float(np.abs(L.entries.sum(axis=1)).max()))
         details = "tricube: bisymmetric, trace n*2^n exactly, radius 2n, eigengap 2, blocks"
-        structure_ok = float(np.trace(L.entries)) == n * 2**n
+        ok = ok and float(np.trace(L.entries)) == n * 2**n
         if n <= 5:
             P = pow_tricube_laplacian(n)
-            perr = _laplacian_structure_err(
+            perr, p_ok = _laplacian_structure_err(
                 P, radius=3.0 * n, eigengap=1.0 if n >= 2 else None, spectral_gap=2.0
             )
             diag = np.diag(P.entries)
@@ -241,11 +241,9 @@ def _check_properties_l(ns):
             # reversing the ternary index maps x to -x, so the odd order 3^n
             # leaves exactly one fixed vertex, the origin, at the centre
             # index; it borders the plus block
-            structure_ok = (
-                structure_ok and P.N % 2 == 1 and not any(ternary_vertex(n, P.N // 2).coords)
-            )
+            ok = ok and p_ok and P.N % 2 == 1 and not any(ternary_vertex(n, P.N // 2).coords)
             details += "; powtri: radius 3n, spectral gap 2, diagonal n..2n, origin at centre"
-        yield _entry("properties-L", n, structure_ok and err <= 1e-9, err, details)
+        yield _entry("properties-L", n, ok and err <= 1e-9, err, details)
 
 
 def _check_properties_d(ns):

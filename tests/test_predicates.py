@@ -29,6 +29,14 @@ def test_n_related_values():
         assert n_related(3, r, 1) == math.comb(7, r - 1)
     assert n_related(2, 2, 4) == math.comb(4, 2) == 6
     assert n_related(2, 2, 2) == 5
+    # the defining sum: the predicates whose first member among the p fixed
+    # vertices is the l-th hold it, none of the l - 1 before it, and r - 1
+    # of the other 2^n - l vertices
+    for n in range(1, 6):
+        for r in range(1, 2**n + 1):
+            for p in range(1, 2**n + 1):
+                by_first = sum(math.comb(2**n - l, r - 1) for l in range(1, p + 1))
+                assert n_related(n, r, p) == by_first
 
 
 def test_caf_linear_sequence_for_single_vertex():

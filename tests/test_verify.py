@@ -6,9 +6,10 @@ import pytest
 
 from cubelab import cubegraphs, harmonic, verify
 from cubelab.bitspace import TERNARY
-from cubelab.cubegraphs import regular_tricube_adjacency
+from cubelab.cli import main
+from cubelab.cubegraphs import STRUCTURE_TOL, regular_tricube_adjacency
 from cubelab.predicates import n_related, n_shared
-from cubelab.spectra import Spectrum, eig_sym, ramanujan_check
+from cubelab.spectra import Spectrum, centro_deviation, eig_sym, ramanujan_check
 from cubelab.verify import CLAIMS, run_verification
 
 
@@ -146,6 +147,27 @@ def test_theorem7_fails_when_ternary_gray_is_the_natural_order(monkeypatch):
     assert [(e["n"], e["status"]) for e in entries] == [(1, "pass")] + [
         (n, "fail") for n in range(2, 7)
     ]
+
+
+def test_properties_l_fails_on_a_non_bisymmetric_laplacian(monkeypatch, tmp_path):
+    # a seeded relabelling of the vertices keeps the Laplacian symmetric
+    # but moves it off bisymmetry, so it cannot be split into blocks
+    rng = np.random.default_rng(3)
+    built = []
+
+    def shuffled(n):
+        built.append(cubegraphs.build("tricube", n, rng.permutation(2**n).tolist()))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "tricube_laplacian", shuffled)
+    (entry,) = run_verification(["properties-L"], [3]).entries
+    deviation = centro_deviation(built[0].entries)
+    assert deviation > STRUCTURE_TOL
+    assert (entry["status"], entry["max_abs_err"]) == ("fail", deviation)
+    report = tmp_path / "report.json"
+    args = ["verify", "--claims", "properties-L", "--n-range", "3", "--report", str(report)]
+    assert main(args) == 1
+    assert json.loads(report.read_text())["summary"]["fail"] == 1
 
 
 def test_properties_l_solves_each_matrix_once(monkeypatch):
