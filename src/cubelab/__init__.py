@@ -47,7 +47,6 @@ from .sequences import (
 )
 from .spectra import (
     Spectrum,
-    centro_block_diagonalize,
     eig_identity_check,
     eig_sym,
     ramanujan_check,

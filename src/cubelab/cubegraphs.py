@@ -35,11 +35,14 @@ one of two rules:
   n >= 3, whose distances s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at
   most n + 1.
 
-Every other matrix declares none.  `build` refuses a matrix whose dense
-float64 entries would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
-vertices fit) before it builds anything.  The seven named constructors
-are single `build` calls.  Matrices are dense, which suits desk scale
-(N <= 3^7); the structure pays off instead in `spectra.eig_sym`.
+Every other matrix declares none.  `build` stores the entries as int8,
+which holds every family entry exactly (|entry| <= 2n <= 16), so a built
+matrix takes N^2 bytes; its consumers widen them to float64 one block or
+tile at a time.  `build` refuses a matrix whose dense float64 form would
+exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8 vertices fit) before it
+builds anything.  The seven named constructors are single `build` calls.
+Matrices are dense, which suits desk scale (N <= 3^7); the structure pays
+off instead in `spectra.eig_sym`.
 
 `GraphMatrix` validates its entries when it is made.  An order that is a
 multiple of `TILE` = 81 and at least 729 (every 3^n family from n = 6) is
@@ -67,7 +70,7 @@ LAPLACIAN = "laplacian"
 # here and on raw arrays in `spectra`, centrosymmetry there
 STRUCTURE_TOL = 1e-10
 
-# bound on the 8 N^2 bytes of a built matrix's entries
+# bound on the 8 N^2 bytes of a built matrix's float64 form
 MAX_DENSE_BYTES = 1 << 30
 
 # bound on the edges of an Eulerian circuit: n = 16 (4.46M edges) takes ~3 s
@@ -76,26 +79,28 @@ MAX_DENSE_BYTES = 1 << 30
 MAX_CIRCUIT_EDGES = 1 << 23
 
 
-# rows per slab of the symmetry test: a 128-column slab row is 1 KiB of float64
-_SYMMETRY_SLAB = 128
+# rows per slab of the symmetry test and of the untiled entry rules, so that
+# neither makes an N x N temporary: a 128-column slab row is 1 KiB of float64
+_SLAB = 128
 
 
 def asymmetry(entries: np.ndarray) -> float:
     """Largest entry of |M - M^T|: 0.0 when M is exactly symmetric, and inf
     when an entry is NaN.
 
-    The exact test walks the diagonal in slabs of `_SYMMETRY_SLAB` rows,
+    The exact test walks the diagonal in slabs of `_SLAB` rows,
     comparing row slab M[i:i+s, i:] with column slab M[i:, i:i+s]^T, so it
     reads every pair (j, k), j <= k, once in short contiguous runs rather
     than the whole transpose, and stops at the first mismatch.  Only a
-    mismatch pays for the full |M - M^T|.
+    mismatch pays for the full |M - M^T|, taken in float64 so that integer
+    entries cannot wrap.
     """
     if entries.ndim < 2:  # a 0-d or 1-d array is its own transpose
         return 0.0
-    s = _SYMMETRY_SLAB
+    s = _SLAB
     for i in range(0, entries.shape[0], s):
         if not np.array_equal(entries[i : i + s, i:], entries[i:, i : i + s].T):
-            deviation = float(np.abs(entries - entries.T).max())
+            deviation = float(np.abs(np.subtract(entries, entries.T, dtype=float)).max())
             return math.inf if math.isnan(deviation) else deviation
     return 0.0
 
@@ -215,14 +220,17 @@ class Structure:
 class GraphMatrix:
     """Dense square matrix tagged with its graph family and construction.
 
-    Construction validates the entries once and makes them read-only: they
+    The entries keep the dtype they are given: int8 from `build`, float64
+    from the mesh builders.  Construction validates them once and makes
+    them read-only: they
     must be symmetric (within `STRUCTURE_TOL`) and meet the kind's rule,
     hollow 0/1 for ADJACENCY, hollow and nonnegative for DISTANCE, zero row
     sums (within 1e-9) for LAPLACIAN.  Entries that do not own their memory
     (a view, whose base could still be written) are copied first.  Entries
     that own it are kept, so a writable view of them taken before
     construction can still change them after validation; `build` and the
-    mesh builders never leave such a view.  A tiled
+    mesh builders never leave such a view.  An untiled order is read in
+    slabs of `_SLAB` rows; a tiled
     order is validated from its census (see the module docstring), and the
     matrix keeps it as `_census` for the Kronecker route's residual walk in
     `spectra.eig_sym`.  A `structure`, when set, declares how the entries
@@ -256,7 +264,10 @@ class GraphMatrix:
         if not (census is not None and census.symmetric(e)) and asymmetry(e) > STRUCTURE_TOL:
             raise ValueError("entries must be symmetric")
         # every entry is 0, a scale c of H, or in a general tile
-        pieces = [e] if census is None else [census.scales, *(b for _, b in census.blocks(e))]
+        if census is None:
+            pieces = [e[i : i + _SLAB] for i in range(0, e.shape[0], _SLAB)]
+        else:
+            pieces = [census.scales, *(b for _, b in census.blocks(e))]
         if self.kind == ADJACENCY:
             if not (all(np.all((p == 0) | (p == 1)) for p in pieces) and np.all(np.diag(e) == 0)):
                 raise ValueError("adjacency matrix must be hollow 0/1")
@@ -293,12 +304,13 @@ class GraphMatrix:
             data.setflags(write=False)
 
 
-_PATH3_ADJ = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-_PATH3_LAP = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+_PATH3_ADJ = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
+_PATH3_LAP = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=np.int8)
 
 
 def _ternary_product(factor: np.ndarray, n: int) -> np.ndarray:
-    """Cartesian-product accumulation of a 3x3 per-axis matrix.
+    """Cartesian-product accumulation of a 3x3 per-axis matrix, in the
+    factor's dtype.
 
     Vertex index m = sum digits[k] * 3^k, so axis k sits at the k-th
     Kronecker slot from the right.  Built by index arithmetic: entry
@@ -307,8 +319,8 @@ def _ternary_product(factor: np.ndarray, n: int) -> np.ndarray:
     """
     size = 3**n
     index = np.arange(size)
-    total = np.zeros((size, size))
-    diagonal = np.zeros(size)
+    total = np.zeros((size, size), dtype=factor.dtype)
+    diagonal = np.zeros(size, dtype=factor.dtype)
     for k in range(n):
         digit = (index // 3**k) % 3
         diagonal += factor[digit, digit]
@@ -325,7 +337,7 @@ class Family:
     """One row of `FAMILIES`; exactly one of `profile` and `factor` is set.
 
     profile  g_n(d) as a function of (d, n) over the array d = 0..n
-    factor   3x3 per-axis matrix of a Kronecker sum (base 3 only)
+    factor   3x3 int8 per-axis matrix of a Kronecker sum (base 3 only)
     """
 
     base: int
@@ -348,16 +360,22 @@ FAMILIES = {
 # vertex base -> (default ordering, permutation of the vertex indices)
 _ORDERINGS = {2: (BINARY, binary_ordering), 3: (TERNARY, ternary_ordering)}
 
+# entries per row block of a profile fill: its XOR, popcount and gather
+# temporaries stay near 1 MB however large N is
+_FILL_ENTRIES = 1 << 16
+
 
 def build(family: str, n: int, ordering=None) -> GraphMatrix:
-    """The `FAMILIES[family]` matrix on n axes.
+    """The `FAMILIES[family]` matrix on n axes, with int8 entries.
 
     `ordering` is a scheme tag for the family's vertex base or, for the
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  The matrix declares its `Structure` (see the module
-    docstring).  An unknown family, n below the family's smallest, or
-    dense entries over `MAX_DENSE_BYTES` (n > 13 for 2^n, n > 8 for 3^n)
-    raise ValueError before any ordering or array is built.
+    docstring).  A profile row is filled one block of rows at a time, so
+    construction makes no N x N temporary.  An unknown family, n below the
+    family's smallest, or a dense float64 form over `MAX_DENSE_BYTES`
+    (n > 13 for 2^n, n > 8 for 3^n) raise ValueError before any ordering
+    or array is built.
     """
     row = FAMILIES.get(family)
     if row is None:
@@ -393,8 +411,12 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
         elif identity:
             structure = Structure(WALSH)
         addresses = addresses.astype(np.uint16)
-        distance = np.bitwise_count(np.bitwise_xor.outer(addresses, addresses))
-        entries = np.asarray(row.profile(np.arange(n + 1), n), dtype=float)[distance]
+        table = np.asarray(row.profile(np.arange(n + 1), n)).astype(np.int8)
+        entries = np.empty((perm.size, perm.size), dtype=np.int8)
+        step = max(1, _FILL_ENTRIES // perm.size)
+        for start in range(0, perm.size, step):
+            distance = np.bitwise_count(addresses[start : start + step, None] ^ addresses)
+            entries[start : start + step] = table[distance]
     ordering_tag = ordering if isinstance(ordering, str) else "custom"
     return GraphMatrix(family, row.kind, n, ordering_tag, entries, structure)
 
@@ -505,18 +527,20 @@ def matrix_to_csv(gm: GraphMatrix, path) -> None:
     each as repr(float(x)).
 
     Each distinct entry is formatted once into a value table keyed on its
-    float64 bit pattern (so -0.0 stays apart from 0.0), and each row is a
-    join of table lookups.  The table comes from one sort of the bit
-    patterns; `np.unique` would give the same table, but the hash table it
-    builds in recent numpy raises the peak memory of a process that writes
-    many matrices.
+    own bit pattern, viewed as an unsigned int of the entries' itemsize (so
+    int8 entries are never widened, and a float -0.0 stays apart from 0.0),
+    and each row is a join of table lookups.  The table comes from one sort
+    of the bit patterns; `np.unique` would give the same table, but the
+    hash table it builds in recent numpy raises the peak memory of a
+    process that writes many matrices.
     """
-    bits = np.asarray(gm.entries, dtype=np.float64).view(np.uint64)
+    entries = gm.entries
+    bits = entries.view(f"u{entries.dtype.itemsize}")
     ordered = np.sort(bits, axis=None)
     first = np.ones(ordered.shape, dtype=bool)  # the first of each run of equal patterns
     first[1:] = ordered[1:] != ordered[:-1]
     table = ordered[first]
-    text = np.array([repr(float(v)) for v in table.view(np.float64)], dtype=object)
+    text = np.array([repr(float(v)) for v in table.view(entries.dtype)], dtype=object)
     with open(path, "w") as fh:
         fh.write("family,kind,n,ordering,N\n")
         fh.write(f"{gm.family},{gm.kind},{gm.n},{gm.ordering},{gm.N}\n")
@@ -525,14 +549,15 @@ def matrix_to_csv(gm: GraphMatrix, path) -> None:
 
 
 def matrix_to_json(gm: GraphMatrix, path) -> None:
-    """Write a matrix as a JSON envelope with the same metadata."""
+    """Write a matrix as a JSON envelope with the same metadata; every
+    entry is written as a float (2.0, not 2), whatever its dtype."""
     payload = {
         "family": gm.family,
         "kind": gm.kind,
         "n": gm.n,
         "ordering": gm.ordering,
         "N": gm.N,
-        "entries": gm.entries.tolist(),
+        "entries": np.asarray(gm.entries, dtype=float).tolist(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)

@@ -63,8 +63,12 @@ RESIDUAL_TOL = 1e-8
 KERNEL_TOL = 1e-9
 
 # columns per block of the Walsh check, and rows per block of the low-rank
-# kernel bound and of the Walsh vectors
+# kernel bound, of the Walsh vectors and of `centro_deviation`
 _BLOCK = 64
+# rows per block of the low-rank route's M Q_X: blocks of 64 rows changed
+# its rounding (OpenBLAS takes another kernel for small products), blocks
+# of 243 rows match the whole product bit for bit
+_GEMM_ROWS = 243
 
 
 class ResidualError(RuntimeError):
@@ -103,12 +107,6 @@ class Spectrum:
     def in_kernel(self) -> np.ndarray:
         """The kernel rule: mask of |lambda| <= KERNEL_TOL * scale."""
         return np.abs(self.values) <= KERNEL_TOL * self.scale
-
-
-@dataclass(frozen=True)
-class CentroBlocks:
-    minus_block: np.ndarray
-    plus_block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     solves one 3x3 eigh (`_kron_basis`), WALSH none (`_walsh_eig`),
     LOW_RANK one of order n + 1 (`_low_rank_eig`).  Undeclared input is
     solved, when centrosymmetric (N > 1, within 1e-10 absolute), from the
-    two half-size blocks of `centro_block_diagonalize`, and otherwise by
+    two half-size blocks of `_centro_blocks`, and otherwise by
     one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
     pair on every entry of the input before returning (the Kronecker
@@ -302,8 +300,9 @@ def _low_rank_eig(entries: np.ndarray, bits: np.ndarray):
     """Values, lazy vectors and residuals of a matrix whose columns lie in
     the span of X = [1 | bits], from one eigh of order n + 1.
 
-    With Q_X the orthonormal factor of X's QR, S = Q_X^T (M Q_X) is one
-    N^2 (n + 1) GEMM over every entry, and its eigenpairs (theta, u) give
+    With Q_X the orthonormal factor of X's QR, S = Q_X^T (M Q_X), where
+    M Q_X is formed over every entry in blocks of `_GEMM_ROWS` rows, each
+    widened to float64 on its own, and its eigenpairs (theta, u) give
     the range pairs (theta, Q_X u), each checked as ||M Q_X u - theta
     Q_X u||.  Every other value is exactly 0, on the complement of Q_X's
     range.  For a unit v there, M v = (M - Q_X S Q_X^T) v, so
@@ -314,7 +313,10 @@ def _low_rank_eig(entries: np.ndarray, bits: np.ndarray):
     N = entries.shape[0]
     X = np.concatenate([np.ones((N, 1)), bits], axis=1)
     Q = np.linalg.qr(X)[0]
-    MQ = entries @ Q
+    MQ = np.empty((N, Q.shape[1]))
+    for start in range(0, N, _GEMM_ROWS):
+        rows = slice(start, start + _GEMM_ROWS)
+        np.matmul(entries[rows], Q, out=MQ[rows])
     S = Q.T @ MQ
     theta, U = np.linalg.eigh(S)
     QU = Q @ U
@@ -467,29 +469,42 @@ def spectral_stats(spec: Spectrum) -> SpectralStats:
 
 
 def centro_deviation(entries: np.ndarray) -> float:
-    """Largest entrywise change under reversing both index orders (J M J)."""
-    return float(np.abs(entries[::-1, ::-1] - entries).max())
+    """Largest entrywise change under reversing both index orders (J M J),
+    NaN when an entry is NaN.  It is taken in float64, so integer entries
+    cannot wrap, one block of `_BLOCK` rows at a time."""
+    mirrored = entries[::-1, ::-1]
+    return float(np.max([
+        np.abs(np.subtract(mirrored[i : i + _BLOCK], entries[i : i + _BLOCK], dtype=float)).max()
+        for i in range(0, entries.shape[0], _BLOCK)
+    ]))
 
 
 def _centro_blocks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minus and plus blocks of K M K^T for a bisymmetric M, by slicing.
+    """Minus and plus blocks of K M K^T for a bisymmetric M, by slicing,
+    in float64 whatever M's dtype.
 
-    With m = N // 2, A the top-left m x m block and B J the top-right
-    block with its columns reversed, the minus block is A - B J and the
-    plus block A + B J; for odd N the plus block is bordered in front by
-    the centre entry and sqrt(2) times the centre column.
+    K = (1/sqrt(2)) [[I, -J], [I, J]], with a sqrt(2) centre row inserted
+    for odd N, is never formed.  The minus block carries the eigenvalues of
+    the antisymmetric eigenvectors (J x = -x), the plus block those of the
+    symmetric ones.  The off-diagonal blocks of K M K^T are dropped; each of
+    their entries is half the sum of two entries of M - J M J, so a caller
+    bounds them by `centro_deviation` first.  With m = N // 2, A the
+    top-left m x m block and B J the top-right block with its columns
+    reversed, the minus block is A - B J and the plus block A + B J; for
+    odd N the plus block is bordered in front by the centre entry and
+    sqrt(2) times the centre column.
     """
     N = entries.shape[0]
     m = N // 2
     A = entries[:m, :m]
     BJ = entries[:m, N - m :][:, ::-1]
-    minus = A - BJ
+    minus = np.subtract(A, BJ, dtype=float)
     if N % 2 == 0:
-        return minus, A + BJ
+        return minus, np.add(A, BJ, dtype=float)
     plus = np.empty((m + 1, m + 1))
     plus[0, 0] = entries[m, m]
     plus[1:, 0] = plus[0, 1:] = math.sqrt(2.0) * entries[:m, m]
-    plus[1:, 1:] = A + BJ
+    np.add(A, BJ, out=plus[1:, 1:], dtype=float)
     return minus, plus
 
 
@@ -522,25 +537,6 @@ def _centro_eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if N % 2:
         vectors[m, plus_cols] = plus_vectors[0]
     return values[order], vectors
-
-
-def centro_block_diagonalize(M) -> CentroBlocks:
-    """Orthogonal block-diagonalization of a bisymmetric matrix.
-
-    Uses K = (1/sqrt(2)) [[I, -J], [I, J]], with a sqrt(2) center row
-    inserted for odd dimension.  The minus block carries the eigenvalues
-    of antisymmetric eigenvectors (Jx = -x), the plus block the symmetric
-    ones.  Both blocks of K M K^T are read from slices of M in O(N^2); K
-    is never formed.  A `centro_deviation` above STRUCTURE_TOL raises
-    ValueError; it also bounds the off-diagonal blocks of K M K^T, whose
-    entries are each half the sum of two entries of M - J M J.  `eig_sym`
-    solves bisymmetric inputs that declare no structure through these
-    same blocks.
-    """
-    entries = symmetric_entries(M)
-    if centro_deviation(entries) > STRUCTURE_TOL:
-        raise ValueError("matrix is not bisymmetric")
-    return CentroBlocks(*_centro_blocks(entries))
 
 
 def ramanujan_check(adj) -> RamanujanResult:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,17 +72,41 @@ def test_ternary_product_matches_kron_sum(factor, n):
 def test_graph_matrix_symmetry_bound_is_absolute():
     # construction is the only symmetry test a GraphMatrix gets, with the
     # 1e-10 absolute bound that `spectra` applies to raw arrays; 1e-9 once
-    # passed it (np.allclose, rtol 1e-5)
-    D = hamming_distance_matrix(2).entries.copy()
+    # passed it (np.allclose, rtol 1e-5); the faults go into float64 copies
+    # of the int8 entries, and their integer twins into the int8 entries
+    D = hamming_distance_matrix(2).entries.astype(float)
     D[0, 1] += 5e-11
     GraphMatrix("hamming", DISTANCE, 2, "binary", D.copy())
     D[0, 1] += 1e-9
     with pytest.raises(ValueError, match="symmetric"):
         GraphMatrix("hamming", DISTANCE, 2, "binary", D)
-    L = tricube_laplacian(2).entries.copy()
+    D = hamming_distance_matrix(2).entries.copy()
+    D[0, 1] += 1
+    with pytest.raises(ValueError, match="symmetric"):
+        GraphMatrix("hamming", DISTANCE, 2, "binary", D)
+    L = tricube_laplacian(2).entries.astype(float)
     L[0, 1] = L[1, 0] = np.nan
     with pytest.raises(ValueError, match="symmetric"):
         GraphMatrix("tricube", LAPLACIAN, 2, "binary", L)
+    L = tricube_laplacian(2).entries.copy()
+    L[0, 1] += 1
+    L[1, 0] += 1
+    with pytest.raises(ValueError, match="zero row sums"):
+        GraphMatrix("tricube", LAPLACIAN, 2, "binary", L)
+
+
+@pytest.mark.parametrize("kind, entries, deviation", [
+    (LAPLACIAN, [[-100, 100], [-28, 28]], 128.0),
+    (DISTANCE, [[0, 127], [-128, 0]], 255.0),
+], ids=["difference-wraps-to-minus-128", "difference-wraps-to-minus-1"])
+def test_int8_asymmetry_does_not_wrap(kind, entries, deviation):
+    # in int8 arithmetic 100 - (-28) wraps to -128, whose magnitude wraps
+    # too, and 127 - (-128) to -1; the deviation is taken in float64, as
+    # for the float64 copy, so the zero row sums do not get the first in
+    entries = np.array(entries, dtype=np.int8)
+    assert asymmetry(entries) == asymmetry(entries.astype(float)) == deviation
+    with pytest.raises(ValueError, match="symmetric"):
+        GraphMatrix("x", kind, 1, "custom", entries)
 
 
 def full_asymmetry(entries):
@@ -153,24 +178,29 @@ def _partner_scales_differ(n):
 
 
 def _asymmetric_general_tile(delta):
+    # a delta that int8 cannot hold goes into a float64 copy
     def make(n):
-        L = pow_tricube_laplacian(n).entries.copy()
+        L = pow_tricube_laplacian(n).entries.astype(np.result_type(np.int8, delta))
         L[0, 1] += delta  # tile (0, 0) is general
         return LAPLACIAN, L
     return make
 
 
 def _scaled_tiles_set_to(make, kind, c, new):
-    return lambda n: (kind, _set_tile_pair(make(n).entries.copy(), _is_scaled(c), new))
+    return lambda n: (
+        kind, _set_tile_pair(make(n).entries.astype(new.dtype), _is_scaled(c), new)
+    )
 
 
-def _nan_pair(make, kind, test, j, k):
-    def nan_pair(n):
-        M = make(n).entries.copy()
+def _pair_set_to(make, kind, test, j, k, value):
+    """Entry (j, k) of the first tile that passes test, and its partner, set
+    to value; a NaN goes into a float64 copy."""
+    def pair_set_to(n):
+        M = make(n).entries.astype(np.result_type(np.int8, value))
         r, s = _tile_pair(M, test)
-        _tile(M, r, s)[j, k] = _tile(M, s, r)[k, j] = np.nan
+        _tile(M, r, s)[j, k] = _tile(M, s, r)[k, j] = value
         return kind, M
-    return nan_pair
+    return pair_set_to
 
 
 @pytest.mark.parametrize("n", [6, 7], ids=["N=729", "N=2187"])
@@ -178,17 +208,28 @@ def _nan_pair(make, kind, test, j, k):
     (_stray_in_zero_tile, "symmetric"),
     (_partner_scales_differ, "symmetric"),
     (_asymmetric_general_tile(1e-6), "symmetric"),
-    (_scaled_tiles_set_to(pow_cube_adjacency, ADJACENCY, 1.0, 2.0 * np.eye(81)), "hollow 0/1"),
+    (_scaled_tiles_set_to(pow_cube_adjacency, ADJACENCY, 1.0, 2 * np.eye(81, dtype=np.int8)),
+     "hollow 0/1"),
     # powcube's entries are hollow and nonnegative, so a valid distance matrix
-    (_scaled_tiles_set_to(pow_cube_adjacency, DISTANCE, 1.0, -np.eye(81)), "nonnegative"),
+    (_scaled_tiles_set_to(pow_cube_adjacency, DISTANCE, 1.0, -np.eye(81, dtype=np.int8)),
+     "nonnegative"),
     (_scaled_tiles_set_to(pow_tricube_laplacian, LAPLACIAN, -1.0, -(1 + 1e-8) * np.eye(81)),
      "zero row sums"),
-    (_nan_pair(pow_cube_adjacency, ADJACENCY, _is_zero, 3, 5), "symmetric"),
-    (_nan_pair(pow_tricube_laplacian, LAPLACIAN, _is_scaled(-1.0), 7, 7), "symmetric"),
+    (_pair_set_to(pow_cube_adjacency, ADJACENCY, _is_zero, 3, 5, np.nan), "symmetric"),
+    (_pair_set_to(pow_tricube_laplacian, LAPLACIAN, _is_scaled(-1.0), 7, 7, np.nan),
+     "symmetric"),
+    # the integer twins of the non-integer faults above, in the int8 entries
+    (_asymmetric_general_tile(1), "symmetric"),
+    (_scaled_tiles_set_to(pow_tricube_laplacian, LAPLACIAN, -1.0, -2 * np.eye(81, dtype=np.int8)),
+     "zero row sums"),
+    (_pair_set_to(pow_cube_adjacency, ADJACENCY, _is_zero, 3, 5, 2), "hollow 0/1"),
+    (_pair_set_to(pow_tricube_laplacian, LAPLACIAN, _is_scaled(-1.0), 7, 7, 0), "zero row sums"),
 ], ids=[
     "stray-entry-in-zero-tile", "partner-scaled-tiles-differ", "general-tile-asymmetric-1e-6",
     "2I-tile-in-adjacency", "negative-scaled-tile-in-distance",
     "row-sum-error-in-scaled-tile", "nan-in-zero-tile", "nan-on-scaled-diagonal",
+    "general-tile-asymmetric-1", "row-sum-error-1-in-scaled-tile", "2-in-zero-tile",
+    "0-on-scaled-diagonal",
 ])
 def test_tiled_validation_rejects_one_wrong_place(make, message, n):
     kind, entries = make(n)
@@ -259,14 +300,16 @@ def test_census_matches_brute_force_classification(make):
 
 def test_census_is_kept_only_for_entries_that_own_their_memory():
     # a view is copied before validation, so writes to its base after
-    # construction change neither the entries nor what the census read
+    # construction change neither the entries nor what the census read;
+    # the NaN goes into a float64 base, its integer twin into an int8 one
     entries = pow_cube_adjacency(6).entries.copy()
     assert GraphMatrix("powcube", ADJACENCY, 6, "ternary", entries)._census is not None
-    base = pow_cube_adjacency(6).entries.copy()
-    M = GraphMatrix("powcube", ADJACENCY, 6, "ternary", base.view())
-    assert M._census is not None and M.entries.flags.owndata
-    base[0, 1] = base[1, 0] = np.nan
-    assert np.array_equal(M.entries, pow_cube_adjacency(6).entries)
+    for dtype, value in ((np.float64, np.nan), (np.int8, 2)):
+        base = pow_cube_adjacency(6).entries.astype(dtype)
+        M = GraphMatrix("powcube", ADJACENCY, 6, "ternary", base.view())
+        assert M._census is not None and M.entries.flags.owndata
+        base[0, 1] = base[1, 0] = value
+        assert np.array_equal(M.entries, pow_cube_adjacency(6).entries)
     assert cubegraphs._tile_census(pow_cube_adjacency(5).entries) is None
 
 
@@ -408,14 +451,14 @@ def test_build_matches_oracles(data):
     gm = build(family, n, ordering)
     assert (gm.family, gm.n) == (family, n)
     assert gm.ordering == (ordering if isinstance(ordering, str) else "custom")
-    assert gm.entries.dtype == np.float64 and gm.entries.flags.c_contiguous
+    assert gm.entries.dtype == np.int8 and gm.entries.flags.c_contiguous
     assert np.array_equal(gm.entries, expected)
     built = [gm]
     if row.kind == LAPLACIAN:
         # -L keeps the declared structure, negated; bytes, not values: the
-        # zeros of -L are -0.0 and the constructor must keep them so
+        # zeros of the float64 -L are -0.0 and the constructor must keep them so
         built.append(negated(gm))
-        assert built[1].entries.tobytes() == (-gm.entries).tobytes()
+        assert built[1].entries.tobytes() == (-gm.entries.astype(float)).tobytes()
     if row.factor is not None:
         declared = KRONECKER if ordering == "ternary" and n >= 2 else None
     elif row.base == 3:
@@ -434,6 +477,34 @@ def test_build_matches_oracles(data):
         elif declared == LOW_RANK:
             addresses = [ternary_vertex(n, v).address for v in ternary_ordering(n, ordering)]
             assert np.array_equal(m.structure.data, addresses)
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes that tracemalloc saw it allocate
+    above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("family,n,ordering", [
+    ("hamming", 12, "binary"), ("regtricube", 12, "binary"), ("ncube", 12, "gray"),
+    ("powhamming", 7, "ternary"), ("powtri", 7, "ternary"),
+])
+def test_build_peak_allocation_is_at_most_twice_the_entries(family, n, ordering):
+    # profile rows are filled one block of rows at a time and the entry rules
+    # read slabs of rows, so no N x N temporary is made; the N x N XOR table,
+    # its popcount and the 0/1 test's three N x N masks once took the peak to
+    # 3-4 times the int8 entries
+    build(family, 3, ordering)
+    M, peak = _traced_peak(lambda: build(family, n, ordering))
+    assert M.entries.dtype == np.int8
+    assert peak <= 2 * M.entries.nbytes
 
 
 def _built_past_guard(*args):
@@ -576,9 +647,35 @@ CSV_MATRICES = {
 }
 CSV_MATRICES["hamming-3-custom"] = build("hamming", 3, [5, 0, 7, 2, 1, 6, 3, 4])
 CSV_MATRICES["tricube-4-binary-oln"] = negated(tricube_laplacian(4))
-_mixed = tricube_laplacian(2).entries.copy()
+_mixed = tricube_laplacian(2).entries.astype(float)
 _mixed[0, 3] = _mixed[3, 0] = -0.0  # beside the 0.0 entries: must print as -0.0
 CSV_MATRICES["tricube-2-mixed-zeros"] = GraphMatrix("tricube", LAPLACIAN, 2, "binary", _mixed)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("scheme", [0, 1], ids=["default-ordering", "gray-ordering"])
+def test_export_bytes_match_the_float64_copy(tmp_path, family, scheme):
+    # the int8 entries write the bytes that their float64 copy writes: CSV
+    # and JSON both print 2.0, not 2
+    row = FAMILIES[family]
+    ordering = (BINARY_SCHEMES if row.base == 2 else TERNARY_SCHEMES)[scheme]
+    gm = build(family, 3, ordering)
+    copy = GraphMatrix(
+        gm.family, gm.kind, gm.n, gm.ordering, gm.entries.astype(float), gm.structure
+    )
+    assert gm.entries.dtype == np.int8
+    for write in (matrix_to_csv, matrix_to_json):
+        write(gm, tmp_path / "int8")
+        write(copy, tmp_path / "float64")
+        assert (tmp_path / "int8").read_bytes() == (tmp_path / "float64").read_bytes()
+
+
+def test_matrix_to_csv_forms_no_float64_copy(tmp_path):
+    # the value table is keyed on the int8 bits themselves: the sorted copy
+    # and its run mask take 2 N^2 bytes, a float64 copy would take 8 N^2
+    gm = hamming_distance_matrix(9)
+    _, peak = _traced_peak(lambda: matrix_to_csv(gm, tmp_path / "m.csv"))
+    assert peak <= 4 * gm.entries.nbytes
 
 
 @pytest.mark.parametrize("name", CSV_MATRICES)

@@ -32,7 +32,6 @@ from cubelab.meshcotan import dirichlet_energy
 from cubelab.spectra import (
     CLUSTER_TOL,
     ResidualError,
-    centro_block_diagonalize,
     centro_deviation,
     cluster_eigenvalues,
     eig_identity_check,
@@ -136,12 +135,16 @@ def test_eig_sym_small_and_split_orders(monkeypatch, M, blocks):
 
 
 def test_eig_sym_near_bisymmetric_takes_single_eigh(monkeypatch):
-    M = pow_tricube_laplacian(2).entries.copy()
-    M[0, 0] += 1e-8
+    # 1e-8 goes into a float64 copy of the int8 entries, its integer twin
+    # (+1) into the int8 entries
     sizes = _record_sizes(monkeypatch, "eigh")
-    spec = eig_sym(M)
-    assert sizes == [9]
-    assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
+    for delta in (1e-8, 1):
+        M = pow_tricube_laplacian(2).entries.astype(np.result_type(np.int8, delta))
+        M[0, 0] += delta
+        sizes.clear()
+        spec = eig_sym(M)
+        assert sizes == [9]
+        assert np.abs(spec.values - np.linalg.eigvalsh(M)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [math.inf, -1.0, 0.0, math.nan])
@@ -271,7 +274,7 @@ def test_graph_matrix_symmetry_is_not_retested(monkeypatch):
     monkeypatch.setattr(spectra, "asymmetry", counting)
     eig_sym(M)
     eig_sym(L)
-    centro_block_diagonalize(L)
+    spectra.symmetric_entries(L)
     assert calls == []
     eig_sym(L.entries)
     assert calls == [(8, 8)]
@@ -298,9 +301,9 @@ def _minus_identity_tile(M):
 
 
 def _powtri_729_with(value, dr, ds):
-    """powtri n = 6 with the symmetric pair at (dr, ds) inside its first -I
-    tile set to value."""
-    M = pow_tricube_laplacian(6).entries.copy()
+    """powtri n = 6, as float64, with the symmetric pair at (dr, ds) inside
+    its first -I tile set to value."""
+    M = pow_tricube_laplacian(6).entries.astype(float)
     r, s = _minus_identity_tile(M)
     M[r + dr, s + ds] = M[s + ds, r + dr] = value
     return M
@@ -397,41 +400,64 @@ def test_kron_column_blocks_match_dense_reference(n, make):
     assert np.abs(blocks - dense).max() <= 1e-14 * max(float(np.abs(natural).max()), 1.0)
 
 
-@pytest.mark.parametrize("value,dr,ds", [
-    (np.nan, 7, 7), (np.nan, 3, 5), (np.inf, None, None),
-], ids=["nan-on-diagonal", "nan-off-diagonal", "inf-scale"])
-def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, dr, ds):
-    M = pow_tricube_laplacian(6).entries.copy()
-    spec = eig_sym(M)
-    r, s = _minus_identity_tile(M)
-    if dr is None:  # the whole tile becomes inf * I
-        M[r : r + 81, s : s + 81] = np.diag(np.full(81, value))
+def _minus_identity_tile_fault(entries, value, dr, ds):
+    """entries with the entry at (dr, ds) of its first -I tile set to value,
+    or with the whole tile set to value * I when dr is None."""
+    r, s = _minus_identity_tile(entries)
+    if dr is None:
+        entries[r : r + 81, s : s + 81] = np.diag(np.full(81, value))
     else:
-        M[r + dr, s + ds] = value
+        entries[r + dr, s + ds] = value
+    return entries
+
+
+# twin: the -I tile's entry (or scale) + 1, the integer fault at the same place
+@pytest.mark.parametrize("value,twin,dr,ds", [
+    (np.nan, 0, 7, 7), (np.nan, 1, 3, 5), (np.inf, 0, None, None),
+], ids=["nan-on-diagonal", "nan-off-diagonal", "inf-scale"])
+def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, twin, dr, ds):
+    M = pow_tricube_laplacian(6).entries
+    spec = eig_sym(M)
+    faulty = _minus_identity_tile_fault(M.astype(float), value, dr, ds)
     with np.errstate(invalid="ignore"):
-        residual = spectra._residual_norms(M, spec.values, spec.vectors)
+        residual = spectra._residual_norms(faulty, spec.values, spec.vectors)
     assert not np.isfinite(residual).all()
+    # the integer twin, in the int8 entries, is finite and fails the check
+    twinned = _minus_identity_tile_fault(M.copy(), twin, dr, ds)
+    residual = spectra._residual_norms(twinned, spec.values, spec.vectors)
+    assert np.isfinite(residual).all() and residual.max() > spectra.RESIDUAL_TOL * spec.scale
 
 
 @pytest.mark.parametrize("case", ["nan-in-scaled-tile", "nan-in-general-tile", "inf-scale"])
 def test_kron_route_non_finite_tile_fails_residual(case):
     # a GraphMatrix rejects NaN and inf when it is made, and a view is
-    # copied first, so the walk takes the census of a raw copy
-    entries = pow_tricube_laplacian(6).entries.copy()
-    r, s = _minus_identity_tile(entries)
-    if case == "nan-in-scaled-tile":
-        entries[r + 7, s + 7] = entries[s + 7, r + 7] = np.nan
-    elif case == "nan-in-general-tile":  # tile (0, 0) is general
-        entries[0, 1] = entries[1, 0] = np.nan
-    else:
-        tile = np.diag(np.full(81, np.inf))
-        entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
+    # copied first, so the walk takes the census of a raw copy; the faults
+    # go into a float64 copy, and their integer twins (+1 at the same
+    # entries) into the int8 entries, where the residual is finite but fails
     natural, Q, _ = spectra._kron_basis(_PATH3_LAP, 6)
-    census = cubegraphs._tile_census(entries)
-    with np.errstate(all="ignore"):
-        assert not np.isfinite(spectra._kron_residual_norms(entries, natural, Q, 6, census)).all()
-        with pytest.raises(ValueError):
-            GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP))
+    for dtype in (np.float64, np.int8):
+        entries = pow_tricube_laplacian(6).entries.astype(dtype)
+        faulty = dtype == np.float64
+        r, s = _minus_identity_tile(entries)
+        if case == "nan-in-scaled-tile":
+            entries[r + 7, s + 7] = entries[s + 7, r + 7] = np.nan if faulty else 0
+        elif case == "nan-in-general-tile":  # tile (0, 0) is general
+            entries[0, 1] = entries[1, 0] = np.nan if faulty else 0
+        else:
+            tile = np.diag(np.full(81, np.inf)) if faulty else np.zeros((81, 81), np.int8)
+            entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
+        census = cubegraphs._tile_census(entries)
+        with np.errstate(all="ignore"):
+            residual = spectra._kron_residual_norms(entries, natural, Q, 6, census)
+            if faulty:
+                assert not np.isfinite(residual).all()
+            else:
+                assert np.isfinite(residual).all()
+                assert residual.max() > spectra.RESIDUAL_TOL * np.abs(natural).max()
+            with pytest.raises(ValueError):
+                GraphMatrix(
+                    "powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP)
+                )
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -496,16 +522,17 @@ def test_tiled_residual_failure_raises():
         eig_sym(pow_cube_adjacency(6), tol=1e-20)
 
 
-def _nudged_powtri(n, pair):
-    """powtri's entries with the symmetric pair at `pair` raised by 1e-6 and
-    its two diagonal entries lowered by 1e-6 (row sums stay zero), declaring
-    the unchanged factor."""
-    M = pow_tricube_laplacian(n).entries.copy()
+def _nudged_powtri(n, pair, delta):
+    """powtri's entries with the symmetric pair at `pair` raised by delta and
+    its two diagonal entries lowered by delta (row sums stay zero), declaring
+    the unchanged factor; a delta that int8 cannot hold goes into a float64
+    copy."""
+    M = pow_tricube_laplacian(n).entries.astype(np.result_type(np.int8, delta))
     i, j = pair(M)
-    M[i, j] += 1e-6
-    M[j, i] += 1e-6
-    M[i, i] -= 1e-6
-    M[j, j] -= 1e-6
+    M[i, j] += delta
+    M[j, i] += delta
+    M[i, i] -= delta
+    M[j, j] -= delta
     return GraphMatrix("powtri", LAPLACIAN, n, "ternary", M, Structure(KRONECKER, _PATH3_LAP))
 
 
@@ -515,8 +542,10 @@ def _nudged_powtri(n, pair):
     (4, lambda M: (0, 1)),
 ], ids=["minus-identity-tile-729", "general-tile-729", "untiled-81"])
 def test_kron_route_residual_finds_entries_off_the_factor(n, pair):
-    with pytest.raises(ResidualError):
-        eig_sym(_nudged_powtri(n, pair))
+    # 1e-6 in a float64 copy, and its integer twin 1 in the int8 entries
+    for delta in (1e-6, 1):
+        with pytest.raises(ResidualError):
+            eig_sym(_nudged_powtri(n, pair, delta))
 
 
 def test_eig_sym_peak_allocation_on_the_kron_route():
@@ -601,8 +630,9 @@ def test_walsh_vectors_are_the_sorted_sylvester_columns():
 def _nudged(M, i, j, delta):
     """M's entries with the symmetric pair (i, j) raised by delta and, for a
     Laplacian, its two diagonal entries lowered by delta (row sums stay
-    zero), declaring M's unchanged structure."""
-    E = M.entries.copy()
+    zero), declaring M's unchanged structure; a delta that int8 cannot hold
+    goes into a float64 copy."""
+    E = M.entries.astype(np.result_type(M.entries, delta))
     E[i, j] += delta
     E[j, i] += delta
     if M.kind == LAPLACIAN:
@@ -618,7 +648,13 @@ def _nudged(M, i, j, delta):
     # sqrt(2) delta against tol * scale, about 2e-5
     (lambda: pow_hamming_matrix(6), 0, 1, 1e-3),
     (lambda: pow_hamming_matrix(6, "ternary-gray"), 100, 500, 1e-3),
-], ids=["walsh-row-0", "walsh-inner", "low-rank", "low-rank-gray"])
+    # the integer twins, in the int8 entries
+    (lambda: tricube_laplacian(8), 0, 3, 1),
+    (lambda: tricube_laplacian(8), 17, 200, 1),
+    (lambda: pow_hamming_matrix(6), 0, 1, 1),
+    (lambda: pow_hamming_matrix(6, "ternary-gray"), 100, 500, 1),
+], ids=["walsh-row-0", "walsh-inner", "low-rank", "low-rank-gray", "walsh-row-0-int8",
+        "walsh-inner-int8", "low-rank-int8", "low-rank-gray-int8"])
 def test_structured_route_residual_finds_entries_off_the_structure(make, i, j, delta):
     M = make()
     eig_sym(M)
@@ -881,27 +917,40 @@ def test_spectral_stats():
 
 
 def test_centro_blocks_gray_tricube_2():
-    blocks = centro_block_diagonalize(tricube_laplacian(2, "gray"))
-    assert np.allclose(np.linalg.eigvalsh(blocks.minus_block), [2, 4], atol=1e-12)
-    assert np.allclose(np.linalg.eigvalsh(blocks.plus_block), [0, 2], atol=1e-12)
+    minus, plus = spectra._centro_blocks(tricube_laplacian(2, "gray").entries)
+    assert np.allclose(np.linalg.eigvalsh(minus), [2, 4], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(plus), [0, 2], atol=1e-12)
 
 
 def test_centro_blocks_odd_dimension():
-    blocks = centro_block_diagonalize(pow_tricube_laplacian(1))
-    assert np.allclose(np.linalg.eigvalsh(blocks.minus_block), [1.0], atol=1e-12)
-    assert np.allclose(np.linalg.eigvalsh(blocks.plus_block), [0.0, 3.0], atol=1e-12)
+    minus, plus = spectra._centro_blocks(pow_tricube_laplacian(1).entries)
+    assert np.allclose(np.linalg.eigvalsh(minus), [1.0], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(plus), [0.0, 3.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("make,n", [(tricube_laplacian, 4), (pow_tricube_laplacian, 3)])
 def test_centro_blocks_preserve_spectrum(make, n):
     M = make(n)
-    blocks = centro_block_diagonalize(M)
-    combined = np.sort(np.concatenate([
-        np.linalg.eigvalsh(blocks.minus_block), np.linalg.eigvalsh(blocks.plus_block)
-    ]))
+    minus, plus = spectra._centro_blocks(M.entries)
+    combined = np.sort(np.concatenate([np.linalg.eigvalsh(minus), np.linalg.eigvalsh(plus)]))
     assert np.allclose(combined, np.linalg.eigvalsh(M.entries), atol=1e-9)
-    assert blocks.plus_block.shape[0] == (M.N + 1) // 2
-    assert blocks.minus_block.shape[0] == M.N // 2
+    assert plus.shape[0] == (M.N + 1) // 2
+    assert minus.shape[0] == M.N // 2
+    # the blocks are float64 and exact: the int8 sums of M's entries would
+    # be the same numbers, as the float64 copy's blocks are
+    for block, copy in zip((minus, plus), spectra._centro_blocks(M.entries.astype(float))):
+        assert block.dtype == np.float64 and np.array_equal(block, copy)
+
+
+def test_int8_centro_does_not_wrap():
+    # 100 - (-100) wraps to -56 in int8 arithmetic, and -100 + (-100) to 56;
+    # both are taken in float64, as for the float64 copy
+    M = np.array([[1, -100], [100, 1]], dtype=np.int8)
+    assert centro_deviation(M) == centro_deviation(M.astype(float)) == 200.0
+    B = np.array([[-100, 0, -100], [0, 1, 0], [-100, 0, -100]], dtype=np.int8)
+    for block, copy in zip(spectra._centro_blocks(B), spectra._centro_blocks(B.astype(float))):
+        assert np.array_equal(block, copy)
+    assert spectra._centro_blocks(B)[1][1, 1] == -200.0
 
 
 def _dense_k(N):
@@ -937,20 +986,14 @@ def test_centro_slices_match_dense_similarity(N):
     K = _dense_k(N)
     O = K @ M @ K.T
     m = N // 2
-    blocks = centro_block_diagonalize(M)
+    minus, plus = spectra._centro_blocks(M)
     # each off-diagonal entry of K M K^T is half the sum of two entries of
     # M - J M J (the centre row and column at most 1/sqrt(2) of one), so
     # the deviation that the split accepts bounds them
     dense_offdiag = max(np.abs(O[:m, m:]).max(), np.abs(O[m:, :m]).max())
-    assert 1e-11 <= dense_offdiag <= centro_deviation(M)
-    assert np.abs(blocks.minus_block - O[:m, :m]).max() <= 1e-10
-    assert np.abs(blocks.plus_block - O[m:, m:]).max() <= 1e-10
-
-
-def test_centro_rejects_non_bisymmetric():
-    M = np.diag([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        centro_block_diagonalize(M)
+    assert 1e-11 <= dense_offdiag <= centro_deviation(M) <= cubegraphs.STRUCTURE_TOL
+    assert np.abs(minus - O[:m, :m]).max() <= 1e-10
+    assert np.abs(plus - O[m:, m:]).max() <= 1e-10
 
 
 def test_ramanujan_results():
