@@ -222,17 +222,16 @@ class GraphMatrix:
 
     The entries keep the dtype they are given: int8 from `build`, float64
     from the mesh builders.  Construction validates them once and makes
-    them read-only: they
-    must be symmetric (within `STRUCTURE_TOL`) and meet the kind's rule,
-    hollow 0/1 for ADJACENCY, hollow and nonnegative for DISTANCE, zero row
-    sums (within 1e-9) for LAPLACIAN.  Entries that do not own their memory
-    (a view, whose base could still be written) are copied first.  Entries
-    that own it are kept, so a writable view of them taken before
-    construction can still change them after validation; `build` and the
-    mesh builders never leave such a view.  An untiled order is read in
-    slabs of `_SLAB` rows; a tiled
-    order is validated from its census (see the module docstring), and the
-    matrix keeps it as `_census` for the Kronecker route's residual walk in
+    them read-only: they must be symmetric (within `STRUCTURE_TOL`) and
+    meet the kind's rule, hollow 0/1 for ADJACENCY, hollow and nonnegative
+    for DISTANCE, zero row sums (within 1e-9) for LAPLACIAN.  Entries that
+    do not own their memory (a view, whose base could still be written)
+    are copied first.  Entries that own it are kept, so a writable view of
+    them taken before construction can still change them after
+    validation; `build` and the mesh builders never leave such a view.  An
+    untiled order is read in slabs of `_SLAB` rows.  A tiled order is
+    validated from its census (see the module docstring), and the matrix
+    keeps it as `_census` for the Kronecker route's residual walk in
     `spectra.eig_sym`.  A `structure`, when set, declares how the entries
     were built; `spectra.eig_sym` proposes the eigenpairs from it and its
     residual check, which reads every entry (the Kronecker walk all but the

@@ -102,7 +102,8 @@ def test_graph_matrix_symmetry_bound_is_absolute():
 def test_int8_asymmetry_does_not_wrap(kind, entries, deviation):
     # in int8 arithmetic 100 - (-28) wraps to -128, whose magnitude wraps
     # too, and 127 - (-128) to -1; the deviation is taken in float64, as
-    # for the float64 copy, so the zero row sums do not get the first in
+    # for the float64 copy, so the first matrix is refused although its
+    # row sums are zero
     entries = np.array(entries, dtype=np.int8)
     assert asymmetry(entries) == asymmetry(entries.astype(float)) == deviation
     with pytest.raises(ValueError, match="symmetric"):
