@@ -27,22 +27,22 @@ one of two rules:
 `build` also declares the exact structure it built, as
 `GraphMatrix.structure`, for `spectra.eig_sym` to solve from:
 
-- KRONECKER, the 3x3 factor: powcube and powtri in the natural ternary
-  ordering, n >= 2;
-- WALSH: the base-2 profile rows (ncube, hamming, tricube, regtricube) in
-  the binary ordering, where entry (i, j) is g_n(popcount(i ^ j));
-- LOW_RANK, the N x n address bits A: powhamming in any ordering with
-  n >= 3, whose distances s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at
-  most n + 1.
+- KRONECKER, the 3x3 factor: powcube and powtri, n >= 2;
+- WALSH: the base-2 profile rows (ncube, hamming, tricube, regtricube),
+  whose binary-order entry (i, j) is g_n(popcount(i ^ j));
+- LOW_RANK, the N x n address bits A: powhamming with n >= 3, whose
+  distances s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at most n + 1.
 
-Every other matrix declares none.  `build` stores the entries as int8,
-which holds every family entry exactly (|entry| <= 2n <= 16), so a built
-matrix takes N^2 bytes; its consumers widen them to float64 one block or
-tile at a time.  `build` refuses a matrix whose dense float64 form would
-exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8 vertices fit) before it
-builds anything.  The seven named constructors are single `build` calls.
-Matrices are dense, which suits desk scale (N <= 3^7); the structure pays
-off instead in `spectra.eig_sym`.
+An ordering only relabels the graph: outside the natural order, KRONECKER
+and WALSH carry the relabelling as `perm`, and LOW_RANK's bits are given
+per position.  Every other matrix declares none.  `build` stores the
+entries as int8, which holds every family entry exactly (|entry| <= 2n
+<= 16), so a built matrix takes N^2 bytes; its consumers widen them to
+float64 one block or tile at a time.  `build` refuses a matrix whose
+dense float64 form would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
+vertices fit) before it builds anything.  The seven named constructors
+are single `build` calls.  Matrices are dense, which suits desk scale
+(N <= 3^7); the structure pays off instead in `spectra.eig_sym`.
 
 `GraphMatrix` validates its entries when it is made.  An order that is a
 multiple of `TILE` = 81 and at least 729 (every 3^n family from n = 6) is
@@ -67,7 +67,7 @@ DISTANCE = "distance"
 LAPLACIAN = "laplacian"
 
 # absolute bound for every exact-structure test on float entries: symmetry
-# here and on raw arrays in `spectra`, centrosymmetry there
+# here and on raw arrays in `spectra`, and the bisymmetry claims of `verify`
 STRUCTURE_TOL = 1e-10
 
 # bound on the 8 N^2 bytes of a built matrix's float64 form
@@ -210,10 +210,14 @@ class Structure:
               (N = 2^n), and `data` is None;
           LOW_RANK: every column lies in the span of the ones vector and
               the columns of `data`, the N x n matrix of 0/1 address bits.
+    perm  None, or the vertex at each position, an integer bijection on
+          range(N); `kind` and `data` then describe the natural-order
+          entries M[np.ix_(inv, inv)], inv = argsort(perm).
     """
 
     kind: str
     data: np.ndarray | None = None
+    perm: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,8 @@ class GraphMatrix:
     validated from its census (see the module docstring), and the matrix
     keeps it as `_census` for the Kronecker route's residual walk in
     `spectra.eig_sym`.  A `structure`, when set, declares how the entries
-    were built; `spectra.eig_sym` proposes the eigenpairs from it and its
+    were built, and its `perm` must be a bijection on range(N) (ValueError
+    otherwise); `spectra.eig_sym` proposes the eigenpairs from it and its
     residual check, which reads every entry (the Kronecker walk all but the
     census's zero tiles), rejects a false declaration.
     """
@@ -299,6 +304,12 @@ class GraphMatrix:
                 raise ValueError("low-rank address bits must be an N x n array")
         else:
             raise ValueError(f"unknown structure kind {kind!r}")
+        perm = self.structure.perm
+        if perm is not None:  # else eig_sym would check another matrix
+            if not (isinstance(perm, np.ndarray) and perm.dtype.kind in "iu"
+                    and np.array_equal(np.sort(perm), np.arange(N))):
+                raise ValueError("a structure's perm must be a bijection on range(N)")
+            perm.setflags(write=False)
         if data is not None:
             data.setflags(write=False)
 
@@ -307,17 +318,20 @@ _PATH3_ADJ = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
 _PATH3_LAP = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=np.int8)
 
 
-def _ternary_product(factor: np.ndarray, n: int) -> np.ndarray:
+def _ternary_product(factor: np.ndarray, n: int, perm: np.ndarray | None = None) -> np.ndarray:
     """Cartesian-product accumulation of a 3x3 per-axis matrix, in the
-    factor's dtype.
+    factor's dtype, with its vertices at the positions of `perm`.
 
     Vertex index m = sum digits[k] * 3^k, so axis k sits at the k-th
     Kronecker slot from the right.  Built by index arithmetic: entry
     (i, i + (b - a) * 3^k) is factor[a, b] for every i whose digit k is a,
-    and the diagonal sums factor[d, d] over the digits d of i.
+    and the diagonal sums factor[d, d] over the digits d of i.  Each entry
+    is written at the positions of `perm` (None: the natural order), so no
+    natural-order product is gathered into [np.ix_(perm, perm)].
     """
     size = 3**n
     index = np.arange(size)
+    position = index if perm is None else np.argsort(perm)
     total = np.zeros((size, size), dtype=factor.dtype)
     diagonal = np.zeros(size, dtype=factor.dtype)
     for k in range(n):
@@ -326,8 +340,8 @@ def _ternary_product(factor: np.ndarray, n: int) -> np.ndarray:
         for a, b in zip(*np.nonzero(factor)):
             if a != b:
                 rows = index[digit == a]
-                total[rows, rows + (b - a) * 3**k] = factor[a, b]
-    total[index, index] = diagonal
+                total[position[rows], position[rows + (b - a) * 3**k]] = factor[a, b]
+    total[position, position] = diagonal
     return total
 
 
@@ -370,8 +384,9 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
     `ordering` is a scheme tag for the family's vertex base or, for the
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  The matrix declares its `Structure` (see the module
-    docstring).  A profile row is filled one block of rows at a time, so
-    construction makes no N x N temporary.  An unknown family, n below the
+    docstring).  A profile row is filled one block of rows at a time, and
+    a factor row straight into its permuted positions, so construction
+    makes no N x N temporary.  An unknown family, n below the
     family's smallest, or a dense float64 form over `MAX_DENSE_BYTES`
     (n > 13 for 2^n, n > 8 for 3^n) raise ValueError before any ordering
     or array is built.
@@ -391,24 +406,22 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
     if ordering is None:
         ordering = default
     perm = np.array(vertex_ordering(n, ordering))
-    identity = np.array_equal(perm, np.arange(perm.size))
+    relabel = None if np.array_equal(perm, np.arange(perm.size)) else perm
     structure = None
     if row.factor is not None:
-        entries = _ternary_product(row.factor, n)
-        if not identity:
-            entries = entries[np.ix_(perm, perm)]
-        elif n >= 2:
-            structure = Structure(KRONECKER, row.factor)
+        entries = _ternary_product(row.factor, n, relabel)
+        if n >= 2:
+            structure = Structure(KRONECKER, row.factor, relabel)
     else:
         addresses = perm
         if row.base == 3:  # address bit k: coordinate k = digit k - 1 is nonzero
             bits = np.stack([perm // 3**k % 3 != 1 for k in range(n)], axis=1)
             addresses = bits @ (1 << np.arange(n))
-            # below 27 vertices the projection costs more than the dense split
+            # below 27 vertices the projection costs more than one dense eigh
             if n >= 3:
                 structure = Structure(LOW_RANK, bits.astype(float))
-        elif identity:
-            structure = Structure(WALSH)
+        else:
+            structure = Structure(WALSH, perm=relabel)
         addresses = addresses.astype(np.uint16)
         table = np.asarray(row.profile(np.arange(n + 1), n)).astype(np.int8)
         entries = np.empty((perm.size, perm.size), dtype=np.int8)

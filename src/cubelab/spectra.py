@@ -3,36 +3,38 @@
 `eig_sym` is the one full eigendecomposition; only `verify`'s reference
 spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
 the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
-`GraphMatrix` was tested when built.  `eig_sym` has five routes, chosen by
+`GraphMatrix` was tested when built.  `eig_sym` has four routes, chosen by
 the `structure` that `cubegraphs.build` declared:
 
-- KRONECKER (powcube and powtri in the natural ternary ordering, n >= 2):
-  one eigh of the 3x3 factor; the values are the n-fold sums of its
-  eigenvalues, the vectors the n-fold Kronecker products of its
-  eigenvectors.  The check applies each tile of M to the 81 x 81
-  Kronecker power Q^(x)4 of the 3x3 eigenvector matrix Q and combines
-  the results with Q^(x)(n - 4), so it generates no eigenvector;
-- WALSH (ncube, hamming, tricube and regtricube in the binary ordering):
-  the values are the fast Walsh-Hadamard transform of row 0 and the
-  vectors the Sylvester Hadamard columns, with no LAPACK call.  The check
-  transforms M block by block in O(N^2 n), and asserts the paper's
-  statement that the value of k depends on popcount(k) only;
-- LOW_RANK (powhamming, any ordering, n >= 3): one eigh of the
-  (n + 1)-order projection of M onto the span of the ones vector and the
-  address bits, every other value 0.  The range pairs are checked
-  directly, and the kernel pairs by the norm of M minus its projection;
-- any other bisymmetric input (unchanged by reversing both index orders,
-  as every family is in its default ordering) is split by the exact
-  orthogonal centrosymmetric reduction into two half-size blocks, each
-  solved by its own eigh;
-- anything else takes one eigh of the full matrix.
+- KRONECKER (powcube and powtri, n >= 2): one eigh of the 3x3 factor; the
+  values are the n-fold sums of its eigenvalues, the vectors the n-fold
+  Kronecker products of its eigenvectors.  The check applies each tile of
+  M to the 81 x 81 Kronecker power Q^(x)4 of the 3x3 eigenvector matrix Q
+  and combines the results with Q^(x)(n - 4), so it generates no
+  eigenvector;
+- WALSH (ncube, hamming, tricube and regtricube): the values are the fast
+  Walsh-Hadamard transform of row 0 and the vectors the Sylvester
+  Hadamard columns, with no LAPACK call.  The check transforms M block by
+  block in O(N^2 n), and asserts the paper's statement that the value of
+  k depends on popcount(k) only;
+- LOW_RANK (powhamming, n >= 3): one eigh of the (n + 1)-order projection
+  of M onto the span of the ones vector and the address bits, every other
+  value 0.  The range pairs are checked directly, and the kernel pairs by
+  the norm of M minus its projection;
+- anything else (raw arrays, the mesh matrices, the factor rows at n = 1,
+  powhamming at n <= 2) takes one eigh of the full matrix.
+
+A structure's `perm` only relabels the graph: the route of its kind
+solves the natural-order M[np.ix_(inv, inv)], inv = argsort(perm), made
+through `GraphMatrix`, whose check reads every input entry, moved but
+unchanged, and the vectors' rows are put back in `perm`'s order.
 
 On the three declared routes the N x N matrix of eigenvectors is built on
 the first read of `Spectrum.vectors` only.  Whatever the route, every
 returned pair is residual-checked against every entry of the full
 matrix, and a non-finite eigenvalue or residual fails the check, so a
-false declaration raises `ResidualError`.  The two undeclared routes check
-by one GEMM, M V - V lambda.  The Kronecker route, when N is a multiple of
+false declaration raises `ResidualError`.  The undeclared route checks by
+one GEMM, M V - V lambda.  The Kronecker route, when N is a multiple of
 81 and at least 729, reads M through the census of 81 x 81 tiles that
 `GraphMatrix` took when it validated the entries: all-zero tiles are
 skipped, the tiles that are exactly c I (c != 0; 108 of the 135 nonzero
@@ -54,7 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubegraphs import (
-    KRONECKER, LOW_RANK, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, TileCensus, asymmetry,
+    KRONECKER, LOW_RANK, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, Structure, TileCensus,
+    asymmetry,
 )
 
 CLUSTER_TOL = 1e-6
@@ -169,12 +172,11 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     Raises ValueError, before solving anything, when `tol` is not a finite
     number > 0 or a raw array is not square, 2-d and symmetric, and
     ResidualError when a pair fails the residual check.  The route (see
-    the module docstring) follows a GraphMatrix's `structure`: KRONECKER
+    the module docstring) follows a GraphMatrix's `structure`, after a
+    `perm` has relabelled the entries to the natural order: KRONECKER
     solves one 3x3 eigh (`_kron_basis`), WALSH none (`_walsh_eig`),
     LOW_RANK one of order n + 1 (`_low_rank_eig`).  Undeclared input is
-    solved, when centrosymmetric (N > 1, within 1e-10 absolute), from the
-    two half-size blocks of `_centro_blocks`, and otherwise by
-    one eigh of the full matrix.  Whatever the route,
+    solved by one eigh of the full matrix.  Whatever the route,
     ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
     pair on every entry of the input before returning (the Kronecker
     route's walk, `_kron_residual_norms`, skips only the all-zero tiles of
@@ -190,6 +192,12 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     entries = symmetric_entries(M)
     structure = M.structure if isinstance(M, GraphMatrix) else None
     kind = None if structure is None else structure.kind
+    if structure is not None and structure.perm is not None:
+        perm, inv = structure.perm, np.argsort(structure.perm)
+        solved = eig_sym(GraphMatrix(M.family, M.kind, M.n, "natural", entries[np.ix_(inv, inv)],
+                                     Structure(kind, structure.data)), tol)
+        # every declared route builds its vectors on the first read
+        return Spectrum(solved.values, lambda: solved.basis()[perm])
     deviation = 0.0
     if kind == KRONECKER:
         natural, Q, order = _kron_basis(structure.data, M.n)
@@ -202,10 +210,7 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     elif kind == LOW_RANK:
         values, vectors, residual = _low_rank_eig(entries, structure.data)
     else:
-        if entries.shape[0] > 1 and centro_deviation(entries) <= STRUCTURE_TOL:
-            values, vectors = _centro_eigh(entries)
-        else:
-            values, vectors = np.linalg.eigh(entries)
+        values, vectors = np.linalg.eigh(entries)
         residual = _residual_norms(entries, values, vectors)
     spec = Spectrum(values, vectors)
     residual, scale = float(residual.max()), spec.scale
@@ -508,37 +513,6 @@ def _centro_blocks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return minus, plus
 
 
-def _centro_eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a bisymmetric matrix from its two blocks.
-
-    A minus-block eigenvector v lifts to [v; 0; -J v] / sqrt(2), a
-    plus-block eigenvector (v_c; v_top) to [v_top; sqrt(2) v_c; J v_top]
-    / sqrt(2) (the middle entries exist only for odd N).  Values are
-    merged with a stable sort, minus before plus on ties, and each lifted
-    vector is written straight into its sorted column.
-    """
-    N = entries.shape[0]
-    m = N // 2
-    minus, plus = _centro_blocks(entries)
-    minus_values, minus_vectors = np.linalg.eigh(minus)
-    plus_values, plus_vectors = np.linalg.eigh(plus)
-    values = np.concatenate([minus_values, plus_values])
-    order = np.argsort(values, kind="stable")
-    column = np.empty(N, dtype=np.intp)
-    column[order] = np.arange(N)
-    minus_cols, plus_cols = column[:m], column[m:]
-    vectors = np.zeros((N, N))
-    top = minus_vectors / math.sqrt(2.0)
-    vectors[:m, minus_cols] = top
-    vectors[N - m :, minus_cols] = -top[::-1]
-    top = plus_vectors[N % 2 :] / math.sqrt(2.0)
-    vectors[:m, plus_cols] = top
-    vectors[N - m :, plus_cols] = top[::-1]
-    if N % 2:
-        vectors[m, plus_cols] = plus_vectors[0]
-    return values[order], vectors
-
-
 def ramanujan_check(adj) -> RamanujanResult:
     """Compare the largest nontrivial adjacency eigenvalue magnitude with
     the Ramanujan bound 2*sqrt(degree - 1), allowing 1e-9 above it.
@@ -547,7 +521,7 @@ def ramanujan_check(adj) -> RamanujanResult:
     it is not regular (ValueError).  Every eigenvalue of magnitude equal to
     the degree is trivial (this covers -degree on bipartite graphs).  The
     values come from `eig_sym`, so a declared structure takes its route
-    (regtricube in the binary ordering the Walsh one) and every pair is
+    (regtricube, in any ordering, the Walsh one) and every pair is
     residual-checked.
     """
     entries = symmetric_entries(adj)

@@ -215,8 +215,8 @@ def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> tuple[float,
         err = max(err, abs(stats.spectral_gap - spectral_gap))
     blocks = _centro_blocks(entries)
     block_values = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
-    # eig_sym may solve the input through these same blocks, so the full
-    # matrix's own spectrum is the independent reference here
+    # the blocks are checked against the full matrix's own eigvalsh, a
+    # reference that no eig_sym route computes
     full_values = np.linalg.eigvalsh(entries)
     err = max(err, float(np.abs(block_values - full_values).max()))
     kernel_from_spectrum(entries, spec)

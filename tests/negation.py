@@ -7,9 +7,9 @@ from cubelab.cubegraphs import KRONECKER, GraphMatrix, Structure
 
 def negated(M: GraphMatrix) -> GraphMatrix:
     """M's entries as float64, every one negated (each 0 becomes -0.0), and
-    a declared Kronecker factor negated with them, through the public
-    constructor."""
+    a declared Kronecker factor negated with them, in the same ordering
+    (`perm`), through the public constructor."""
     structure = M.structure
     if structure is not None and structure.kind == KRONECKER:
-        structure = Structure(KRONECKER, -structure.data)
+        structure = Structure(KRONECKER, -structure.data, structure.perm)
     return GraphMatrix(M.family, M.kind, M.n, M.ordering, -M.entries.astype(float), structure)

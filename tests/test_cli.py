@@ -54,6 +54,28 @@ def test_spectrum_powtri(tmp_path):
     assert len(lines) == 28  # header + 27 eigenvalues
 
 
+def test_spectrum_of_a_relabelled_order_solves_only_the_factor(tmp_path, monkeypatch):
+    # ternary-gray powtri n = 7 is the natural one relabelled: one LAPACK
+    # call, on the 3x3 factor, and the natural order's spectrum to the byte
+    shapes = []
+    for name in ("eigh", "eigvalsh", "qr", "svd"):
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    out = {}
+    for ordering in ("ternary-gray", "ternary"):
+        out[ordering] = tmp_path / f"{ordering}.csv"
+        argv = ["spectrum", "--family", "powtri", "--n", "7", "--ordering", ordering]
+        assert main([*argv, "--out", str(out[ordering])]) == 0
+        assert shapes == [(3, 3)]
+        shapes.clear()
+    text = out["ternary-gray"].read_text()
+    assert len(text.splitlines()) == 2188
+    assert text == out["ternary"].read_text()
+
+
 def test_spectrum_residual_failure_exits_cleanly(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--family", "powtri", "--n", "2", "--tol", "1e-20", "--out", str(out)])

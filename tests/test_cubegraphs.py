@@ -66,7 +66,11 @@ def kron_ternary_product(factor, n):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("factor", [_PATH3_ADJ, _PATH3_LAP], ids=["adjacency", "laplacian"])
 def test_ternary_product_matches_kron_sum(factor, n):
-    assert np.array_equal(_ternary_product(factor, n), kron_ternary_product(factor, n))
+    expected = kron_ternary_product(factor, n)
+    assert np.array_equal(_ternary_product(factor, n), expected)
+    # with the vertices at the positions of a seeded permutation
+    perm = np.random.default_rng(n).permutation(3**n)
+    assert np.array_equal(_ternary_product(factor, n, perm), expected[np.ix_(perm, perm)])
 
 
 def test_graph_matrix_symmetry_bound_is_absolute():
@@ -460,23 +464,34 @@ def test_build_matches_oracles(data):
         # zeros of the float64 -L are -0.0 and the constructor must keep them so
         built.append(negated(gm))
         assert built[1].entries.tobytes() == (-gm.entries.astype(float)).tobytes()
+    # every ordering declares its family's structure
     if row.factor is not None:
-        declared = KRONECKER if ordering == "ternary" and n >= 2 else None
+        declared = KRONECKER if n >= 2 else None
     elif row.base == 3:
         declared = LOW_RANK if n >= 3 else None
     else:
-        perm = binary_ordering(n, ordering) if isinstance(ordering, str) else ordering
-        declared = WALSH if list(perm) == list(range(2**n)) else None
+        declared = WALSH
+    vertices = (ternary_ordering if row.base == 3 else binary_ordering)(n, ordering)
+    # the factor and Walsh rows carry a permuted ordering as the relabelling
+    # `perm` of the natural one; the low-rank bits are given per position
+    relabelled = declared in (KRONECKER, WALSH) and vertices != sorted(vertices)
     for m in built:
         assert (m.structure and m.structure.kind) == declared
+        natural = m.entries
+        if relabelled:
+            assert m.structure.perm.tolist() == vertices
+            inv = np.argsort(vertices)
+            natural = m.entries[np.ix_(inv, inv)]
+        elif declared is not None:
+            assert m.structure.perm is None
         if declared == KRONECKER:
-            assert np.array_equal(kron_ternary_product(m.structure.data, n), m.entries)
+            assert np.array_equal(kron_ternary_product(m.structure.data, n), natural)
         elif declared == WALSH:  # entry (i, j) is entry (0, 2^popcount(i ^ j) - 1)
             i = np.arange(2**n)
             weight = np.bitwise_count(i[:, None] ^ i).astype(int)
-            assert np.array_equal(m.entries, m.entries[0, (1 << weight) - 1])
+            assert np.array_equal(natural, natural[0, (1 << weight) - 1])
         elif declared == LOW_RANK:
-            addresses = [ternary_vertex(n, v).address for v in ternary_ordering(n, ordering)]
+            addresses = [ternary_vertex(n, v).address for v in vertices]
             assert np.array_equal(m.structure.data, addresses)
 
 
@@ -496,12 +511,15 @@ def _traced_peak(call):
 @pytest.mark.parametrize("family,n,ordering", [
     ("hamming", 12, "binary"), ("regtricube", 12, "binary"), ("ncube", 12, "gray"),
     ("powhamming", 7, "ternary"), ("powtri", 7, "ternary"),
+    ("powtri", 7, "ternary-gray"), ("powcube", 7, "ternary-gray"),
 ])
 def test_build_peak_allocation_is_at_most_twice_the_entries(family, n, ordering):
-    # profile rows are filled one block of rows at a time and the entry rules
-    # read slabs of rows, so no N x N temporary is made; the N x N XOR table,
-    # its popcount and the 0/1 test's three N x N masks once took the peak to
-    # 3-4 times the int8 entries
+    # profile rows are filled one block of rows at a time, factor rows
+    # straight into their permuted positions, and the entry rules read slabs
+    # of rows, so no N x N temporary is made; the N x N XOR table, its
+    # popcount and the 0/1 test's three N x N masks once took the peak to
+    # 3-4 times the int8 entries, and gathering a permuted factor row from
+    # the natural one to 2
     build(family, 3, ordering)
     M, peak = _traced_peak(lambda: build(family, n, ordering))
     assert M.entries.dtype == np.int8

@@ -10,6 +10,7 @@ from cubelab import cubegraphs, spectra, verify
 from cubelab.cubegraphs import (
     ADJACENCY,
     DISTANCE,
+    FAMILIES,
     KRONECKER,
     LAPLACIAN,
     LOW_RANK,
@@ -19,6 +20,7 @@ from cubelab.cubegraphs import (
     _PATH3_ADJ,
     _PATH3_LAP,
     _ternary_product,
+    build,
     hamming_distance_matrix,
     ncube_adjacency,
     pow_cube_adjacency,
@@ -99,6 +101,21 @@ def test_eig_sym_matches_dense_lapack(make, ordering, sign, lo):
         assert np.abs(spec.values - np.linalg.eigvalsh(M.entries)).max() <= 1e-9
         V = spec.vectors
         assert np.abs(V.T @ V - np.eye(M.N)).max() <= 1e-10
+        # against the input entries, in the input's ordering
+        residual = np.linalg.norm(M.entries @ V - V * spec.values, axis=0)
+        assert residual.max() <= 1e-9 * spec.scale
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_an_ordering_only_relabels_the_spectrum(family):
+    # a relabelled order is solved as its natural order, so every ordering
+    # gives the natural order's values bit for bit
+    row = FAMILIES[family]
+    for n in range(row.min_n, 6):
+        natural = eig_sym(build(family, n)).values.tobytes()
+        orders = ("gray", _seeded_permutation(n)) if row.base == 2 else ("ternary-gray",)
+        for ordering in orders:
+            assert eig_sym(build(family, n, ordering)).values.tobytes() == natural
 
 
 def _record_sizes(monkeypatch, name):
@@ -116,13 +133,14 @@ def _record_sizes(monkeypatch, name):
 
 @pytest.mark.parametrize("M,blocks", [
     (np.array([[3.0]]), [1]),
-    (np.array([[2.0, -1.0], [-1.0, 2.0]]), [1, 1]),
-    (np.array([[1.0, 2.0, 0.5], [2.0, -3.0, 2.0], [0.5, 2.0, 1.0]]), [1, 2]),
+    (np.array([[2.0, -1.0], [-1.0, 2.0]]), [2]),
+    (np.array([[1.0, 2.0, 0.5], [2.0, -3.0, 2.0], [0.5, 2.0, 1.0]]), [3]),
     (pow_tricube_laplacian(3), [3]),
-    (tricube_laplacian(4, "gray").entries, [8, 8]),
-    (pow_tricube_laplacian(3, "ternary-gray").entries, [13, 14]),
-    # the same entries as M3 without the declared factor take the centro split
-    (pow_tricube_laplacian(3).entries, [13, 14]),
+    # a gray order is a relabelling, solved by its family's route
+    (tricube_laplacian(4, "gray"), []),
+    (pow_tricube_laplacian(3, "ternary-gray"), [3]),
+    # the same entries as M3 without the declared factor take one eigh
+    (pow_tricube_laplacian(3).entries, [27]),
 ])
 def test_eig_sym_small_and_split_orders(monkeypatch, M, blocks):
     sizes = _record_sizes(monkeypatch, "eigh")
@@ -495,16 +513,18 @@ def _count_censuses(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("make", [
-    lambda: pow_cube_adjacency(7),
-    # one GEMM on the centro pairs: no declared structure
-    lambda: pow_cube_adjacency(6, "ternary-gray"),
+@pytest.mark.parametrize("make,censuses", [
+    (lambda: pow_cube_adjacency(7), []),
+    # the gray order's census (taken when it was built) does not line up
+    # with the factor's tiles; its natural-order relabelling is a new
+    # GraphMatrix, whose one census the Kronecker walk reads
+    (lambda: pow_cube_adjacency(6, "ternary-gray"), [(729, 729)]),
 ], ids=["powcube-2187-kronecker", "powcube-729-gray"])
-def test_eig_sym_takes_no_second_census(monkeypatch, make):
+def test_eig_sym_takes_no_second_census(monkeypatch, make, censuses):
     M = make()
     calls = _count_censuses(monkeypatch)
     eig_sym(M)
-    assert calls == []
+    assert calls == censuses
 
 
 def test_raw_array_takes_no_census(monkeypatch):
@@ -677,6 +697,16 @@ def test_false_structure_fails_residual():
     with pytest.raises(ResidualError, match="eigenpair residual"):
         eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A.entries,
                             Structure(LOW_RANK, bits)))
+    # a bijection that is not the entries' ordering relabels them to another
+    # matrix: the binary perm (the identity) declared on gray entries, and
+    # the ternary one on ternary-gray entries
+    with pytest.raises(ResidualError, match="popcount"):
+        eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "gray", G.entries,
+                            Structure(WALSH, perm=np.arange(16))))
+    T = pow_tricube_laplacian(3, "ternary-gray")
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(GraphMatrix("powtri", LAPLACIAN, 3, "ternary-gray", T.entries,
+                            Structure(KRONECKER, _PATH3_LAP, np.arange(27))))
 
 
 def test_walsh_values_must_depend_on_popcount_only():
@@ -695,7 +725,16 @@ def test_walsh_values_must_depend_on_popcount_only():
     (pow_hamming_matrix(2).entries, 2, Structure(LOW_RANK, np.zeros((9, 3)))),
     (pow_hamming_matrix(2).entries, 2, Structure(LOW_RANK)),
     (pow_hamming_matrix(2).entries, 2, Structure("fourier")),
-], ids=["walsh-N!=2^n", "walsh-with-data", "low-rank-shape", "low-rank-no-bits", "unknown"])
+    # a relabelling must be an integer bijection on range(N)
+    (ncube_adjacency(2).entries, 2, Structure(WALSH, perm=np.array([0, 1, 1, 3]))),
+    (ncube_adjacency(2).entries, 2, Structure(WALSH, perm=np.array([0, 1, 2]))),
+    (ncube_adjacency(2).entries, 2, Structure(WALSH, perm=np.array([0, 1, 2, 4]))),
+    (ncube_adjacency(2).entries, 2, Structure(WALSH, perm=np.arange(4.0))),
+    (ncube_adjacency(2).entries, 2, Structure(WALSH, perm=[0, 1, 2, 3])),
+    (pow_cube_adjacency(2).entries, 2, Structure(KRONECKER, _PATH3_ADJ, np.zeros(9, int))),
+], ids=["walsh-N!=2^n", "walsh-with-data", "low-rank-shape", "low-rank-no-bits", "unknown",
+        "perm-repeated-index", "perm-too-short", "perm-out-of-range", "perm-float",
+        "perm-list", "kronecker-perm-constant"])
 def test_graph_matrix_rejects_malformed_structure(entries, n, structure):
     with pytest.raises(ValueError, match="structure|Walsh|low-rank"):
         GraphMatrix("hamming", DISTANCE, n, "binary", entries, structure)
@@ -751,11 +790,11 @@ def test_ramanujan_split_matches_single_eigvalsh(monkeypatch, n):
     # the binary ordering takes eig_sym's Walsh route, with no LAPACK solve
     assert sizes == eigh_sizes == []
     assert split.max_nontrivial == pytest.approx(dense, abs=1e-9)
-    if n >= 3:  # at n = 2 the graph is K4, bisymmetric under every ordering
-        single = ramanujan_check(regular_tricube_adjacency(n, _seeded_permutation(n)))
-        assert sizes == [] and eigh_sizes == [2**n]
-        assert single.max_nontrivial == pytest.approx(split.max_nontrivial, abs=1e-9)
-        assert single.is_ramanujan == split.is_ramanujan
+    # and so does a custom ordering, a relabelling of it
+    single = ramanujan_check(regular_tricube_adjacency(n, _seeded_permutation(n)))
+    assert sizes == eigh_sizes == []
+    assert single.max_nontrivial == pytest.approx(split.max_nontrivial, abs=1e-9)
+    assert single.is_ramanujan == split.is_ramanujan
 
 
 def test_eig_sym_rejects_asymmetric():
