@@ -44,19 +44,34 @@ vertices fit) before it builds anything.  The seven named constructors
 are single `build` calls.  Matrices are dense, which suits desk scale
 (N <= 3^7); the structure pays off instead in `spectra.eig_sym`.
 
+A profile row is filled from its row 0, r[j] = g_n(popcount(j)), with no
+N x N temporary: entry (i, j) is r[a_i ^ a_j] for the addresses a.
+
+- In the natural binary order, a_i = i, and the rows are filled by XOR
+  doubling (`_xor_circulant`): for h = 1, 2, ..., N/2, rows [h, 2h) are
+  rows [0, h) with the column blocks of width h swapped in each 2h-wide
+  pair.
+- In a relabelled 2^n order, each block of rows gathers r[a_i ^ a_j].
+- On 3^n vertices, the 2^n x 2^n XOR circulant of r is filled by doubling
+  and each block of rows gathers it by address, by rows and then by
+  columns.
+
+A factor row is written straight into its permuted positions
+(`_ternary_product`).
+
 `GraphMatrix` validates its entries when it is made.  An order that is a
 multiple of `TILE` = 81 and at least 729 (every 3^n family from n = 6) is
 first read once, whole, by a tile census (`TileCensus`), which sorts the
 81 x 81 tiles into zero, c I and general; symmetry and the kind's entry
 rule then follow from the tile classes and the general tiles, the only
-ones read again.  The census stays with the matrix; in `spectra`, only
-the Kronecker route's residual walk reads it.
+ones read again.  Only validation reads the census, and the matrix does
+not keep it.
 """
 
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,14 +248,12 @@ class GraphMatrix:
     are copied first.  Entries that own it are kept, so a writable view of
     them taken before construction can still change them after
     validation; `build` and the mesh builders never leave such a view.  An
-    untiled order is read in slabs of `_SLAB` rows.  A tiled order is
-    validated from its census (see the module docstring), and the matrix
-    keeps it as `_census` for the Kronecker route's residual walk in
-    `spectra.eig_sym`.  A `structure`, when set, declares how the entries
-    were built, and its `perm` must be a bijection on range(N) (ValueError
-    otherwise); `spectra.eig_sym` proposes the eigenpairs from it and its
-    residual check, which reads every entry (the Kronecker walk all but the
-    census's zero tiles), rejects a false declaration.
+    untiled order is read in slabs of `_SLAB` rows, a tiled order from its
+    census (see the module docstring).  A `structure`, when set, declares
+    how the entries were built, and its `perm` must be a bijection on
+    range(N) (ValueError otherwise); `spectra.eig_sym` proposes the
+    eigenpairs from it, and its residual check, which reads every entry,
+    rejects a false declaration.
     """
 
     family: str
@@ -249,7 +262,6 @@ class GraphMatrix:
     ordering: str
     entries: np.ndarray
     structure: Structure | None = None
-    _census: TileCensus | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -287,7 +299,6 @@ class GraphMatrix:
         if self.structure is not None:
             self._check_structure()
         e.setflags(write=False)
-        object.__setattr__(self, "_census", census)
 
     def _check_structure(self):
         """O(1) facts only: eig_sym's residual check finds a false declaration."""
@@ -373,9 +384,24 @@ FAMILIES = {
 # vertex base -> (default ordering, permutation of the vertex indices)
 _ORDERINGS = {2: (BINARY, binary_ordering), 3: (TERNARY, ternary_ordering)}
 
-# entries per row block of a profile fill: its XOR, popcount and gather
+# entries per row block of a gathered profile fill: its XOR and index
 # temporaries stay near 1 MB however large N is
 _FILL_ENTRIES = 1 << 16
+
+
+def _xor_circulant(r: np.ndarray) -> np.ndarray:
+    """The 2^n x 2^n matrix C[i, j] = r[i ^ j], in r's dtype, by XOR
+    doubling from row 0 = r: for h = 1, 2, ..., 2^(n - 1), rows [h, 2h)
+    are rows [0, h) with the column blocks of width h swapped in each
+    2h-wide pair, since (i + h) ^ j = i ^ (j ^ h) for i < h."""
+    N = r.size
+    C = np.empty((N, N), dtype=r.dtype)
+    C[0] = r
+    h = 1
+    while h < N:
+        C[h : 2 * h].reshape(h, -1, 2, h)[...] = C[:h].reshape(h, -1, 2, h)[:, :, ::-1]
+        h *= 2
+    return C
 
 
 def build(family: str, n: int, ordering=None) -> GraphMatrix:
@@ -384,9 +410,9 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
     `ordering` is a scheme tag for the family's vertex base or, for the
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  The matrix declares its `Structure` (see the module
-    docstring).  A profile row is filled one block of rows at a time, and
-    a factor row straight into its permuted positions, so construction
-    makes no N x N temporary.  An unknown family, n below the
+    docstring).  A profile row is filled from its row 0 and a factor row
+    straight into its permuted positions (see the module docstring), so
+    construction makes no N x N temporary.  An unknown family, n below the
     family's smallest, or a dense float64 form over `MAX_DENSE_BYTES`
     (n > 13 for 2^n, n > 8 for 3^n) raise ValueError before any ordering
     or array is built.
@@ -422,13 +448,21 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
                 structure = Structure(LOW_RANK, bits.astype(float))
         else:
             structure = Structure(WALSH, perm=relabel)
-        addresses = addresses.astype(np.uint16)
         table = np.asarray(row.profile(np.arange(n + 1), n)).astype(np.int8)
-        entries = np.empty((perm.size, perm.size), dtype=np.int8)
-        step = max(1, _FILL_ENTRIES // perm.size)
-        for start in range(0, perm.size, step):
-            distance = np.bitwise_count(addresses[start : start + step, None] ^ addresses)
-            entries[start : start + step] = table[distance]
+        r = table[np.bitwise_count(np.arange(2**n))]
+        if row.base == 2 and relabel is None:
+            entries = _xor_circulant(r)
+        else:
+            circulant = _xor_circulant(r) if row.base == 3 else None
+            addresses = addresses.astype(np.uint16)
+            entries = np.empty((perm.size, perm.size), dtype=np.int8)
+            step = max(1, _FILL_ENTRIES // perm.size)
+            for start in range(0, perm.size, step):
+                a, block = addresses[start : start + step], entries[start : start + step]
+                if circulant is None:
+                    np.take(r, a[:, None] ^ addresses, out=block)
+                else:
+                    np.take(circulant[a], addresses, axis=1, out=block)
     ordering_tag = ordering if isinstance(ordering, str) else "custom"
     return GraphMatrix(family, row.kind, n, ordering_tag, entries, structure)
 

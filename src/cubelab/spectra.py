@@ -4,48 +4,65 @@
 spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
 the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
 `GraphMatrix` was tested when built.  `eig_sym` has four routes, chosen by
-the `structure` that `cubegraphs.build` declared:
+the `structure` that `cubegraphs.build` declared.  The WALSH and KRONECKER
+routes certify, on every entry of M, that M is its declared structure S,
+and bound the residual ||M v - lambda v|| of every pair they return by
 
-- KRONECKER (powcube and powtri, n >= 2): one eigh of the 3x3 factor; the
-  values are the n-fold sums of its eigenvalues, the vectors the n-fold
-  Kronecker products of its eigenvectors.  The check applies each tile of
-  M to the 81 x 81 Kronecker power Q^(x)4 of the 3x3 eigenvector matrix Q
-  and combines the results with Q^(x)(n - 4), so it generates no
-  eigenvector;
-- WALSH (ncube, hamming, tricube and regtricube): the values are the fast
-  Walsh-Hadamard transform of row 0 and the vectors the Sylvester
-  Hadamard columns, with no LAPACK call.  The check transforms M block by
-  block in O(N^2 n), and asserts the paper's statement that the value of
-  k depends on popcount(k) only;
+    ||M - S|| + e_S + rho,
+
+where ||M - S|| is the larger of the largest row abs-sum and the largest
+column abs-sum of M - S (it bounds the 2-norm, and is 0 when M == S
+exactly), e_S is the error of S's own eigenpairs, and rho = 2 (N + 2n) u
+(||M||_inf + max |lambda|), u = 2^-53, with ||M||_inf <= ||S||_inf +
+||M - S||, covers the rounding of the returned values and vectors and of
+any float64 evaluation of M v - lambda v (Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 3):
+
+- WALSH (ncube, hamming, tricube and regtricube): S[i, j] = M[0, i ^ j],
+  which the Sylvester Hadamard matrix H diagonalises (Delsarte 1973, the
+  hypercube association scheme).  The values are the fast Walsh-Hadamard
+  transform of row 0, exact integers for integer entries, and the vectors
+  the columns of H / sqrt(N), with no LAPACK call, so e_S = 0.  The
+  certificate checks, for h = 1, 2, 4, ..., N/2, that rows [h, 2h) are
+  rows [0, h) with their column blocks of width h swapped (row i is row
+  i - h under j -> j ^ h), which makes row i row 0 under j -> i ^ j.  The
+  route also asserts the paper's statement that lambda_k depends on
+  popcount(k) only;
+- KRONECKER (powcube and powtri, n >= 2): S is the n-fold Kronecker sum
+  of the 3 x 3 factor F (Cvetkovic, Doob & Sachs, Spectra of Graphs), so
+  block (a, b) of the top digit is delta_ab S' + F[a, b] I, S' the
+  (n - 1)-fold sum.  One eigh of F gives the values, the n-fold sums of
+  its eigenvalues, and the vectors, the n-fold Kronecker products of its
+  eigenvectors Q; e_S is n times F's measured residual max ||F q - w q||.
+  The certificate walks the digits from the top: at each level the
+  off-diagonal blocks (a, b) of every diagonal block must be F[a, b] I,
+  and at the end the diagonal must be the n-fold sums of F's diagonal;
 - LOW_RANK (powhamming, n >= 3): one eigh of the (n + 1)-order projection
   of M onto the span of the ones vector and the address bits, every other
-  value 0.  The range pairs are checked directly, and the kernel pairs by
+  value 0.  The range pairs are measured directly, and the kernel pairs by
   the norm of M minus its projection;
 - anything else (raw arrays, the mesh matrices, the factor rows at n = 1,
-  powhamming at n <= 2) takes one eigh of the full matrix.
+  powhamming at n <= 2) takes one eigh of the full matrix, measured by one
+  GEMM, M V - V lambda.
+
+Each certificate compares every entry of M with S once, in the entries'
+own dtype, and widens to float64 only the parts that differ from S, one
+chunk at a time, so neither makes an N x N temporary.  Neither shares code
+with the builders in `cubegraphs`, so one bug cannot pass both.  A
+non-finite eigenvalue or bound fails the check, so a structure that the
+entries do not have raises `ResidualError`.
 
 A structure's `perm` only relabels the graph: the route of its kind
-solves the natural-order M[np.ix_(inv, inv)], inv = argsort(perm), made
-through `GraphMatrix`, whose check reads every input entry, moved but
-unchanged, and the vectors' rows are put back in `perm`'s order.
+solves the natural-order entries M[inv][:, inv], inv = argsort(perm),
+gathered by rows and then by columns, and the vectors' rows are put back
+in `perm`'s order.  A bijection changes neither the symmetry nor the entry
+rule that `GraphMatrix` checked, so the gathered copy is not checked again.
 
 On the three declared routes the N x N matrix of eigenvectors is built on
-the first read of `Spectrum.vectors` only.  Whatever the route, every
-returned pair is residual-checked against every entry of the full
-matrix, and a non-finite eigenvalue or residual fails the check, so a
-false declaration raises `ResidualError`.  The undeclared route checks by
-one GEMM, M V - V lambda.  The Kronecker route, when N is a multiple of
-81 and at least 729, reads M through the census of 81 x 81 tiles that
-`GraphMatrix` took when it validated the entries: all-zero tiles are
-skipped, the tiles that are exactly c I (c != 0; 108 of the 135 nonzero
-tiles of powcube and powtri at n = 7) enter through one matmul of their
-count x count scale matrix with Q^(x)(n - 4), and each other nonzero tile
-through one product with Q^(x)4.  Per tile row, one batched matmul of
-inner dimension k + 1 (k general tiles) writes the row's residual block,
-so neither Q^(x)(n - 1) nor M applied to it is formed; a smaller N takes
-one GEMM on Q^(x)n.  `Spectrum.clusters` groups the eigenvalues whose
-spread stays within the absolute `CLUSTER_TOL` = 1e-6 (the spectra handled
-here have true gaps of at least sqrt(2) - 1), on its first read only.
+the first read of `Spectrum.vectors` only.  `Spectrum.clusters` groups the
+eigenvalues whose spread stays within the absolute `CLUSTER_TOL` = 1e-6
+(the spectra handled here have true gaps of at least sqrt(2) - 1), on its
+first read only.
 """
 
 import functools
@@ -55,10 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubegraphs import (
-    KRONECKER, LOW_RANK, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, Structure, TileCensus,
-    asymmetry,
-)
+from .cubegraphs import KRONECKER, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, asymmetry
 
 CLUSTER_TOL = 1e-6
 # ||Mv - lambda v|| <= RESIDUAL_TOL * max(|lambda|_max, 1) for every pair
@@ -72,6 +86,13 @@ _BLOCK = 64
 # its rounding (OpenBLAS takes another kernel for small products), blocks
 # of 243 rows match the whole product bit for bit
 _GEMM_ROWS = 243
+# entries per chunk of a certificate's comparisons, of the float64 parts it
+# measures and of a relabelling's gather
+_CHUNK = 1 << 18
+# unit roundoff of float64
+_U = 2.0**-53
+# the (a, b), a != b, of a 3 x 3 factor
+_OFF_DIAGONAL = [(a, b) for a in range(3) for b in range(3) if a != b]
 
 
 class ResidualError(RuntimeError):
@@ -174,57 +195,89 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     ResidualError when a pair fails the residual check.  The route (see
     the module docstring) follows a GraphMatrix's `structure`, after a
     `perm` has relabelled the entries to the natural order: KRONECKER
-    solves one 3x3 eigh (`_kron_basis`), WALSH none (`_walsh_eig`),
-    LOW_RANK one of order n + 1 (`_low_rank_eig`).  Undeclared input is
-    solved by one eigh of the full matrix.  Whatever the route,
-    ||Mv - lambda v|| <= tol*max(|lambda|_max, 1) is verified for every
-    pair on every entry of the input before returning (the Kronecker
-    route's walk, `_kron_residual_norms`, skips only the all-zero tiles of
-    `M._census`, and from N = 729 forms no Kronecker power of Q larger
-    than 81 x 81 or N/81 x N/81), so a non-finite eigenvalue or residual,
-    or a structure that does not match the entries, raises ResidualError.
-    The WALSH route also raises it when two values of one popcount class
-    differ by more than that bound.  The declared routes build the sorted
-    N x N eigenvector matrix on the first read of `Spectrum.vectors` only.
+    solves one 3x3 eigh, WALSH none, LOW_RANK one of order n + 1
+    (`_declared_eig`).  Undeclared input is solved by one eigh of the full
+    matrix.  Whatever the route, ||Mv - lambda v|| <= tol*max(|lambda|_max,
+    1) is verified for every pair on every entry of the input before
+    returning, measured on the LOW_RANK and undeclared routes and bounded
+    by a certificate on the other two, so a non-finite eigenvalue or
+    residual, or a structure that does not match the entries, raises
+    ResidualError.  The WALSH route also raises it when two values of one
+    popcount class differ by more than that bound.  The declared routes
+    build the sorted N x N eigenvector matrix on the first read of
+    `Spectrum.vectors` only.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
     entries = symmetric_entries(M)
     structure = M.structure if isinstance(M, GraphMatrix) else None
-    kind = None if structure is None else structure.kind
-    if structure is not None and structure.perm is not None:
-        perm, inv = structure.perm, np.argsort(structure.perm)
-        solved = eig_sym(GraphMatrix(M.family, M.kind, M.n, "natural", entries[np.ix_(inv, inv)],
-                                     Structure(kind, structure.data)), tol)
-        # every declared route builds its vectors on the first read
-        return Spectrum(solved.values, lambda: solved.basis()[perm])
-    deviation = 0.0
+    if structure is None:
+        values, vectors = np.linalg.eigh(entries)
+        return _checked(Spectrum(values, vectors), _residual_norms(entries, values, vectors), tol)
+    perm = structure.perm
+    if perm is None:
+        return _declared_eig(entries, structure.kind, structure.data, M.n, tol)
+    solved = _declared_eig(_natural_order(entries, perm), structure.kind, structure.data, M.n, tol)
+    # every declared route builds its vectors on the first read
+    return Spectrum(solved.values, lambda: solved.basis()[perm])
+
+
+def _natural_order(entries: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """M[inv][:, inv], inv = argsort(perm), in M's dtype: each chunk of
+    rows is gathered by `np.take`, then its columns, into the copy."""
+    N = entries.shape[0]
+    inv = np.argsort(perm)
+    natural = np.empty_like(entries)
+    step = max(1, _CHUNK // N)
+    for start in range(0, N, step):
+        rows = np.take(entries, inv[start : start + step], axis=0)
+        np.take(rows, inv, axis=1, out=natural[start : start + step])
+    return natural
+
+
+def _declared_eig(entries: np.ndarray, kind: str, data, n: int, tol: float) -> Spectrum:
+    """The checked spectrum of natural-order entries that declare the
+    structure `kind` with `data`, on n axes, by that kind's route."""
+    popcount = 0.0
     if kind == KRONECKER:
-        natural, Q, order = _kron_basis(structure.data, M.n)
-        residual = _kron_residual_norms(entries, natural, Q, M.n, M._census)
-        values, vectors = natural[order], functools.partial(_kron_vectors, Q, M.n, order)
+        values, vectors, residual = _kron_eig(entries, data, n)
     elif kind == WALSH:
-        natural, residual, deviation = _walsh_eig(entries)
+        natural, residual, popcount = _walsh_eig(entries)
         order = np.argsort(natural, kind="stable")
         values, vectors = natural[order], functools.partial(_walsh_vectors, order)
-    elif kind == LOW_RANK:
-        values, vectors, residual = _low_rank_eig(entries, structure.data)
     else:
-        values, vectors = np.linalg.eigh(entries)
-        residual = _residual_norms(entries, values, vectors)
-    spec = Spectrum(values, vectors)
-    residual, scale = float(residual.max()), spec.scale
+        values, vectors, residual = _low_rank_eig(entries, data)
+    return _checked(Spectrum(values, vectors), residual, tol, popcount)
+
+
+def _checked(spec: Spectrum, residual, tol: float, popcount: float = 0.0) -> Spectrum:
+    """spec, once its largest residual (or bound) and the spread of its
+    values within one popcount class are within tol * scale;
+    ResidualError otherwise."""
+    residual, scale = float(np.max(residual)), spec.scale
     if not (math.isfinite(scale) and residual <= tol * scale):
         raise ResidualError(
             f"eigenpair residual {residual:.3e} at scale {scale:.3e}: "
             "not finite or exceeds tolerance"
         )
-    if not deviation <= tol * scale:
+    if not popcount <= tol * scale:
         raise ResidualError(
-            f"Walsh values differ by {deviation:.3e} within one popcount class "
+            f"Walsh values differ by {popcount:.3e} within one popcount class "
             f"at scale {scale:.3e}"
         )
     return spec
+
+
+def _rounding(N: int, n: int, norm: float) -> float:
+    """rho = 2 (N + 2n) u norm, where norm bounds ||M||_inf + max |lambda|:
+    the rounding of the returned pairs and of a float64 M v - lambda v."""
+    return 2 * (N + 2 * n) * _U * norm
+
+
+def _deviation_norm(rows: np.ndarray, cols: np.ndarray) -> float:
+    """||M - S|| from the abs-sums of M - S per row and per column: the
+    larger maximum, NaN when either holds a NaN."""
+    return float(np.maximum(rows.max(), cols.max()))
 
 
 def _fwht(x: np.ndarray) -> np.ndarray:
@@ -246,46 +299,63 @@ def _fwht(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sylvester(N: int) -> np.ndarray:
-    """The N x N Sylvester Hadamard matrix, H[k, j] = (-1)^popcount(k & j)."""
-    k = np.arange(N)
-    return 1.0 - 2.0 * (np.bitwise_count(k[:, None] & k) & 1)
+def _walsh_eig(entries: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The Walsh values lambda_k = (H r)_k of row 0, r, in natural order,
+    the bound on every pair's residual, and the largest |lambda_k -
+    lambda_j| with popcount(k) = popcount(j).
 
-
-def _walsh_eig(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The Walsh values lambda_k, in natural order, ||M h_k - lambda_k h_k||
-    for every k (h_k = H[:, k] / sqrt(N)), computed on every entry of M,
-    and the largest |lambda_k - lambda_j| with popcount(k) = popcount(j).
-
-    M is symmetric, so (M h_k)^T is row k of H M / sqrt(N), and lambda is
-    its column 0, the transform of M's row 0.  H = H_hi (x) H_w, with w =
-    min(N, `_BLOCK`), so each block of w columns of M is transformed
-    by one batched GEMM with H_w and then `_fwht` over the high index;
-    lambda_k H[k, cols] is subtracted from its row k (H[:, cols] is one
-    sign per high index times H_w) and the squares of each row are summed
-    over the blocks.  Each lambda_k is compared with the value of
-    2^popcount(k) - 1, the first index of its popcount.
+    The bound is ||M - S|| (`_walsh_deviation`) + rho, with ||S||_inf =
+    ||r||_1 >= max |lambda| (see the module docstring).  Each lambda_k is
+    compared with the value of 2^popcount(k) - 1, the first index of its
+    popcount.
     """
     N = entries.shape[0]
-    width = min(N, _BLOCK)
-    count = N // width
-    low = _sylvester(width)
-    high = _sylvester(count)
-    block, term = np.empty((count, width, width)), np.empty((count, width, width))
-    squares = np.zeros(N)
-    for q in range(count):
-        np.matmul(low, entries[:, q * width : (q + 1) * width].reshape(count, width, width),
-                  out=block)
-        _fwht(block)
-        if q == 0:
-            natural = block[:, :, 0].flatten()
-            lam = natural.reshape(count, width)
-        np.multiply((lam * high[:, q : q + 1])[:, :, None], low, out=term)
-        block -= term
-        squares += np.einsum("ij,ij->i", block.reshape(N, width), block.reshape(N, width))
+    natural = _fwht(entries[0].astype(float))
+    deviation = _walsh_deviation(entries)
+    norm = 2.0 * float(np.abs(entries[0], dtype=float).sum()) + deviation
+    bound = deviation + _rounding(N, N.bit_length() - 1, norm)
     weight = np.bitwise_count(np.arange(N)).astype(np.intp)  # a uint8 would wrap 1 << weight
-    deviation = float(np.abs(natural - natural[(1 << weight) - 1]).max())
-    return natural, np.sqrt(squares / N), deviation
+    popcount = float(np.abs(natural - natural[(1 << weight) - 1]).max())
+    return natural, bound, popcount
+
+
+def _walsh_deviation(entries: np.ndarray) -> float:
+    """||M - S|| for S[i, j] = M[0, i ^ j], read on every entry of M.
+
+    For h = 1, 2, ..., N/2, rows [h, 2h) must equal rows [0, h) with the
+    two column blocks of width h in each 2h-wide pair swapped, compared in
+    M's dtype a chunk of rows at a time.  Row i (h <= i < 2h) is then row
+    i ^ h under j -> j ^ h, so by induction row i is row 0 under j -> i ^ j,
+    and the result is 0.0.  At the first difference ||M - S|| is measured
+    instead (`_walsh_deviation_measured`).
+    """
+    N = entries.shape[0]
+    step = max(1, _CHUNK // N)
+    h = 1
+    while h < N:
+        for start in range(0, h, step):
+            stop = min(start + step, h)
+            swapped = entries[start:stop].reshape(stop - start, -1, 2, h)[:, :, ::-1]
+            if not np.array_equal(entries[h + start : h + stop].reshape(swapped.shape), swapped):
+                return _walsh_deviation_measured(entries)
+        h *= 2
+    return 0.0
+
+
+def _walsh_deviation_measured(entries: np.ndarray) -> float:
+    """||M - S|| for S[i, j] = M[0, i ^ j], from |M - S| in float64, one
+    chunk of rows at a time."""
+    N = entries.shape[0]
+    r = entries[0].astype(float)
+    j = np.arange(N)
+    rows, cols = np.zeros(N), np.zeros(N)
+    step = max(1, _CHUNK // N)
+    for start in range(0, N, step):
+        i = j[start : start + step]
+        part = np.abs(np.subtract(entries[i], np.take(r, i[:, None] ^ j), dtype=float))
+        rows[i] = part.sum(axis=1)
+        cols += part.sum(axis=0)
+    return _deviation_norm(rows, cols)
 
 
 def _walsh_vectors(order: np.ndarray) -> np.ndarray:
@@ -357,64 +427,6 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
     return np.sqrt(np.einsum("ij,ij->j", residual, residual))
 
 
-def _kron_residual_norms(
-    entries: np.ndarray, natural: np.ndarray, Q: np.ndarray, n: int,
-    census: TileCensus | None,
-) -> np.ndarray:
-    """||M v - lambda v|| for the natural eigenpairs of `_kron_basis`, on
-    every entry of M, without forming V = Q^(x)n or any column of it.
-
-    On the grid of `census` (the `TileCensus` that `GraphMatrix` took of
-    M), V = Whi (x) Q4, with Whi = Q^(x)(n - 4) (count x count) and Q4 =
-    Q^(x)4 (81 x 81), so natural column 81 t + j is Whi[:, t] (x) Q4[:, j].
-    By the mixed-product rule, column j of tile (r, t) of M V - V lambda is
-
-        sum over the general tiles s of row r of Whi[s, t] (M_rs Q4)[:, j]
-            + Q4[:, j] ((H Whi)[r, t] - Whi[r, t] lambda[81 t + j]),
-
-    where H holds the scales of the c I tiles.  So for each tile row, with
-    k general tiles, one batched matmul over j of the count x (k + 1)
-    matrix [Whi[s].T | the bracket] by the (k + 1) x 81 matrix
-    [(M_rs Q4)[:, j] ; Q4[:, j]] writes the row's whole 81 x count x 81
-    residual block into one reused buffer, and `np.vecdot` sums its squares
-    along the contiguous last axis.  All-zero tiles are skipped and every
-    general tile is read in full.  A census of None, an untiled order
-    (n <= 5), takes `_residual_norms` on Q^(x)n, one plain GEMM.
-
-    The walk checks the products of Q's entries as Whi and Q4 round them,
-    `_kron_vectors` as Q^(x)(n - 1) and Q do (each within a few ulps of
-    the exact product), and it reassociates the sums.  Both differences
-    are of order eps * scale, far below `RESIDUAL_TOL`.  A NaN in a
-    general tile reaches the residual through M_rs Q4, and an inf * I tile
-    through H Whi, so a non-finite residual still fails the check.
-    """
-    if census is None:
-        return _residual_norms(entries, natural, _kron_power(Q, n))
-    H = census.scales
-    count = H.shape[0]
-    Whi, Q4 = _kron_power(Q, n - 4), _kron_power(Q, 4)
-    HW = H @ Whi
-    # lam[j, t] is the value of natural column 81 t + j
-    lam = natural.reshape(count, TILE).T.copy()
-    block = np.empty((TILE, count, TILE))
-    squares = np.zeros((TILE, count))
-    for r, general in enumerate(census.general):
-        s = np.flatnonzero(general)
-        k = s.size
-        # left[j] = [Whi[s].T | bracket[:, j]], right[j] = [(M_rs Q4)[:, j] ; Q4[:, j]]
-        left, right = np.empty((TILE, count, k + 1)), np.empty((TILE, k + 1, TILE))
-        left[:, :, :k] = Whi[s].T
-        bracket = left[:, :, k]
-        np.multiply(Whi[r], lam, out=bracket)
-        np.subtract(HW[r], bracket, out=bracket)
-        tiles = entries[r * TILE : (r + 1) * TILE].reshape(TILE, count, TILE)[:, s]
-        right[:, :k] = (tiles.reshape(-1, TILE) @ Q4).reshape(TILE, k, TILE).transpose(2, 1, 0)
-        right[:, k] = Q4.T
-        np.matmul(left, right, out=block)
-        squares += np.vecdot(block, block)
-    return np.sqrt(squares.T.ravel())
-
-
 def _kron_power(Q: np.ndarray, k: int) -> np.ndarray:
     """The k-fold Kronecker power of Q by the left-to-right chain
     kron(... kron(kron(Q, Q), Q) ..., Q)."""
@@ -424,21 +436,72 @@ def _kron_power(Q: np.ndarray, k: int) -> np.ndarray:
     return power
 
 
-def _kron_basis(factor: np.ndarray, n: int):
-    """The eigenpairs of the n-fold Kronecker sum of a 3x3 factor, from one
-    eigh of it, in natural column order.
+def _kron_eig(entries: np.ndarray, factor: np.ndarray, n: int):
+    """Values, lazy vectors and the residual bound of the n-fold Kronecker
+    sum of a 3x3 factor F, from one eigh of it.
 
-    With factor = Q diag(w) Q^T, natural column sum_k j_k 3^k is the
-    Kronecker product of Q[:, j_k] over the digits (axis k at the k-th slot
-    from the right, as in `_ternary_product`), with the value sum_k w[j_k].
-    Returns those values, Q and the stable ascending order of the values;
-    no Kronecker power of Q is formed.
+    With F = Q diag(w) Q^T, natural column sum_k j_k 3^k is the Kronecker
+    product of Q[:, j_k] over the digits (axis k at the k-th slot from the
+    right, as in `cubegraphs.build`), with the value sum_k w[j_k].  The
+    values are returned in stable ascending order, the vectors
+    (`_kron_vectors`) are built on first read, and the bound is ||M - S||
+    (`_kron_deviation`) + n max_j ||F q_j - w_j q_j|| + rho, with ||S||_inf
+    <= n ||F||_inf and max |lambda| <= n max |w| (see the module docstring).
     """
     w, Q = np.linalg.eigh(factor)
-    values = w
+    natural = w
     for _ in range(n - 1):
-        values = np.add.outer(values, w).ravel()
-    return values, Q, np.argsort(values, kind="stable")
+        natural = np.add.outer(natural, w).ravel()
+    order = np.argsort(natural, kind="stable")
+    factor_residual = float(np.linalg.norm(factor @ Q - Q * w, axis=0).max())
+    deviation = _kron_deviation(entries, factor, n)
+    norm = n * float(np.abs(factor, dtype=float).sum(axis=1).max() + np.abs(w).max()) + deviation
+    bound = deviation + n * factor_residual + _rounding(entries.shape[0], n, norm)
+    return natural[order], functools.partial(_kron_vectors, Q, n, order), bound
+
+
+def _kron_deviation(entries: np.ndarray, factor: np.ndarray, n: int) -> float:
+    """||M - S|| for S the n-fold Kronecker sum of the 3x3 factor F, read
+    on every entry of M.
+
+    At level l = 0, ..., n - 1, M is P = 3^l diagonal blocks of side 3 s,
+    s = 3^(n - 1 - l), each split by its top digit into 3 x 3 sub-blocks of
+    side s; sub-block (a, b), a != b, of every one of them must be F[a, b] I.
+    Each (a, b) is tested for all P blocks at once, in M's dtype: its
+    diagonal must equal F[a, b] and its nonzeros number s P, or 0 when
+    F[a, b] = 0.  The sub-blocks (a, a) are the next level's diagonal
+    blocks, and the last level leaves M's diagonal, which must be the
+    n-fold sums of F's diagonal.  Every off-diagonal entry of M lies in
+    exactly one tested sub-block, so every entry is read once.  Where a
+    sub-block or the diagonal differs, |M - S| is measured there in
+    float64, one chunk of rows at a time, and added to the row and column
+    abs-sums; where nothing differs the result is 0.0.
+    """
+    N = entries.shape[0]
+    rows, cols = np.zeros(N), np.zeros(N)
+    for level in range(n):
+        P, s = 3**level, 3 ** (n - 1 - level)
+        # blocks[a, x, b, y, p] is entry (x, y) of sub-block (a, b) of diagonal block p
+        blocks = np.diagonal(entries.reshape(P, 3, s, P, 3, s), axis1=0, axis2=3)
+        for a, b in _OFF_DIAGONAL:
+            tile, c = blocks[a, :, b], factor[a, b]
+            if (np.diagonal(tile) == c).all() and np.count_nonzero(tile) == (c != 0) * s * P:
+                continue
+            step = max(1, _CHUNK // (s * P))
+            for x in range(0, s, step):
+                part = tile[x : x + step].astype(float)
+                m = part.shape[0]
+                part[np.arange(m), np.arange(x, x + m)] -= c
+                np.abs(part, out=part)
+                rows.reshape(P, 3, s)[:, a, x : x + m] += part.sum(axis=1).T
+                cols.reshape(P, 3, s)[:, b] += part.sum(axis=0).T
+    ideal = np.zeros(1)
+    for _ in range(n):
+        ideal = np.add.outer(ideal, np.diagonal(factor).astype(float)).ravel()
+    diagonal = np.abs(np.subtract(np.diagonal(entries), ideal, dtype=float))
+    rows += diagonal
+    cols += diagonal
+    return _deviation_norm(rows, cols)
 
 
 def _kron_vectors(Q: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:

@@ -291,8 +291,8 @@ def _shift_and_inf_tiles():
         "shift-and-inf-tiles-810"])
 def test_census_matches_brute_force_classification(make):
     M = make()
-    census = M._census if isinstance(M, GraphMatrix) else cubegraphs._tile_census(M)
     entries = M.entries if isinstance(M, GraphMatrix) else M
+    census = cubegraphs._tile_census(entries)
     scales, general = brute_census(entries)
     assert np.array_equal(census.scales, scales) and np.array_equal(census.general, general)
     covered = np.zeros_like(general)
@@ -303,16 +303,36 @@ def test_census_matches_brute_force_classification(make):
     assert np.array_equal(covered, general)
 
 
-def test_census_is_kept_only_for_entries_that_own_their_memory():
-    # a view is copied before validation, so writes to its base after
-    # construction change neither the entries nor what the census read;
-    # the NaN goes into a float64 base, its integer twin into an int8 one
+def _recorded_censuses(monkeypatch):
+    """(entries read, census returned) for every `_tile_census` call from
+    now on."""
+    calls = []
+    census = cubegraphs._tile_census
+
+    def recording(entries):
+        calls.append((entries, census(entries)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cubegraphs, "_tile_census", recording)
+    return calls
+
+
+def test_census_is_kept_only_for_entries_that_own_their_memory(monkeypatch):
+    # a view is copied before validation, so the census reads the copy, and
+    # writes to the view's base after construction change neither the
+    # entries nor what the census read; the NaN goes into a float64 base,
+    # its integer twin into an int8 one.  The matrix keeps no census.
     entries = pow_cube_adjacency(6).entries.copy()
-    assert GraphMatrix("powcube", ADJACENCY, 6, "ternary", entries)._census is not None
+    calls = _recorded_censuses(monkeypatch)
+    M = GraphMatrix("powcube", ADJACENCY, 6, "ternary", entries)
+    assert [(e is entries, c is not None) for e, c in calls] == [(True, True)]
+    assert not hasattr(M, "_census")
     for dtype, value in ((np.float64, np.nan), (np.int8, 2)):
         base = pow_cube_adjacency(6).entries.astype(dtype)
+        calls.clear()
         M = GraphMatrix("powcube", ADJACENCY, 6, "ternary", base.view())
-        assert M._census is not None and M.entries.flags.owndata
+        assert [(e is M.entries, c is not None) for e, c in calls] == [(True, True)]
+        assert M.entries.flags.owndata
         base[0, 1] = base[1, 0] = value
         assert np.array_equal(M.entries, pow_cube_adjacency(6).entries)
     assert cubegraphs._tile_census(pow_cube_adjacency(5).entries) is None
@@ -330,8 +350,9 @@ def test_tileable_build_never_reads_the_whole_transpose(monkeypatch, family, n, 
         return asymmetry(entries)
 
     monkeypatch.setattr(cubegraphs, "asymmetry", recording)
+    censuses = _recorded_censuses(monkeypatch)
     M = build(family, n, ordering)
-    assert M._census is not None
+    assert [(e is M.entries, c is not None) for e, c in censuses] == [(True, True)]
     # only the 3 x 3 factor of a Kronecker declaration is tested for symmetry
     assert set(calls) <= {(3, 3)}
 
@@ -493,6 +514,36 @@ def test_build_matches_oracles(data):
         elif declared == LOW_RANK:
             addresses = [ternary_vertex(n, v).address for v in vertices]
             assert np.array_equal(m.structure.data, addresses)
+
+
+PROFILE_FILLS = [
+    (family, n, ordering)
+    for family, row in FAMILIES.items() if row.profile is not None
+    for n in range(row.min_n, 11 if row.base == 2 else 8)
+    for ordering in (("binary", "gray", "custom") if row.base == 2 else ("ternary", "ternary-gray"))
+]
+
+
+@pytest.mark.parametrize("family,n,ordering", PROFILE_FILLS,
+                         ids=[f"{f}-{n}-{o}" for f, n, o in PROFILE_FILLS])
+def test_profile_fill_matches_bitwise_count_reference(family, n, ordering):
+    # the XOR doubling of the natural binary order, the row-block gathers of
+    # a relabelled 2^n order and the address gathers of the 3^n circulant,
+    # against g_n(popcount(a_i ^ a_j)) for every entry at once
+    row = FAMILIES[family]
+    if ordering == "custom":
+        ordering = np.random.default_rng(n).permutation(2**n).tolist()
+    if row.base == 2:
+        addresses = np.array(binary_ordering(n, ordering))
+    else:
+        addresses = np.array([
+            sum(bit << k for k, bit in enumerate(ternary_vertex(n, m).address))
+            for m in ternary_ordering(n, ordering)
+        ])
+    table = np.asarray(row.profile(np.arange(n + 1), n)).astype(np.int8)
+    expected = table[np.bitwise_count(addresses[:, None] ^ addresses)]
+    M = build(family, n, ordering)
+    assert M.entries.dtype == np.int8 and np.array_equal(M.entries, expected)
 
 
 def _traced_peak(call):

@@ -390,6 +390,22 @@ def _random_symmetric_729():
     return X + X.T
 
 
+def _kron_sum(factor, n):
+    """Reference: the n-fold Kronecker sum of a 3x3 factor, densely, with
+    the top digit most significant: K_n = F (x) I + I (x) K_(n-1)."""
+    F = np.asarray(factor, dtype=float)
+    K = F
+    for k in range(1, n):
+        K = np.kron(F, np.eye(3**k)) + np.kron(np.eye(3), K)
+    return K
+
+
+def _dense_deviation(M, S):
+    """||M - S||: the larger of the largest row and column abs-sums."""
+    D = np.abs(np.asarray(M, dtype=float) - S)
+    return max(D.sum(axis=0).max(), D.sum(axis=1).max())
+
+
 @pytest.mark.parametrize("n,make", [
     (6, lambda: _powtri_729_with(-0.5, 3, 5)),
     # diagonal tiles that are not c I and all-zero tiles elsewhere
@@ -406,16 +422,18 @@ def _random_symmetric_729():
     "powtri-oln-729", "two-runs-729", "all-general-random-729", "powcube-untiled-243",
 ])
 def test_kron_column_blocks_match_dense_reference(n, make):
-    # the factor route's factored walk on M's census (None below 729, the
-    # one GEMM on Q^(x)n), with columns that are not M's eigenvectors so
-    # that every residual is checked, not only zeros
+    # the Kronecker certificate's walk over the digit blocks of M, declared
+    # as powtri's factor, measures ||M - S|| as the dense M - S does, and
+    # its bound dominates the dense residual of every column it returns,
+    # none of which is an eigenvector of M, so that every residual counts
     M = make()
-    natural, Q, _ = spectra._kron_basis(_PATH3_LAP, n)
-    blocks = spectra._kron_residual_norms(M, natural, Q, n, cubegraphs._tile_census(M))
-    V = functools.reduce(np.kron, [Q] * n)
-    dense = np.linalg.norm(M @ V - V * natural, axis=0)
-    assert dense.max() > 1e-3
-    assert np.abs(blocks - dense).max() <= 1e-14 * max(float(np.abs(natural).max()), 1.0)
+    deviation = spectra._kron_deviation(M, _PATH3_LAP, n)
+    dense = _dense_deviation(M, _kron_sum(_PATH3_LAP, n))
+    assert deviation == pytest.approx(dense, rel=1e-12)
+    values, vectors, bound = spectra._kron_eig(M, _PATH3_LAP, n)
+    V = vectors()
+    residual = np.linalg.norm(M @ V - V * values, axis=0)
+    assert 1e-3 < residual.max() <= bound
 
 
 def _minus_identity_tile_fault(entries, value, dr, ds):
@@ -448,11 +466,10 @@ def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, twin, dr, ds):
 
 @pytest.mark.parametrize("case", ["nan-in-scaled-tile", "nan-in-general-tile", "inf-scale"])
 def test_kron_route_non_finite_tile_fails_residual(case):
-    # a GraphMatrix rejects NaN and inf when it is made, and a view is
-    # copied first, so the walk takes the census of a raw copy; the faults
-    # go into a float64 copy, and their integer twins (+1 at the same
-    # entries) into the int8 entries, where the residual is finite but fails
-    natural, Q, _ = spectra._kron_basis(_PATH3_LAP, 6)
+    # a GraphMatrix rejects NaN and inf when it is made, so the faults go
+    # through the declared route that eig_sym runs once the entries are
+    # validated, in a float64 copy; their integer twins (+1 at the same
+    # entries) go into the int8 entries, where the bound is finite but fails
     for dtype in (np.float64, np.int8):
         entries = pow_tricube_laplacian(6).entries.astype(dtype)
         faulty = dtype == np.float64
@@ -464,39 +481,23 @@ def test_kron_route_non_finite_tile_fails_residual(case):
         else:
             tile = np.diag(np.full(81, np.inf)) if faulty else np.zeros((81, 81), np.int8)
             entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
-        census = cubegraphs._tile_census(entries)
-        with np.errstate(all="ignore"):
-            residual = spectra._kron_residual_norms(entries, natural, Q, 6, census)
-            if faulty:
-                assert not np.isfinite(residual).all()
-            else:
-                assert np.isfinite(residual).all()
-                assert residual.max() > spectra.RESIDUAL_TOL * np.abs(natural).max()
-            with pytest.raises(ValueError):
-                GraphMatrix(
-                    "powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP)
-                )
+        with np.errstate(all="ignore"), pytest.raises(ResidualError, match="eigenpair residual"):
+            spectra._declared_eig(entries, KRONECKER, _PATH3_LAP, 6, spectra.RESIDUAL_TOL)
+        with pytest.raises(ValueError):
+            GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP))
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_kron_route_below_729_takes_one_plain_gemm(monkeypatch, n):
-    # the factored walk is slower than one GEMM on Q^(x)n below 9 tiles
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kron_route_takes_no_residual_gemm(monkeypatch, n):
+    # the certificate compares M with the Kronecker sum entry by entry:
+    # no GEMM residual, no Kronecker power of Q, and one 3x3 eigh
     M = pow_cube_adjacency(n)
-    _, Q, _ = spectra._kron_basis(M.structure.data, n)
     calls = []
-    residual_norms = spectra._residual_norms
-
-    def recording(entries, values, vectors):
-        calls.append(vectors.tobytes() == functools.reduce(np.kron, [Q] * n).tobytes())
-        return residual_norms(entries, values, vectors)
-
-    monkeypatch.setattr(spectra, "_residual_norms", recording)
+    for name in ("_residual_norms", "_kron_power"):
+        monkeypatch.setattr(spectra, name, lambda *args, name=name: calls.append(name))
+    sizes = _record_sizes(monkeypatch, "eigh")
     eig_sym(M)
-    if n <= 5:
-        assert M._census is None
-        assert calls == [True]
-    else:
-        assert calls == []
+    assert calls == [] and sizes == [3]
 
 
 def _count_censuses(monkeypatch):
@@ -513,23 +514,27 @@ def _count_censuses(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("make,censuses", [
-    (lambda: pow_cube_adjacency(7), []),
-    # the gray order's census (taken when it was built) does not line up
-    # with the factor's tiles; its natural-order relabelling is a new
-    # GraphMatrix, whose one census the Kronecker walk reads
-    (lambda: pow_cube_adjacency(6, "ternary-gray"), [(729, 729)]),
+@pytest.mark.parametrize("make", [
+    lambda: pow_cube_adjacency(7),
+    # a relabelled order is solved on its gathered natural-order entries,
+    # which a bijection leaves symmetric and within the kind's rule, so no
+    # second GraphMatrix validates them
+    lambda: pow_cube_adjacency(6, "ternary-gray"),
 ], ids=["powcube-2187-kronecker", "powcube-729-gray"])
-def test_eig_sym_takes_no_second_census(monkeypatch, make, censuses):
+def test_eig_sym_takes_no_second_census(monkeypatch, make):
+    # validation took the census when M was built; no route reads one
     M = make()
     calls = _count_censuses(monkeypatch)
+    validations = []
+    post_init = GraphMatrix.__post_init__
+    monkeypatch.setattr(GraphMatrix, "__post_init__", lambda m: validations.append(post_init(m)))
     eig_sym(M)
-    assert calls == censuses
+    assert calls == [] and validations == []
 
 
 def test_raw_array_takes_no_census(monkeypatch):
-    # `GraphMatrix` is the census's only owner; the raw-array gate and the
-    # undeclared routes' one-GEMM check take none
+    # only `GraphMatrix` validation takes a census; the raw-array gate and
+    # the undeclared routes' one-GEMM check take none
     entries = np.array(pow_cube_adjacency(6, "ternary-gray").entries)
     calls = _count_censuses(monkeypatch)
     eig_sym(entries)
@@ -569,8 +574,8 @@ def test_kron_route_residual_finds_entries_off_the_factor(n, pair):
 
 
 def test_eig_sym_peak_allocation_on_the_kron_route():
-    # the walk forms neither Q^(x)(n - 1) nor M applied to it, only one
-    # 81 x N residual block at a time
+    # the certificate compares M with the Kronecker sum in M's int8, and
+    # forms no Kronecker power of Q nor any float64 copy of M
     M = pow_cube_adjacency(7)
     tracemalloc.start()
     try:
@@ -589,8 +594,9 @@ def test_kron_eigh_peak_allocation():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _, Q, order = spectra._kron_basis(_PATH3_ADJ, 7)
-        spectra._kron_vectors(Q, 7, order)
+        w, Q = np.linalg.eigh(_PATH3_ADJ)
+        values = functools.reduce(lambda v, _: np.add.outer(v, w).ravel(), range(6), w)
+        spectra._kron_vectors(Q, 7, np.argsort(values, kind="stable"))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -598,10 +604,8 @@ def test_kron_eigh_peak_allocation():
 
 
 def test_kron_route_values_only_never_form_the_vectors():
-    # the factored check applies each 81 x 81 tile of M to Q^(x)4 and forms
-    # neither W = Q^(x)(n - 1) nor any eigenvector column; the 8 N^2 bytes
-    # of the sorted eigenvector matrix are spent only when Spectrum.vectors
-    # is read
+    # the certificate forms no eigenvector column; the 8 N^2 bytes of the
+    # sorted eigenvector matrix are spent only when Spectrum.vectors is read
     M = pow_cube_adjacency(7)
     tracemalloc.start()
     try:
@@ -707,6 +711,14 @@ def test_false_structure_fails_residual():
     with pytest.raises(ResidualError, match="eigenpair residual"):
         eig_sym(GraphMatrix("powtri", LAPLACIAN, 3, "ternary-gray", T.entries,
                             Structure(KRONECKER, _PATH3_LAP, np.arange(27))))
+    # and a seeded bijection, on each route
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(GraphMatrix("powtri", LAPLACIAN, 3, "ternary-gray", T.entries, Structure(
+            KRONECKER, _PATH3_LAP, np.random.default_rng(3).permutation(27))))
+    H = hamming_distance_matrix(5, "gray")
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(GraphMatrix("hamming", DISTANCE, 5, "gray", H.entries,
+                            Structure(WALSH, perm=np.random.default_rng(5).permutation(32))))
 
 
 def test_walsh_values_must_depend_on_popcount_only():
@@ -717,6 +729,156 @@ def test_walsh_values_must_depend_on_popcount_only():
     M = GraphMatrix("ncube", ADJACENCY, 3, "binary", A, Structure(WALSH))
     with pytest.raises(ResidualError, match="popcount"):
         eig_sym(M)
+
+
+def _kron_fault_places(n):
+    """(i, j): one entry of each block class at every level of the
+    Kronecker certificate's walk, in diagonal block p = P - 1 of side 3 s:
+    in every off-diagonal sub-block (a, b), its last diagonal entry and,
+    while s > 1, an off-diagonal entry; and in every diagonal sub-block
+    (a, a), an off-diagonal entry, or at the last level, where sub-blocks
+    are single entries, M's diagonal entry."""
+    places = []
+    for level in range(n):
+        P, s = 3**level, 3 ** (n - 1 - level)
+        corner = (P - 1) * 3 * s
+        for a in range(3):
+            for b in range(3):
+                i, j = corner + a * s, corner + b * s
+                if a != b:
+                    places.append((i + s - 1, j + s - 1))
+                if s > 1:
+                    places.append((i, j + s - 1))
+                elif a == b:
+                    places.append((i, j))
+    return places
+
+
+@pytest.mark.parametrize("make,factor", [
+    (pow_cube_adjacency, _PATH3_ADJ), (pow_tricube_laplacian, _PATH3_LAP),
+], ids=["powcube", "powtri"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_kron_certificate_finds_a_fault_in_every_block_class_at_every_level(make, factor, n):
+    # one +1 at one entry, in the int8 entries, so that nothing but the
+    # certificate's read of that entry can find it
+    entries = make(n).entries
+    spectra._declared_eig(entries, KRONECKER, factor, n, spectra.RESIDUAL_TOL)
+    places = _kron_fault_places(n)
+    assert len(places) == 15 * (n - 1) + 9
+    for i, j in places:
+        faulty = entries.copy()
+        faulty[i, j] += 1
+        with pytest.raises(ResidualError, match="eigenpair residual"):
+            spectra._declared_eig(faulty, KRONECKER, factor, n, spectra.RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize("make", [ncube_adjacency, tricube_laplacian, hamming_distance_matrix])
+def test_walsh_certificate_finds_a_fault_at_every_doubling_level(make):
+    # one +1 at one entry of rows [h, 2h) for every h, and one in row 0,
+    # which every other row is compared with
+    n = 6
+    entries = make(n).entries
+    spectra._declared_eig(entries, WALSH, None, n, spectra.RESIDUAL_TOL)
+    rows = [0] + [h + (h - 1) // 2 for h in (1 << k for k in range(n))]
+    for i in rows:
+        faulty = entries.copy()
+        faulty[i, (5 * i + 3) % 2**n] += 1
+        with pytest.raises(ResidualError, match="eigenpair residual"):
+            spectra._declared_eig(faulty, WALSH, None, n, spectra.RESIDUAL_TOL)
+
+
+CERTIFIED = [
+    (lambda: tricube_laplacian(7), WALSH, None),
+    (lambda: regular_tricube_adjacency(6), WALSH, None),
+    (lambda: pow_tricube_laplacian(4), KRONECKER, _PATH3_LAP),
+    (lambda: pow_cube_adjacency(5), KRONECKER, _PATH3_ADJ),
+]
+CERTIFIED_IDS = ["walsh-tricube-7", "walsh-regtricube-6", "kron-powtri-4", "kron-powcube-5"]
+
+
+@pytest.mark.parametrize("make,kind,factor", CERTIFIED, ids=CERTIFIED_IDS)
+@pytest.mark.parametrize("where", ["row-0", "inner"])
+def test_certificates_take_float_nudges_against_tol(make, kind, factor, where):
+    # a symmetric nudge of delta moves ||M - S|| by delta (by 2 delta in
+    # row 0 of a Walsh matrix, whose S moves with it): ten times tol * scale
+    # fails, a hundredth of it passes, and the passing bound covers it
+    M = make()
+    entries, n = M.entries.astype(float), M.n
+    i, j = (0, 3) if where == "row-0" else (M.N - 9, M.N - 2)
+    limit = spectra.RESIDUAL_TOL * eig_sym(M).scale
+    for delta, fails in ((10 * limit, True), (limit / 100, False)):
+        nudged = entries.copy()
+        nudged[i, j] += delta
+        nudged[j, i] += delta
+        solve = functools.partial(
+            spectra._declared_eig, nudged, kind, factor, n, spectra.RESIDUAL_TOL
+        )
+        if fails:
+            with pytest.raises(ResidualError, match="eigenpair residual"):
+                solve()
+        else:
+            spec = solve()
+            V = spec.vectors
+            assert np.linalg.norm(nudged @ V - V * spec.values, axis=0).max() <= 2 * delta + 1e-12
+
+
+@pytest.mark.parametrize("make,kind,factor", CERTIFIED, ids=CERTIFIED_IDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["row-0", "inner", "diagonal"])
+def test_certificates_fail_non_finite_entries(make, kind, factor, value, where):
+    # a GraphMatrix rejects NaN and inf when it is made, so they go into a
+    # float64 copy, through the route eig_sym runs after validation
+    M = make()
+    entries = M.entries.astype(float)
+    i, j = {"row-0": (0, 1), "inner": (M.N - 4, M.N - 1), "diagonal": (M.N - 2, M.N - 2)}[where]
+    entries[i, j] = entries[j, i] = value
+    with np.errstate(all="ignore"), pytest.raises(ResidualError, match="eigenpair residual"):
+        spectra._declared_eig(entries, kind, factor, M.n, spectra.RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tricube_laplacian(5), lambda: tricube_laplacian(5, "gray"),
+    lambda: pow_cube_adjacency(4), lambda: pow_tricube_laplacian(3, "ternary-gray"),
+], ids=["walsh", "walsh-gray", "kron", "kron-ternary-gray"])
+def test_certified_routes_fail_a_tolerance_below_the_rounding(make):
+    # the bound always carries the rounding term rho > 0, so no certificate
+    # passes at tol = 1e-20, exact entries or not
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(make(), tol=1e-20)
+
+
+SOUNDNESS_CASES = [
+    (family, n, ordering)
+    for family in ("ncube", "hamming", "tricube", "regtricube")
+    for n in range(FAMILIES[family].min_n, 11)
+    for ordering in ("binary", "gray", "custom")
+] + [
+    (family, n, ordering)
+    for family in ("powcube", "powtri")
+    for n in range(2, 8)
+    for ordering in ("ternary", "ternary-gray")
+]
+
+
+@pytest.mark.parametrize("family,n,ordering", SOUNDNESS_CASES,
+                         ids=[f"{f}-{n}-{o}" for f, n, o in SOUNDNESS_CASES])
+def test_certificate_bound_dominates_the_measured_residual(monkeypatch, family, n, ordering):
+    # the bound eig_sym gates on, against one dense GEMM on the returned
+    # vectors in the input's own ordering
+    bounds = []
+    checked = spectra._checked
+
+    def recording(spec, residual, *args):
+        bounds.append(float(np.max(residual)))
+        return checked(spec, residual, *args)
+
+    monkeypatch.setattr(spectra, "_checked", recording)
+    M = build(family, n, _seeded_permutation(n) if ordering == "custom" else ordering)
+    spec = eig_sym(M)
+    V = spec.vectors
+    measured = np.linalg.norm(M.entries @ V - V * spec.values, axis=0)
+    assert len(bounds) == 1 and measured.max() <= bounds[0]
+    assert bounds[0] <= 1e-10 * spec.scale
 
 
 @pytest.mark.parametrize("entries,n,structure", [
