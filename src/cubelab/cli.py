@@ -67,7 +67,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_activation(args) -> int:
-    p_values = list(_parse_range(args.p)) if args.p else None
+    p_values = _parse_range(args.p) if args.p else None
     rows = caf_table(args.n, p_values, mu=args.mu, scale=args.scale)
     with open(args.out, "w") as fh:
         fh.write("r,p,numerator,denominator,value,logistic\n")

@@ -42,7 +42,8 @@ float64 one block or tile at a time.  `build` refuses a matrix whose
 dense float64 form would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
 vertices fit) before it builds anything.  The seven named constructors
 are single `build` calls.  Matrices are dense, which suits desk scale
-(N <= 3^7); the structure pays off instead in `spectra.eig_sym`.
+(N <= 3^7); the structure pays off instead in validation and in
+`spectra.eig_sym`.
 
 A profile row is filled from its row 0, r[j] = g_n(popcount(j)), with no
 N x N temporary: entry (i, j) is r[a_i ^ a_j] for the addresses a.
@@ -59,19 +60,32 @@ N x N temporary: entry (i, j) is r[a_i ^ a_j] for the addresses a.
 A factor row is written straight into its permuted positions
 (`_ternary_product`).
 
-`GraphMatrix` validates its entries when it is made.  An order that is a
-multiple of `TILE` = 81 and at least 729 (every 3^n family from n = 6) is
-first read once, whole, by a tile census (`TileCensus`), which sorts the
-81 x 81 tiles into zero, c I and general; symmetry and the kind's entry
-rule then follow from the tile classes and the general tiles, the only
-ones read again.  Only validation reads the census, and the matrix does
-not keep it.
+`GraphMatrix` validates its entries once, when it is made, and the
+public constructor first copies them; `build` and the mesh builders hand
+over their fresh arrays without a copy.  A WALSH or KRONECKER declaration
+is validated by its exact structure proof, which reads every entry in
+the matrix's own ordering and makes no natural-order copy:
+
+- KRONECKER: S's O(n N) nonzero positions, gathered through `perm`, must
+  hold their factor entries, the diagonal the n-fold sums of the factor's
+  diagonal, and np.count_nonzero(M) must be S's count (`_kron_deviation`);
+- WALSH: in the natural binary order, XOR doubling; in a relabelled order,
+  each chunk of rows against row 0 gathered at a_i ^ a_j
+  (`_walsh_deviation`).
+
+Once M == S, symmetry and the kind's entry rule follow in O(N) from S's
+row 0 or factor.  Anything not proved (LOW_RANK, no structure, or entries
+off their declaration) is tested in slabs of `_SLAB` rows, and for a
+WALSH or KRONECKER declaration ||M - S|| is measured.  The matrix keeps
+||M - S||, and `spectra.eig_sym` bounds its residuals by it.  The proofs
+share no code with the fills, which write their entries by other index
+arithmetic, so that one bug cannot pass both.
 """
 
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,96 +134,6 @@ def asymmetry(entries: np.ndarray) -> float:
     return 0.0
 
 
-# side of the census tiles, 3^4, so that tiles line up with the digit blocks
-# of the 3^n families; orders of fewer than _MIN_TILES tiles are not tiled
-TILE = 81
-_MIN_TILES = 9
-
-
-@dataclass(frozen=True, eq=False)
-class TileCensus:
-    """A square matrix M read as a grid of `TILE`-square tiles.
-
-    Each tile is classified from its own entries as zero, c I with c != 0
-    (exactly one nonzero per row, on the diagonal, all equal, so a NaN
-    never qualifies) or general.
-
-    scales   H, the count x count matrix of the scales c (0 where a tile is
-             not c I)
-    general  the count x count mask of the general tiles
-    runs     per tile row, the [start, stop) columns of M of each run of
-             adjacent general tiles
-    """
-
-    scales: np.ndarray
-    general: np.ndarray
-    runs: list
-
-    def blocks(self, entries: np.ndarray):
-        """(rows, block) for each run of general tiles: the slice of M's
-        rows the run lies in, and the run's entries."""
-        for r, row_runs in enumerate(self.runs):
-            rows = slice(r * TILE, (r + 1) * TILE)
-            for start, stop in row_runs:
-                yield rows, entries[rows, start:stop]
-
-    def row_sums(self, entries: np.ndarray) -> np.ndarray:
-        """M's row sums: each tile row's sum of H, plus the row sums of its
-        general tiles."""
-        sums = np.repeat(self.scales.sum(axis=1), TILE)
-        for rows, block in self.blocks(entries):
-            sums[rows] += block.sum(axis=1)
-        return sums
-
-    def symmetric(self, entries: np.ndarray) -> bool:
-        """Whether the tiles prove M exactly symmetric: H and the general
-        mask are symmetric, and every general tile on or right of the
-        diagonal equals the transpose of its partner, so each pair is read
-        once.  False says only that this test did not prove it."""
-        if not (np.array_equal(self.scales, self.scales.T)
-                and np.array_equal(self.general, self.general.T)):
-            return False
-        for r, row_runs in enumerate(self.runs):
-            rows = slice(r * TILE, (r + 1) * TILE)
-            for start, stop in row_runs:
-                start = max(start, rows.start)
-                if start < stop and not np.array_equal(
-                    entries[rows, start:stop], entries[start:stop, rows].T
-                ):
-                    return False
-        return True
-
-
-def _tile_census(entries: np.ndarray) -> TileCensus | None:
-    """The `TileCensus` of a square matrix, or None for an order below
-    `_MIN_TILES` tiles or not a multiple of `TILE`.
-
-    This reads every entry once, one tile row at a time: nonzeros are
-    counted down the rows, then across each tile's columns (at most 81^2,
-    so uint16 does not wrap), and each tile's diagonal is compared with
-    its first entry.
-    """
-    N = entries.shape[0]
-    if N % TILE or N < _MIN_TILES * TILE:
-        return None
-    count = N // TILE
-    nonzeros = np.empty((count, count), dtype=np.uint16)
-    diagonals = np.empty((count, count, TILE))
-    for r in range(count):
-        rows = entries[r * TILE : (r + 1) * TILE]
-        counts = np.add.reduce(rows != 0, axis=0, dtype=np.uint16)
-        nonzeros[r] = counts.reshape(count, TILE).sum(axis=1)
-        diagonals[r] = np.diagonal(rows.reshape(TILE, count, TILE), axis1=0, axis2=2)
-    scales = diagonals[:, :, 0]
-    scaled = (nonzeros == TILE) & (scales != 0) & (diagonals == scales[:, :, None]).all(axis=2)
-    general = (nonzeros > 0) & ~scaled
-    runs = [
-        np.flatnonzero(np.diff(row, prepend=False, append=False)).reshape(-1, 2) * TILE
-        for row in general
-    ]
-    return TileCensus(np.where(scaled, scales, 0.0), general, runs)
-
-
 KRONECKER = "kronecker"
 WALSH = "walsh"
 LOW_RANK = "low-rank"
@@ -240,20 +164,25 @@ class GraphMatrix:
     """Dense square matrix tagged with its graph family and construction.
 
     The entries keep the dtype they are given: int8 from `build`, float64
-    from the mesh builders.  Construction validates them once and makes
-    them read-only: they must be symmetric (within `STRUCTURE_TOL`) and
-    meet the kind's rule, hollow 0/1 for ADJACENCY, hollow and nonnegative
-    for DISTANCE, zero row sums (within 1e-9) for LAPLACIAN.  Entries that
-    do not own their memory (a view, whose base could still be written)
-    are copied first.  Entries that own it are kept, so a writable view of
-    them taken before construction can still change them after
-    validation; `build` and the mesh builders never leave such a view.  An
-    untiled order is read in slabs of `_SLAB` rows, a tiled order from its
-    census (see the module docstring).  A `structure`, when set, declares
-    how the entries were built, and its `perm` must be a bijection on
-    range(N) (ValueError otherwise); `spectra.eig_sym` proposes the
-    eigenpairs from it, and its residual check, which reads every entry,
-    rejects a false declaration.
+    from the mesh builders.  The constructor copies the entries, and the
+    arrays of a `structure`, so that no array the caller still holds can
+    change them; `build` and the mesh builders hand over the arrays they
+    made through `_adopt`, which skips the copy.  Construction validates
+    the entries once and makes them read-only: they must be symmetric
+    (within `STRUCTURE_TOL`) and meet the kind's rule, hollow 0/1 for
+    ADJACENCY, hollow and nonnegative for DISTANCE, zero row sums (within
+    1e-9) for LAPLACIAN.
+
+    A `structure`, when set, declares how the entries were built, and its
+    `perm` must be a bijection on range(N) (ValueError otherwise).  A
+    WALSH or KRONECKER structure S is proved exactly on every entry (see
+    the module docstring); once M == S, symmetry and the kind's rule
+    follow from S's row 0 or factor.  Entries that are not proved, those
+    declaring LOW_RANK or no structure among them, are tested in slabs of
+    `_SLAB` rows.  For WALSH and KRONECKER the matrix keeps ||M - S||, 0.0
+    when proved and measured otherwise, and `spectra.eig_sym` bounds its
+    residuals by it without reading the entries again, so a false
+    declaration raises `ResidualError` there.
     """
 
     family: str
@@ -262,46 +191,70 @@ class GraphMatrix:
     ordering: str
     entries: np.ndarray
     structure: Structure | None = None
+    # ||M - S|| of a WALSH or KRONECKER structure S, set by validation
+    _deviation: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
         return self.entries.shape[0]
 
+    @classmethod
+    def _adopt(cls, family, kind, n, ordering, entries, structure=None):
+        """The matrix of arrays that the caller made and drops: validated
+        as by the constructor, but not copied."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "_fresh", entries)
+        matrix.__init__(family, kind, n, ordering, entries, structure)
+        return matrix
+
     def __post_init__(self):
-        e = self.entries
-        if not e.flags.owndata:
-            e = e.copy()
-            object.__setattr__(self, "entries", e)
+        fresh = self.__dict__.pop("_fresh", None) is self.entries
+        e = self.entries if fresh else np.array(self.entries, order="C")
+        object.__setattr__(self, "entries", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
-        census = _tile_census(e)
-        # near-symmetric entries, or any the tiles do not prove symmetric,
-        # take the full |M - M^T|
-        if not (census is not None and census.symmetric(e)) and asymmetry(e) > STRUCTURE_TOL:
-            raise ValueError("entries must be symmetric")
-        # every entry is 0, a scale c of H, or in a general tile
-        if census is None:
-            pieces = [e[i : i + _SLAB] for i in range(0, e.shape[0], _SLAB)]
+        s = self.structure
+        if s is not None:
+            if not fresh:
+                s = Structure(s.kind, _copied(s.data), _copied(s.perm))
+                object.__setattr__(self, "structure", s)
+            self._check_structure()
+        deviation = None
+        if s is not None and s.kind == WALSH:
+            deviation = _walsh_deviation(e, s.perm)
+        elif s is not None and s.kind == KRONECKER:
+            deviation = _kron_deviation(e, s.data, self.n, s.perm)
+        if deviation == 0.0:
+            # M == S: every row of S holds row 0's values; S's diagonal is
+            # all zero iff its factor F's is, its other entries are F's, and
+            # its row sums reach n times F's largest
+            if s.kind == WALSH:
+                diagonal, pieces, sums = e[0, :1], [e[0]], e[0].sum(keepdims=True)
+            else:
+                F = s.data
+                diagonal, pieces, sums = np.diagonal(F), [F], self.n * F.sum(axis=1)
         else:
-            pieces = [census.scales, *(b for _, b in census.blocks(e))]
+            if asymmetry(e) > STRUCTURE_TOL:
+                raise ValueError("entries must be symmetric")
+            diagonal = np.diagonal(e)
+            pieces = [e[i : i + _SLAB] for i in range(0, e.shape[0], _SLAB)]
+            sums = None  # read below, for a Laplacian only
         if self.kind == ADJACENCY:
-            if not (all(np.all((p == 0) | (p == 1)) for p in pieces) and np.all(np.diag(e) == 0)):
+            if not (all(np.all((p == 0) | (p == 1)) for p in pieces) and np.all(diagonal == 0)):
                 raise ValueError("adjacency matrix must be hollow 0/1")
         elif self.kind == DISTANCE:
-            if np.any(np.diag(e) != 0) or any(np.any(p < 0) for p in pieces):
+            if np.any(diagonal != 0) or any(np.any(p < 0) for p in pieces):
                 raise ValueError("distance matrix must be hollow and nonnegative")
         elif self.kind == LAPLACIAN:
-            sums = e.sum(axis=1) if census is None else census.row_sums(e)
-            if np.abs(sums).max() > 1e-9:
+            if np.abs(e.sum(axis=1) if sums is None else sums).max() > 1e-9:
                 raise ValueError("laplacian must have zero row sums")
         else:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
-        if self.structure is not None:
-            self._check_structure()
+        object.__setattr__(self, "_deviation", deviation)
         e.setflags(write=False)
 
     def _check_structure(self):
-        """O(1) facts only: eig_sym's residual check finds a false declaration."""
+        """O(1) facts and the bijection of `perm`, before any proof."""
         kind, data, N = self.structure.kind, self.structure.data, self.N
         if kind == KRONECKER:
             if not (np.shape(data) == (3, 3) and asymmetry(data) <= STRUCTURE_TOL
@@ -316,13 +269,135 @@ class GraphMatrix:
         else:
             raise ValueError(f"unknown structure kind {kind!r}")
         perm = self.structure.perm
-        if perm is not None:  # else eig_sym would check another matrix
+        if perm is not None:  # else the proof would read another matrix
             if not (isinstance(perm, np.ndarray) and perm.dtype.kind in "iu"
                     and np.array_equal(np.sort(perm), np.arange(N))):
                 raise ValueError("a structure's perm must be a bijection on range(N)")
             perm.setflags(write=False)
         if data is not None:
             data.setflags(write=False)
+
+
+def _copied(x):
+    """A copy of an array, or x itself when it is not one (None, or a value
+    that `_check_structure` refuses)."""
+    return x.copy() if isinstance(x, np.ndarray) else x
+
+
+# entries per chunk of rows of the structure proofs and of a measured
+# ||M - S||, so that neither makes an N x N temporary
+_CHUNK = 1 << 18
+# entries per row block of a gather, in a profile fill or a relabelled
+# Walsh proof: its XOR and index temporaries stay near 1 MB however large
+# N is
+_GATHER_ENTRIES = 1 << 16
+
+
+def _measured_deviation(entries: np.ndarray, ideal: Callable[[int, int], np.ndarray]) -> float:
+    """||M - S||, the larger of the largest row abs-sum and the largest
+    column abs-sum of M - S (NaN when M holds one), from |M - S| in float64
+    one chunk of rows at a time; ideal(start, stop) gives S's rows [start,
+    stop) in float64."""
+    N = entries.shape[0]
+    rows, cols = np.zeros(N), np.zeros(N)
+    step = max(1, _CHUNK // N)
+    for start in range(0, N, step):
+        stop = min(start + step, N)
+        part = np.subtract(entries[start:stop], ideal(start, stop), dtype=float)
+        np.abs(part, out=part)
+        rows[start:stop] = part.sum(axis=1)
+        cols += part.sum(axis=0)
+    return float(np.maximum(rows.max(), cols.max()))
+
+
+def _walsh_deviation(entries: np.ndarray, perm: np.ndarray | None) -> float:
+    """||M - S|| for the WALSH structure S[p, q] = r[a_p ^ a_q]: a = perm
+    (the identity when None) and r = M[inv[0], inv], inv = argsort(perm),
+    the natural order's row 0.  0.0 when M == S, proved on every entry in
+    M's own dtype, with no N x N temporary:
+
+    - in the natural order, by XOR doubling: for h = 1, 2, ..., N/2, rows
+      [h, 2h) must be rows [0, h) with the column blocks of width h swapped
+      in each 2h-wide pair, so that row i is row i - h under j -> j ^ h,
+      and by induction row 0 under j -> i ^ j;
+    - in a relabelled order, by comparing each chunk of rows with r
+      gathered at a_p ^ a_q.
+
+    At the first difference ||M - S|| is measured instead.
+    """
+    N = entries.shape[0]
+    step = max(1, _CHUNK // N)
+    if perm is None:
+        a, r = np.arange(N), entries[0]
+        h = 1
+        while h < N:
+            for start in range(0, h, step):
+                stop = min(start + step, h)
+                swapped = entries[start:stop].reshape(stop - start, -1, 2, h)[:, :, ::-1]
+                below = entries[h + start : h + stop].reshape(swapped.shape)
+                if not np.array_equal(below, swapped):
+                    return _measured_walsh(entries, a, r)
+            h *= 2
+        return 0.0
+    inv = np.argsort(perm)
+    a, r = perm.astype(np.min_scalar_type(N - 1)), entries[inv[0]][inv]
+    step = max(1, _GATHER_ENTRIES // N)
+    for start in range(0, N, step):
+        ideal = np.take(r, a[start : start + step, None] ^ a)
+        if not np.array_equal(entries[start : start + step], ideal):
+            return _measured_walsh(entries, a, r)
+    return 0.0
+
+
+def _measured_walsh(entries: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
+    r = r.astype(float)
+    return _measured_deviation(entries, lambda start, stop: np.take(r, a[start:stop, None] ^ a))
+
+
+def _kron_deviation(entries: np.ndarray, factor: np.ndarray, n: int,
+                    perm: np.ndarray | None) -> float:
+    """||M - S|| for the KRONECKER structure S, the n-fold Kronecker sum of
+    the 3x3 factor F with vertex perm[p] at position p (the natural order
+    when perm is None); 0.0 when M == S, proved on every entry.
+
+    The proof reads S's support and nothing else of M but a count.  With
+    the positions of the vertices laid out on a (3,) * n grid, the vertices
+    whose digit on one axis is a, and their partners whose digit there is
+    b, all else equal, are the grid's slices a and b along that axis, and
+    S holds F[a, b] at those pairs.  Every nonzero F[a, b], a != b, must be
+    in M at its pairs on every axis, M's diagonal must be the n-fold sums
+    of F's diagonal, and M must have no other nonzero: np.count_nonzero(M)
+    must be S's count.  Then M == S.  Otherwise ||M - S|| is measured.
+    """
+    N = 3**n
+    position = np.arange(N) if perm is None else np.argsort(perm)
+    grid = position.reshape((3,) * n)
+    a, b = np.nonzero(factor)
+    a, b = a[a != b], b[a != b]
+    # (axis, pair, vertex) arrays; axis moves to the front of the grid
+    slices = [grid.swapaxes(0, axis).reshape(3, -1) for axis in range(n)]
+    rows, cols = np.stack([s[a] for s in slices]), np.stack([s[b] for s in slices])
+    values = factor[a, b][:, None]
+    diagonal = np.zeros(1)  # the sums over each vertex's digits of F's diagonal
+    for _ in range(n):
+        diagonal = np.add.outer(diagonal, np.diagonal(factor).astype(float)).ravel()
+    if (np.all(entries[rows, cols] == values)
+            and np.array_equal(np.diagonal(entries)[position], diagonal)
+            and np.count_nonzero(entries) == rows.size + np.count_nonzero(diagonal)):
+        return 0.0
+    values = np.concatenate([np.broadcast_to(values, rows.shape), diagonal], axis=None)
+    rows = np.concatenate([rows, position], axis=None)
+    cols = np.concatenate([cols, position], axis=None)
+    order = np.argsort(rows, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
+
+    def ideal(start, stop):
+        lo, hi = np.searchsorted(rows, (start, stop))
+        chunk = np.zeros((stop - start, N))
+        chunk[rows[lo:hi] - start, cols[lo:hi]] = values[lo:hi]
+        return chunk
+
+    return _measured_deviation(entries, ideal)
 
 
 _PATH3_ADJ = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
@@ -384,9 +459,6 @@ FAMILIES = {
 # vertex base -> (default ordering, permutation of the vertex indices)
 _ORDERINGS = {2: (BINARY, binary_ordering), 3: (TERNARY, ternary_ordering)}
 
-# entries per row block of a gathered profile fill: its XOR and index
-# temporaries stay near 1 MB however large N is
-_FILL_ENTRIES = 1 << 16
 
 
 def _xor_circulant(r: np.ndarray) -> np.ndarray:
@@ -411,8 +483,10 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  The matrix declares its `Structure` (see the module
     docstring).  A profile row is filled from its row 0 and a factor row
-    straight into its permuted positions (see the module docstring), so
-    construction makes no N x N temporary.  An unknown family, n below the
+    straight into its permuted positions (see the module docstring), and
+    the entries are handed to `GraphMatrix` without a copy, where the
+    proof of the declared structure validates them; construction makes no
+    N x N temporary.  An unknown family, n below the
     family's smallest, or a dense float64 form over `MAX_DENSE_BYTES`
     (n > 13 for 2^n, n > 8 for 3^n) raise ValueError before any ordering
     or array is built.
@@ -456,7 +530,7 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
             circulant = _xor_circulant(r) if row.base == 3 else None
             addresses = addresses.astype(np.uint16)
             entries = np.empty((perm.size, perm.size), dtype=np.int8)
-            step = max(1, _FILL_ENTRIES // perm.size)
+            step = max(1, _GATHER_ENTRIES // perm.size)
             for start in range(0, perm.size, step):
                 a, block = addresses[start : start + step], entries[start : start + step]
                 if circulant is None:
@@ -464,7 +538,7 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
                 else:
                     np.take(circulant[a], addresses, axis=1, out=block)
     ordering_tag = ordering if isinstance(ordering, str) else "custom"
-    return GraphMatrix(family, row.kind, n, ordering_tag, entries, structure)
+    return GraphMatrix._adopt(family, row.kind, n, ordering_tag, entries, structure)
 
 
 def ncube_adjacency(n: int, ordering=BINARY) -> GraphMatrix:

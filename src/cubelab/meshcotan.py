@@ -6,8 +6,12 @@ triangle.  Cube boundary edges in dimension > 3 see more than two incident
 triangles, all with equal opposite angles; the weight is then taken from a
 representative pair, i.e. cot of the common angle.
 
-Every corner angle comes from one array pass over the gathered triangle
-corners, and `build_wdm` and `build_cube_cotan_geometric` share one assembly.
+`build_wdm` and `build_cube_cotan_geometric` share one assembly in array
+passes: the corner angles of the (T, 3) triangle array at once, the edges
+grouped in first-appearance order, each edge's `cotan_weight` by one
+vectorised rule, and the diagonal by one `np.bincount` over the edge ends
+in edge order, which sums each diagonal entry in the order an edge-by-edge
+loop would, so the entries match that loop bit for bit.
 """
 
 import itertools
@@ -25,31 +29,50 @@ BOTH = "both"
 
 _ANGLE_EQ_TOL = 1e-9
 
+# the triangles of one face as indices into its corners (v00, v10, v01,
+# v11): Even splits it along v00-v11, Odd along v10-v01, Both overlays them
+_EVEN_SPLIT = [[0, 1, 3], [0, 2, 3]]
+_ODD_SPLIT = [[1, 0, 2], [1, 3, 2]]
+_SPLITS = {EVEN: _EVEN_SPLIT, ODD: _ODD_SPLIT, BOTH: _EVEN_SPLIT + _ODD_SPLIT}
+# corner k's next and previous corner in a triangle
+_NEXT, _PREVIOUS = np.array([1, 2, 0]), np.array([2, 0, 1])
+
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Embedded vertices in R^d plus triangle index triples."""
+    """Embedded vertices in R^d plus triangle index triples, kept as one
+    read-only (T, 3) integer array."""
 
     vertices: np.ndarray
-    triangles: tuple
+    triangles: np.ndarray
 
     def __post_init__(self):
+        triangles = np.array(self.triangles, dtype=np.intp)
+        if triangles.size == 0:
+            triangles = triangles.reshape(0, 3)
+        if triangles.ndim != 2 or triangles.shape[1] != 3:
+            raise ValueError(f"triangles must be index triples, got shape {triangles.shape}")
         nv = self.vertices.shape[0]
-        for tri in self.triangles:
-            if len(set(tri)) != 3 or not all(0 <= i < nv for i in tri):
-                raise ValueError(f"bad triangle {tri}")
-        u, v = (e[:, 0] for e in _corner_edges(self))
+        a, b, c = triangles.T
+        bad = ((triangles < 0) | (triangles >= nv)).any(axis=1) | (a == b) | (b == c) | (c == a)
+        if bad.any():
+            raise ValueError(f"bad triangle {tuple(triangles[bad.argmax()].tolist())}")
+        triangles.setflags(write=False)
+        object.__setattr__(self, "triangles", triangles)
+        corner = self.vertices[a]
+        u, v = self.vertices[b] - corner, self.vertices[c] - corner
         gram = (u * u).sum(-1) * (v * v).sum(-1) - (u * v).sum(-1) ** 2
-        degenerate = np.flatnonzero(0.5 * np.sqrt(np.maximum(gram, 0.0)) < 1e-14)
-        if degenerate.size:
-            raise ValueError(f"degenerate triangle {self.triangles[degenerate[0]]}")
+        degenerate = 0.5 * np.sqrt(np.maximum(gram, 0.0)) < 1e-14
+        if degenerate.any():
+            first = tuple(triangles[degenerate.argmax()].tolist())
+            raise ValueError(f"degenerate triangle {first}")
 
 
 def _corner_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Edge vectors from corner k of each triangle to the next and to the
     previous corner, both of shape (T, 3, d)."""
-    corners = mesh.vertices[np.array(mesh.triangles, dtype=np.intp).reshape(-1, 3)]
-    return np.roll(corners, -1, axis=1) - corners, np.roll(corners, 1, axis=1) - corners
+    corners = mesh.vertices[mesh.triangles]
+    return corners[:, _NEXT] - corners, corners[:, _PREVIOUS] - corners
 
 
 def cotan_weight(alphas) -> float:
@@ -62,41 +85,87 @@ def cotan_weight(alphas) -> float:
     """
     if len(alphas) == 0:
         raise ValueError("no opposite angles supplied")
-    if any(not 0.0 < a < math.pi for a in alphas):
-        raise ValueError("angles must lie in (0, pi)")
-    if len(alphas) <= 2:
-        return 0.5 * sum(1.0 / math.tan(a) for a in alphas)
-    if max(alphas) - min(alphas) > _ANGLE_EQ_TOL:
+    one = np.zeros(1, dtype=np.intp)
+    alphas = np.asarray(alphas, dtype=float)
+    return float(_edge_weights(alphas, one, np.array([alphas.size]), one)[0])
+
+
+def _edge_weights(alphas: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+                  order: np.ndarray) -> np.ndarray:
+    """`cotan_weight` of each group of counts[g] >= 1 angles from
+    alphas[starts[g]] (starts ascending), for the groups g in `order`, with
+    the error of the first of them that breaks the rule."""
+    outside = np.logical_or.reduceat(~((alphas > 0.0) & (alphas < math.pi)), starts)
+    spread = np.maximum.reduceat(alphas, starts) - np.minimum.reduceat(alphas, starts)
+    starts, counts = starts[order], counts[order]
+    bad = outside[order] | ((counts > 2) & (spread[order] > _ANGLE_EQ_TOL))
+    if bad.any():
+        if outside[order][bad.argmax()]:
+            raise ValueError("angles must lie in (0, pi)")
         raise ValueError(
             "ambiguous weight: more than two incident triangles with unequal angles"
         )
-    return 1.0 / math.tan(alphas[0])
+    # the first angle of each group and, of a pair, the second (else the
+    # first again, unused); math.tan, not np.tan, whose SIMD loops may round
+    # differently
+    pair = counts == 2
+    taken = alphas[np.concatenate([starts, starts + pair])].tolist()
+    cot = 1.0 / np.array([math.tan(a) for a in taken])
+    first, second = cot[: starts.size], cot[starts.size :]
+    return np.where(counts > 2, first, 0.5 * (first + np.where(pair, second, 0.0)))
 
 
-def _edge_angle_map(mesh: TriMesh) -> dict:
-    """Edge -> opposite angles, in first-appearance order: triangle (a, b, c)
-    adds its angles at c, a and b, opposite (a, b), (b, c) and (c, a)."""
+def _edges(mesh: TriMesh):
+    """(edges, alphas, starts, counts, order): every opposite angle, grouped
+    by edge with the groups in ascending (i, j) order and each group in
+    appearance order, counts[g] angles from alphas[starts[g]]; `order`
+    lists the groups by the first appearance of their edge, and edges[e] is
+    the (i, j), i < j, of group order[e].  Triangle (a, b, c) adds its
+    angles at c, a and b, opposite (a, b), (b, c) and (c, a)."""
     u, v = _corner_edges(mesh)
-    cosang = (u * v).sum(-1) / (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
-    corner_angles = np.arccos(np.clip(cosang, -1.0, 1.0)).tolist()
-    angles: dict = {}
-    for tri, alphas in zip(mesh.triangles, corner_angles):
-        for k in (2, 0, 1):
-            i, j = tri[k - 2], tri[k - 1]
-            angles.setdefault((i, j) if i < j else (j, i), []).append(alphas[k])
-    return angles
+    cosang = (u * v).sum(-1) / (np.sqrt((u * u).sum(-1)) * np.sqrt((v * v).sum(-1)))
+    corner_angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+    triangles = mesh.triangles
+    i, j = triangles.ravel(), triangles[:, _NEXT].ravel()
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    key = low * mesh.vertices.shape[0] + high
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.bincount(new.cumsum() - 1)
+    first = by_key[starts]
+    order = np.argsort(first)
+    first = first[order]
+    alphas = corner_angles[:, _PREVIOUS].ravel()[by_key]
+    return np.column_stack([low[first], high[first]]), alphas, starts, counts, order
 
 
-def _assemble(n_vertices: int, angles: dict) -> np.ndarray:
-    """Laplacian with the `cotan_weight` of each edge, accumulated in edge order."""
+def _assemble(n_vertices: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Laplacian with weight w_e at each edge (i, j): -w_e at (i, j) and
+    (j, i), and the diagonal summed over the interleaved (i, j) in edge
+    order, as adding w_e to L[i, i] and then L[j, j], edge by edge, would."""
     L = np.zeros((n_vertices, n_vertices))
-    for (i, j), alphas in angles.items():
-        w = cotan_weight(alphas)
-        L[i, j] -= w
-        L[j, i] -= w
-        L[i, i] += w
-        L[j, j] += w
+    i, j = edges.T
+    L[i, j] -= weights
+    L[j, i] -= weights
+    L.flat[:: n_vertices + 1] = np.bincount(
+        edges.ravel(), weights=np.repeat(weights, 2), minlength=n_vertices
+    )
     return L
+
+
+def _cotan_laplacian(mesh: TriMesh, max_triangles: int | None = None) -> np.ndarray:
+    """The cotan Laplacian of a mesh, each edge weighted by `cotan_weight`;
+    an edge of more than `max_triangles` incident triangles raises
+    ValueError first."""
+    edges, alphas, starts, counts, order = _edges(mesh)
+    if max_triangles is not None and (counts > max_triangles).any():
+        e = (counts[order] > max_triangles).argmax()
+        edge = tuple(edges[e].tolist())
+        raise ValueError(f"edge {edge} has {counts[order][e]} incident triangles")
+    return _assemble(mesh.vertices.shape[0], edges, _edge_weights(alphas, starts, counts, order))
 
 
 def build_wdm(mesh: TriMesh) -> GraphMatrix:
@@ -104,12 +173,8 @@ def build_wdm(mesh: TriMesh) -> GraphMatrix:
 
     Requires a locally disk-like mesh: at most two triangles per edge.
     """
-    angles = _edge_angle_map(mesh)
-    for edge, alphas in angles.items():
-        if len(alphas) > 2:
-            raise ValueError(f"edge {edge} has {len(alphas)} incident triangles")
-    entries = _assemble(mesh.vertices.shape[0], angles)
-    return GraphMatrix("mesh", LAPLACIAN, mesh.vertices.shape[1], "custom", entries)
+    entries = _cotan_laplacian(mesh, max_triangles=2)
+    return GraphMatrix._adopt("mesh", LAPLACIAN, mesh.vertices.shape[1], "custom", entries)
 
 
 def cube_face_triangulation(n: int, arrangement: str = EVEN) -> TriMesh:
@@ -123,19 +188,16 @@ def cube_face_triangulation(n: int, arrangement: str = EVEN) -> TriMesh:
     if arrangement not in (EVEN, ODD, BOTH):
         raise ValueError(f"unknown arrangement {arrangement!r}")
     vertices = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    triangles = []
-    for i, j in itertools.combinations(range(n), 2):
-        free = (1 << i) | (1 << j)
-        for base in range(1 << n):
-            if base & free:
-                continue
-            v00, v10 = base, base | (1 << i)
-            v01, v11 = base | (1 << j), base | free
-            if arrangement in (EVEN, BOTH):
-                triangles.extend(((v00, v10, v11), (v00, v01, v11)))
-            if arrangement in (ODD, BOTH):
-                triangles.extend(((v10, v00, v01), (v10, v11, v01)))
-    return TriMesh(vertices=vertices, triangles=tuple(triangles))
+    # every face: the axis pair (i, j) and a base corner with bits i and j
+    # clear, pairs in combinations order and bases ascending within each
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    bit_i, bit_j = (1 << pairs).T
+    face, v00 = np.nonzero((np.arange(1 << n) & (bit_i | bit_j)[:, None]) == 0)
+    v10, v01 = v00 | bit_i[face], v00 | bit_j[face]
+    corners = np.stack([v00, v10, v01, v10 | v01])  # v00, v10, v01, v11
+    # (faces, triangles per face, 3): each face's triangles stay together
+    triangles = corners[_SPLITS[arrangement]].transpose(2, 0, 1).reshape(-1, 3)
+    return TriMesh(vertices=vertices, triangles=triangles)
 
 
 def build_cube_cotan_geometric(n: int, arrangement: str = EVEN) -> GraphMatrix:
@@ -147,13 +209,13 @@ def build_cube_cotan_geometric(n: int, arrangement: str = EVEN) -> GraphMatrix:
     the half-weight boundary form with spectrum {0, 1, 1, 2}.
     """
     mesh = cube_face_triangulation(n, arrangement)
-    entries = _assemble(mesh.vertices.shape[0], _edge_angle_map(mesh))
+    entries = _cotan_laplacian(mesh)
     if n >= 3:
         snapped = np.round(entries)
         if np.abs(entries - snapped).max() > 1e-12:
             raise RuntimeError("geometric weights strayed from integers")
         entries = snapped
-    return GraphMatrix("tricube", LAPLACIAN, n, "binary", entries)
+    return GraphMatrix._adopt("tricube", LAPLACIAN, n, "binary", entries)
 
 
 def dirichlet_energy(L, u) -> float:

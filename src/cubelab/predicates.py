@@ -13,6 +13,11 @@ falling-factorial convention (zero whenever b > a).
 import math
 from fractions import Fraction
 
+# bound on the work of `caf_table`, len(p) 4^n: every p at n = 8 (2^24)
+# takes ~0.6 s, one p at n = 12 ~2.6 s, and every p at n = 14 would not
+# finish
+MAX_CAF_WORK = 1 << 24
+
 
 def n_shared(n: int, r: int, p: int) -> int:
     """Rank-r predicates containing all of a fixed set of p vertices.
@@ -57,15 +62,21 @@ def logistic(x: float, mu: float = 1.0) -> float:
 
 def caf_table(n: int, p_values=None, mu: float = 1.0, scale: float = 1.0):
     """Rows (r, p, numerator, denominator, value, logistic(r*scale, mu))
-    for every rank r and requested p; n must be >= 1, and mu and scale
-    finite."""
+    for every rank r and each p of the sequence `p_values` (default: all);
+    n must be >= 1, and mu and scale finite.  A table whose work, len(p) 4^n
+    (its len(p) 2^n rows times the ~2^n bits of their binomials), exceeds
+    `MAX_CAF_WORK` raises ValueError before any row is made."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     for name, value in (("mu", mu), ("scale", scale)):
         if not math.isfinite(value):
             raise ValueError(f"logistic {name} must be a finite number, got {value!r}")
-    if p_values is None:
+    # 4^n alone is past the bound once 2n reaches its bit length; testing
+    # that first spares computing a huge power
+    if 2 * n < MAX_CAF_WORK.bit_length() and p_values is None:
         p_values = range(1, 2**n + 1)
+    if 2 * n >= MAX_CAF_WORK.bit_length() or len(p_values) << 2 * n > MAX_CAF_WORK:
+        raise ValueError(f"activation n={n}: len(p) 4^n exceeds the work bound {MAX_CAF_WORK}")
     rows = []
     for p in p_values:
         for r in range(1, 2**n + 1):

@@ -15,6 +15,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
+# bound on the rows or terms of `generate`: the terms grow with their
+# index, so the work grows faster than count^2; powtrimult, the slowest
+# tag, takes ~1.3 s for 1000 rows and ~5 s for 2000
+MAX_SEQUENCE_COUNT = 1000
+
 TRINOMIAL = "trinomial"
 POW_TRI_MULT = "powtrimult"
 A013609 = "A013609"
@@ -124,11 +129,14 @@ SEQUENCES = {
 
 
 def generate(tag: str, count: int):
-    """First `count` rows (triangle tags) or terms (scalar tags)."""
+    """First `count` rows (triangle tags) or terms (scalar tags); a count
+    over `MAX_SEQUENCE_COUNT` raises ValueError before any term is made."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if tag not in SEQUENCES:
         raise ValueError(f"unknown sequence tag {tag!r}")
+    if count > MAX_SEQUENCE_COUNT:
+        raise ValueError(f"{tag}: count {count} exceeds the bound {MAX_SEQUENCE_COUNT}")
     return SEQUENCES[tag].terms(count)
 
 
@@ -144,15 +152,22 @@ class ExtremesResult:
 def pow_hamming_extremes(n: int) -> ExtremesResult:
     """Closed-form extreme eigenvalues of the 3^n-vertex Hamming distance
     matrix: [2(n-1) -+ sqrt(2(2n+1)(n+2))] * 3^(n-2), with integer sum
-    4(n-1)*3^(n-2) and product -2n*3^(2n-2)."""
+    4(n-1)*3^(n-2) and product -2n*3^(2n-2).  An n whose extremes leave the
+    float64 range (n >= 641) raises ValueError."""
     if n < 2:
         raise ValueError(f"closed forms need n >= 2, got {n}")
     root = math.sqrt(2.0 * (2 * n + 1) * (n + 2))
-    scale = 3.0 ** (n - 2)
+    try:
+        scale = 3.0 ** (n - 2)
+    except OverflowError:
+        scale = math.inf
+    lambda_max = (2 * (n - 1) + root) * scale
+    if not math.isfinite(lambda_max):
+        raise ValueError(f"powhamming extremes at n={n} exceed the float64 range")
     return ExtremesResult(
         n=n,
         lambda_min=(2 * (n - 1) - root) * scale,
-        lambda_max=(2 * (n - 1) + root) * scale,
+        lambda_max=lambda_max,
         sum=4 * (n - 1) * 3 ** (n - 2),
         product=-2 * n * 3 ** (2 * n - 2),
     )

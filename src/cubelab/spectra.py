@@ -4,39 +4,33 @@
 spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
 the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
 `GraphMatrix` was tested when built.  `eig_sym` has four routes, chosen by
-the `structure` that `cubegraphs.build` declared.  The WALSH and KRONECKER
-routes certify, on every entry of M, that M is its declared structure S,
-and bound the residual ||M v - lambda v|| of every pair they return by
+the `structure` that `cubegraphs.build` declared.  For a WALSH or
+KRONECKER structure S, `GraphMatrix` validation proved on every entry of
+M, exactly, whether M is S, and kept ||M - S|| (0.0 when proved); those
+routes read no entry again but the natural row 0, and bound the residual
+||M v - lambda v|| of every pair they return by
 
     ||M - S|| + e_S + rho,
 
 where ||M - S|| is the larger of the largest row abs-sum and the largest
-column abs-sum of M - S (it bounds the 2-norm, and is 0 when M == S
-exactly), e_S is the error of S's own eigenpairs, and rho = 2 (N + 2n) u
-(||M||_inf + max |lambda|), u = 2^-53, with ||M||_inf <= ||S||_inf +
-||M - S||, covers the rounding of the returned values and vectors and of
-any float64 evaluation of M v - lambda v (Higham, Accuracy and Stability
-of Numerical Algorithms, ch. 3):
+column abs-sum of M - S (it bounds the 2-norm), e_S is the error of S's
+own eigenpairs, and rho = 2 (N + 2n) u (||M||_inf + max |lambda|), u =
+2^-53, with ||M||_inf <= ||S||_inf + ||M - S||, covers the rounding of
+the returned values and vectors and of any float64 evaluation of M v -
+lambda v (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
 
-- WALSH (ncube, hamming, tricube and regtricube): S[i, j] = M[0, i ^ j],
-  which the Sylvester Hadamard matrix H diagonalises (Delsarte 1973, the
-  hypercube association scheme).  The values are the fast Walsh-Hadamard
-  transform of row 0, exact integers for integer entries, and the vectors
-  the columns of H / sqrt(N), with no LAPACK call, so e_S = 0.  The
-  certificate checks, for h = 1, 2, 4, ..., N/2, that rows [h, 2h) are
-  rows [0, h) with their column blocks of width h swapped (row i is row
-  i - h under j -> j ^ h), which makes row i row 0 under j -> i ^ j.  The
-  route also asserts the paper's statement that lambda_k depends on
-  popcount(k) only;
+- WALSH (ncube, hamming, tricube and regtricube): S[i, j] = r[i ^ j] for
+  the natural row 0, r, which the Sylvester Hadamard matrix H diagonalises
+  (Delsarte 1973, the hypercube association scheme).  The values are the
+  fast Walsh-Hadamard transform of r, exact integers for integer entries,
+  and the vectors the columns of H / sqrt(N), with no LAPACK call, so e_S
+  = 0.  The route also asserts the paper's statement that lambda_k
+  depends on popcount(k) only;
 - KRONECKER (powcube and powtri, n >= 2): S is the n-fold Kronecker sum
-  of the 3 x 3 factor F (Cvetkovic, Doob & Sachs, Spectra of Graphs), so
-  block (a, b) of the top digit is delta_ab S' + F[a, b] I, S' the
-  (n - 1)-fold sum.  One eigh of F gives the values, the n-fold sums of
-  its eigenvalues, and the vectors, the n-fold Kronecker products of its
-  eigenvectors Q; e_S is n times F's measured residual max ||F q - w q||.
-  The certificate walks the digits from the top: at each level the
-  off-diagonal blocks (a, b) of every diagonal block must be F[a, b] I,
-  and at the end the diagonal must be the n-fold sums of F's diagonal;
+  of the 3 x 3 factor F (Cvetkovic, Doob & Sachs, Spectra of Graphs).  One
+  eigh of F gives the values, the n-fold sums of its eigenvalues, and the
+  vectors, the n-fold Kronecker products of its eigenvectors Q; e_S is n
+  times F's measured residual max ||F q - w q||;
 - LOW_RANK (powhamming, n >= 3): one eigh of the (n + 1)-order projection
   of M onto the span of the ones vector and the address bits, every other
   value 0.  The range pairs are measured directly, and the kernel pairs by
@@ -45,18 +39,14 @@ of Numerical Algorithms, ch. 3):
   powhamming at n <= 2) takes one eigh of the full matrix, measured by one
   GEMM, M V - V lambda.
 
-Each certificate compares every entry of M with S once, in the entries'
-own dtype, and widens to float64 only the parts that differ from S, one
-chunk at a time, so neither makes an N x N temporary.  Neither shares code
-with the builders in `cubegraphs`, so one bug cannot pass both.  A
-non-finite eigenvalue or bound fails the check, so a structure that the
+A non-finite eigenvalue or bound fails the check, so a structure that the
 entries do not have raises `ResidualError`.
 
-A structure's `perm` only relabels the graph: the route of its kind
-solves the natural-order entries M[inv][:, inv], inv = argsort(perm),
-gathered by rows and then by columns, and the vectors' rows are put back
-in `perm`'s order.  A bijection changes neither the symmetry nor the entry
-rule that `GraphMatrix` checked, so the gathered copy is not checked again.
+A structure's `perm` only relabels the graph: the WALSH and KRONECKER
+routes solve the natural order, from the row M[inv[0], inv], inv =
+argsort(perm), or from F, and the vectors' rows are put back in `perm`'s
+order; LOW_RANK takes the bits at M's positions.  No route gathers a
+natural-order copy of the entries.
 
 On the three declared routes the N x N matrix of eigenvectors is built on
 the first read of `Spectrum.vectors` only.  `Spectrum.clusters` groups the
@@ -72,27 +62,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubegraphs import KRONECKER, STRUCTURE_TOL, TILE, WALSH, GraphMatrix, asymmetry
+from .cubegraphs import (
+    KRONECKER,
+    LOW_RANK,
+    STRUCTURE_TOL,
+    WALSH,
+    GraphMatrix,
+    asymmetry,
+)
 
 CLUSTER_TOL = 1e-6
 # ||Mv - lambda v|| <= RESIDUAL_TOL * max(|lambda|_max, 1) for every pair
 RESIDUAL_TOL = 1e-8
 KERNEL_TOL = 1e-9
 
-# columns per block of the Walsh check, and rows per block of the low-rank
-# kernel bound, of the Walsh vectors and of `centro_deviation`
+# rows per block of the low-rank kernel bound, of the Walsh vectors and of
+# `centro_deviation`
 _BLOCK = 64
 # rows per block of the low-rank route's M Q_X: blocks of 64 rows changed
 # its rounding (OpenBLAS takes another kernel for small products), blocks
 # of 243 rows match the whole product bit for bit
 _GEMM_ROWS = 243
-# entries per chunk of a certificate's comparisons, of the float64 parts it
-# measures and of a relabelling's gather
-_CHUNK = 1 << 18
+# rows per block of the Kronecker vectors, 3^4
+_KRON_ROWS = 81
 # unit roundoff of float64
 _U = 2.0**-53
-# the (a, b), a != b, of a 3 x 3 factor
-_OFF_DIAGONAL = [(a, b) for a in range(3) for b in range(3) if a != b]
 
 
 class ResidualError(RuntimeError):
@@ -193,19 +187,18 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     Raises ValueError, before solving anything, when `tol` is not a finite
     number > 0 or a raw array is not square, 2-d and symmetric, and
     ResidualError when a pair fails the residual check.  The route (see
-    the module docstring) follows a GraphMatrix's `structure`, after a
-    `perm` has relabelled the entries to the natural order: KRONECKER
+    the module docstring) follows a GraphMatrix's `structure`: KRONECKER
     solves one 3x3 eigh, WALSH none, LOW_RANK one of order n + 1
     (`_declared_eig`).  Undeclared input is solved by one eigh of the full
     matrix.  Whatever the route, ||Mv - lambda v|| <= tol*max(|lambda|_max,
     1) is verified for every pair on every entry of the input before
-    returning, measured on the LOW_RANK and undeclared routes and bounded
-    by a certificate on the other two, so a non-finite eigenvalue or
-    residual, or a structure that does not match the entries, raises
-    ResidualError.  The WALSH route also raises it when two values of one
-    popcount class differ by more than that bound.  The declared routes
-    build the sorted N x N eigenvector matrix on the first read of
-    `Spectrum.vectors` only.
+    returning: measured on the LOW_RANK and undeclared routes, and bounded
+    on the other two by the ||M - S|| that validation recorded, so a
+    non-finite eigenvalue or residual, or a structure that does not match
+    the entries, raises ResidualError.  The WALSH route also raises it when
+    two values of one popcount class differ by more than that bound.  The
+    declared routes build the sorted N x N eigenvector matrix on the first
+    read of `Spectrum.vectors` only.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
@@ -214,40 +207,38 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     if structure is None:
         values, vectors = np.linalg.eigh(entries)
         return _checked(Spectrum(values, vectors), _residual_norms(entries, values, vectors), tol)
-    perm = structure.perm
-    if perm is None:
-        return _declared_eig(entries, structure.kind, structure.data, M.n, tol)
-    solved = _declared_eig(_natural_order(entries, perm), structure.kind, structure.data, M.n, tol)
-    # every declared route builds its vectors on the first read
-    return Spectrum(solved.values, lambda: solved.basis()[perm])
+    return _declared_eig(entries, structure.kind, structure.data, M.n, tol, structure.perm,
+                         M._deviation)
 
 
-def _natural_order(entries: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """M[inv][:, inv], inv = argsort(perm), in M's dtype: each chunk of
-    rows is gathered by `np.take`, then its columns, into the copy."""
-    N = entries.shape[0]
-    inv = np.argsort(perm)
-    natural = np.empty_like(entries)
-    step = max(1, _CHUNK // N)
-    for start in range(0, N, step):
-        rows = np.take(entries, inv[start : start + step], axis=0)
-        np.take(rows, inv, axis=1, out=natural[start : start + step])
-    return natural
+def _declared_eig(entries: np.ndarray, kind: str, data, n: int, tol: float,
+                  perm: np.ndarray | None, deviation: float | None) -> Spectrum:
+    """The checked spectrum of entries that declare the structure `kind`
+    with `data` and `perm`, on n axes, by that kind's route.
 
-
-def _declared_eig(entries: np.ndarray, kind: str, data, n: int, tol: float) -> Spectrum:
-    """The checked spectrum of natural-order entries that declare the
-    structure `kind` with `data`, on n axes, by that kind's route."""
+    For WALSH and KRONECKER, `deviation` is ||M - S|| as `GraphMatrix`
+    validation proved or measured it, and the route reads no entry but
+    the natural row 0.  A `perm` relabels only: the route solves the
+    natural order, and the vectors' rows are put back in `perm`'s order,
+    except on LOW_RANK, whose bits are taken at M's positions, data[perm].
+    """
+    if kind == LOW_RANK:
+        values, vectors, residual = _low_rank_eig(entries, data if perm is None else data[perm])
+        return _checked(Spectrum(values, vectors), residual, tol)
     popcount = 0.0
     if kind == KRONECKER:
-        values, vectors, residual = _kron_eig(entries, data, n)
-    elif kind == WALSH:
-        natural, residual, popcount = _walsh_eig(entries)
+        values, vectors, residual = _kron_eig(data, n, deviation)
+    else:
+        inv = None if perm is None else np.argsort(perm)
+        row = entries[0] if perm is None else entries[inv[0]][inv]
+        natural, residual, popcount = _walsh_eig(row, deviation)
         order = np.argsort(natural, kind="stable")
         values, vectors = natural[order], functools.partial(_walsh_vectors, order)
-    else:
-        values, vectors, residual = _low_rank_eig(entries, data)
-    return _checked(Spectrum(values, vectors), residual, tol, popcount)
+    solved = _checked(Spectrum(values, vectors), residual, tol, popcount)
+    if perm is None:
+        return solved
+    # every declared route builds its vectors on the first read
+    return Spectrum(solved.values, lambda: solved.basis()[perm])
 
 
 def _checked(spec: Spectrum, residual, tol: float, popcount: float = 0.0) -> Spectrum:
@@ -274,12 +265,6 @@ def _rounding(N: int, n: int, norm: float) -> float:
     return 2 * (N + 2 * n) * _U * norm
 
 
-def _deviation_norm(rows: np.ndarray, cols: np.ndarray) -> float:
-    """||M - S|| from the abs-sums of M - S per row and per column: the
-    larger maximum, NaN when either holds a NaN."""
-    return float(np.maximum(rows.max(), cols.max()))
-
-
 def _fwht(x: np.ndarray) -> np.ndarray:
     """x, a C-contiguous array whose axis 0 has length 2^n, overwritten with
     H x and returned, where H[k, j] = (-1)^popcount(k & j) is the Sylvester
@@ -299,63 +284,22 @@ def _fwht(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _walsh_eig(entries: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The Walsh values lambda_k = (H r)_k of row 0, r, in natural order,
-    the bound on every pair's residual, and the largest |lambda_k -
-    lambda_j| with popcount(k) = popcount(j).
+def _walsh_eig(row: np.ndarray, deviation: float) -> tuple[np.ndarray, float, float]:
+    """The Walsh values lambda_k = (H r)_k of the natural row 0, r, in
+    natural order, the bound on every pair's residual, and the largest
+    |lambda_k - lambda_j| with popcount(k) = popcount(j).
 
-    The bound is ||M - S|| (`_walsh_deviation`) + rho, with ||S||_inf =
-    ||r||_1 >= max |lambda| (see the module docstring).  Each lambda_k is
-    compared with the value of 2^popcount(k) - 1, the first index of its
-    popcount.
+    The bound is ||M - S|| (`deviation`) + rho, with ||S||_inf = ||r||_1 >=
+    max |lambda| (see the module docstring).  Each lambda_k is compared
+    with the value of 2^popcount(k) - 1, the first index of its popcount.
     """
-    N = entries.shape[0]
-    natural = _fwht(entries[0].astype(float))
-    deviation = _walsh_deviation(entries)
-    norm = 2.0 * float(np.abs(entries[0], dtype=float).sum()) + deviation
+    N = row.size
+    natural = _fwht(row.astype(float))
+    norm = 2.0 * float(np.abs(row, dtype=float).sum()) + deviation
     bound = deviation + _rounding(N, N.bit_length() - 1, norm)
     weight = np.bitwise_count(np.arange(N)).astype(np.intp)  # a uint8 would wrap 1 << weight
     popcount = float(np.abs(natural - natural[(1 << weight) - 1]).max())
     return natural, bound, popcount
-
-
-def _walsh_deviation(entries: np.ndarray) -> float:
-    """||M - S|| for S[i, j] = M[0, i ^ j], read on every entry of M.
-
-    For h = 1, 2, ..., N/2, rows [h, 2h) must equal rows [0, h) with the
-    two column blocks of width h in each 2h-wide pair swapped, compared in
-    M's dtype a chunk of rows at a time.  Row i (h <= i < 2h) is then row
-    i ^ h under j -> j ^ h, so by induction row i is row 0 under j -> i ^ j,
-    and the result is 0.0.  At the first difference ||M - S|| is measured
-    instead (`_walsh_deviation_measured`).
-    """
-    N = entries.shape[0]
-    step = max(1, _CHUNK // N)
-    h = 1
-    while h < N:
-        for start in range(0, h, step):
-            stop = min(start + step, h)
-            swapped = entries[start:stop].reshape(stop - start, -1, 2, h)[:, :, ::-1]
-            if not np.array_equal(entries[h + start : h + stop].reshape(swapped.shape), swapped):
-                return _walsh_deviation_measured(entries)
-        h *= 2
-    return 0.0
-
-
-def _walsh_deviation_measured(entries: np.ndarray) -> float:
-    """||M - S|| for S[i, j] = M[0, i ^ j], from |M - S| in float64, one
-    chunk of rows at a time."""
-    N = entries.shape[0]
-    r = entries[0].astype(float)
-    j = np.arange(N)
-    rows, cols = np.zeros(N), np.zeros(N)
-    step = max(1, _CHUNK // N)
-    for start in range(0, N, step):
-        i = j[start : start + step]
-        part = np.abs(np.subtract(entries[i], np.take(r, i[:, None] ^ j), dtype=float))
-        rows[i] = part.sum(axis=1)
-        cols += part.sum(axis=0)
-    return _deviation_norm(rows, cols)
 
 
 def _walsh_vectors(order: np.ndarray) -> np.ndarray:
@@ -436,7 +380,7 @@ def _kron_power(Q: np.ndarray, k: int) -> np.ndarray:
     return power
 
 
-def _kron_eig(entries: np.ndarray, factor: np.ndarray, n: int):
+def _kron_eig(factor: np.ndarray, n: int, deviation: float):
     """Values, lazy vectors and the residual bound of the n-fold Kronecker
     sum of a 3x3 factor F, from one eigh of it.
 
@@ -445,8 +389,8 @@ def _kron_eig(entries: np.ndarray, factor: np.ndarray, n: int):
     right, as in `cubegraphs.build`), with the value sum_k w[j_k].  The
     values are returned in stable ascending order, the vectors
     (`_kron_vectors`) are built on first read, and the bound is ||M - S||
-    (`_kron_deviation`) + n max_j ||F q_j - w_j q_j|| + rho, with ||S||_inf
-    <= n ||F||_inf and max |lambda| <= n max |w| (see the module docstring).
+    (`deviation`) + n max_j ||F q_j - w_j q_j|| + rho, with ||S||_inf <= n
+    ||F||_inf and max |lambda| <= n max |w| (see the module docstring).
     """
     w, Q = np.linalg.eigh(factor)
     natural = w
@@ -454,54 +398,9 @@ def _kron_eig(entries: np.ndarray, factor: np.ndarray, n: int):
         natural = np.add.outer(natural, w).ravel()
     order = np.argsort(natural, kind="stable")
     factor_residual = float(np.linalg.norm(factor @ Q - Q * w, axis=0).max())
-    deviation = _kron_deviation(entries, factor, n)
     norm = n * float(np.abs(factor, dtype=float).sum(axis=1).max() + np.abs(w).max()) + deviation
-    bound = deviation + n * factor_residual + _rounding(entries.shape[0], n, norm)
+    bound = deviation + n * factor_residual + _rounding(3**n, n, norm)
     return natural[order], functools.partial(_kron_vectors, Q, n, order), bound
-
-
-def _kron_deviation(entries: np.ndarray, factor: np.ndarray, n: int) -> float:
-    """||M - S|| for S the n-fold Kronecker sum of the 3x3 factor F, read
-    on every entry of M.
-
-    At level l = 0, ..., n - 1, M is P = 3^l diagonal blocks of side 3 s,
-    s = 3^(n - 1 - l), each split by its top digit into 3 x 3 sub-blocks of
-    side s; sub-block (a, b), a != b, of every one of them must be F[a, b] I.
-    Each (a, b) is tested for all P blocks at once, in M's dtype: its
-    diagonal must equal F[a, b] and its nonzeros number s P, or 0 when
-    F[a, b] = 0.  The sub-blocks (a, a) are the next level's diagonal
-    blocks, and the last level leaves M's diagonal, which must be the
-    n-fold sums of F's diagonal.  Every off-diagonal entry of M lies in
-    exactly one tested sub-block, so every entry is read once.  Where a
-    sub-block or the diagonal differs, |M - S| is measured there in
-    float64, one chunk of rows at a time, and added to the row and column
-    abs-sums; where nothing differs the result is 0.0.
-    """
-    N = entries.shape[0]
-    rows, cols = np.zeros(N), np.zeros(N)
-    for level in range(n):
-        P, s = 3**level, 3 ** (n - 1 - level)
-        # blocks[a, x, b, y, p] is entry (x, y) of sub-block (a, b) of diagonal block p
-        blocks = np.diagonal(entries.reshape(P, 3, s, P, 3, s), axis1=0, axis2=3)
-        for a, b in _OFF_DIAGONAL:
-            tile, c = blocks[a, :, b], factor[a, b]
-            if (np.diagonal(tile) == c).all() and np.count_nonzero(tile) == (c != 0) * s * P:
-                continue
-            step = max(1, _CHUNK // (s * P))
-            for x in range(0, s, step):
-                part = tile[x : x + step].astype(float)
-                m = part.shape[0]
-                part[np.arange(m), np.arange(x, x + m)] -= c
-                np.abs(part, out=part)
-                rows.reshape(P, 3, s)[:, a, x : x + m] += part.sum(axis=1).T
-                cols.reshape(P, 3, s)[:, b] += part.sum(axis=0).T
-    ideal = np.zeros(1)
-    for _ in range(n):
-        ideal = np.add.outer(ideal, np.diagonal(factor).astype(float)).ravel()
-    diagonal = np.abs(np.subtract(np.diagonal(entries), ideal, dtype=float))
-    rows += diagonal
-    cols += diagonal
-    return _deviation_norm(rows, cols)
 
 
 def _kron_vectors(Q: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
@@ -515,8 +414,8 @@ def _kron_vectors(Q: np.ndarray, n: int, order: np.ndarray) -> np.ndarray:
     high, low = divmod(order, 3)
     size = 3 * W.shape[0]
     product = np.empty((size // 3, 3, size))
-    for start in range(0, size // 3, TILE):
-        rows = slice(start, start + TILE)
+    for start in range(0, size // 3, _KRON_ROWS):
+        rows = slice(start, start + _KRON_ROWS)
         np.multiply(np.take(W[rows], high, axis=1)[:, None, :], Q[:, low], out=product[rows])
     return product.reshape(size, size)
 

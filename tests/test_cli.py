@@ -327,3 +327,64 @@ def test_inverted_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, flag)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: range ") and "inverted" in err[0]
     assert not out.exists()
+
+
+def _work_began(*args, **kwargs):
+    raise AssertionError("work began past the bound")
+
+
+def _stub_heavy_calls(monkeypatch):
+    """Every call that would start the work of a bounded input fails the
+    test instead: the activation rows, each sequence's terms, the orderings
+    and factor fill of `build`, and the Poisson search's Laplacian."""
+    from cubelab import harmonic, predicates, sequences
+
+    monkeypatch.setattr(predicates, "caf", _work_began)
+    for tag, row in list(sequences.SEQUENCES.items()):
+        monkeypatch.setitem(sequences.SEQUENCES, tag,
+                            sequences.Sequence(_work_began, row.start, row.oeis))
+    monkeypatch.setattr(cubegraphs, "_ORDERINGS", {2: ("binary", _work_began),
+                                                   3: ("ternary", _work_began)})
+    monkeypatch.setattr(cubegraphs, "_ternary_product", _work_began)
+    monkeypatch.setattr(harmonic, "tricube_laplacian", _work_began)
+
+
+# argv past a work, memory or float64 bound; the stubs fail the test if
+# the work of any but plotdata's cheap rows begins
+BOUNDED_INPUTS = {
+    "activation-n-14": ["activation", "--n", "14"],
+    "activation-n-9-every-p": ["activation", "--n", "9"],
+    "activation-n-12-two-p": ["activation", "--n", "12", "--p", "1..2"],
+    "activation-n-3-p-to-1e12": ["activation", "--n", "3", "--p", "1..1000000000000"],
+    "activation-n-1e9": ["activation", "--n", "1000000000"],
+    "seq-powtrimult-1e8": ["seq", "--id", "powtrimult", "--count", "100000000"],
+    "seq-ballcoeff-1001": ["seq", "--id", "ballcoeff", "--count", "1001"],
+    "seq-trinomial-1e18": ["seq", "--id", "trinomial", "--count", str(10**18)],
+    "build-ncube-14": ["build", "--family", "ncube", "--n", "14"],
+    "build-powhamming-1e9": ["build", "--family", "powhamming", "--n", "1000000000"],
+    "spectrum-powcube-9": ["spectrum", "--family", "powcube", "--n", "9"],
+    "poisson-n-5": ["poisson", "--n", "5"],
+    "plotdata-n-to-3000": ["plotdata", "--what", "extremes", "--n-range", "2..3000"],
+}
+
+
+@pytest.mark.parametrize("argv", BOUNDED_INPUTS.values(), ids=BOUNDED_INPUTS.keys())
+def test_every_bounded_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    _stub_heavy_calls(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["activation", "--n", "8"], ["activation", "--n", "12", "--p", "7"],
+    ["seq", "--id", "powtrimult", "--count", "1000"],
+], ids=["activation-n-8-every-p", "activation-n-12-one-p", "seq-count-1000"])
+def test_the_largest_bounded_inputs_pass_the_bound(tmp_path, monkeypatch, argv):
+    # and stop at the stubs
+    _stub_heavy_calls(monkeypatch)
+    with pytest.raises(AssertionError, match="past the bound"):
+        main([*argv, "--out", str(tmp_path / "out")])

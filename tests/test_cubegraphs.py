@@ -26,6 +26,7 @@ from cubelab.cubegraphs import (
     LOW_RANK,
     WALSH,
     GraphMatrix,
+    Structure,
     _PATH3_ADJ,
     _PATH3_LAP,
     _ternary_product,
@@ -42,6 +43,7 @@ from cubelab.cubegraphs import (
     regular_tricube_adjacency,
     tricube_laplacian,
 )
+from cubelab.spectra import eig_sym
 from negation import negated
 
 
@@ -252,109 +254,58 @@ def test_tiled_validation_accepts(make, n):
     GraphMatrix("test", kind, n, "ternary", entries)
 
 
-def brute_census(entries):
-    """Reference: each 81 x 81 tile compared whole with c I (c its first
-    entry, nonzero) and with zero."""
-    count = entries.shape[0] // 81
-    scales, general = np.zeros((count, count)), np.zeros((count, count), dtype=bool)
-    for r in range(count):
-        for s in range(count):
-            tile = _tile(entries, r, s)
-            c = tile[0, 0]
-            if c != 0 and np.array_equal(tile, np.diag(np.full(81, c))):
-                scales[r, s] = c
-            elif np.count_nonzero(tile):
-                general[r, s] = True
-    return scales, general
-
-
-def _shift_and_inf_tiles():
-    """2 I_810 with a cyclic shift in tile (0, 1) and its transpose in
-    (1, 0) (81 nonzeros, none on the tile diagonal), inf I tiles at (2, 3)
-    and (3, 2), and one NaN on the diagonal of tile (4, 4)."""
-    M = 2.0 * np.eye(810)
-    shift = np.roll(np.eye(81), 1, axis=1)
-    _tile(M, 0, 1)[...], _tile(M, 1, 0)[...] = shift, shift.T
-    _tile(M, 2, 3)[...] = _tile(M, 3, 2)[...] = np.diag(np.full(81, np.inf))
-    _tile(M, 4, 4)[5, 5] = np.nan
-    return M
-
-
-@pytest.mark.parametrize("make", [
-    lambda: pow_cube_adjacency(6),
-    lambda: pow_cube_adjacency(6, "ternary-gray"),
-    lambda: pow_tricube_laplacian(7),
-    lambda: negated(pow_tricube_laplacian(6)),
-    lambda: pow_hamming_matrix(6),
-    _shift_and_inf_tiles,
-], ids=["powcube-729", "powcube-729-gray", "powtri-2187", "powtri-729-oln", "powhamming-729",
-        "shift-and-inf-tiles-810"])
-def test_census_matches_brute_force_classification(make):
-    M = make()
-    entries = M.entries if isinstance(M, GraphMatrix) else M
-    census = cubegraphs._tile_census(entries)
-    scales, general = brute_census(entries)
-    assert np.array_equal(census.scales, scales) and np.array_equal(census.general, general)
-    covered = np.zeros_like(general)
-    for r, row_runs in enumerate(census.runs):
-        for start, stop in row_runs:
-            assert not covered[r, start // 81 : stop // 81].any()
-            covered[r, start // 81 : stop // 81] = True
-    assert np.array_equal(covered, general)
-
-
-def _recorded_censuses(monkeypatch):
-    """(entries read, census returned) for every `_tile_census` call from
-    now on."""
-    calls = []
-    census = cubegraphs._tile_census
-
-    def recording(entries):
-        calls.append((entries, census(entries)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(cubegraphs, "_tile_census", recording)
-    return calls
-
-
-def test_census_is_kept_only_for_entries_that_own_their_memory(monkeypatch):
-    # a view is copied before validation, so the census reads the copy, and
-    # writes to the view's base after construction change neither the
-    # entries nor what the census read; the NaN goes into a float64 base,
-    # its integer twin into an int8 one.  The matrix keeps no census.
-    entries = pow_cube_adjacency(6).entries.copy()
-    calls = _recorded_censuses(monkeypatch)
-    M = GraphMatrix("powcube", ADJACENCY, 6, "ternary", entries)
-    assert [(e is entries, c is not None) for e, c in calls] == [(True, True)]
-    assert not hasattr(M, "_census")
-    for dtype, value in ((np.float64, np.nan), (np.int8, 2)):
-        base = pow_cube_adjacency(6).entries.astype(dtype)
-        calls.clear()
-        M = GraphMatrix("powcube", ADJACENCY, 6, "ternary", base.view())
-        assert [(e is M.entries, c is not None) for e, c in calls] == [(True, True)]
-        assert M.entries.flags.owndata
-        base[0, 1] = base[1, 0] = value
-        assert np.array_equal(M.entries, pow_cube_adjacency(6).entries)
-    assert cubegraphs._tile_census(pow_cube_adjacency(5).entries) is None
-
-
 @pytest.mark.parametrize("family,n,ordering", [
     ("powcube", 7, "ternary"), ("powtri", 7, "ternary"), ("powcube", 6, "ternary-gray"),
     ("powhamming", 6, "ternary"), ("powhamming", 6, "ternary-gray"),
 ])
 def test_tileable_build_never_reads_the_whole_transpose(monkeypatch, family, n, ordering):
+    # the factor rows are proved equal to their Kronecker sum, so only the
+    # 3 x 3 factor is tested for symmetry; powhamming's low-rank declaration
+    # is not proved, and its one symmetry test is the slab walk over the
+    # entries, which returns 0.0 without taking the full |M - M^T|
     calls = []
 
     def recording(entries):
-        calls.append(entries.shape)
-        return asymmetry(entries)
+        calls.append((entries.shape, asymmetry(entries)))
+        return calls[-1][1]
 
     monkeypatch.setattr(cubegraphs, "asymmetry", recording)
-    censuses = _recorded_censuses(monkeypatch)
     M = build(family, n, ordering)
-    assert [(e is M.entries, c is not None) for e, c in censuses] == [(True, True)]
-    # only the 3 x 3 factor of a Kronecker declaration is tested for symmetry
-    assert set(calls) <= {(3, 3)}
+    assert calls == [(M.entries.shape if family == "powhamming" else (3, 3), 0.0)]
+
+
+@pytest.mark.parametrize("family,n,ordering", [
+    ("powcube", 6, "ternary"), ("powtri", 4, "ternary-gray"), ("hamming", 6, "binary"),
+    ("tricube", 6, "gray"), ("powhamming", 4, "ternary"),
+])
+def test_constructor_seals_the_entries_against_earlier_views(family, n, ordering):
+    # the constructor copies the entries and the structure's arrays, so
+    # writes through a view taken before construction, of an owning array
+    # or of a view, change neither M.entries nor eig_sym(M), which reads no
+    # entry that validation proved
+    built = build(family, n, ordering)
+    expected = eig_sym(built).values
+    for dtype in (np.int8, np.float64):
+        owner = built.entries.astype(dtype)
+        s = built.structure
+        perm = None if s.perm is None else s.perm.copy()
+        data = None if s.data is None else s.data.copy()
+        for given in (owner, owner.view()):
+            alias = owner[:]
+            structure = Structure(s.kind, data, perm)
+            M = GraphMatrix(family, built.kind, n, built.ordering, given, structure)
+            assert M.entries.flags.owndata and not M.entries.flags.writeable
+            assert M.entries is not given
+            alias[...] = 0
+            for array in (perm, data):
+                if array is not None:
+                    array[...] = array[::-1]
+            assert np.array_equal(M.entries, built.entries)
+            assert np.array_equal(eig_sym(M).values, expected)
+            owner[...] = built.entries
+            for array, original in ((perm, s.perm), (data, s.data)):
+                if array is not None:
+                    array[...] = original
 
 
 def test_ncube_1():

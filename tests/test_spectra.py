@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cubelab import cubegraphs, spectra, verify
+from cubelab.bitspace import ternary_ordering
 from cubelab.cubegraphs import (
     ADJACENCY,
     DISTANCE,
@@ -307,6 +308,15 @@ def test_eig_sym_non_finite_fails_residual_gate(M):
         eig_sym(M)
 
 
+def _proved_eig(entries, kind, factor, n):
+    """What eig_sym does with natural-order entries, which no GraphMatrix
+    can hold when they are not finite: the proof of the declared structure
+    that validation runs, then the route, bounded by the ||M - S|| found."""
+    deviation = (cubegraphs._walsh_deviation(entries, None) if kind == WALSH
+                 else cubegraphs._kron_deviation(entries, factor, n, None))
+    return spectra._declared_eig(entries, kind, factor, n, spectra.RESIDUAL_TOL, None, deviation)
+
+
 def _minus_identity_tile(M):
     """Row and column offsets of the first 81 x 81 tile of M that is -I."""
     count = M.shape[0] // 81
@@ -422,15 +432,16 @@ def _dense_deviation(M, S):
     "powtri-oln-729", "two-runs-729", "all-general-random-729", "powcube-untiled-243",
 ])
 def test_kron_column_blocks_match_dense_reference(n, make):
-    # the Kronecker certificate's walk over the digit blocks of M, declared
-    # as powtri's factor, measures ||M - S|| as the dense M - S does, and
-    # its bound dominates the dense residual of every column it returns,
-    # none of which is an eigenvector of M, so that every residual counts
+    # the Kronecker proof of M, declared as powtri's factor, fails on each
+    # of these, and the ||M - S|| it measures instead is the dense M - S's;
+    # the bound dominates the dense residual of every column the route
+    # returns, none of which is an eigenvector of M, so that every residual
+    # counts
     M = make()
-    deviation = spectra._kron_deviation(M, _PATH3_LAP, n)
+    deviation = cubegraphs._kron_deviation(M, _PATH3_LAP, n, None)
     dense = _dense_deviation(M, _kron_sum(_PATH3_LAP, n))
     assert deviation == pytest.approx(dense, rel=1e-12)
-    values, vectors, bound = spectra._kron_eig(M, _PATH3_LAP, n)
+    values, vectors, bound = spectra._kron_eig(_PATH3_LAP, n, deviation)
     V = vectors()
     residual = np.linalg.norm(M @ V - V * values, axis=0)
     assert 1e-3 < residual.max() <= bound
@@ -482,7 +493,7 @@ def test_kron_route_non_finite_tile_fails_residual(case):
             tile = np.diag(np.full(81, np.inf)) if faulty else np.zeros((81, 81), np.int8)
             entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
         with np.errstate(all="ignore"), pytest.raises(ResidualError, match="eigenpair residual"):
-            spectra._declared_eig(entries, KRONECKER, _PATH3_LAP, 6, spectra.RESIDUAL_TOL)
+            _proved_eig(entries, KRONECKER, _PATH3_LAP, 6)
         with pytest.raises(ValueError):
             GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP))
 
@@ -500,46 +511,25 @@ def test_kron_route_takes_no_residual_gemm(monkeypatch, n):
     assert calls == [] and sizes == [3]
 
 
-def _count_censuses(monkeypatch):
-    """The shapes of the matrices `cubegraphs._tile_census` reads from now
-    on, in call order."""
-    calls = []
-    census = cubegraphs._tile_census
-
-    def counting(entries):
-        calls.append(entries.shape)
-        return census(entries)
-
-    monkeypatch.setattr(cubegraphs, "_tile_census", counting)
-    return calls
-
-
 @pytest.mark.parametrize("make", [
     lambda: pow_cube_adjacency(7),
-    # a relabelled order is solved on its gathered natural-order entries,
-    # which a bijection leaves symmetric and within the kind's rule, so no
-    # second GraphMatrix validates them
     lambda: pow_cube_adjacency(6, "ternary-gray"),
 ], ids=["powcube-2187-kronecker", "powcube-729-gray"])
-def test_eig_sym_takes_no_second_census(monkeypatch, make):
-    # validation took the census when M was built; no route reads one
+def test_eig_sym_reads_no_entry_after_validation(monkeypatch, make):
+    # validation proved M equal to its Kronecker sum and kept ||M - S|| =
+    # 0.0; eig_sym validates nothing again, gathers no natural-order copy
+    # and solves from the factor alone, so entries zeroed behind the
+    # matrix's back change nothing it returns
     M = make()
-    calls = _count_censuses(monkeypatch)
+    expected = eig_sym(M)
     validations = []
     post_init = GraphMatrix.__post_init__
     monkeypatch.setattr(GraphMatrix, "__post_init__", lambda m: validations.append(post_init(m)))
-    eig_sym(M)
-    assert calls == [] and validations == []
-
-
-def test_raw_array_takes_no_census(monkeypatch):
-    # only `GraphMatrix` validation takes a census; the raw-array gate and
-    # the undeclared routes' one-GEMM check take none
-    entries = np.array(pow_cube_adjacency(6, "ternary-gray").entries)
-    calls = _count_censuses(monkeypatch)
-    eig_sym(entries)
-    assert calls == []
-    assert not hasattr(spectra, "_tile_census")
+    object.__setattr__(M, "entries", np.zeros_like(M.entries))
+    spec = eig_sym(M)
+    assert validations == [] and not hasattr(spectra, "_natural_order")
+    assert spec.values.tobytes() == expected.values.tobytes()
+    assert spec.vectors.tobytes() == expected.vectors.tobytes()
 
 
 def test_tiled_residual_failure_raises():
@@ -642,6 +632,19 @@ def test_structured_routes_return_checked_eigenpairs(monkeypatch, make, kind):
     assert np.abs(V.T @ V - np.eye(M.N)).max() <= 1e-12
 
 
+def test_low_rank_perm_takes_the_bits_at_the_positions():
+    # natural-order bits with the relabelling of a ternary-gray matrix are
+    # its own bits, taken at its positions
+    M = pow_hamming_matrix(4, "ternary-gray")
+    perm = np.array(ternary_ordering(4, "ternary-gray"))
+    natural = pow_hamming_matrix(4).structure.data
+    relabelled = GraphMatrix(M.family, M.kind, 4, M.ordering, M.entries,
+                             Structure(LOW_RANK, natural, perm))
+    spec = eig_sym(relabelled)
+    assert spec.values.tobytes() == eig_sym(M).values.tobytes()
+    assert spec.vectors.tobytes() == eig_sym(M).vectors.tobytes()
+
+
 def test_walsh_vectors_are_the_sorted_sylvester_columns():
     M = regular_tricube_adjacency(5)
     spec = eig_sym(M)
@@ -732,12 +735,12 @@ def test_walsh_values_must_depend_on_popcount_only():
 
 
 def _kron_fault_places(n):
-    """(i, j): one entry of each block class at every level of the
-    Kronecker certificate's walk, in diagonal block p = P - 1 of side 3 s:
-    in every off-diagonal sub-block (a, b), its last diagonal entry and,
-    while s > 1, an off-diagonal entry; and in every diagonal sub-block
-    (a, a), an off-diagonal entry, or at the last level, where sub-blocks
-    are single entries, M's diagonal entry."""
+    """(i, j): one entry of each block class at every digit level of M, in
+    diagonal block p = P - 1 of side 3 s: in every off-diagonal sub-block
+    (a, b), its last diagonal entry and, while s > 1, an off-diagonal entry;
+    and in every diagonal sub-block (a, a), an off-diagonal entry, or at
+    the last level, where sub-blocks are single entries, M's diagonal
+    entry.  They lie on S's support, off it and on the diagonal."""
     places = []
     for level in range(n):
         P, s = 3**level, 3 ** (n - 1 - level)
@@ -760,16 +763,16 @@ def _kron_fault_places(n):
 @pytest.mark.parametrize("n", [2, 4])
 def test_kron_certificate_finds_a_fault_in_every_block_class_at_every_level(make, factor, n):
     # one +1 at one entry, in the int8 entries, so that nothing but the
-    # certificate's read of that entry can find it
+    # proof's read of that entry, or its count of the nonzeros, can find it
     entries = make(n).entries
-    spectra._declared_eig(entries, KRONECKER, factor, n, spectra.RESIDUAL_TOL)
+    _proved_eig(entries, KRONECKER, factor, n)
     places = _kron_fault_places(n)
     assert len(places) == 15 * (n - 1) + 9
     for i, j in places:
         faulty = entries.copy()
         faulty[i, j] += 1
         with pytest.raises(ResidualError, match="eigenpair residual"):
-            spectra._declared_eig(faulty, KRONECKER, factor, n, spectra.RESIDUAL_TOL)
+            _proved_eig(faulty, KRONECKER, factor, n)
 
 
 @pytest.mark.parametrize("make", [ncube_adjacency, tricube_laplacian, hamming_distance_matrix])
@@ -778,13 +781,139 @@ def test_walsh_certificate_finds_a_fault_at_every_doubling_level(make):
     # which every other row is compared with
     n = 6
     entries = make(n).entries
-    spectra._declared_eig(entries, WALSH, None, n, spectra.RESIDUAL_TOL)
+    _proved_eig(entries, WALSH, None, n)
     rows = [0] + [h + (h - 1) // 2 for h in (1 << k for k in range(n))]
     for i in rows:
         faulty = entries.copy()
         faulty[i, (5 * i + 3) % 2**n] += 1
         with pytest.raises(ResidualError, match="eigenpair residual"):
-            spectra._declared_eig(faulty, WALSH, None, n, spectra.RESIDUAL_TOL)
+            _proved_eig(faulty, WALSH, None, n)
+
+
+def _neighbours(M, i):
+    return set(np.flatnonzero(M[i]).tolist()) - {i}
+
+
+def _support_square(M):
+    """Positions (i, j, k, l) of a 4-cycle of M's graph: two neighbours j
+    and l of i on different axes, and k, the other common neighbour of j
+    and l."""
+    for j in sorted(_neighbours(M, 0)):
+        for l in sorted(_neighbours(M, 0) - {j}):
+            common = (_neighbours(M, j) & _neighbours(M, l)) - {0}
+            if common:
+                return 0, j, min(common), l
+    raise AssertionError("no square")
+
+
+def _off_support_square(M):
+    """Four distinct positions (i, j, k, l), each pair (i, j), (j, k),
+    (k, l), (l, i) off M's support."""
+    N = M.shape[0]
+    for quad in ((0, a, b, c) for a in range(1, N) for b in range(1, N) for c in range(1, N)):
+        pairs = list(zip(quad, quad[1:] + quad[:1]))
+        if len(set(quad)) == 4 and all(M[x, y] == 0 for x, y in pairs):
+            return quad
+    raise AssertionError("no square")
+
+
+def _faulted(M, place):
+    """M's int8 entries with a symmetric fault of +-1 at `place` that keeps
+    M's kind rule: a support pair of an adjacency moved from 1 to 0 and an
+    off-support pair from 0 to 1; a Laplacian's support square or
+    off-support square alternately raised and lowered by 1 (every row sum
+    stays 0), or a support pair lowered by 1 and its two diagonal entries
+    raised by 1."""
+    E = M.entries.copy()
+    if M.kind == ADJACENCY:
+        i, j = (_support_square(E)[:2] if place == "support"
+                else next((0, j) for j in range(1, M.N) if E[0, j] == 0))
+        E[i, j] = E[j, i] = 1 - E[i, j]
+        return E
+    if place == "diagonal":
+        i, j = _support_square(E)[:2]
+        E[i, j] -= 1
+        E[j, i] -= 1
+        E[i, i] += 1
+        E[j, j] += 1
+        return E
+    quad = _support_square(E) if place == "support" else _off_support_square(E)
+    for step, (x, y) in enumerate(zip(quad, quad[1:] + quad[:1])):
+        E[x, y] += (-1) ** step
+        E[y, x] += (-1) ** step
+    return E
+
+
+KRON_FAULTS = [
+    (family, n, ordering, place)
+    for family in ("powcube", "powtri")
+    for n in range(2, 6)
+    for ordering in ("ternary", "ternary-gray")
+    for place in ("support", "off-support", "diagonal")
+]
+
+
+@pytest.mark.parametrize("family,n,ordering,place", KRON_FAULTS,
+                         ids=[f"{f}-{n}-{o}-{p}" for f, n, o, p in KRON_FAULTS])
+def test_proof_finds_a_symmetric_fault_on_the_kronecker_rows(family, n, ordering, place):
+    # the fault is symmetric and keeps the kind's rule, so that validation
+    # passes it, and only the proof finds it: eig_sym then fails on the
+    # ||M - S|| it measured.  An adjacency's diagonal cannot move without
+    # breaking the hollow rule, which refuses it first.
+    M = build(family, n, ordering)
+    if M.kind == ADJACENCY and place == "diagonal":
+        E = M.entries.copy()
+        E[0, 0] = 1
+        with pytest.raises(ValueError, match="hollow"):
+            GraphMatrix(family, M.kind, n, ordering, E, M.structure)
+        return
+    faulty = GraphMatrix(family, M.kind, n, ordering, _faulted(M, place), M.structure)
+    assert faulty._deviation >= 1.0
+    with pytest.raises(ResidualError, match="eigenpair residual"):
+        eig_sym(faulty)
+
+
+@pytest.mark.parametrize("make", [ncube_adjacency, hamming_distance_matrix, tricube_laplacian])
+@pytest.mark.parametrize("ordering", ["binary", "gray", "custom"])
+def test_proof_finds_a_symmetric_fault_at_every_doubling_level(make, ordering):
+    # a symmetric +-1 pair in row 0 and in rows [h, 2h) for every h, kept
+    # within the kind's rule (a Laplacian's two diagonal entries take the
+    # opposite change), in the natural order, where the proof doubles, and
+    # in two relabellings, where it gathers
+    n = 6
+    M = make(n, _seeded_permutation(n) if ordering == "custom" else ordering)
+    eig_sym(M)
+    for i in [0] + [h + (h - 1) // 2 for h in (1 << k for k in range(n))]:
+        j = (5 * i + 3) % M.N
+        E = M.entries.copy()
+        delta = 1 - 2 * int(E[i, j] == 1) if M.kind == ADJACENCY else 1
+        E[i, j] += delta
+        E[j, i] += delta
+        if M.kind == LAPLACIAN:
+            E[i, i] -= delta
+            E[j, j] -= delta
+        faulty = GraphMatrix(M.family, M.kind, n, M.ordering, E, M.structure)
+        assert faulty._deviation >= 1.0
+        with pytest.raises(ResidualError, match="eigenpair residual"):
+            eig_sym(faulty)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tricube_laplacian(12, "gray"), lambda: pow_tricube_laplacian(7, "ternary-gray"),
+], ids=["walsh-gray-4096", "kron-ternary-gray-2187"])
+def test_eig_sym_of_a_relabelled_order_allocates_little(make):
+    # a relabelled order is solved from one gathered row or the factor, with
+    # no natural-order copy of the entries (N^2 bytes) and no vectors
+    M = make()
+    eig_sym(M)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eig_sym(M)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < M.N**2 / 8
 
 
 CERTIFIED = [
@@ -810,9 +939,7 @@ def test_certificates_take_float_nudges_against_tol(make, kind, factor, where):
         nudged = entries.copy()
         nudged[i, j] += delta
         nudged[j, i] += delta
-        solve = functools.partial(
-            spectra._declared_eig, nudged, kind, factor, n, spectra.RESIDUAL_TOL
-        )
+        solve = functools.partial(_proved_eig, nudged, kind, factor, n)
         if fails:
             with pytest.raises(ResidualError, match="eigenpair residual"):
                 solve()
@@ -833,7 +960,7 @@ def test_certificates_fail_non_finite_entries(make, kind, factor, value, where):
     i, j = {"row-0": (0, 1), "inner": (M.N - 4, M.N - 1), "diagonal": (M.N - 2, M.N - 2)}[where]
     entries[i, j] = entries[j, i] = value
     with np.errstate(all="ignore"), pytest.raises(ResidualError, match="eigenpair residual"):
-        spectra._declared_eig(entries, kind, factor, M.n, spectra.RESIDUAL_TOL)
+        _proved_eig(entries, kind, factor, M.n)
 
 
 @pytest.mark.parametrize("make", [
