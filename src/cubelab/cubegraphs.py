@@ -38,7 +38,7 @@ and WALSH carry the relabelling as `perm`, and LOW_RANK's bits are given
 per position.  Every other matrix declares none.  `build` stores the
 entries as int8, which holds every family entry exactly (|entry| <= 2n
 <= 16), so a built matrix takes N^2 bytes; its consumers widen them to
-float64 one block or tile at a time.  `build` refuses a matrix whose
+float64 one block at a time.  `build` refuses a matrix whose
 dense float64 form would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
 vertices fit) before it builds anything.  The seven named constructors
 are single `build` calls.  Matrices are dense, which suits desk scale
@@ -68,24 +68,22 @@ the matrix's own ordering and makes no natural-order copy:
 
 - KRONECKER: S's O(n N) nonzero positions, gathered through `perm`, must
   hold their factor entries, the diagonal the n-fold sums of the factor's
-  diagonal, and np.count_nonzero(M) must be S's count (`_kron_deviation`);
+  diagonal, and np.count_nonzero(M) must be S's count (`_kron_proof`);
 - WALSH: in the natural binary order, XOR doubling; in a relabelled order,
-  each chunk of rows against row 0 gathered at a_i ^ a_j
-  (`_walsh_deviation`).
+  each chunk of rows against row 0 gathered at a_i ^ a_j (`_walsh_proof`).
 
-Once M == S, symmetry and the kind's entry rule follow in O(N) from S's
-row 0 or factor.  Anything not proved (LOW_RANK, no structure, or entries
-off their declaration) is tested in slabs of `_SLAB` rows, and for a
-WALSH or KRONECKER declaration ||M - S|| is measured.  The matrix keeps
-||M - S||, and `spectra.eig_sym` bounds its residuals by it.  The proofs
-share no code with the fills, which write their entries by other index
+A declaration that its proof refuses, by any amount or by a NaN or an
+infinity anywhere, raises ValueError.  Once M == S, symmetry and the
+kind's entry rule follow in O(N) from S's row 0 or factor.  LOW_RANK and
+undeclared entries are tested in slabs of `_SLAB` rows.  The proofs share
+no code with the fills, which write their entries by other index
 arithmetic, so that one bug cannot pass both.
 """
 
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +106,9 @@ MAX_DENSE_BYTES = 1 << 30
 MAX_CIRCUIT_EDGES = 1 << 23
 
 
-# rows per slab of the symmetry test and of the untiled entry rules, so that
-# neither makes an N x N temporary: a 128-column slab row is 1 KiB of float64
+# rows per slab of the symmetry test and of the entry rules on unproved
+# entries, so that neither makes an N x N temporary: a 128-column slab row
+# is 1 KiB of float64
 _SLAB = 128
 
 
@@ -176,13 +175,11 @@ class GraphMatrix:
     A `structure`, when set, declares how the entries were built, and its
     `perm` must be a bijection on range(N) (ValueError otherwise).  A
     WALSH or KRONECKER structure S is proved exactly on every entry (see
-    the module docstring); once M == S, symmetry and the kind's rule
-    follow from S's row 0 or factor.  Entries that are not proved, those
-    declaring LOW_RANK or no structure among them, are tested in slabs of
-    `_SLAB` rows.  For WALSH and KRONECKER the matrix keeps ||M - S||, 0.0
-    when proved and measured otherwise, and `spectra.eig_sym` bounds its
-    residuals by it without reading the entries again, so a false
-    declaration raises `ResidualError` there.
+    the module docstring), and entries that are not S raise ValueError;
+    once M == S, symmetry and the kind's rule follow from S's row 0 or
+    factor, and `spectra.eig_sym` solves S without reading the entries
+    again.  Entries declaring LOW_RANK or no structure are tested in slabs
+    of `_SLAB` rows.
     """
 
     family: str
@@ -191,8 +188,6 @@ class GraphMatrix:
     ordering: str
     entries: np.ndarray
     structure: Structure | None = None
-    # ||M - S|| of a WALSH or KRONECKER structure S, set by validation
-    _deviation: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -219,12 +214,10 @@ class GraphMatrix:
                 s = Structure(s.kind, _copied(s.data), _copied(s.perm))
                 object.__setattr__(self, "structure", s)
             self._check_structure()
-        deviation = None
-        if s is not None and s.kind == WALSH:
-            deviation = _walsh_deviation(e, s.perm)
-        elif s is not None and s.kind == KRONECKER:
-            deviation = _kron_deviation(e, s.data, self.n, s.perm)
-        if deviation == 0.0:
+        if s is not None and s.kind in (WALSH, KRONECKER):
+            if not (_walsh_proof(e, s.perm) if s.kind == WALSH
+                    else _kron_proof(e, s.data, self.n, s.perm)):
+                raise ValueError(f"entries do not have their declared {s.kind} structure")
             # M == S: every row of S holds row 0's values; S's diagonal is
             # all zero iff its factor F's is, its other entries are F's, and
             # its row sums reach n times F's largest
@@ -250,7 +243,6 @@ class GraphMatrix:
                 raise ValueError("laplacian must have zero row sums")
         else:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
-        object.__setattr__(self, "_deviation", deviation)
         e.setflags(write=False)
 
     def _check_structure(self):
@@ -284,8 +276,8 @@ def _copied(x):
     return x.copy() if isinstance(x, np.ndarray) else x
 
 
-# entries per chunk of rows of the structure proofs and of a measured
-# ||M - S||, so that neither makes an N x N temporary
+# entries per chunk of rows of the natural-order Walsh proof, so that it
+# makes no N x N temporary
 _CHUNK = 1 << 18
 # entries per row block of a gather, in a profile fill or a relabelled
 # Walsh proof: its XOR and index temporaries stay near 1 MB however large
@@ -293,28 +285,11 @@ _CHUNK = 1 << 18
 _GATHER_ENTRIES = 1 << 16
 
 
-def _measured_deviation(entries: np.ndarray, ideal: Callable[[int, int], np.ndarray]) -> float:
-    """||M - S||, the larger of the largest row abs-sum and the largest
-    column abs-sum of M - S (NaN when M holds one), from |M - S| in float64
-    one chunk of rows at a time; ideal(start, stop) gives S's rows [start,
-    stop) in float64."""
-    N = entries.shape[0]
-    rows, cols = np.zeros(N), np.zeros(N)
-    step = max(1, _CHUNK // N)
-    for start in range(0, N, step):
-        stop = min(start + step, N)
-        part = np.subtract(entries[start:stop], ideal(start, stop), dtype=float)
-        np.abs(part, out=part)
-        rows[start:stop] = part.sum(axis=1)
-        cols += part.sum(axis=0)
-    return float(np.maximum(rows.max(), cols.max()))
-
-
-def _walsh_deviation(entries: np.ndarray, perm: np.ndarray | None) -> float:
-    """||M - S|| for the WALSH structure S[p, q] = r[a_p ^ a_q]: a = perm
-    (the identity when None) and r = M[inv[0], inv], inv = argsort(perm),
-    the natural order's row 0.  0.0 when M == S, proved on every entry in
-    M's own dtype, with no N x N temporary:
+def _walsh_proof(entries: np.ndarray, perm: np.ndarray | None) -> bool:
+    """Whether M is finite and equals the WALSH structure S[p, q] = r[a_p ^
+    a_q]: a = perm (the identity when None) and r = M[inv[0], inv], inv =
+    argsort(perm), the natural order's row 0.  Proved on every entry in M's
+    own dtype, with no N x N temporary:
 
     - in the natural order, by XOR doubling: for h = 1, 2, ..., N/2, rows
       [h, 2h) must be rows [0, h) with the column blocks of width h swapped
@@ -323,12 +298,14 @@ def _walsh_deviation(entries: np.ndarray, perm: np.ndarray | None) -> float:
     - in a relabelled order, by comparing each chunk of rows with r
       gathered at a_p ^ a_q.
 
-    At the first difference ||M - S|| is measured instead.
+    A NaN differs from every entry it is compared with, and every row of S
+    holds the values of M's row 0, so testing that row leaves no infinity.
     """
     N = entries.shape[0]
-    step = max(1, _CHUNK // N)
+    if not np.isfinite(entries[0]).all():
+        return False
     if perm is None:
-        a, r = np.arange(N), entries[0]
+        step = max(1, _CHUNK // N)
         h = 1
         while h < N:
             for start in range(0, h, step):
@@ -336,29 +313,22 @@ def _walsh_deviation(entries: np.ndarray, perm: np.ndarray | None) -> float:
                 swapped = entries[start:stop].reshape(stop - start, -1, 2, h)[:, :, ::-1]
                 below = entries[h + start : h + stop].reshape(swapped.shape)
                 if not np.array_equal(below, swapped):
-                    return _measured_walsh(entries, a, r)
+                    return False
             h *= 2
-        return 0.0
+        return True
     inv = np.argsort(perm)
     a, r = perm.astype(np.min_scalar_type(N - 1)), entries[inv[0]][inv]
     step = max(1, _GATHER_ENTRIES // N)
-    for start in range(0, N, step):
-        ideal = np.take(r, a[start : start + step, None] ^ a)
-        if not np.array_equal(entries[start : start + step], ideal):
-            return _measured_walsh(entries, a, r)
-    return 0.0
+    return all(
+        np.array_equal(entries[start : start + step], np.take(r, a[start : start + step, None] ^ a))
+        for start in range(0, N, step)
+    )
 
 
-def _measured_walsh(entries: np.ndarray, a: np.ndarray, r: np.ndarray) -> float:
-    r = r.astype(float)
-    return _measured_deviation(entries, lambda start, stop: np.take(r, a[start:stop, None] ^ a))
-
-
-def _kron_deviation(entries: np.ndarray, factor: np.ndarray, n: int,
-                    perm: np.ndarray | None) -> float:
-    """||M - S|| for the KRONECKER structure S, the n-fold Kronecker sum of
-    the 3x3 factor F with vertex perm[p] at position p (the natural order
-    when perm is None); 0.0 when M == S, proved on every entry.
+def _kron_proof(entries: np.ndarray, factor: np.ndarray, n: int, perm: np.ndarray | None) -> bool:
+    """Whether M equals the KRONECKER structure S, the n-fold Kronecker sum
+    of the 3x3 factor F with vertex perm[p] at position p (the natural order
+    when perm is None), proved on every entry.
 
     The proof reads S's support and nothing else of M but a count.  With
     the positions of the vertices laid out on a (3,) * n grid, the vertices
@@ -367,7 +337,8 @@ def _kron_deviation(entries: np.ndarray, factor: np.ndarray, n: int,
     S holds F[a, b] at those pairs.  Every nonzero F[a, b], a != b, must be
     in M at its pairs on every axis, M's diagonal must be the n-fold sums
     of F's diagonal, and M must have no other nonzero: np.count_nonzero(M)
-    must be S's count.  Then M == S.  Otherwise ||M - S|| is measured.
+    must be S's count.  Then M == S.  A NaN or an infinity fails the first
+    two tests on S's support and the count off it.
     """
     N = 3**n
     position = np.arange(N) if perm is None else np.argsort(perm)
@@ -377,27 +348,12 @@ def _kron_deviation(entries: np.ndarray, factor: np.ndarray, n: int,
     # (axis, pair, vertex) arrays; axis moves to the front of the grid
     slices = [grid.swapaxes(0, axis).reshape(3, -1) for axis in range(n)]
     rows, cols = np.stack([s[a] for s in slices]), np.stack([s[b] for s in slices])
-    values = factor[a, b][:, None]
     diagonal = np.zeros(1)  # the sums over each vertex's digits of F's diagonal
     for _ in range(n):
         diagonal = np.add.outer(diagonal, np.diagonal(factor).astype(float)).ravel()
-    if (np.all(entries[rows, cols] == values)
-            and np.array_equal(np.diagonal(entries)[position], diagonal)
-            and np.count_nonzero(entries) == rows.size + np.count_nonzero(diagonal)):
-        return 0.0
-    values = np.concatenate([np.broadcast_to(values, rows.shape), diagonal], axis=None)
-    rows = np.concatenate([rows, position], axis=None)
-    cols = np.concatenate([cols, position], axis=None)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, values = rows[order], cols[order], values[order]
-
-    def ideal(start, stop):
-        lo, hi = np.searchsorted(rows, (start, stop))
-        chunk = np.zeros((stop - start, N))
-        chunk[rows[lo:hi] - start, cols[lo:hi]] = values[lo:hi]
-        return chunk
-
-    return _measured_deviation(entries, ideal)
+    return bool(np.all(entries[rows, cols] == factor[a, b][:, None])
+                and np.array_equal(np.diagonal(entries)[position], diagonal)
+                and np.count_nonzero(entries) == rows.size + np.count_nonzero(diagonal))
 
 
 _PATH3_ADJ = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)

@@ -4,20 +4,18 @@
 spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
 the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
 `GraphMatrix` was tested when built.  `eig_sym` has four routes, chosen by
-the `structure` that `cubegraphs.build` declared.  For a WALSH or
-KRONECKER structure S, `GraphMatrix` validation proved on every entry of
-M, exactly, whether M is S, and kept ||M - S|| (0.0 when proved); those
+the `structure` that `cubegraphs.build` declared.  A `GraphMatrix` that
+declares a WALSH or KRONECKER structure S was proved equal to S on every
+entry, exactly, when it was made (it cannot be made otherwise); those
 routes read no entry again but the natural row 0, and bound the residual
 ||M v - lambda v|| of every pair they return by
 
-    ||M - S|| + e_S + rho,
+    e_S + rho,
 
-where ||M - S|| is the larger of the largest row abs-sum and the largest
-column abs-sum of M - S (it bounds the 2-norm), e_S is the error of S's
-own eigenpairs, and rho = 2 (N + 2n) u (||M||_inf + max |lambda|), u =
-2^-53, with ||M||_inf <= ||S||_inf + ||M - S||, covers the rounding of
-the returned values and vectors and of any float64 evaluation of M v -
-lambda v (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+where e_S is the error of S's own eigenpairs, and rho = 2 (N + 2n) u
+(||S||_inf + max |lambda|), u = 2^-53, covers the rounding of the
+returned values and vectors and of any float64 evaluation of M v - lambda
+v (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
 
 - WALSH (ncube, hamming, tricube and regtricube): S[i, j] = r[i ^ j] for
   the natural row 0, r, which the Sylvester Hadamard matrix H diagonalises
@@ -39,8 +37,8 @@ lambda v (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
   powhamming at n <= 2) takes one eigh of the full matrix, measured by one
   GEMM, M V - V lambda.
 
-A non-finite eigenvalue or bound fails the check, so a structure that the
-entries do not have raises `ResidualError`.
+A non-finite eigenvalue or residual fails the check, so a LOW_RANK
+structure that the entries do not have raises `ResidualError`.
 
 A structure's `perm` only relabels the graph: the WALSH and KRONECKER
 routes solve the natural order, from the row M[inv[0], inv], inv =
@@ -66,7 +64,6 @@ from .cubegraphs import (
     KRONECKER,
     LOW_RANK,
     STRUCTURE_TOL,
-    WALSH,
     GraphMatrix,
     asymmetry,
 )
@@ -193,10 +190,10 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     matrix.  Whatever the route, ||Mv - lambda v|| <= tol*max(|lambda|_max,
     1) is verified for every pair on every entry of the input before
     returning: measured on the LOW_RANK and undeclared routes, and bounded
-    on the other two by the ||M - S|| that validation recorded, so a
-    non-finite eigenvalue or residual, or a structure that does not match
-    the entries, raises ResidualError.  The WALSH route also raises it when
-    two values of one popcount class differ by more than that bound.  The
+    on the other two, whose structure validation proved, so a non-finite
+    eigenvalue or residual, or a LOW_RANK structure that does not match the
+    entries, raises ResidualError.  The WALSH route also raises it when two
+    values of one popcount class differ by more than that bound.  The
     declared routes build the sorted N x N eigenvector matrix on the first
     read of `Spectrum.vectors` only.
     """
@@ -207,31 +204,30 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     if structure is None:
         values, vectors = np.linalg.eigh(entries)
         return _checked(Spectrum(values, vectors), _residual_norms(entries, values, vectors), tol)
-    return _declared_eig(entries, structure.kind, structure.data, M.n, tol, structure.perm,
-                         M._deviation)
+    return _declared_eig(entries, structure.kind, structure.data, M.n, tol, structure.perm)
 
 
 def _declared_eig(entries: np.ndarray, kind: str, data, n: int, tol: float,
-                  perm: np.ndarray | None, deviation: float | None) -> Spectrum:
+                  perm: np.ndarray | None) -> Spectrum:
     """The checked spectrum of entries that declare the structure `kind`
     with `data` and `perm`, on n axes, by that kind's route.
 
-    For WALSH and KRONECKER, `deviation` is ||M - S|| as `GraphMatrix`
-    validation proved or measured it, and the route reads no entry but
-    the natural row 0.  A `perm` relabels only: the route solves the
-    natural order, and the vectors' rows are put back in `perm`'s order,
-    except on LOW_RANK, whose bits are taken at M's positions, data[perm].
+    For WALSH and KRONECKER, `GraphMatrix` validation proved M == S, and
+    the route reads no entry but the natural row 0.  A `perm` relabels
+    only: the route solves the natural order, and the vectors' rows are
+    put back in `perm`'s order, except on LOW_RANK, whose bits are taken at
+    M's positions, data[perm].
     """
     if kind == LOW_RANK:
         values, vectors, residual = _low_rank_eig(entries, data if perm is None else data[perm])
         return _checked(Spectrum(values, vectors), residual, tol)
     popcount = 0.0
     if kind == KRONECKER:
-        values, vectors, residual = _kron_eig(data, n, deviation)
+        values, vectors, residual = _kron_eig(data, n)
     else:
         inv = None if perm is None else np.argsort(perm)
         row = entries[0] if perm is None else entries[inv[0]][inv]
-        natural, residual, popcount = _walsh_eig(row, deviation)
+        natural, residual, popcount = _walsh_eig(row)
         order = np.argsort(natural, kind="stable")
         values, vectors = natural[order], functools.partial(_walsh_vectors, order)
     solved = _checked(Spectrum(values, vectors), residual, tol, popcount)
@@ -284,19 +280,18 @@ def _fwht(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _walsh_eig(row: np.ndarray, deviation: float) -> tuple[np.ndarray, float, float]:
+def _walsh_eig(row: np.ndarray) -> tuple[np.ndarray, float, float]:
     """The Walsh values lambda_k = (H r)_k of the natural row 0, r, in
     natural order, the bound on every pair's residual, and the largest
     |lambda_k - lambda_j| with popcount(k) = popcount(j).
 
-    The bound is ||M - S|| (`deviation`) + rho, with ||S||_inf = ||r||_1 >=
-    max |lambda| (see the module docstring).  Each lambda_k is compared
-    with the value of 2^popcount(k) - 1, the first index of its popcount.
+    The bound is rho, with ||S||_inf = ||r||_1 >= max |lambda| (see the
+    module docstring).  Each lambda_k is compared with the value of
+    2^popcount(k) - 1, the first index of its popcount.
     """
     N = row.size
     natural = _fwht(row.astype(float))
-    norm = 2.0 * float(np.abs(row, dtype=float).sum()) + deviation
-    bound = deviation + _rounding(N, N.bit_length() - 1, norm)
+    bound = _rounding(N, N.bit_length() - 1, 2.0 * float(np.abs(row, dtype=float).sum()))
     weight = np.bitwise_count(np.arange(N)).astype(np.intp)  # a uint8 would wrap 1 << weight
     popcount = float(np.abs(natural - natural[(1 << weight) - 1]).max())
     return natural, bound, popcount
@@ -380,7 +375,7 @@ def _kron_power(Q: np.ndarray, k: int) -> np.ndarray:
     return power
 
 
-def _kron_eig(factor: np.ndarray, n: int, deviation: float):
+def _kron_eig(factor: np.ndarray, n: int):
     """Values, lazy vectors and the residual bound of the n-fold Kronecker
     sum of a 3x3 factor F, from one eigh of it.
 
@@ -388,9 +383,9 @@ def _kron_eig(factor: np.ndarray, n: int, deviation: float):
     product of Q[:, j_k] over the digits (axis k at the k-th slot from the
     right, as in `cubegraphs.build`), with the value sum_k w[j_k].  The
     values are returned in stable ascending order, the vectors
-    (`_kron_vectors`) are built on first read, and the bound is ||M - S||
-    (`deviation`) + n max_j ||F q_j - w_j q_j|| + rho, with ||S||_inf <= n
-    ||F||_inf and max |lambda| <= n max |w| (see the module docstring).
+    (`_kron_vectors`) are built on first read, and the bound is n max_j ||F
+    q_j - w_j q_j|| + rho, with ||S||_inf <= n ||F||_inf and max |lambda| <=
+    n max |w| (see the module docstring).
     """
     w, Q = np.linalg.eigh(factor)
     natural = w
@@ -398,8 +393,8 @@ def _kron_eig(factor: np.ndarray, n: int, deviation: float):
         natural = np.add.outer(natural, w).ravel()
     order = np.argsort(natural, kind="stable")
     factor_residual = float(np.linalg.norm(factor @ Q - Q * w, axis=0).max())
-    norm = n * float(np.abs(factor, dtype=float).sum(axis=1).max() + np.abs(w).max()) + deviation
-    bound = deviation + n * factor_residual + _rounding(3**n, n, norm)
+    norm = n * float(np.abs(factor, dtype=float).sum(axis=1).max() + np.abs(w).max())
+    bound = n * factor_residual + _rounding(3**n, n, norm)
     return natural[order], functools.partial(_kron_vectors, Q, n, order), bound
 
 

@@ -140,94 +140,94 @@ def test_asymmetry_matches_full_deviation(N, edits):
     assert (asymmetry(M) == 0.0) == (edits == [])
 
 
-def _tile(entries, r, s):
-    """Tile (r, s) of the 81 x 81 grid, as a view."""
+def _block(entries, r, s):
+    """Block (r, s) of the grid of 81 x 81 blocks, as a view."""
     return entries[81 * r : 81 * (r + 1), 81 * s : 81 * (s + 1)]
 
 
-def _tile_pair(entries, test):
-    """(r, s), r < s, of the first tile above the diagonal that passes test."""
+def _block_pair(entries, test):
+    """(r, s), r < s, of the first block above the diagonal that passes test."""
     count = entries.shape[0] // 81
     return next(
-        (r, s) for r in range(count) for s in range(r + 1, count) if test(_tile(entries, r, s))
+        (r, s) for r in range(count) for s in range(r + 1, count) if test(_block(entries, r, s))
     )
 
 
-def _set_tile_pair(entries, test, tile):
-    """The first tile above the diagonal that passes test, and its partner,
-    set to tile and its transpose."""
-    r, s = _tile_pair(entries, test)
-    _tile(entries, r, s)[...] = tile
-    _tile(entries, s, r)[...] = tile.T
+def _set_block_pair(entries, test, block):
+    """The first block above the diagonal that passes test, and its partner,
+    set to block and its transpose."""
+    r, s = _block_pair(entries, test)
+    _block(entries, r, s)[...] = block
+    _block(entries, s, r)[...] = block.T
     return entries
 
 
-def _is_zero(tile):
-    return not tile.any()
+def _is_zero(block):
+    return not block.any()
 
 
 def _is_scaled(c):
-    return lambda tile: np.array_equal(tile, c * np.eye(81))
+    return lambda block: np.array_equal(block, c * np.eye(81))
 
 
-def _stray_in_zero_tile(n):
+def _stray_in_zero_block(n):
     A = pow_cube_adjacency(n).entries.copy()
-    r, s = _tile_pair(A, _is_zero)
-    _tile(A, r, s)[3, 5] = 1.0
+    r, s = _block_pair(A, _is_zero)
+    _block(A, r, s)[3, 5] = 1.0
     return ADJACENCY, A
 
 
 def _partner_scales_differ(n):
     L = pow_tricube_laplacian(n).entries.copy()
-    r, s = _tile_pair(L, _is_scaled(-1.0))
-    _tile(L, r, s)[...] = -2.0 * np.eye(81)
+    r, s = _block_pair(L, _is_scaled(-1.0))
+    _block(L, r, s)[...] = -2.0 * np.eye(81)
     return LAPLACIAN, L
 
 
-def _asymmetric_general_tile(delta):
+def _asymmetric_first_block(delta):
     # a delta that int8 cannot hold goes into a float64 copy
     def make(n):
         L = pow_tricube_laplacian(n).entries.astype(np.result_type(np.int8, delta))
-        L[0, 1] += delta  # tile (0, 0) is general
+        L[0, 1] += delta  # in diagonal block (0, 0)
         return LAPLACIAN, L
     return make
 
 
-def _scaled_tiles_set_to(make, kind, c, new):
+def _scaled_blocks_set_to(make, kind, c, new):
     return lambda n: (
-        kind, _set_tile_pair(make(n).entries.astype(new.dtype), _is_scaled(c), new)
+        kind, _set_block_pair(make(n).entries.astype(new.dtype), _is_scaled(c), new)
     )
 
 
 def _pair_set_to(make, kind, test, j, k, value):
-    """Entry (j, k) of the first tile that passes test, and its partner, set
+    """Entry (j, k) of the first block that passes test, and its partner, set
     to value; a NaN goes into a float64 copy."""
     def pair_set_to(n):
         M = make(n).entries.astype(np.result_type(np.int8, value))
-        r, s = _tile_pair(M, test)
-        _tile(M, r, s)[j, k] = _tile(M, s, r)[k, j] = value
+        r, s = _block_pair(M, test)
+        _block(M, r, s)[j, k] = _block(M, s, r)[k, j] = value
         return kind, M
     return pair_set_to
 
 
 @pytest.mark.parametrize("n", [6, 7], ids=["N=729", "N=2187"])
 @pytest.mark.parametrize("make,message", [
-    (_stray_in_zero_tile, "symmetric"),
+    (_stray_in_zero_block, "symmetric"),
     (_partner_scales_differ, "symmetric"),
-    (_asymmetric_general_tile(1e-6), "symmetric"),
-    (_scaled_tiles_set_to(pow_cube_adjacency, ADJACENCY, 1.0, 2 * np.eye(81, dtype=np.int8)),
+    (_asymmetric_first_block(1e-6), "symmetric"),
+    (_scaled_blocks_set_to(pow_cube_adjacency, ADJACENCY, 1.0, 2 * np.eye(81, dtype=np.int8)),
      "hollow 0/1"),
     # powcube's entries are hollow and nonnegative, so a valid distance matrix
-    (_scaled_tiles_set_to(pow_cube_adjacency, DISTANCE, 1.0, -np.eye(81, dtype=np.int8)),
+    (_scaled_blocks_set_to(pow_cube_adjacency, DISTANCE, 1.0, -np.eye(81, dtype=np.int8)),
      "nonnegative"),
-    (_scaled_tiles_set_to(pow_tricube_laplacian, LAPLACIAN, -1.0, -(1 + 1e-8) * np.eye(81)),
+    (_scaled_blocks_set_to(pow_tricube_laplacian, LAPLACIAN, -1.0, -(1 + 1e-8) * np.eye(81)),
      "zero row sums"),
     (_pair_set_to(pow_cube_adjacency, ADJACENCY, _is_zero, 3, 5, np.nan), "symmetric"),
     (_pair_set_to(pow_tricube_laplacian, LAPLACIAN, _is_scaled(-1.0), 7, 7, np.nan),
      "symmetric"),
     # the integer twins of the non-integer faults above, in the int8 entries
-    (_asymmetric_general_tile(1), "symmetric"),
-    (_scaled_tiles_set_to(pow_tricube_laplacian, LAPLACIAN, -1.0, -2 * np.eye(81, dtype=np.int8)),
+    (_asymmetric_first_block(1), "symmetric"),
+    (_scaled_blocks_set_to(pow_tricube_laplacian, LAPLACIAN, -1.0, -2 * np.eye(81, dtype=np.int8)),
      "zero row sums"),
     (_pair_set_to(pow_cube_adjacency, ADJACENCY, _is_zero, 3, 5, 2), "hollow 0/1"),
     (_pair_set_to(pow_tricube_laplacian, LAPLACIAN, _is_scaled(-1.0), 7, 7, 0), "zero row sums"),
@@ -239,6 +239,8 @@ def _pair_set_to(make, kind, test, j, k, value):
     "0-on-scaled-diagonal",
 ])
 def test_tiled_validation_rejects_one_wrong_place(make, message, n):
+    # undeclared entries, laid out in 81 x 81 blocks, take the slab walk for
+    # symmetry and the kind's rule, which find one wrong place
     kind, entries = make(n)
     with pytest.raises(ValueError, match=message):
         GraphMatrix("test", kind, n, "ternary", entries)
@@ -246,10 +248,11 @@ def test_tiled_validation_rejects_one_wrong_place(make, message, n):
 
 @pytest.mark.parametrize("n", [6, 7], ids=["N=729", "N=2187"])
 @pytest.mark.parametrize("make", [
-    _asymmetric_general_tile(1e-12),
+    _asymmetric_first_block(1e-12),
     lambda n: (DISTANCE, pow_cube_adjacency(n).entries.copy()),
 ], ids=["general-tile-asymmetric-1e-12", "powcube-as-distance"])
 def test_tiled_validation_accepts(make, n):
+    # the slab walk's symmetry test holds within STRUCTURE_TOL
     kind, entries = make(n)
     GraphMatrix("test", kind, n, "ternary", entries)
 

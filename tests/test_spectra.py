@@ -217,9 +217,11 @@ def test_kron_route_vectors_are_the_sorted_kronecker_power(monkeypatch, make, si
 
 
 def test_eig_sym_kron_sum_of_random_factor(monkeypatch):
-    X = np.random.default_rng(3).standard_normal((3, 3))
-    # zero row sums, so that the Kronecker sum is a valid LAPLACIAN entry set
+    # an integer factor, whose Kronecker sum the proof reads exactly, with
+    # zero row sums, so that it is a valid LAPLACIAN entry set
+    X = np.random.default_rng(5).integers(-4, 5, (3, 3))
     F = X + X.T - np.diag((X + X.T).sum(axis=1))
+    assert np.all(F != 0)
     M = _ternary_product(F, 3)
     sizes = _record_sizes(monkeypatch, "eigh")
     spec = eig_sym(GraphMatrix("random", LAPLACIAN, 3, "ternary", M, Structure(KRONECKER, F)))
@@ -264,10 +266,8 @@ def test_kron_row_check_skips_the_full_accumulation(monkeypatch, make, ordering)
 
 
 def test_eig_sym_false_factor_fails_residual():
-    A = pow_cube_adjacency(3).entries
-    with pytest.raises(ResidualError):
-        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A,
-                            Structure(KRONECKER, _PATH3_LAP)))
+    A = pow_cube_adjacency(3)
+    _refused(A, A.entries, Structure(KRONECKER, _PATH3_LAP))
 
 
 @pytest.mark.parametrize("entries,n,factor", [
@@ -308,39 +308,41 @@ def test_eig_sym_non_finite_fails_residual_gate(M):
         eig_sym(M)
 
 
-def _proved_eig(entries, kind, factor, n):
-    """What eig_sym does with natural-order entries, which no GraphMatrix
-    can hold when they are not finite: the proof of the declared structure
-    that validation runs, then the route, bounded by the ||M - S|| found."""
-    deviation = (cubegraphs._walsh_deviation(entries, None) if kind == WALSH
-                 else cubegraphs._kron_deviation(entries, factor, n, None))
-    return spectra._declared_eig(entries, kind, factor, n, spectra.RESIDUAL_TOL, None, deviation)
+# the message of a WALSH or KRONECKER declaration that its proof refuses
+REFUSED = "do not have their declared"
 
 
-def _minus_identity_tile(M):
-    """Row and column offsets of the first 81 x 81 tile of M that is -I."""
+def _refused(M, entries, structure=None):
+    """Assert that `entries`, tagged as M and declaring `structure` (M's
+    when None), are refused when the GraphMatrix is made."""
+    with pytest.raises(ValueError, match=REFUSED):
+        GraphMatrix(M.family, M.kind, M.n, M.ordering, entries, structure or M.structure)
+
+
+def _minus_identity_block(M):
+    """Row and column offsets of the first 81 x 81 block of M that is -I."""
     count = M.shape[0] // 81
-    tiles = M.reshape(count, 81, count, 81)
+    blocks = M.reshape(count, 81, count, 81)
     r, s = next(
         (r, s) for r in range(count) for s in range(count)
-        if np.array_equal(tiles[r, :, s], -np.eye(81))
+        if np.array_equal(blocks[r, :, s], -np.eye(81))
     )
     return 81 * r, 81 * s
 
 
 def _powtri_729_with(value, dr, ds):
     """powtri n = 6, as float64, with the symmetric pair at (dr, ds) inside
-    its first -I tile set to value."""
+    its first -I block set to value."""
     M = pow_tricube_laplacian(6).entries.astype(float)
-    r, s = _minus_identity_tile(M)
+    r, s = _minus_identity_block(M)
     M[r + dr, s + ds] = M[s + ds, r + dr] = value
     return M
 
 
-def _identity_with_shift_tiles():
-    """I_810 (ten tiles, so the last column block is one tile wide) whose
-    tiles (0, 1) and (1, 0) hold a cyclic shift and its transpose: 81
-    nonzeros each, none on the tile diagonal."""
+def _identity_with_shift_blocks():
+    """I_810 (ten 81 x 81 blocks, so the last column block is one block
+    wide) whose blocks (0, 1) and (1, 0) hold a cyclic shift and its
+    transpose: 81 nonzeros each, none on the block diagonal."""
     M = np.eye(810)
     shift = np.roll(np.eye(81), 1, axis=1)
     M[:81, 81:162], M[81:162, :81] = shift, shift.T
@@ -354,15 +356,15 @@ RESIDUAL_CASES = [
     lambda: hamming_distance_matrix(10),
     lambda: ncube_adjacency(10, _seeded_permutation(10)),
     lambda: ncube_adjacency(11),
-    # +I tiles, and zero tiles of -0.0
+    # +I blocks, and zero blocks of -0.0
     lambda: negated(pow_tricube_laplacian(6)),
-    # a -I tile with a stray off-diagonal entry, or one changed diagonal
-    # entry, is a general tile
+    # a -I block with a stray off-diagonal entry, or one changed diagonal
+    # entry
     lambda: _powtri_729_with(-0.5, 3, 5),
     lambda: _powtri_729_with(-2.0, 7, 7),
     lambda: 2.0 * np.eye(729),
     # 81 nonzeros off the diagonal and a zero diagonal is not 0 * I
-    _identity_with_shift_tiles,
+    _identity_with_shift_blocks,
 ]
 
 
@@ -372,8 +374,8 @@ RESIDUAL_CASES = [
     "changed-diagonal-in-minus-identity", "2I-729", "shift-tiles-810",
 ])
 def test_tiled_residual_matches_dense_reference(make):
-    # tile patterns of every class as raw arrays, on the undeclared routes,
-    # whose check is one GEMM: the pairs eig_sym returns pass the reference
+    # 81 x 81 block patterns as raw arrays, on the undeclared route, whose
+    # check is one GEMM: the pairs eig_sym returns pass the reference
     M = make()
     M = M.entries if isinstance(M, GraphMatrix) else M
     spec = eig_sym(M)
@@ -384,18 +386,18 @@ def test_tiled_residual_matches_dense_reference(make):
     assert dense.max() <= spectra.RESIDUAL_TOL * scale
 
 
-def _two_run_tiles():
-    """2 I_729 whose tile row 0 (and tile column 0) also holds random
-    general tiles 2, 3 and 6: two runs, the first two tiles long."""
+def _two_run_blocks():
+    """2 I_729 whose 81-row block row 0 (and block column 0) also holds
+    random blocks 2, 3 and 6: two runs, the first two blocks long."""
     M = 2.0 * np.eye(729)
     for s in (2, 3, 6):
-        tile = np.random.default_rng(s).standard_normal((81, 81))
-        M[:81, 81 * s : 81 * (s + 1)], M[81 * s : 81 * (s + 1), :81] = tile, tile.T
+        block = np.random.default_rng(s).standard_normal((81, 81))
+        M[:81, 81 * s : 81 * (s + 1)], M[81 * s : 81 * (s + 1), :81] = block, block.T
     return M
 
 
 def _random_symmetric_729():
-    """A random symmetric 729 x 729 matrix: every tile is general."""
+    """A random symmetric 729 x 729 matrix."""
     X = np.random.default_rng(729).standard_normal((729, 729))
     return X + X.T
 
@@ -410,21 +412,15 @@ def _kron_sum(factor, n):
     return K
 
 
-def _dense_deviation(M, S):
-    """||M - S||: the larger of the largest row and column abs-sums."""
-    D = np.abs(np.asarray(M, dtype=float) - S)
-    return max(D.sum(axis=0).max(), D.sum(axis=1).max())
-
-
 @pytest.mark.parametrize("n,make", [
     (6, lambda: _powtri_729_with(-0.5, 3, 5)),
-    # diagonal tiles that are not c I and all-zero tiles elsewhere
+    # diagonal blocks that are not c I and all-zero blocks elsewhere
     (6, lambda: np.diag(np.arange(729.0) % 7)),
     (7, lambda: np.diag(np.arange(2187.0) % 7)),
     (5, lambda: np.diag(np.arange(243.0) % 7)),
-    # +I tiles and zero tiles of -0.0
+    # +I blocks and zero blocks of -0.0
     (6, lambda: negated(pow_tricube_laplacian(6)).entries),
-    (6, _two_run_tiles),
+    (6, _two_run_blocks),
     (6, _random_symmetric_729),
     (5, lambda: pow_cube_adjacency(5).entries),
 ], ids=[
@@ -432,25 +428,18 @@ def _dense_deviation(M, S):
     "powtri-oln-729", "two-runs-729", "all-general-random-729", "powcube-untiled-243",
 ])
 def test_kron_column_blocks_match_dense_reference(n, make):
-    # the Kronecker proof of M, declared as powtri's factor, fails on each
-    # of these, and the ||M - S|| it measures instead is the dense M - S's;
-    # the bound dominates the dense residual of every column the route
-    # returns, none of which is an eigenvector of M, so that every residual
-    # counts
+    # each of these differs from powtri's dense Kronecker sum, so declared
+    # as powtri's factor it is refused when made, whatever its kind rule
     M = make()
-    deviation = cubegraphs._kron_deviation(M, _PATH3_LAP, n, None)
-    dense = _dense_deviation(M, _kron_sum(_PATH3_LAP, n))
-    assert deviation == pytest.approx(dense, rel=1e-12)
-    values, vectors, bound = spectra._kron_eig(_PATH3_LAP, n, deviation)
-    V = vectors()
-    residual = np.linalg.norm(M @ V - V * values, axis=0)
-    assert 1e-3 < residual.max() <= bound
+    assert np.any(M != _kron_sum(_PATH3_LAP, n))
+    with pytest.raises(ValueError, match=REFUSED):
+        GraphMatrix("powtri", LAPLACIAN, n, "ternary", M, Structure(KRONECKER, _PATH3_LAP))
 
 
-def _minus_identity_tile_fault(entries, value, dr, ds):
-    """entries with the entry at (dr, ds) of its first -I tile set to value,
-    or with the whole tile set to value * I when dr is None."""
-    r, s = _minus_identity_tile(entries)
+def _minus_identity_block_fault(entries, value, dr, ds):
+    """entries with the entry at (dr, ds) of its first -I block set to
+    value, or with the whole block set to value * I when dr is None."""
+    r, s = _minus_identity_block(entries)
     if dr is None:
         entries[r : r + 81, s : s + 81] = np.diag(np.full(81, value))
     else:
@@ -458,44 +447,42 @@ def _minus_identity_tile_fault(entries, value, dr, ds):
     return entries
 
 
-# twin: the -I tile's entry (or scale) + 1, the integer fault at the same place
+# twin: the -I block's entry (or scale) + 1, the integer fault at the same place
 @pytest.mark.parametrize("value,twin,dr,ds", [
     (np.nan, 0, 7, 7), (np.nan, 1, 3, 5), (np.inf, 0, None, None),
 ], ids=["nan-on-diagonal", "nan-off-diagonal", "inf-scale"])
 def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, twin, dr, ds):
+    # the undeclared route's one-GEMM residual of a -I block with a fault
     M = pow_tricube_laplacian(6).entries
     spec = eig_sym(M)
-    faulty = _minus_identity_tile_fault(M.astype(float), value, dr, ds)
+    faulty = _minus_identity_block_fault(M.astype(float), value, dr, ds)
     with np.errstate(invalid="ignore"):
         residual = spectra._residual_norms(faulty, spec.values, spec.vectors)
     assert not np.isfinite(residual).all()
     # the integer twin, in the int8 entries, is finite and fails the check
-    twinned = _minus_identity_tile_fault(M.copy(), twin, dr, ds)
+    twinned = _minus_identity_block_fault(M.copy(), twin, dr, ds)
     residual = spectra._residual_norms(twinned, spec.values, spec.vectors)
     assert np.isfinite(residual).all() and residual.max() > spectra.RESIDUAL_TOL * spec.scale
 
 
 @pytest.mark.parametrize("case", ["nan-in-scaled-tile", "nan-in-general-tile", "inf-scale"])
 def test_kron_route_non_finite_tile_fails_residual(case):
-    # a GraphMatrix rejects NaN and inf when it is made, so the faults go
-    # through the declared route that eig_sym runs once the entries are
-    # validated, in a float64 copy; their integer twins (+1 at the same
-    # entries) go into the int8 entries, where the bound is finite but fails
+    # the Kronecker proof refuses NaN and inf, in a float64 copy, and their
+    # integer twins (+1 at the same entries), in the int8 entries, when the
+    # matrix is made
+    M = pow_tricube_laplacian(6)
     for dtype in (np.float64, np.int8):
-        entries = pow_tricube_laplacian(6).entries.astype(dtype)
+        entries = M.entries.astype(dtype)
         faulty = dtype == np.float64
-        r, s = _minus_identity_tile(entries)
+        r, s = _minus_identity_block(entries)
         if case == "nan-in-scaled-tile":
             entries[r + 7, s + 7] = entries[s + 7, r + 7] = np.nan if faulty else 0
-        elif case == "nan-in-general-tile":  # tile (0, 0) is general
+        elif case == "nan-in-general-tile":  # in diagonal block (0, 0)
             entries[0, 1] = entries[1, 0] = np.nan if faulty else 0
         else:
-            tile = np.diag(np.full(81, np.inf)) if faulty else np.zeros((81, 81), np.int8)
-            entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = tile
-        with np.errstate(all="ignore"), pytest.raises(ResidualError, match="eigenpair residual"):
-            _proved_eig(entries, KRONECKER, _PATH3_LAP, 6)
-        with pytest.raises(ValueError):
-            GraphMatrix("powtri", LAPLACIAN, 6, "ternary", entries, Structure(KRONECKER, _PATH3_LAP))
+            block = np.diag(np.full(81, np.inf)) if faulty else np.zeros((81, 81), np.int8)
+            entries[r : r + 81, s : s + 81] = entries[s : s + 81, r : r + 81] = block
+        _refused(M, entries)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -516,8 +503,8 @@ def test_kron_route_takes_no_residual_gemm(monkeypatch, n):
     lambda: pow_cube_adjacency(6, "ternary-gray"),
 ], ids=["powcube-2187-kronecker", "powcube-729-gray"])
 def test_eig_sym_reads_no_entry_after_validation(monkeypatch, make):
-    # validation proved M equal to its Kronecker sum and kept ||M - S|| =
-    # 0.0; eig_sym validates nothing again, gathers no natural-order copy
+    # validation proved M equal to its Kronecker sum; eig_sym validates
+    # nothing again, gathers no natural-order copy
     # and solves from the factor alone, so entries zeroed behind the
     # matrix's back change nothing it returns
     M = make()
@@ -533,6 +520,7 @@ def test_eig_sym_reads_no_entry_after_validation(monkeypatch, make):
 
 
 def test_tiled_residual_failure_raises():
+    # the Kronecker route's bound carries rho > 0, so tol = 1e-20 fails
     with pytest.raises(ResidualError):
         eig_sym(pow_cube_adjacency(6), tol=1e-20)
 
@@ -552,15 +540,16 @@ def _nudged_powtri(n, pair, delta):
 
 
 @pytest.mark.parametrize("n,pair", [
-    (6, lambda M: tuple(np.add(_minus_identity_tile(M), (3, 5)))),
+    (6, lambda M: tuple(np.add(_minus_identity_block(M), (3, 5)))),
     (6, lambda M: (0, 1)),
     (4, lambda M: (0, 1)),
 ], ids=["minus-identity-tile-729", "general-tile-729", "untiled-81"])
 def test_kron_route_residual_finds_entries_off_the_factor(n, pair):
-    # 1e-6 in a float64 copy, and its integer twin 1 in the int8 entries
+    # 1e-6 in a float64 copy, and its integer twin 1 in the int8 entries,
+    # are refused when the matrix is made
     for delta in (1e-6, 1):
-        with pytest.raises(ResidualError):
-            eig_sym(_nudged_powtri(n, pair, delta))
+        with pytest.raises(ValueError, match=REFUSED):
+            _nudged_powtri(n, pair, delta)
 
 
 def test_eig_sym_peak_allocation_on_the_kron_route():
@@ -657,15 +646,14 @@ def test_walsh_vectors_are_the_sorted_sylvester_columns():
 def _nudged(M, i, j, delta):
     """M's entries with the symmetric pair (i, j) raised by delta and, for a
     Laplacian, its two diagonal entries lowered by delta (row sums stay
-    zero), declaring M's unchanged structure; a delta that int8 cannot hold
-    goes into a float64 copy."""
+    zero); a delta that int8 cannot hold goes into a float64 copy."""
     E = M.entries.astype(np.result_type(M.entries, delta))
     E[i, j] += delta
     E[j, i] += delta
     if M.kind == LAPLACIAN:
         E[i, i] -= delta
         E[j, j] -= delta
-    return GraphMatrix(M.family, M.kind, M.n, M.ordering, E, M.structure)
+    return E
 
 
 @pytest.mark.parametrize("make,i,j,delta", [
@@ -683,19 +671,26 @@ def _nudged(M, i, j, delta):
 ], ids=["walsh-row-0", "walsh-inner", "low-rank", "low-rank-gray", "walsh-row-0-int8",
         "walsh-inner-int8", "low-rank-int8", "low-rank-gray-int8"])
 def test_structured_route_residual_finds_entries_off_the_structure(make, i, j, delta):
+    # declaring M's unchanged structure: the Walsh proof refuses the nudged
+    # entries when they are made, and the low-rank route's residual fails
     M = make()
     eig_sym(M)
+    E = _nudged(M, i, j, delta)
+    if M.structure.kind == WALSH:
+        _refused(M, E)
+        return
     with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(_nudged(M, i, j, delta))
+        eig_sym(GraphMatrix(M.family, M.kind, M.n, M.ordering, E, M.structure))
 
 
 def test_false_structure_fails_residual():
-    # a shuffled cube is not a function of i ^ j
+    # a false WALSH or KRONECKER declaration is refused when the matrix is
+    # made; one the proof passes, or a LOW_RANK one, fails in eig_sym.  A
+    # shuffled cube is not a function of i ^ j
     P = ncube_adjacency(4, _seeded_permutation(4))
-    with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "binary", P.entries, Structure(WALSH)))
+    _refused(P, P.entries, Structure(WALSH))
     # the Gray map is linear over Z_2, so the gray cube is a function of
-    # i ^ j, but not of popcount(i ^ j)
+    # i ^ j, and passes the proof, but not of popcount(i ^ j)
     G = ncube_adjacency(4, "gray")
     with pytest.raises(ResidualError, match="popcount"):
         eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "binary", G.entries, Structure(WALSH)))
@@ -711,17 +706,12 @@ def test_false_structure_fails_residual():
         eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "gray", G.entries,
                             Structure(WALSH, perm=np.arange(16))))
     T = pow_tricube_laplacian(3, "ternary-gray")
-    with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(GraphMatrix("powtri", LAPLACIAN, 3, "ternary-gray", T.entries,
-                            Structure(KRONECKER, _PATH3_LAP, np.arange(27))))
+    _refused(T, T.entries, Structure(KRONECKER, _PATH3_LAP, np.arange(27)))
     # and a seeded bijection, on each route
-    with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(GraphMatrix("powtri", LAPLACIAN, 3, "ternary-gray", T.entries, Structure(
-            KRONECKER, _PATH3_LAP, np.random.default_rng(3).permutation(27))))
+    _refused(T, T.entries, Structure(
+        KRONECKER, _PATH3_LAP, np.random.default_rng(3).permutation(27)))
     H = hamming_distance_matrix(5, "gray")
-    with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(GraphMatrix("hamming", DISTANCE, 5, "gray", H.entries,
-                            Structure(WALSH, perm=np.random.default_rng(5).permutation(32))))
+    _refused(H, H.entries, Structure(WALSH, perm=np.random.default_rng(5).permutation(32)))
 
 
 def test_walsh_values_must_depend_on_popcount_only():
@@ -763,16 +753,16 @@ def _kron_fault_places(n):
 @pytest.mark.parametrize("n", [2, 4])
 def test_kron_certificate_finds_a_fault_in_every_block_class_at_every_level(make, factor, n):
     # one +1 at one entry, in the int8 entries, so that nothing but the
-    # proof's read of that entry, or its count of the nonzeros, can find it
-    entries = make(n).entries
-    _proved_eig(entries, KRONECKER, factor, n)
+    # proof's read of that entry, or its count of the nonzeros, can find it:
+    # the proof runs before the symmetry test
+    M = make(n)
+    assert M.structure.kind == KRONECKER and np.array_equal(M.structure.data, factor)
     places = _kron_fault_places(n)
     assert len(places) == 15 * (n - 1) + 9
     for i, j in places:
-        faulty = entries.copy()
+        faulty = M.entries.copy()
         faulty[i, j] += 1
-        with pytest.raises(ResidualError, match="eigenpair residual"):
-            _proved_eig(faulty, KRONECKER, factor, n)
+        _refused(M, faulty)
 
 
 @pytest.mark.parametrize("make", [ncube_adjacency, tricube_laplacian, hamming_distance_matrix])
@@ -780,14 +770,13 @@ def test_walsh_certificate_finds_a_fault_at_every_doubling_level(make):
     # one +1 at one entry of rows [h, 2h) for every h, and one in row 0,
     # which every other row is compared with
     n = 6
-    entries = make(n).entries
-    _proved_eig(entries, WALSH, None, n)
+    M = make(n)
+    assert M.structure.kind == WALSH and M.structure.perm is None
     rows = [0] + [h + (h - 1) // 2 for h in (1 << k for k in range(n))]
     for i in rows:
-        faulty = entries.copy()
+        faulty = M.entries.copy()
         faulty[i, (5 * i + 3) % 2**n] += 1
-        with pytest.raises(ResidualError, match="eigenpair residual"):
-            _proved_eig(faulty, WALSH, None, n)
+        _refused(M, faulty)
 
 
 def _neighbours(M, i):
@@ -856,21 +845,16 @@ KRON_FAULTS = [
 @pytest.mark.parametrize("family,n,ordering,place", KRON_FAULTS,
                          ids=[f"{f}-{n}-{o}-{p}" for f, n, o, p in KRON_FAULTS])
 def test_proof_finds_a_symmetric_fault_on_the_kronecker_rows(family, n, ordering, place):
-    # the fault is symmetric and keeps the kind's rule, so that validation
-    # passes it, and only the proof finds it: eig_sym then fails on the
-    # ||M - S|| it measured.  An adjacency's diagonal cannot move without
-    # breaking the hollow rule, which refuses it first.
+    # the fault is symmetric and keeps the kind's rule, so that only the
+    # proof can find it.  An adjacency's diagonal cannot move without
+    # breaking the hollow rule, but the proof, which runs first, refuses it.
     M = build(family, n, ordering)
     if M.kind == ADJACENCY and place == "diagonal":
         E = M.entries.copy()
         E[0, 0] = 1
-        with pytest.raises(ValueError, match="hollow"):
-            GraphMatrix(family, M.kind, n, ordering, E, M.structure)
-        return
-    faulty = GraphMatrix(family, M.kind, n, ordering, _faulted(M, place), M.structure)
-    assert faulty._deviation >= 1.0
-    with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(faulty)
+    else:
+        E = _faulted(M, place)
+    _refused(M, E)
 
 
 @pytest.mark.parametrize("make", [ncube_adjacency, hamming_distance_matrix, tricube_laplacian])
@@ -879,7 +863,7 @@ def test_proof_finds_a_symmetric_fault_at_every_doubling_level(make, ordering):
     # a symmetric +-1 pair in row 0 and in rows [h, 2h) for every h, kept
     # within the kind's rule (a Laplacian's two diagonal entries take the
     # opposite change), in the natural order, where the proof doubles, and
-    # in two relabellings, where it gathers
+    # in two relabellings, where it gathers: each is refused when made
     n = 6
     M = make(n, _seeded_permutation(n) if ordering == "custom" else ordering)
     eig_sym(M)
@@ -892,10 +876,7 @@ def test_proof_finds_a_symmetric_fault_at_every_doubling_level(make, ordering):
         if M.kind == LAPLACIAN:
             E[i, i] -= delta
             E[j, j] -= delta
-        faulty = GraphMatrix(M.family, M.kind, n, M.ordering, E, M.structure)
-        assert faulty._deviation >= 1.0
-        with pytest.raises(ResidualError, match="eigenpair residual"):
-            eig_sym(faulty)
+        _refused(M, E)
 
 
 @pytest.mark.parametrize("make", [
@@ -928,39 +909,55 @@ CERTIFIED_IDS = ["walsh-tricube-7", "walsh-regtricube-6", "kron-powtri-4", "kron
 @pytest.mark.parametrize("make,kind,factor", CERTIFIED, ids=CERTIFIED_IDS)
 @pytest.mark.parametrize("where", ["row-0", "inner"])
 def test_certificates_take_float_nudges_against_tol(make, kind, factor, where):
-    # a symmetric nudge of delta moves ||M - S|| by delta (by 2 delta in
-    # row 0 of a Walsh matrix, whose S moves with it): ten times tol * scale
-    # fails, a hundredth of it passes, and the passing bound covers it
+    # the proof is exact, so no float nudge passes it: ten times tol * scale,
+    # a hundredth of it, and one unit in the last place of the entry are
+    # each refused when the matrix is made
     M = make()
-    entries, n = M.entries.astype(float), M.n
+    assert M.structure.kind == kind and np.array_equal(M.structure.data, factor)
+    entries = M.entries.astype(float)
     i, j = (0, 3) if where == "row-0" else (M.N - 9, M.N - 2)
     limit = spectra.RESIDUAL_TOL * eig_sym(M).scale
-    for delta, fails in ((10 * limit, True), (limit / 100, False)):
+    for delta in (10 * limit, limit / 100, np.spacing(entries[i, j])):
         nudged = entries.copy()
         nudged[i, j] += delta
         nudged[j, i] += delta
-        solve = functools.partial(_proved_eig, nudged, kind, factor, n)
-        if fails:
-            with pytest.raises(ResidualError, match="eigenpair residual"):
-                solve()
-        else:
-            spec = solve()
-            V = spec.vectors
-            assert np.linalg.norm(nudged @ V - V * spec.values, axis=0).max() <= 2 * delta + 1e-12
+        assert np.any(nudged != entries)
+        _refused(M, nudged)
 
 
 @pytest.mark.parametrize("make,kind,factor", CERTIFIED, ids=CERTIFIED_IDS)
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["row-0", "inner", "diagonal"])
 def test_certificates_fail_non_finite_entries(make, kind, factor, value, where):
-    # a GraphMatrix rejects NaN and inf when it is made, so they go into a
-    # float64 copy, through the route eig_sym runs after validation
+    # in a float64 copy, refused by the proof when the matrix is made
     M = make()
+    assert M.structure.kind == kind and np.array_equal(M.structure.data, factor)
     entries = M.entries.astype(float)
     i, j = {"row-0": (0, 1), "inner": (M.N - 4, M.N - 1), "diagonal": (M.N - 2, M.N - 2)}[where]
     entries[i, j] = entries[j, i] = value
-    with np.errstate(all="ignore"), pytest.raises(ResidualError, match="eigenpair residual"):
-        _proved_eig(entries, kind, factor, M.n)
+    _refused(M, entries)
+
+
+@pytest.mark.parametrize("family,n,ordering", [
+    ("tricube", 4, "binary"), ("hamming", 4, "gray"), ("powtri", 3, "ternary"),
+    ("powcube", 3, "ternary-gray"),
+])
+def test_proofs_refuse_a_non_finite_entry_at_every_position(family, n, ordering):
+    # one NaN or infinity at any single entry, in either order of the proof
+    M = build(family, n, ordering)
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in np.ndindex(M.N, M.N):
+            entries = M.entries.astype(float)
+            entries[i, j] = value
+            _refused(M, entries)
+
+
+def test_walsh_proof_refuses_a_consistent_infinity():
+    # every distance-1 pair set to inf is still a function of popcount(i ^
+    # j), hollow and nonnegative, but not finite
+    M = hamming_distance_matrix(4)
+    entries = np.where(M.entries == 1, np.inf, M.entries.astype(float))
+    _refused(M, entries)
 
 
 @pytest.mark.parametrize("make", [
