@@ -79,13 +79,12 @@ def cmd_activation(args) -> int:
 
 def cmd_poisson(args) -> int:
     result = min_energy_search(args.n)
-    energy = result.energy_as_fraction()
-    exact = abs(float(energy) - result.best_energy) <= 1e-12
+    energy = result.best_energy
     payload = {
         "n": result.n,
-        "best_energy_float": result.best_energy,
-        "best_energy_num": energy.numerator if exact else None,
-        "best_energy_den": energy.denominator if exact else None,
+        "best_energy_float": float(energy),
+        "best_energy_num": energy.numerator,
+        "best_energy_den": energy.denominator,
         "patterns": [[i + 1 for i in pattern] for pattern in result.best_patterns],
         "norm_l2": result.norm_l2,
     }

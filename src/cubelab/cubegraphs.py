@@ -169,8 +169,8 @@ class GraphMatrix:
     made through `_adopt`, which skips the copy.  Construction validates
     the entries once and makes them read-only: they must be symmetric
     (within `STRUCTURE_TOL`) and meet the kind's rule, hollow 0/1 for
-    ADJACENCY, hollow and nonnegative for DISTANCE, zero row sums (within
-    1e-9) for LAPLACIAN.
+    ADJACENCY, hollow, finite and nonnegative for DISTANCE, zero row sums
+    (within 1e-9) for LAPLACIAN.
 
     A `structure`, when set, declares how the entries were built, and its
     `perm` must be a bijection on range(N) (ValueError otherwise).  A
@@ -236,8 +236,9 @@ class GraphMatrix:
             if not (all(np.all((p == 0) | (p == 1)) for p in pieces) and np.all(diagonal == 0)):
                 raise ValueError("adjacency matrix must be hollow 0/1")
         elif self.kind == DISTANCE:
-            if np.any(diagonal != 0) or any(np.any(p < 0) for p in pieces):
-                raise ValueError("distance matrix must be hollow and nonnegative")
+            # min and max are NaN when a NaN is read, and fail both tests
+            if np.any(diagonal != 0) or not all(0 <= p.min() and p.max() < np.inf for p in pieces):
+                raise ValueError("distance matrix must be hollow, finite and nonnegative")
         elif self.kind == LAPLACIAN:
             if np.abs(e.sum(axis=1) if sums is None else sums).max() > 1e-9:
                 raise ValueError("laplacian must have zero row sums")

@@ -2,31 +2,27 @@
 
 The Laplacians here come from connected graphs, so the kernel is spanned
 by the constant vector and Lu = f is solvable exactly when f sums to zero.
-Kernel and pseudoinverse come from `spectra.eig_sym` and its kernel rule;
-the balanced-sign-pattern search scans every f with equally many +1 and
--1 entries for the one of least Dirichlet energy.
+The kernel comes from `spectra.eig_sym` and its kernel rule; the
+balanced-sign-pattern search scans every f with equally many +1 and -1
+entries, in exact Walsh arithmetic, for the one of least Dirichlet energy.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .cubegraphs import tricube_laplacian
-from .spectra import KERNEL_TOL, Spectrum, eig_sym, symmetric_entries
+from .spectra import KERNEL_TOL, Spectrum, _fwht, eig_sym, symmetric_entries
 
 
 @dataclass(frozen=True)
 class MinEnergyResult:
     n: int
-    best_energy: float
+    best_energy: Fraction
     best_patterns: tuple
     norm_l2: float
-
-    def energy_as_fraction(self) -> Fraction:
-        """The best energy as the nearest fraction with denominator <= 10^6."""
-        return Fraction(self.best_energy).limit_denominator(10**6)
 
 
 def kernel_basis(L) -> list[np.ndarray]:
@@ -48,43 +44,46 @@ def kernel_from_spectrum(entries: np.ndarray, spec: Spectrum) -> list[np.ndarray
     return [v]
 
 
-def pseudoinverse(L) -> np.ndarray:
-    """Moore-Penrose inverse from `eig_sym` (its routes and residual
-    check), zeroing the eigenvalues `Spectrum.in_kernel` counts as zero."""
-    spec = eig_sym(L)
-    inv = np.divide(1.0, spec.values, out=np.zeros_like(spec.values), where=~spec.in_kernel())
-    return (spec.vectors * inv) @ spec.vectors.T
-
-
 def min_energy_search(n: int) -> MinEnergyResult:
     """Scan all balanced +-1 right-hand sides on the triangulated cube for
-    the minimum Dirichlet energy.
+    the minimum Dirichlet energy (1/2) f^T L^+ f, exactly.
+
+    L = n I - E is proved equal to its WALSH structure when it is built,
+    so the Sylvester Hadamard H (H^2 = N I) diagonalises it with the
+    integer values lambda = H r of its row 0 r (lambda_k = 2 popcount(k)),
+    and the energy of f is the rational sum over k != 0 of (Hf)_k^2 /
+    (2 N lambda_k).  A balanced f has (Hf)_0 = 0, and by Parseval's
+    identity for the Walsh-Hadamard transform its (Hf)_k^2 sum to N^2;
+    so the energy is at least N / (4n) = 2^n / (4n), reached only when
+    Hf lives on k = N - 1, the parity pair.  The exhaustive search is the
+    check of that bound at n <= 4.
 
     Patterns are reported as 0-based index tuples of the +1 entries; the
     winners always come in complement pairs (flipping f's sign leaves the
-    energy unchanged).
+    energy unchanged).  `norm_l2` is ||L^+ f|| for the first of them.
     """
     if n > 4:
         raise ValueError(f"exhaustive search over C(2^{n}, 2^{n - 1}) patterns is too large")
     L = tricube_laplacian(n)
     N = L.N
-    pinv = pseudoinverse(L)
-    best_energy = None
-    best_patterns: list[tuple] = []
-    best_u = None
-    for plus in combinations(range(N), N // 2):
-        f = -np.ones(N)
-        f[list(plus)] = 1.0
-        energy = 0.5 * float(f @ pinv @ f)
-        if best_energy is None or energy < best_energy - 1e-9:
-            best_energy = energy
-            best_patterns = [plus]
-            best_u = pinv @ f
-        elif abs(energy - best_energy) <= 1e-9:
-            best_patterns.append(plus)
+    lam = [int(x) for x in _fwht(L.entries[0].astype(float))[1:]]
+    # each pattern is the bitmask m of its +1 entries, and (Hf)_k =
+    # 4 popcount(m & even_k) - N, where even_k masks the j with
+    # popcount(k & j) even; the energies are integer numerators over the
+    # common denominator 2 N lcm(lambda), summed one k at a time, so that
+    # no pattern is ever formed as a row of N entries; the 2^N candidate
+    # masks (N <= 16) are made as uint32, half the bytes of int64
+    evens = [sum(1 << j for j in range(N) if (k & j).bit_count() % 2 == 0) for k in range(1, N)]
+    masks = np.flatnonzero(np.bitwise_count(np.arange(1 << N, dtype=np.uint32)) == N // 2)
+    lcm = math.lcm(*lam)
+    num = np.zeros(masks.size, dtype=np.int64)
+    for even, x in zip(evens, lam):
+        num += lcm // x * (4 * np.bitwise_count(masks & even).astype(np.int64) - N) ** 2
+    winners = masks[num == num.min()].tolist()
+    hf = [4 * (winners[0] & even).bit_count() - N for even in evens]
     return MinEnergyResult(
         n=n,
-        best_energy=float(best_energy),
-        best_patterns=tuple(sorted(best_patterns)),
-        norm_l2=float(np.linalg.norm(best_u)),
+        best_energy=Fraction(int(num.min()), 2 * N * lcm),
+        best_patterns=tuple(sorted(tuple(i for i in range(N) if m >> i & 1) for m in winners)),
+        norm_l2=math.sqrt(sum(Fraction(h * h, x * x) for h, x in zip(hf, lam)) / N),
     )

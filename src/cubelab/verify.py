@@ -367,9 +367,8 @@ def _check_euler(ns):
 
 def _check_poisson():
     result = min_energy_search(3)
-    err = abs(result.best_energy - 2.0 / 3.0)
-    ok = err <= 1e-10
-    ok = ok and result.energy_as_fraction() == Fraction(2, 3)
+    err = abs(result.best_energy - Fraction(2, 3))
+    ok = result.best_energy == Fraction(2, 3)
     ok = ok and result.best_patterns == ((0, 3, 5, 6), (1, 2, 4, 7))
     yield _entry(
         "poisson", 3, ok, err,

@@ -6,7 +6,7 @@ import pytest
 
 from cubelab import cli, cubegraphs, oeisclient
 from cubelab.cli import main
-from cubelab.cubegraphs import DISTANCE, GraphMatrix
+from cubelab.cubegraphs import LAPLACIAN, GraphMatrix
 
 
 def test_build_tricube_csv(tmp_path):
@@ -98,11 +98,13 @@ def test_spectrum_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, 
 
 
 def test_spectrum_non_finite_exits_cleanly(tmp_path, monkeypatch, capsys):
-    def infinite_distance(family, n, ordering):
-        entries = np.array([[0.0, np.inf], [np.inf, 0.0]])
-        return GraphMatrix(family, DISTANCE, n, "binary", entries)
+    # finite entries whose eigenvalue 2e308 overflows to inf (a matrix with
+    # an infinite entry is refused when it is made)
+    def overflowing_laplacian(family, n, ordering):
+        entries = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        return GraphMatrix(family, LAPLACIAN, n, "binary", entries)
 
-    monkeypatch.setattr(cli, "build", infinite_distance)
+    monkeypatch.setattr(cli, "build", overflowing_laplacian)
     out = tmp_path / "spec.csv"
     with np.errstate(all="ignore"):
         rc = main(["spectrum", "--family", "hamming", "--n", "1", "--out", str(out)])

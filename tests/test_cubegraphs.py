@@ -257,6 +257,24 @@ def test_tiled_validation_accepts(make, n):
     GraphMatrix("test", kind, n, "ternary", entries)
 
 
+def _powhamming_3_with_inf():
+    M = pow_hamming_matrix(3)
+    entries = np.where(M.entries == 3, np.inf, M.entries.astype(float))
+    return GraphMatrix(M.family, M.kind, M.n, M.ordering, entries, M.structure)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: GraphMatrix("x", DISTANCE, 1, "custom", [[0, np.inf], [np.inf, 0]]), "finite"),
+    (_powhamming_3_with_inf, "finite"),
+    (lambda: GraphMatrix("x", DISTANCE, 1, "custom", [[0, np.nan], [np.nan, 0]]), "symmetric"),
+], ids=["undeclared-inf", "low-rank-powhamming-inf", "undeclared-nan"])
+def test_distance_refuses_a_non_finite_entry(make, message):
+    # the slab walk's distance rule is hollow, finite and nonnegative; a NaN
+    # off the diagonal already fails the symmetry test
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("family,n,ordering", [
     ("powcube", 7, "ternary"), ("powtri", 7, "ternary"), ("powcube", 6, "ternary-gray"),
     ("powhamming", 6, "ternary"), ("powhamming", 6, "ternary-gray"),

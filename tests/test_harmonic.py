@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cubelab.cubegraphs import pow_tricube_laplacian, tricube_laplacian
-from cubelab.harmonic import kernel_basis, min_energy_search, pseudoinverse
+from cubelab.harmonic import kernel_basis, min_energy_search
 from cubelab.meshcotan import dirichlet_energy
 from cubelab.spectra import eig_identity_check
 
@@ -39,12 +39,8 @@ def test_kernel_basis_solves_a_declared_factor(eigh_sizes):
     assert np.allclose(v, np.ones(27) / np.sqrt(27.0), atol=1e-10)
 
 
-@pytest.mark.parametrize("solve", [
-    pseudoinverse,
-    lambda L: eig_identity_check(L, np.eye(27)[:, :26]),
-], ids=["pseudoinverse", "eig_identity_check"])
-def test_pseudoinverse_and_identity_solve_a_declared_factor(eigh_sizes, solve):
-    solve(pow_tricube_laplacian(3))
+def test_eig_identity_check_solves_a_declared_factor(eigh_sizes):
+    eig_identity_check(pow_tricube_laplacian(3), np.eye(27)[:, :26])
     assert eigh_sizes == [3]
 
 
@@ -55,10 +51,10 @@ def test_kernel_rejects_disconnected():
 
 
 def test_energy_agrees_between_routes():
-    """The search's shortcut f^T L^+ f / 2 vs the Dirichlet energy of the
-    solution u = L^+ f."""
+    """The energy f^T L^+ f / 2 vs the Dirichlet energy of the solution
+    u = L^+ f, with numpy's pseudoinverse."""
     L = tricube_laplacian(3)
-    pinv = pseudoinverse(L)
+    pinv = np.linalg.pinv(L.entries.astype(float))
     for plus in combinations(range(8), 4):
         f = -np.ones(8)
         f[list(plus)] = 1.0
@@ -69,23 +65,22 @@ def test_energy_agrees_between_routes():
 def test_min_energy_search_1():
     # L = [[1,-1],[-1,1]], f = (1,-1): u = f/2, energy = u.L.u/2 = 1/2
     result = min_energy_search(1)
-    assert result.best_energy == pytest.approx(0.5, abs=1e-12)
+    assert result.best_energy == Fraction(1, 2)
     assert result.best_patterns == ((0,), (1,))
-    u = pseudoinverse(tricube_laplacian(1)) @ np.array([1.0, -1.0])
+    u = np.linalg.pinv(tricube_laplacian(1).entries.astype(float)) @ np.array([1.0, -1.0])
     assert np.allclose(u, [0.5, -0.5], atol=1e-12)
 
 
 def test_min_energy_search_2():
     # parity f is the eigenvalue-4 eigenvector: energy = (1/2)*4/4 = 1/2
     result = min_energy_search(2)
-    assert result.best_energy == pytest.approx(0.5, abs=1e-12)
+    assert result.best_energy == Fraction(1, 2)
     assert result.best_patterns == ((0, 3), (1, 2))
 
 
 def test_min_energy_search_3():
     result = min_energy_search(3)
-    assert result.best_energy == pytest.approx(2.0 / 3.0, abs=1e-10)
-    assert result.energy_as_fraction() == Fraction(2, 3)
+    assert result.best_energy == Fraction(2, 3)
     assert result.best_patterns == ((0, 3, 5, 6), (1, 2, 4, 7))
     assert result.norm_l2 == pytest.approx(np.sqrt(2.0) / 3.0, abs=1e-10)
 
@@ -101,7 +96,7 @@ def test_min_energy_patterns_closed_under_complement():
 
 def test_min_energy_search_all_energies_positive():
     L = tricube_laplacian(3)
-    pinv = pseudoinverse(L)
+    pinv = np.linalg.pinv(L.entries.astype(float))
     energies = []
     for plus in combinations(range(8), 4):
         f = -np.ones(8)
@@ -112,6 +107,34 @@ def test_min_energy_search_all_energies_positive():
     # the parity patterns are strictly minimal
     second = sorted(set(round(e, 9) for e in energies))[1]
     assert second > 2.0 / 3.0 + 1e-9
+
+
+def _dense_search(n):
+    """The balanced patterns of least energy by a dense float search: f^T
+    L^+ f / 2 for every pattern, with numpy's pseudoinverse, and ties
+    within 1e-9."""
+    L = tricube_laplacian(n)
+    pinv = np.linalg.pinv(L.entries.astype(float))
+    energies = {}
+    for plus in combinations(range(L.N), L.N // 2):
+        f = -np.ones(L.N)
+        f[list(plus)] = 1.0
+        energies[plus] = 0.5 * float(f @ pinv @ f)
+    least = min(energies.values())
+    return tuple(sorted(p for p, e in energies.items() if e <= least + 1e-9))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_min_energy_search_closed_form(n):
+    # by Parseval the least energy is 2^n / (4n), at the parity pair only,
+    # and ||L^+ f|| = sqrt(2^n) / (2n) there
+    result = min_energy_search(n)
+    assert result.best_energy == Fraction(2**n, 4 * n)
+    parity = tuple(j for j in range(2**n) if j.bit_count() % 2 == 0)
+    odd = tuple(j for j in range(2**n) if j.bit_count() % 2 == 1)
+    assert result.best_patterns == tuple(sorted([parity, odd]))
+    assert result.norm_l2 == pytest.approx(np.sqrt(2.0**n) / (2 * n), rel=1e-15, abs=0)
+    assert result.best_patterns == _dense_search(n)
 
 
 def test_min_energy_search_too_large():

@@ -30,7 +30,6 @@ from cubelab.cubegraphs import (
     regular_tricube_adjacency,
     tricube_laplacian,
 )
-from cubelab.harmonic import pseudoinverse
 from cubelab.meshcotan import dirichlet_energy
 from cubelab.spectra import (
     CLUSTER_TOL,
@@ -519,7 +518,7 @@ def test_eig_sym_reads_no_entry_after_validation(monkeypatch, make):
     assert spec.vectors.tobytes() == expected.vectors.tobytes()
 
 
-def test_tiled_residual_failure_raises():
+def test_kron_route_residual_failure_raises():
     # the Kronecker route's bound carries rho > 0, so tol = 1e-20 fails
     with pytest.raises(ResidualError):
         eig_sym(pow_cube_adjacency(6), tol=1e-20)
@@ -1367,23 +1366,23 @@ def test_eig_identity_beyond_float_range():
 
 def test_asymmetric_input_is_rejected():
     # a directed 3-cycle: its lower triangle alone looks like a Ramanujan graph,
-    # and its "Laplacian" agrees with the identity and gets a pseudoinverse
-    # and a Dirichlet energy
+    # and its "Laplacian" agrees with the identity, gets eigenpairs and a
+    # Dirichlet energy
     cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     L = np.eye(3) - cycle
     with pytest.raises(ValueError, match="not symmetric"):
         ramanujan_check(cycle)
     with pytest.raises(ValueError, match="not symmetric"):
-        eig_identity_check(L, np.eye(3)[:, :2])
+        eig_sym(L)
     with pytest.raises(ValueError, match="not symmetric"):
-        pseudoinverse(L)
+        eig_identity_check(L, np.eye(3)[:, :2])
     with pytest.raises(ValueError, match="not symmetric"):
         dirichlet_energy(L, [1.0, 0.0, -1.0])
 
 
 @pytest.mark.parametrize("M", [np.arange(3.0), np.zeros((2, 3))], ids=["1-d", "2x3"])
 def test_raw_arrays_must_be_square_and_2d(M):
-    for call in (eig_sym, pseudoinverse, ramanujan_check, lambda A: dirichlet_energy(A, np.zeros(3))):
+    for call in (eig_sym, ramanujan_check, lambda A: dirichlet_energy(A, np.zeros(3))):
         with pytest.raises(ValueError, match="square"):
             call(M)
 
