@@ -1,7 +1,7 @@
 """Symmetric eigensolving, multiplicity clustering, and spectrum checks.
 
-`eig_sym` is the one full eigendecomposition; only `verify`'s reference
-spectra call LAPACK's eigh/eigvalsh themselves.  `symmetric_entries` is
+`eig_sym` is the one full eigendecomposition and the one caller of
+LAPACK's eigh/eigvalsh.  `symmetric_entries` is
 the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
 `GraphMatrix` was tested when built.  `eig_sym` has four routes, chosen by
 the `structure` that `cubegraphs.build` declared.  A `GraphMatrix` that
@@ -439,35 +439,6 @@ def centro_deviation(entries: np.ndarray) -> float:
         np.abs(np.subtract(mirrored[i : i + _BLOCK], entries[i : i + _BLOCK], dtype=float)).max()
         for i in range(0, entries.shape[0], _BLOCK)
     ]))
-
-
-def _centro_blocks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minus and plus blocks of K M K^T for a bisymmetric M, by slicing,
-    in float64 whatever M's dtype.
-
-    K = (1/sqrt(2)) [[I, -J], [I, J]], with a sqrt(2) centre row inserted
-    for odd N, is never formed.  The minus block carries the eigenvalues of
-    the antisymmetric eigenvectors (J x = -x), the plus block those of the
-    symmetric ones.  The off-diagonal blocks of K M K^T are dropped; each of
-    their entries is half the sum of two entries of M - J M J, so a caller
-    bounds them by `centro_deviation` first.  With m = N // 2, A the
-    top-left m x m block and B J the top-right block with its columns
-    reversed, the minus block is A - B J and the plus block A + B J; for
-    odd N the plus block is bordered in front by the centre entry and
-    sqrt(2) times the centre column.
-    """
-    N = entries.shape[0]
-    m = N // 2
-    A = entries[:m, :m]
-    BJ = entries[:m, N - m :][:, ::-1]
-    minus = np.subtract(A, BJ, dtype=float)
-    if N % 2 == 0:
-        return minus, np.add(A, BJ, dtype=float)
-    plus = np.empty((m + 1, m + 1))
-    plus[0, 0] = entries[m, m]
-    plus[1:, 0] = plus[0, 1:] = math.sqrt(2.0) * entries[:m, m]
-    np.add(A, BJ, out=plus[1:, 1:], dtype=float)
-    return minus, plus
 
 
 def ramanujan_check(adj) -> RamanujanResult:

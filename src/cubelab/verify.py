@@ -7,11 +7,13 @@ cube at n = 3, so known ambiguities never break CI.  Reports are
 deterministic: fixed RNG seeds, no timestamps, sorted JSON keys.
 
 `CLAIMS` maps each claim id, in report order, to its check and its
-default dimensions; `run_verification` restricts those to the requested
-n once and hands each check its list of n.  The `sequences` claim checks
-every `sequences.SEQUENCES` row that names an OEIS entry against that
-entry's bundled b-file.  The spectral claims compare the ascending
-eigenvalues with an exact {value: multiplicity} oracle.
+default dimensions; `run_verification` keeps those that lie in the
+requested n, each once, and hands each check its list of n.  The
+`sequences` claim checks every `sequences.SEQUENCES` row that names an
+OEIS entry against that entry's bundled b-file.  The spectral claims
+compare the ascending eigenvalues with an exact {value: multiplicity}
+oracle; `properties-L` compares them split by the J-parity of the
+eigenvectors that `eig_sym` returns, so no check calls LAPACK itself.
 """
 
 import itertools
@@ -39,14 +41,7 @@ from .cubegraphs import (
 from .harmonic import kernel_from_spectrum, min_energy_search
 from .meshcotan import BOTH, EVEN, ODD, build_cube_cotan_geometric
 from .predicates import caf, n_related, n_shared
-from .spectra import (
-    _centro_blocks,
-    centro_deviation,
-    eig_identity_check,
-    eig_sym,
-    ramanujan_check,
-    spectral_stats,
-)
+from .spectra import centro_deviation, eig_identity_check, eig_sym, ramanujan_check, spectral_stats
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -167,11 +162,22 @@ def _check_theorem5(ns):
         yield _entry("theorem5", n, ok, err, "sqrt(2) lattice with trinomial multiplicities")
 
 
+def _powtri_parity_spectra(n: int) -> tuple[Counter, Counter]:
+    """The independent oracle of powtri: every sum over {0,1,3}^n,
+    enumerated, as exact {value: multiplicity} multisets split by the
+    parity of the number of 1-digits, (even, odd): the values of the
+    J-symmetric and of the J-antisymmetric eigenvectors."""
+    split = (Counter(), Counter())
+    for digits in itertools.product((0, 1, 3), repeat=n):
+        split[digits.count(1) % 2][sum(digits)] += 1
+    return split
+
+
 def _check_theorem6(ns):
     for n in ns:
         spec = eig_sym(pow_tricube_laplacian(n))
-        # the independent oracle: every sum over {0,1,3}^n, enumerated
-        counts = Counter(map(sum, itertools.product((0, 1, 3), repeat=n)))
+        plus, minus = _powtri_parity_spectra(n)
+        counts = plus + minus
         err = float(_deviation(spec.values, counts).max())
         present = all(k in counts for k in range(3 * n + 1) if k != 3 * n - 1)
         absent = 3 * n - 1 not in counts
@@ -199,9 +205,17 @@ def _check_theorem7(ns):
         yield _entry("theorem7", n, ok, err, "distance matrix identical under both encodings")
 
 
-def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> tuple[float, bool]:
+def _laplacian_structure_err(gm, radius, eigengap, spectral_gap, split) -> tuple[float, bool]:
     """(err, bisymmetric); a matrix off bisymmetry is not solved, and its
-    err is its `centro_deviation`."""
+    err is its `centro_deviation`.
+
+    A bisymmetric matrix splits by J, the index reversal: its eigenbasis
+    can be taken J-symmetric (J v = v) or J-antisymmetric (J v = -v) column
+    by column (Cantoni & Butler 1976).  Each returned column v takes e = -1
+    where v^T J v < 0, else +1; err takes max |J v - e v|, and the values
+    of the e = +1 and e = -1 columns are compared with the exact multisets
+    of `split`, (plus, minus).
+    """
     entries = gm.entries
     err = centro_deviation(entries)
     if err > STRUCTURE_TOL:
@@ -213,36 +227,44 @@ def _laplacian_structure_err(gm, radius, eigengap, spectral_gap) -> tuple[float,
         err = max(err, abs(stats.eigengap - eigengap))
     if spectral_gap is not None:
         err = max(err, abs(stats.spectral_gap - spectral_gap))
-    blocks = _centro_blocks(entries)
-    block_values = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
-    # the blocks are checked against the full matrix's own eigvalsh, a
-    # reference that no eig_sym route computes
-    full_values = np.linalg.eigvalsh(entries)
-    err = max(err, float(np.abs(block_values - full_values).max()))
+    V = spec.vectors
+    JV = V[::-1]
+    odd = np.einsum("ij,ij->j", V, JV) < 0
+    err = max(err, float(np.abs(JV - np.where(odd, -V, V)).max()))
+    plus, minus = split
+    dev = np.concatenate([_deviation(spec.values[~odd], plus), _deviation(spec.values[odd], minus)])
     kernel_from_spectrum(entries, spec)
-    return err, True
+    return max(err, float(dev.max())), True
 
 
 def _check_properties_l(ns):
     for n in ns:
         L = tricube_laplacian(n)
-        err, ok = _laplacian_structure_err(L, radius=2.0 * n, eigengap=2.0, spectral_gap=2.0)
+        binomial = [{2 * k: math.comb(n, k) for k in range(p, n + 1, 2)} for p in (0, 1)]
+        err, ok = _laplacian_structure_err(L, radius=2.0 * n, eigengap=2.0, spectral_gap=2.0,
+                                           split=binomial)
         err = max(err, float(np.abs(L.entries.sum(axis=1)).max()))
-        details = "tricube: bisymmetric, trace n*2^n exactly, radius 2n, eigengap 2, blocks"
+        details = (
+            "tricube: bisymmetric, trace n*2^n exactly, radius 2n, eigengap 2, "
+            "J-parity split: 2k x C(n,k) by the parity of k"
+        )
         ok = ok and float(np.trace(L.entries)) == n * 2**n
         if n <= 5:
             P = pow_tricube_laplacian(n)
             perr, p_ok = _laplacian_structure_err(
-                P, radius=3.0 * n, eigengap=1.0 if n >= 2 else None, spectral_gap=2.0
+                P, radius=3.0 * n, eigengap=1.0 if n >= 2 else None, spectral_gap=2.0,
+                split=_powtri_parity_spectra(n),
             )
             diag = np.diag(P.entries)
             perr = max(perr, abs(diag.min() - n), abs(diag.max() - 2 * n))
             err = max(err, perr)
             # reversing the ternary index maps x to -x, so the odd order 3^n
-            # leaves exactly one fixed vertex, the origin, at the centre
-            # index; it borders the plus block
+            # leaves exactly one fixed vertex, the origin, at the centre index
             ok = ok and p_ok and P.N % 2 == 1 and not any(ternary_vertex(n, P.N // 2).coords)
-            details += "; powtri: radius 3n, spectral gap 2, diagonal n..2n, origin at centre"
+            details += (
+                "; powtri: radius 3n, spectral gap 2, diagonal n..2n, origin at centre, "
+                "J-parity split by the parity of the count of 1-digits"
+            )
         yield _entry("properties-L", n, ok and err <= 1e-9, err, details)
 
 
@@ -442,7 +464,9 @@ def run_verification(claims=None, n_range=None) -> VerificationReport:
     """Run the requested claims (all by default) and collect a report.
 
     A claim with default dimensions checks those of them in `n_range`
-    (all of them when it is None); a claim without n ignores `n_range`.
+    (all of them when it is None), in the default's order: `n_range` is
+    asked only `n in n_range`, so its width costs nothing.  A claim
+    without n ignores `n_range`.
     """
     if claims is None:
         claims = CLAIMS
@@ -452,8 +476,7 @@ def run_verification(claims=None, n_range=None) -> VerificationReport:
             raise ValueError(f"unknown claim id {claim!r}")
         check, default = CLAIMS[claim]
         if default is not None:
-            ns = list(default) if n_range is None else [n for n in n_range if n in default]
-            entries.extend(check(ns))
+            entries.extend(check([n for n in default if n_range is None or n in n_range]))
         else:
             entries.extend(check())
     return VerificationReport(entries=tuple(entries))

@@ -58,7 +58,7 @@ CRITERIA = {
     10: ("linear p=1, saturation, oracle + invariance at n<=3", None, {"caf": ((None,), 0.0)}),
     11: ("circuits for n=3 (24 edges), n=4 (80); none for n=5,6", None,
          {"euler": (range(3, 7), 0.0)}),
-    12: ("bisymmetry, traces, radii, gaps, block-diag, identity", None,
+    12: ("bisymmetry, traces, radii, gaps, J-parity split, identity", None,
          {"properties-L": (range(1, 7), 1e-9), "properties-D": (range(2, 9), 0.0),
           "identity": (range(2, 4), 1e-6)}),
     13: ("generators match offline fixtures; fine structure at pi", None,

@@ -279,7 +279,7 @@ def test_distance_refuses_a_non_finite_entry(make, message):
     ("powcube", 7, "ternary"), ("powtri", 7, "ternary"), ("powcube", 6, "ternary-gray"),
     ("powhamming", 6, "ternary"), ("powhamming", 6, "ternary-gray"),
 ])
-def test_tileable_build_never_reads_the_whole_transpose(monkeypatch, family, n, ordering):
+def test_declared_build_never_reads_the_whole_transpose(monkeypatch, family, n, ordering):
     # the factor rows are proved equal to their Kronecker sum, so only the
     # 3 x 3 factor is tested for symmetry; powhamming's low-rank declaration
     # is not proved, and its one symmetry test is the slab walk over the

@@ -450,7 +450,7 @@ def _minus_identity_block_fault(entries, value, dr, ds):
 @pytest.mark.parametrize("value,twin,dr,ds", [
     (np.nan, 0, 7, 7), (np.nan, 1, 3, 5), (np.inf, 0, None, None),
 ], ids=["nan-on-diagonal", "nan-off-diagonal", "inf-scale"])
-def test_tiled_residual_of_a_non_finite_tile_is_not_finite(value, twin, dr, ds):
+def test_residual_of_a_non_finite_block_is_not_finite(value, twin, dr, ds):
     # the undeclared route's one-GEMM residual of a -I block with a fault
     M = pow_tricube_laplacian(6).entries
     spec = eig_sym(M)
@@ -1240,84 +1240,11 @@ def test_spectral_stats():
     assert stats.eigengap is None and stats.spectral_gap is None
 
 
-def test_centro_blocks_gray_tricube_2():
-    minus, plus = spectra._centro_blocks(tricube_laplacian(2, "gray").entries)
-    assert np.allclose(np.linalg.eigvalsh(minus), [2, 4], atol=1e-12)
-    assert np.allclose(np.linalg.eigvalsh(plus), [0, 2], atol=1e-12)
-
-
-def test_centro_blocks_odd_dimension():
-    minus, plus = spectra._centro_blocks(pow_tricube_laplacian(1).entries)
-    assert np.allclose(np.linalg.eigvalsh(minus), [1.0], atol=1e-12)
-    assert np.allclose(np.linalg.eigvalsh(plus), [0.0, 3.0], atol=1e-12)
-
-
-@pytest.mark.parametrize("make,n", [(tricube_laplacian, 4), (pow_tricube_laplacian, 3)])
-def test_centro_blocks_preserve_spectrum(make, n):
-    M = make(n)
-    minus, plus = spectra._centro_blocks(M.entries)
-    combined = np.sort(np.concatenate([np.linalg.eigvalsh(minus), np.linalg.eigvalsh(plus)]))
-    assert np.allclose(combined, np.linalg.eigvalsh(M.entries), atol=1e-9)
-    assert plus.shape[0] == (M.N + 1) // 2
-    assert minus.shape[0] == M.N // 2
-    # the blocks are float64 and exact: the int8 sums of M's entries would
-    # be the same numbers, as the float64 copy's blocks are
-    for block, copy in zip((minus, plus), spectra._centro_blocks(M.entries.astype(float))):
-        assert block.dtype == np.float64 and np.array_equal(block, copy)
-
-
 def test_int8_centro_does_not_wrap():
-    # 100 - (-100) wraps to -56 in int8 arithmetic, and -100 + (-100) to 56;
-    # both are taken in float64, as for the float64 copy
+    # 100 - (-100) wraps to -56 in int8 arithmetic; it is taken in float64,
+    # as for the float64 copy
     M = np.array([[1, -100], [100, 1]], dtype=np.int8)
     assert centro_deviation(M) == centro_deviation(M.astype(float)) == 200.0
-    B = np.array([[-100, 0, -100], [0, 1, 0], [-100, 0, -100]], dtype=np.int8)
-    for block, copy in zip(spectra._centro_blocks(B), spectra._centro_blocks(B.astype(float))):
-        assert np.array_equal(block, copy)
-    assert spectra._centro_blocks(B)[1][1, 1] == -200.0
-
-
-def _dense_k(N):
-    """K = [[I, -J], [I, J]] / sqrt(2), with a sqrt(2) centre row for odd N."""
-    m = N // 2
-    J = np.fliplr(np.eye(m))
-    K = np.zeros((N, N))
-    if N % 2 == 0:
-        K[:m, :m] = np.eye(m); K[:m, m:] = -J
-        K[m:, :m] = np.eye(m); K[m:, m:] = J
-    else:
-        K[:m, :m] = np.eye(m); K[:m, m + 1:] = -J
-        K[m, m] = SQRT2
-        K[m + 1:, :m] = np.eye(m); K[m + 1:, m + 1:] = J
-    return K / SQRT2
-
-
-def test_centro_k_is_orthogonal():
-    for N in (4, 9):
-        K = _dense_k(N)
-        assert np.abs(K @ K.T - np.eye(N)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("N", [4, 7, 8, 9])
-def test_centro_slices_match_dense_similarity(N):
-    # a bisymmetric matrix nudged by 5e-11 off centrosymmetry, still accepted
-    rng = np.random.default_rng(N)
-    X = rng.standard_normal((N, N))
-    M = X + X.T
-    M = M + M[::-1, ::-1]
-    M[0, 1] += 5e-11
-    M[1, 0] += 5e-11
-    K = _dense_k(N)
-    O = K @ M @ K.T
-    m = N // 2
-    minus, plus = spectra._centro_blocks(M)
-    # each off-diagonal entry of K M K^T is half the sum of two entries of
-    # M - J M J (the centre row and column at most 1/sqrt(2) of one), so
-    # the deviation that the split accepts bounds them
-    dense_offdiag = max(np.abs(O[:m, m:]).max(), np.abs(O[m:, :m]).max())
-    assert 1e-11 <= dense_offdiag <= centro_deviation(M) <= cubegraphs.STRUCTURE_TOL
-    assert np.abs(minus - O[:m, :m]).max() <= 1e-10
-    assert np.abs(plus - O[m:, m:]).max() <= 1e-10
 
 
 def test_ramanujan_results():

@@ -1,5 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +45,28 @@ def test_n_range_restriction():
     # out-of-domain requests are dropped rather than widened
     report = run_verification(claims=["theorem1"], n_range=range(1, 4))
     assert [e["n"] for e in report.entries] == [3]
+
+
+def test_n_range_repeats_no_n():
+    report = run_verification(["theorem2"], [3, 3, 4])
+    assert [e["n"] for e in report.entries] == [3, 4]
+
+
+class _MembershipOnly:
+    """A selection that answers `n in` it but cannot be walked."""
+
+    def __contains__(self, n):
+        return n in (3, 4)
+
+    def __iter__(self):
+        raise AssertionError("the selection was walked")
+
+
+def test_n_range_is_asked_membership_only():
+    report = run_verification(["theorem2", "theorem4", "euler"], _MembershipOnly())
+    assert [(e["claim"], e["n"]) for e in report.entries] == [
+        ("theorem2", 3), ("theorem2", 4), ("theorem4", None), ("euler", 3), ("euler", 4),
+    ]
 
 
 def test_report_json_round_trip(tmp_path):
@@ -184,3 +212,100 @@ def test_properties_l_solves_each_matrix_once(monkeypatch):
     assert [e["status"] for e in entries] == ["pass"] * 6
     # tricube n = 1..6 and powtri n = 1..5, one solve each
     assert sorted(orders) == sorted([2**n for n in range(1, 7)] + [3**n for n in range(1, 6)])
+
+
+def _changed_basis(monkeypatch, N, change):
+    """verify.eig_sym, with `change(values, vectors)` applied to a copy of
+    the eigenvectors of the order-N matrix; the changed spectra are
+    appended to the returned list."""
+    changed = []
+
+    def changing(M, *args, **kwargs):
+        spec = eig_sym(M, *args, **kwargs)
+        if M.N != N:
+            return spec
+        vectors = spec.vectors.copy()
+        change(spec.values, vectors)
+        changed.append(Spectrum(spec.values, vectors))
+        return changed[-1]
+
+    monkeypatch.setattr(verify, "eig_sym", changing)
+    return changed
+
+
+def test_properties_l_fails_on_values_of_the_other_j_parity(monkeypatch):
+    # tricube n = 3: Walsh column k has value 2 popcount(k) and J-parity
+    # (-1)^popcount(k).  A lambda = 2 column (odd) swapped with a lambda = 4
+    # column (even) leaves every column exactly J-(anti)symmetric, but puts
+    # a 2 among the even values and a 4 among the odd ones
+    def swap(values, vectors):
+        i, j = np.flatnonzero(values == 2)[0], np.flatnonzero(values == 4)[0]
+        vectors[:, [i, j]] = vectors[:, [j, i]]
+
+    _changed_basis(monkeypatch, 8, swap)
+    (entry,) = run_verification(["properties-L"], [3]).entries
+    assert (entry["status"], entry["max_abs_err"]) == ("fail", 2.0)
+
+
+@pytest.mark.parametrize("degrees", [45, 30])
+def test_properties_l_fails_on_an_eigenbasis_of_mixed_j_parity(monkeypatch, degrees):
+    # powtri n = 3's eigenvalue 3 has even vectors, the digit patterns
+    # (0,0,3) and their permutations, and one odd, (1,1,1).  One even and
+    # one odd column turned by an angle still span the eigenspace, but
+    # neither is J-symmetric or J-antisymmetric.  At 45 degrees both have
+    # v^T J v = 0 to rounding and fall on one side of the split; at 30
+    # they keep their sides, and only max |J v - e v| is off
+    def rotate(values, vectors):
+        three = np.flatnonzero(np.abs(values - 3.0) <= 1e-9)
+        parity = np.einsum("ij,ij->j", vectors[:, three], vectors[::-1, three])
+        i, j = three[parity > 0][0], three[parity < 0][0]
+        a, b = vectors[:, i].copy(), vectors[:, j].copy()
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        vectors[:, i], vectors[:, j] = c * a + s * b, c * b - s * a
+
+    changed = _changed_basis(monkeypatch, 27, rotate)
+    (entry,) = run_verification(["properties-L"], [3]).entries
+    assert entry["status"] == "fail" and entry["max_abs_err"] > 0.1
+    (spec,) = changed
+    P = cubegraphs.pow_tricube_laplacian(3).entries
+    assert np.abs(P @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(27)).max() <= 1e-12
+
+
+def _not_dynamic_openblas():
+    """Why OPENBLAS_CORETYPE cannot select the BLAS kernels here, or None:
+    it acts only on an OpenBLAS built with DYNAMIC_ARCH."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    config = blas.get("openblas configuration", "")
+    if "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in config:
+        return None
+    return f"numpy's BLAS is {blas.get('name')!r} ({config!r}), not a DYNAMIC_ARCH OpenBLAS"
+
+
+_NO_KERNEL_CHOICE = _not_dynamic_openblas()
+
+
+@pytest.mark.skipif(_NO_KERNEL_CHOICE is not None, reason=str(_NO_KERNEL_CHOICE))
+def test_properties_l_report_is_the_same_on_every_blas_kernel():
+    # properties-L reads the split from eig_sym's eigenbasis, so no LAPACK
+    # solve of the full matrix can move its bytes (other claims still do)
+    script = (
+        "import sys; from cubelab.verify import run_verification; "
+        "sys.stdout.write(run_verification(claims=['properties-L']).to_json())"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    digests = set()
+    for coretype in (None, "Haswell", "Prescott"):
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env["OPENBLAS_NUM_THREADS"] = threads
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, check=True,
+                timeout=120,
+            ).stdout
+            assert json.loads(out)["summary"] == {"pass": 6, "fail": 0, "discrepancy-noted": 0}
+            digests.add(hashlib.sha256(out).hexdigest())
+    assert len(digests) == 1
