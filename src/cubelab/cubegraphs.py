@@ -27,23 +27,23 @@ one of two rules:
 `build` also declares the exact structure it built, as
 `GraphMatrix.structure`, for `spectra.eig_sym` to solve from:
 
-- KRONECKER, the 3x3 factor: powcube and powtri, n >= 2;
+- KRONECKER, the 3x3 factor: powcube and powtri;
 - WALSH: the base-2 profile rows (ncube, hamming, tricube, regtricube),
   whose binary-order entry (i, j) is g_n(popcount(i ^ j));
-- LOW_RANK, the N x n address bits A: powhamming with n >= 3, whose
-  distances s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at most n + 1.
+- LOW_RANK, the N x n address bits A: powhamming, whose distances
+  s 1^T + 1 s^T - 2 A A^T (s = A 1) have rank at most n + 1.
 
-An ordering only relabels the graph: outside the natural order, KRONECKER
-and WALSH carry the relabelling as `perm`, and LOW_RANK's bits are given
-per position.  Every other matrix declares none.  `build` stores the
-entries as int8, which holds every family entry exactly (|entry| <= 2n
-<= 16), so a built matrix takes N^2 bytes; its consumers widen them to
-float64 one block at a time.  `build` refuses a matrix whose
-dense float64 form would exceed `MAX_DENSE_BYTES` (up to 2^13 and 3^8
-vertices fit) before it builds anything.  The seven named constructors
-are single `build` calls.  Matrices are dense, which suits desk scale
-(N <= 3^7); the structure pays off instead in validation and in
-`spectra.eig_sym`.
+`build` declares one of them for every row at every n.  An ordering only
+relabels the graph: outside the natural order, KRONECKER and WALSH carry
+the relabelling as `perm`, and LOW_RANK's bits are given per position.
+The mesh builders declare none.  `build` stores the entries as int8,
+which holds every family entry exactly (|entry| <= 2n <= 16), so a built
+matrix takes N^2 bytes; its consumers widen them to float64 one block at
+a time.  `build` refuses a matrix whose dense float64 form would exceed
+`MAX_DENSE_BYTES` (up to 2^13 and 3^8 vertices fit) before it builds
+anything.  The seven named constructors are single `build` calls.
+Matrices are dense, which suits desk scale (N <= 3^7); the structure pays
+off instead in validation and in `spectra.eig_sym`.
 
 A profile row is filled from its row 0, r[j] = g_n(popcount(j)), with no
 N x N temporary: entry (i, j) is r[a_i ^ a_j] for the addresses a.
@@ -69,8 +69,10 @@ the matrix's own ordering and makes no natural-order copy:
 - KRONECKER: S's O(n N) nonzero positions, gathered through `perm`, must
   hold their factor entries, the diagonal the n-fold sums of the factor's
   diagonal, and np.count_nonzero(M) must be S's count (`_kron_proof`);
-- WALSH: in the natural binary order, XOR doubling; in a relabelled order,
-  each chunk of rows against row 0 gathered at a_i ^ a_j (`_walsh_proof`).
+- WALSH: the natural row 0, r, must be a function of popcount alone,
+  r[j] = r[2^popcount(j) - 1]; then, in the natural binary order, XOR
+  doubling, and in a relabelled order, each chunk of rows against r
+  gathered at a_i ^ a_j (`_walsh_proof`).
 
 A declaration that its proof refuses, by any amount or by a NaN or an
 infinity anywhere, raises ValueError.  Once M == S, symmetry and the
@@ -143,14 +145,16 @@ class Structure:
     """The exact structure `build` declares for a matrix's entries.
 
     kind  KRONECKER: `data`, a 3x3 factor, has them as its n-fold
-              `_ternary_product` (N = 3^n, n >= 2);
+              `_ternary_product` (N = 3^n, n >= 1);
           WALSH: entry (i, j) is a function of popcount(i ^ j) alone
               (N = 2^n), and `data` is None;
           LOW_RANK: every column lies in the span of the ones vector and
-              the columns of `data`, the N x n matrix of 0/1 address bits.
+              the columns of `data`, the N x n matrix of 0/1 address bits
+              at M's positions.
     perm  None, or the vertex at each position, an integer bijection on
           range(N); `kind` and `data` then describe the natural-order
-          entries M[np.ix_(inv, inv)], inv = argsort(perm).
+          entries M[np.ix_(inv, inv)], inv = argsort(perm).  A LOW_RANK
+          structure takes none.
     """
 
     kind: str
@@ -173,13 +177,13 @@ class GraphMatrix:
     (within 1e-9) for LAPLACIAN.
 
     A `structure`, when set, declares how the entries were built, and its
-    `perm` must be a bijection on range(N) (ValueError otherwise).  A
-    WALSH or KRONECKER structure S is proved exactly on every entry (see
-    the module docstring), and entries that are not S raise ValueError;
-    once M == S, symmetry and the kind's rule follow from S's row 0 or
-    factor, and `spectra.eig_sym` solves S without reading the entries
-    again.  Entries declaring LOW_RANK or no structure are tested in slabs
-    of `_SLAB` rows.
+    `perm` must be a bijection on range(N), and None for LOW_RANK
+    (ValueError otherwise).  A WALSH or KRONECKER structure S is proved
+    exactly on every entry (see the module docstring), and entries that
+    are not S raise ValueError; once M == S, symmetry and the kind's rule
+    follow from S's row 0 or factor, and `spectra.eig_sym` solves S
+    without reading the entries again.  Entries declaring LOW_RANK or no
+    structure are tested in slabs of `_SLAB` rows.
     """
 
     family: str
@@ -251,14 +255,14 @@ class GraphMatrix:
         kind, data, N = self.structure.kind, self.structure.data, self.N
         if kind == KRONECKER:
             if not (np.shape(data) == (3, 3) and asymmetry(data) <= STRUCTURE_TOL
-                    and self.n >= 2 and N == 3**self.n):
-                raise ValueError("factor must be a symmetric 3x3 of a 3^n matrix, n >= 2")
+                    and self.n >= 1 and N == 3**self.n):
+                raise ValueError("factor must be a symmetric 3x3 of a 3^n matrix, n >= 1")
         elif kind == WALSH:
             if data is not None or N != 2**self.n:
                 raise ValueError("a Walsh structure declares no data, on 2^n vertices")
         elif kind == LOW_RANK:
-            if np.shape(data) != (N, self.n):
-                raise ValueError("low-rank address bits must be an N x n array")
+            if np.shape(data) != (N, self.n) or self.structure.perm is not None:
+                raise ValueError("low-rank address bits must be an N x n array, with no perm")
         else:
             raise ValueError(f"unknown structure kind {kind!r}")
         perm = self.structure.perm
@@ -289,9 +293,10 @@ _GATHER_ENTRIES = 1 << 16
 def _walsh_proof(entries: np.ndarray, perm: np.ndarray | None) -> bool:
     """Whether M is finite and equals the WALSH structure S[p, q] = r[a_p ^
     a_q]: a = perm (the identity when None) and r = M[inv[0], inv], inv =
-    argsort(perm), the natural order's row 0.  Proved on every entry in M's
-    own dtype, with no N x N temporary:
+    argsort(perm), the natural order's row 0, a function of popcount alone.
+    Proved on every entry in M's own dtype, with no N x N temporary:
 
+    - r[j] must be r[2^popcount(j) - 1], the first index of its popcount;
     - in the natural order, by XOR doubling: for h = 1, 2, ..., N/2, rows
       [h, 2h) must be rows [0, h) with the column blocks of width h swapped
       in each 2h-wide pair, so that row i is row i - h under j -> j ^ h,
@@ -300,10 +305,13 @@ def _walsh_proof(entries: np.ndarray, perm: np.ndarray | None) -> bool:
       gathered at a_p ^ a_q.
 
     A NaN differs from every entry it is compared with, and every row of S
-    holds the values of M's row 0, so testing that row leaves no infinity.
+    holds the values of r, so testing r leaves no infinity.
     """
     N = entries.shape[0]
-    if not np.isfinite(entries[0]).all():
+    inv = None if perm is None else np.argsort(perm)
+    r = entries[0] if perm is None else entries[inv[0]][inv]
+    weight = np.bitwise_count(np.arange(N)).astype(np.intp)  # a uint8 would wrap 1 << weight
+    if not (np.isfinite(r).all() and np.array_equal(r, r[(1 << weight) - 1])):
         return False
     if perm is None:
         step = max(1, _CHUNK // N)
@@ -317,8 +325,7 @@ def _walsh_proof(entries: np.ndarray, perm: np.ndarray | None) -> bool:
                     return False
             h *= 2
         return True
-    inv = np.argsort(perm)
-    a, r = perm.astype(np.min_scalar_type(N - 1)), entries[inv[0]][inv]
+    a = perm.astype(np.min_scalar_type(N - 1))
     step = max(1, _GATHER_ENTRIES // N)
     return all(
         np.array_equal(entries[start : start + step], np.take(r, a[start : start + step, None] ^ a))
@@ -464,19 +471,15 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
         ordering = default
     perm = np.array(vertex_ordering(n, ordering))
     relabel = None if np.array_equal(perm, np.arange(perm.size)) else perm
-    structure = None
     if row.factor is not None:
         entries = _ternary_product(row.factor, n, relabel)
-        if n >= 2:
-            structure = Structure(KRONECKER, row.factor, relabel)
+        structure = Structure(KRONECKER, row.factor, relabel)
     else:
         addresses = perm
         if row.base == 3:  # address bit k: coordinate k = digit k - 1 is nonzero
             bits = np.stack([perm // 3**k % 3 != 1 for k in range(n)], axis=1)
             addresses = bits @ (1 << np.arange(n))
-            # below 27 vertices the projection costs more than one dense eigh
-            if n >= 3:
-                structure = Structure(LOW_RANK, bits.astype(float))
+            structure = Structure(LOW_RANK, bits.astype(float))
         else:
             structure = Structure(WALSH, perm=relabel)
         table = np.asarray(row.profile(np.arange(n + 1), n)).astype(np.int8)

@@ -22,20 +22,20 @@ v (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
   (Delsarte 1973, the hypercube association scheme).  The values are the
   fast Walsh-Hadamard transform of r, exact integers for integer entries,
   and the vectors the columns of H / sqrt(N), with no LAPACK call, so e_S
-  = 0.  The route also asserts the paper's statement that lambda_k
-  depends on popcount(k) only;
-- KRONECKER (powcube and powtri, n >= 2): S is the n-fold Kronecker sum
+  = 0.  The proof made r a function of popcount, and H^2 = N I maps those
+  functions onto themselves, so lambda_k depends on popcount(k) only, as
+  the paper states;
+- KRONECKER (powcube and powtri): S is the n-fold Kronecker sum
   of the 3 x 3 factor F (Cvetkovic, Doob & Sachs, Spectra of Graphs).  One
   eigh of F gives the values, the n-fold sums of its eigenvalues, and the
   vectors, the n-fold Kronecker products of its eigenvectors Q; e_S is n
   times F's measured residual max ||F q - w q||;
-- LOW_RANK (powhamming, n >= 3): one eigh of the (n + 1)-order projection
+- LOW_RANK (powhamming): one eigh of the (n + 1)-order projection
   of M onto the span of the ones vector and the address bits, every other
   value 0.  The range pairs are measured directly, and the kernel pairs by
   the norm of M minus its projection;
-- anything else (raw arrays, the mesh matrices, the factor rows at n = 1,
-  powhamming at n <= 2) takes one eigh of the full matrix, measured by one
-  GEMM, M V - V lambda.
+- anything else (raw arrays and the mesh matrices) takes one eigh of the
+  full matrix, measured by one GEMM, M V - V lambda.
 
 A non-finite eigenvalue or residual fails the check, so a LOW_RANK
 structure that the entries do not have raises `ResidualError`.
@@ -43,7 +43,7 @@ structure that the entries do not have raises `ResidualError`.
 A structure's `perm` only relabels the graph: the WALSH and KRONECKER
 routes solve the natural order, from the row M[inv[0], inv], inv =
 argsort(perm), or from F, and the vectors' rows are put back in `perm`'s
-order; LOW_RANK takes the bits at M's positions.  No route gathers a
+order; LOW_RANK's bits are given at M's positions.  No route gathers a
 natural-order copy of the entries.
 
 On the three declared routes the N x N matrix of eigenvectors is built on
@@ -192,10 +192,8 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     returning: measured on the LOW_RANK and undeclared routes, and bounded
     on the other two, whose structure validation proved, so a non-finite
     eigenvalue or residual, or a LOW_RANK structure that does not match the
-    entries, raises ResidualError.  The WALSH route also raises it when two
-    values of one popcount class differ by more than that bound.  The
-    declared routes build the sorted N x N eigenvector matrix on the first
-    read of `Spectrum.vectors` only.
+    entries, raises ResidualError.  The declared routes build the sorted
+    N x N eigenvector matrix on the first read of `Spectrum.vectors` only.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
@@ -215,42 +213,33 @@ def _declared_eig(entries: np.ndarray, kind: str, data, n: int, tol: float,
     For WALSH and KRONECKER, `GraphMatrix` validation proved M == S, and
     the route reads no entry but the natural row 0.  A `perm` relabels
     only: the route solves the natural order, and the vectors' rows are
-    put back in `perm`'s order, except on LOW_RANK, whose bits are taken at
-    M's positions, data[perm].
+    put back in `perm`'s order.  LOW_RANK takes no `perm`.
     """
     if kind == LOW_RANK:
-        values, vectors, residual = _low_rank_eig(entries, data if perm is None else data[perm])
-        return _checked(Spectrum(values, vectors), residual, tol)
-    popcount = 0.0
-    if kind == KRONECKER:
+        values, vectors, residual = _low_rank_eig(entries, data)
+    elif kind == KRONECKER:
         values, vectors, residual = _kron_eig(data, n)
     else:
         inv = None if perm is None else np.argsort(perm)
         row = entries[0] if perm is None else entries[inv[0]][inv]
-        natural, residual, popcount = _walsh_eig(row)
+        natural, residual = _walsh_eig(row)
         order = np.argsort(natural, kind="stable")
         values, vectors = natural[order], functools.partial(_walsh_vectors, order)
-    solved = _checked(Spectrum(values, vectors), residual, tol, popcount)
+    solved = _checked(Spectrum(values, vectors), residual, tol)
     if perm is None:
         return solved
     # every declared route builds its vectors on the first read
     return Spectrum(solved.values, lambda: solved.basis()[perm])
 
 
-def _checked(spec: Spectrum, residual, tol: float, popcount: float = 0.0) -> Spectrum:
-    """spec, once its largest residual (or bound) and the spread of its
-    values within one popcount class are within tol * scale;
+def _checked(spec: Spectrum, residual, tol: float) -> Spectrum:
+    """spec, once its largest residual (or bound) is within tol * scale;
     ResidualError otherwise."""
     residual, scale = float(np.max(residual)), spec.scale
     if not (math.isfinite(scale) and residual <= tol * scale):
         raise ResidualError(
             f"eigenpair residual {residual:.3e} at scale {scale:.3e}: "
             "not finite or exceeds tolerance"
-        )
-    if not popcount <= tol * scale:
-        raise ResidualError(
-            f"Walsh values differ by {popcount:.3e} within one popcount class "
-            f"at scale {scale:.3e}"
         )
     return spec
 
@@ -280,21 +269,14 @@ def _fwht(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _walsh_eig(row: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _walsh_eig(row: np.ndarray) -> tuple[np.ndarray, float]:
     """The Walsh values lambda_k = (H r)_k of the natural row 0, r, in
-    natural order, the bound on every pair's residual, and the largest
-    |lambda_k - lambda_j| with popcount(k) = popcount(j).
-
-    The bound is rho, with ||S||_inf = ||r||_1 >= max |lambda| (see the
-    module docstring).  Each lambda_k is compared with the value of
-    2^popcount(k) - 1, the first index of its popcount.
-    """
+    natural order, and the bound on every pair's residual: rho, with
+    ||S||_inf = ||r||_1 >= max |lambda| (see the module docstring)."""
     N = row.size
     natural = _fwht(row.astype(float))
     bound = _rounding(N, N.bit_length() - 1, 2.0 * float(np.abs(row, dtype=float).sum()))
-    weight = np.bitwise_count(np.arange(N)).astype(np.intp)  # a uint8 would wrap 1 << weight
-    popcount = float(np.abs(natural - natural[(1 << weight) - 1]).max())
-    return natural, bound, popcount
+    return natural, bound
 
 
 def _walsh_vectors(order: np.ndarray) -> np.ndarray:
@@ -368,11 +350,9 @@ def _residual_norms(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray
 
 def _kron_power(Q: np.ndarray, k: int) -> np.ndarray:
     """The k-fold Kronecker power of Q by the left-to-right chain
-    kron(... kron(kron(Q, Q), Q) ..., Q)."""
-    power = Q
-    for _ in range(k - 1):
-        power = np.kron(power, Q)
-    return power
+    kron(... kron(kron(I_1, Q), Q) ..., Q), the 1 x 1 identity I_1 when
+    k = 0; kron(I_1, Q) is Q exactly."""
+    return functools.reduce(np.kron, [Q] * k, np.eye(1))
 
 
 def _kron_eig(factor: np.ndarray, n: int):

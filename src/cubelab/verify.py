@@ -58,8 +58,14 @@ class VerificationReport:
         return self.summary()["fail"] == 0
 
     def to_json(self) -> str:
-        payload = {"entries": list(self.entries), "summary": self.summary()}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        """The report as RFC 8259 JSON: a non-finite `max_abs_err` is
+        written as null, and any other NaN or infinity raises ValueError."""
+        entries = [
+            {**e, "max_abs_err": e["max_abs_err"] if math.isfinite(e["max_abs_err"]) else None}
+            for e in self.entries
+        ]
+        payload = {"entries": entries, "summary": self.summary()}
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def write(self, path) -> None:
         with open(path, "w") as fh:

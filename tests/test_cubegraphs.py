@@ -232,13 +232,13 @@ def _pair_set_to(make, kind, test, j, k, value):
     (_pair_set_to(pow_cube_adjacency, ADJACENCY, _is_zero, 3, 5, 2), "hollow 0/1"),
     (_pair_set_to(pow_tricube_laplacian, LAPLACIAN, _is_scaled(-1.0), 7, 7, 0), "zero row sums"),
 ], ids=[
-    "stray-entry-in-zero-tile", "partner-scaled-tiles-differ", "general-tile-asymmetric-1e-6",
-    "2I-tile-in-adjacency", "negative-scaled-tile-in-distance",
-    "row-sum-error-in-scaled-tile", "nan-in-zero-tile", "nan-on-scaled-diagonal",
-    "general-tile-asymmetric-1", "row-sum-error-1-in-scaled-tile", "2-in-zero-tile",
+    "stray-entry-in-zero-block", "partner-scaled-blocks-differ", "general-block-asymmetric-1e-6",
+    "2I-block-in-adjacency", "negative-scaled-block-in-distance",
+    "row-sum-error-in-scaled-block", "nan-in-zero-block", "nan-on-scaled-diagonal",
+    "general-block-asymmetric-1", "row-sum-error-1-in-scaled-block", "2-in-zero-block",
     "0-on-scaled-diagonal",
 ])
-def test_tiled_validation_rejects_one_wrong_place(make, message, n):
+def test_slab_validation_rejects_one_wrong_place(make, message, n):
     # undeclared entries, laid out in 81 x 81 blocks, take the slab walk for
     # symmetry and the kind's rule, which find one wrong place
     kind, entries = make(n)
@@ -250,8 +250,8 @@ def test_tiled_validation_rejects_one_wrong_place(make, message, n):
 @pytest.mark.parametrize("make", [
     _asymmetric_first_block(1e-12),
     lambda n: (DISTANCE, pow_cube_adjacency(n).entries.copy()),
-], ids=["general-tile-asymmetric-1e-12", "powcube-as-distance"])
-def test_tiled_validation_accepts(make, n):
+], ids=["general-block-asymmetric-1e-12", "powcube-as-distance"])
+def test_slab_validation_accepts(make, n):
     # the slab walk's symmetry test holds within STRUCTURE_TOL
     kind, entries = make(n)
     GraphMatrix("test", kind, n, "ternary", entries)
@@ -457,25 +457,20 @@ def test_build_matches_oracles(data):
         # zeros of the float64 -L are -0.0 and the constructor must keep them so
         built.append(negated(gm))
         assert built[1].entries.tobytes() == (-gm.entries.astype(float)).tobytes()
-    # every ordering declares its family's structure
-    if row.factor is not None:
-        declared = KRONECKER if n >= 2 else None
-    elif row.base == 3:
-        declared = LOW_RANK if n >= 3 else None
-    else:
-        declared = WALSH
+    # every n and every ordering declares its family's structure
+    declared = KRONECKER if row.factor is not None else LOW_RANK if row.base == 3 else WALSH
     vertices = (ternary_ordering if row.base == 3 else binary_ordering)(n, ordering)
     # the factor and Walsh rows carry a permuted ordering as the relabelling
     # `perm` of the natural one; the low-rank bits are given per position
     relabelled = declared in (KRONECKER, WALSH) and vertices != sorted(vertices)
     for m in built:
-        assert (m.structure and m.structure.kind) == declared
+        assert m.structure.kind == declared
         natural = m.entries
         if relabelled:
             assert m.structure.perm.tolist() == vertices
             inv = np.argsort(vertices)
             natural = m.entries[np.ix_(inv, inv)]
-        elif declared is not None:
+        else:
             assert m.structure.perm is None
         if declared == KRONECKER:
             assert np.array_equal(kron_ternary_product(m.structure.data, n), natural)
@@ -483,7 +478,7 @@ def test_build_matches_oracles(data):
             i = np.arange(2**n)
             weight = np.bitwise_count(i[:, None] ^ i).astype(int)
             assert np.array_equal(natural, natural[0, (1 << weight) - 1])
-        elif declared == LOW_RANK:
+        else:
             addresses = [ternary_vertex(n, v).address for v in vertices]
             assert np.array_equal(m.structure.data, addresses)
 

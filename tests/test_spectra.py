@@ -118,6 +118,42 @@ def test_an_ordering_only_relabels_the_spectrum(family):
             assert eig_sym(build(family, n, ordering)).values.tobytes() == natural
 
 
+DECLARED_CASES = [
+    (family, n, ordering)
+    for family, row in FAMILIES.items()
+    for n in range(row.min_n, 4)
+    for ordering in (("binary", "gray", "custom") if row.base == 2 else ("ternary", "ternary-gray"))
+]
+
+
+@pytest.mark.parametrize("family,n,ordering", DECLARED_CASES,
+                         ids=[f"{f}-{n}-{o}" for f, n, o in DECLARED_CASES])
+def test_every_build_row_is_declared_and_takes_no_dense_eigh(monkeypatch, family, n, ordering):
+    # build declares every row at every n, so no built matrix reaches the
+    # undeclared route: eigh sees the Kronecker factor itself (at n = 1 as
+    # large as M, but not M) or the low-rank (n + 1)-order projection, and
+    # the undeclared route's GEMM residual is never taken
+    row = FAMILIES[family]
+    M = build(family, n, _seeded_permutation(n) if ordering == "custom" else ordering)
+    kind = KRONECKER if row.factor is not None else LOW_RANK if row.base == 3 else WALSH
+    assert M.structure.kind == kind
+    arguments, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        arguments.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    residuals = []
+    monkeypatch.setattr(spectra, "_residual_norms", lambda *args: residuals.append(args))
+    eig_sym(M)
+    assert residuals == []
+    if kind == KRONECKER:
+        assert len(arguments) == 1 and arguments[0] is M.structure.data
+    else:
+        assert [a.shape for a in arguments] == ([] if kind == WALSH else [(n + 1, n + 1)])
+
+
 def _record_sizes(monkeypatch, name):
     """Record the order of every matrix passed to numpy.linalg.<name>."""
     sizes = []
@@ -274,8 +310,8 @@ def test_eig_sym_false_factor_fails_residual():
     (pow_cube_adjacency(2).entries, 2, np.roll(np.eye(3), 1, axis=1)),
     (ncube_adjacency(2).entries, 2, _PATH3_ADJ),
     (pow_cube_adjacency(2).entries, 3, _PATH3_ADJ),
-    (pow_cube_adjacency(1).entries, 1, _PATH3_ADJ),
-], ids=["2x2", "asymmetric", "N=4", "N!=3^n", "n=1"])
+    (np.zeros((1, 1), dtype=np.int8), 0, _PATH3_ADJ),
+], ids=["2x2", "asymmetric", "N=4", "N!=3^n", "n=0"])
 def test_graph_matrix_rejects_malformed_factor(entries, n, factor):
     with pytest.raises(ValueError, match="factor"):
         GraphMatrix("powcube", ADJACENCY, n, "ternary", entries, Structure(KRONECKER, factor))
@@ -620,17 +656,15 @@ def test_structured_routes_return_checked_eigenpairs(monkeypatch, make, kind):
     assert np.abs(V.T @ V - np.eye(M.N)).max() <= 1e-12
 
 
-def test_low_rank_perm_takes_the_bits_at_the_positions():
-    # natural-order bits with the relabelling of a ternary-gray matrix are
-    # its own bits, taken at its positions
+def test_low_rank_refuses_a_perm():
+    # the low-rank bits are given at M's positions, so even the relabelling
+    # that takes natural-order bits to a ternary-gray matrix's is refused
     M = pow_hamming_matrix(4, "ternary-gray")
     perm = np.array(ternary_ordering(4, "ternary-gray"))
     natural = pow_hamming_matrix(4).structure.data
-    relabelled = GraphMatrix(M.family, M.kind, 4, M.ordering, M.entries,
-                             Structure(LOW_RANK, natural, perm))
-    spec = eig_sym(relabelled)
-    assert spec.values.tobytes() == eig_sym(M).values.tobytes()
-    assert spec.vectors.tobytes() == eig_sym(M).vectors.tobytes()
+    with pytest.raises(ValueError, match="no perm"):
+        GraphMatrix(M.family, M.kind, 4, M.ordering, M.entries,
+                    Structure(LOW_RANK, natural, perm))
 
 
 def test_walsh_vectors_are_the_sorted_sylvester_columns():
@@ -684,15 +718,14 @@ def test_structured_route_residual_finds_entries_off_the_structure(make, i, j, d
 
 def test_false_structure_fails_residual():
     # a false WALSH or KRONECKER declaration is refused when the matrix is
-    # made; one the proof passes, or a LOW_RANK one, fails in eig_sym.  A
-    # shuffled cube is not a function of i ^ j
+    # made; a false LOW_RANK one fails in eig_sym.  A shuffled cube is not a
+    # function of i ^ j
     P = ncube_adjacency(4, _seeded_permutation(4))
     _refused(P, P.entries, Structure(WALSH))
     # the Gray map is linear over Z_2, so the gray cube is a function of
-    # i ^ j, and passes the proof, but not of popcount(i ^ j)
+    # i ^ j, but its row 0 is not a function of popcount
     G = ncube_adjacency(4, "gray")
-    with pytest.raises(ResidualError, match="popcount"):
-        eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "binary", G.entries, Structure(WALSH)))
+    _refused(G, G.entries, Structure(WALSH))
     # powcube's adjacency at n = 3 has rank 20, far past the n + 1 = 4 of the bits
     A, bits = pow_cube_adjacency(3), pow_hamming_matrix(3).structure.data
     with pytest.raises(ResidualError, match="eigenpair residual"):
@@ -701,9 +734,7 @@ def test_false_structure_fails_residual():
     # a bijection that is not the entries' ordering relabels them to another
     # matrix: the binary perm (the identity) declared on gray entries, and
     # the ternary one on ternary-gray entries
-    with pytest.raises(ResidualError, match="popcount"):
-        eig_sym(GraphMatrix("ncube", ADJACENCY, 4, "gray", G.entries,
-                            Structure(WALSH, perm=np.arange(16))))
+    _refused(G, G.entries, Structure(WALSH, perm=np.arange(16)))
     T = pow_tricube_laplacian(3, "ternary-gray")
     _refused(T, T.entries, Structure(KRONECKER, _PATH3_LAP, np.arange(27)))
     # and a seeded bijection, on each route
@@ -715,12 +746,12 @@ def test_false_structure_fails_residual():
 
 def test_walsh_values_must_depend_on_popcount_only():
     # a Cayley graph of Z_2^3 joined along bit 0 only: exactly a function of
-    # i ^ j, so every residual is 0, but lambda_k = (-1)^(k & 1)
+    # i ^ j, so the XOR doubling holds, but lambda_k = (-1)^(k & 1); its
+    # row 0 is not a function of popcount, and the proof refuses it
     k = np.arange(8)
     A = ((k[:, None] ^ k) == 1).astype(float)
-    M = GraphMatrix("ncube", ADJACENCY, 3, "binary", A, Structure(WALSH))
-    with pytest.raises(ResidualError, match="popcount"):
-        eig_sym(M)
+    with pytest.raises(ValueError, match=REFUSED):
+        GraphMatrix("ncube", ADJACENCY, 3, "binary", A, Structure(WALSH))
 
 
 def _kron_fault_places(n):
@@ -759,6 +790,19 @@ def test_kron_certificate_finds_a_fault_in_every_block_class_at_every_level(make
     places = _kron_fault_places(n)
     assert len(places) == 15 * (n - 1) + 9
     for i, j in places:
+        faulty = M.entries.copy()
+        faulty[i, j] += 1
+        _refused(M, faulty)
+
+
+@pytest.mark.parametrize("ordering", ["ternary", "ternary-gray"])
+@pytest.mark.parametrize("family", ["powcube", "powtri"])
+def test_kron_proof_refuses_a_one_entry_fault_at_n_1(family, ordering):
+    # at n = 1 the declared Kronecker sum is the factor itself: +1 at any
+    # one of its nine entries is refused when the matrix is made
+    M = build(family, 1, ordering)
+    assert M.structure.kind == KRONECKER
+    for i, j in np.ndindex(3, 3):
         faulty = M.entries.copy()
         faulty[i, j] += 1
         _refused(M, faulty)
@@ -978,7 +1022,7 @@ SOUNDNESS_CASES = [
 ] + [
     (family, n, ordering)
     for family in ("powcube", "powtri")
-    for n in range(2, 8)
+    for n in range(1, 8)
     for ordering in ("ternary", "ternary-gray")
 ]
 

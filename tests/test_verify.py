@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubelab import cubegraphs, harmonic, verify
+from cubelab import cubegraphs, harmonic, spectra, verify
 from cubelab.bitspace import TERNARY
 from cubelab.cli import main
 from cubelab.cubegraphs import STRUCTURE_TOL, regular_tricube_adjacency
@@ -247,6 +247,34 @@ def test_properties_l_fails_on_values_of_the_other_j_parity(monkeypatch):
     assert (entry["status"], entry["max_abs_err"]) == ("fail", 2.0)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_report_json_refuses_a_non_finite_value_outside_max_abs_err():
+    report = verify.VerificationReport(({"claim": "x", "n": 1, "status": "fail",
+                                         "max_abs_err": 0.0, "details": math.nan},))
+    with pytest.raises(ValueError):
+        report.to_json()
+
+
+def test_a_moved_walsh_value_fails_theorem2_and_properties_l(monkeypatch):
+    # the Walsh route's values are the transform of row 0, asserted by no
+    # solver check of its own: one value moved by 1 must fail both claims
+    fwht = spectra._fwht
+
+    def moved(x):
+        out = fwht(x)
+        out[3] += 1.0
+        return out
+
+    monkeypatch.setattr(spectra, "_fwht", moved)
+    entries = run_verification(["theorem2", "properties-L"], [3]).entries
+    assert [(e["claim"], e["status"]) for e in entries] == [
+        ("theorem2", "fail"), ("properties-L", "fail"),
+    ]
+
+
 @pytest.mark.parametrize("degrees", [45, 30])
 def test_properties_l_fails_on_an_eigenbasis_of_mixed_j_parity(monkeypatch, degrees):
     # powtri n = 3's eigenvalue 3 has even vectors, the digit patterns
@@ -264,8 +292,17 @@ def test_properties_l_fails_on_an_eigenbasis_of_mixed_j_parity(monkeypatch, degr
         vectors[:, i], vectors[:, j] = c * a + s * b, c * b - s * a
 
     changed = _changed_basis(monkeypatch, 27, rotate)
-    (entry,) = run_verification(["properties-L"], [3]).entries
+    report = run_verification(["properties-L"], [3])
+    (entry,) = report.entries
     assert entry["status"] == "fail" and entry["max_abs_err"] > 0.1
+    # at 45 degrees the two sides' multiplicities do not total theirs, so
+    # err is inf, which the JSON report writes as null (RFC 8259 has no
+    # Infinity), while the in-memory entry keeps the float
+    written = json.loads(report.to_json(), parse_constant=_no_constant)["entries"][0]
+    if degrees == 45:
+        assert entry["max_abs_err"] == math.inf and written["max_abs_err"] is None
+    else:
+        assert written["max_abs_err"] == entry["max_abs_err"]
     (spec,) = changed
     P = cubegraphs.pow_tricube_laplacian(3).entries
     assert np.abs(P @ spec.vectors - spec.vectors * spec.values).max() <= 1e-12
