@@ -57,14 +57,17 @@ N x N temporary: entry (i, j) is r[a_i ^ a_j] for the addresses a.
   and each block of rows gathers it by address, by rows and then by
   columns.
 
-A factor row is written straight into its permuted positions
-(`_ternary_product`).
+A factor row is filled by digit tripling (`_kron_tripling`), the 3^n
+counterpart of XOR doubling: M_k = F (x) I + I (x) M_(k-1), so each step
+copies the top-left block into the other two diagonal blocks and adds
+F[a, b] along the diagonal of block (a, b).  In the ternary-gray order the
+blocks whose top digits differ in parity take the anti-diagonal instead.
 
 `GraphMatrix` validates its entries once, when it is made, and the
 public constructor first copies them; `build` and the mesh builders hand
-over their fresh arrays without a copy.  A WALSH or KRONECKER declaration
-is validated by its exact structure proof, which reads every entry in
-the matrix's own ordering and makes no natural-order copy:
+over their fresh arrays without a copy.  A declaration is validated by
+its exact structure proof, which reads every entry in the matrix's own
+ordering and makes no natural-order copy:
 
 - KRONECKER: S's O(n N) nonzero positions, gathered through `perm`, must
   hold their factor entries, the diagonal the n-fold sums of the factor's
@@ -72,13 +75,16 @@ the matrix's own ordering and makes no natural-order copy:
 - WALSH: the natural row 0, r, must be a function of popcount alone,
   r[j] = r[2^popcount(j) - 1]; then, in the natural binary order, XOR
   doubling, and in a relabelled order, each chunk of rows against r
-  gathered at a_i ^ a_j (`_walsh_proof`).
+  gathered at a_i ^ a_j (`_walsh_proof`);
+- LOW_RANK: the bits must be 0/1, every row must equal the row of the
+  first position with its address, and those at most 2^n representative
+  rows must equal popcount(a_r ^ a_q) (`_low_rank_proof`).
 
 A declaration that its proof refuses, by any amount or by a NaN or an
 infinity anywhere, raises ValueError.  Once M == S, symmetry and the
-kind's entry rule follow in O(N) from S's row 0 or factor.  LOW_RANK and
-undeclared entries are tested in slabs of `_SLAB` rows.  The proofs share
-no code with the fills, which write their entries by other index
+kind's entry rule follow from S's row 0, factor or representative rows.
+Only undeclared entries are tested in slabs of `_SLAB` rows.  The proofs
+share no code with the fills, which write their entries by other index
 arithmetic, so that one bug cannot pass both.
 """
 
@@ -89,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitspace import BINARY, TERNARY, binary_ordering, ternary_ordering
+from .bitspace import BINARY, TERNARY, TERNARY_GRAY, binary_ordering, ternary_ordering
 
 ADJACENCY = "adjacency"
 DISTANCE = "distance"
@@ -145,12 +151,13 @@ class Structure:
     """The exact structure `build` declares for a matrix's entries.
 
     kind  KRONECKER: `data`, a 3x3 factor, has them as its n-fold
-              `_ternary_product` (N = 3^n, n >= 1);
+              Kronecker sum (N = 3^n, n >= 1);
           WALSH: entry (i, j) is a function of popcount(i ^ j) alone
               (N = 2^n), and `data` is None;
-          LOW_RANK: every column lies in the span of the ones vector and
-              the columns of `data`, the N x n matrix of 0/1 address bits
-              at M's positions.
+          LOW_RANK: entry (p, q) is popcount(a_p ^ a_q), the Hamming
+              distance of the addresses whose bits are the rows of `data`,
+              the N x n matrix of 0/1 address bits at M's positions; every
+              column lies in the span of the ones vector and data's.
     perm  None, or the vertex at each position, an integer bijection on
           range(N); `kind` and `data` then describe the natural-order
           entries M[np.ix_(inv, inv)], inv = argsort(perm).  A LOW_RANK
@@ -178,12 +185,12 @@ class GraphMatrix:
 
     A `structure`, when set, declares how the entries were built, and its
     `perm` must be a bijection on range(N), and None for LOW_RANK
-    (ValueError otherwise).  A WALSH or KRONECKER structure S is proved
-    exactly on every entry (see the module docstring), and entries that
-    are not S raise ValueError; once M == S, symmetry and the kind's rule
-    follow from S's row 0 or factor, and `spectra.eig_sym` solves S
-    without reading the entries again.  Entries declaring LOW_RANK or no
-    structure are tested in slabs of `_SLAB` rows.
+    (ValueError otherwise).  A structure S is proved exactly on every
+    entry (see the module docstring), and entries that are not S raise
+    ValueError; once M == S, symmetry and the kind's rule follow from S,
+    and `spectra.eig_sym` solves S without reading the entries again but
+    a Walsh matrix's row 0.  Entries declaring no structure are tested in
+    slabs of `_SLAB` rows.
     """
 
     family: str
@@ -218,18 +225,24 @@ class GraphMatrix:
                 s = Structure(s.kind, _copied(s.data), _copied(s.perm))
                 object.__setattr__(self, "structure", s)
             self._check_structure()
-        if s is not None and s.kind in (WALSH, KRONECKER):
+        if s is not None:
+            rows = _low_rank_proof(e, s.data) if s.kind == LOW_RANK else None
             if not (_walsh_proof(e, s.perm) if s.kind == WALSH
-                    else _kron_proof(e, s.data, self.n, s.perm)):
+                    else _kron_proof(e, s.data, self.n, s.perm) if s.kind == KRONECKER
+                    else rows is not None):
                 raise ValueError(f"entries do not have their declared {s.kind} structure")
-            # M == S: every row of S holds row 0's values; S's diagonal is
-            # all zero iff its factor F's is, its other entries are F's, and
-            # its row sums reach n times F's largest
+            # M == S: every row of a WALSH S holds row 0's values, and every
+            # row of a LOW_RANK S is one of its representative rows; a
+            # KRONECKER S's diagonal is all zero iff its factor F's is, its
+            # other entries are F's, and its row sums reach n times F's
+            # largest
             if s.kind == WALSH:
                 diagonal, pieces, sums = e[0, :1], [e[0]], e[0].sum(keepdims=True)
-            else:
+            elif s.kind == KRONECKER:
                 F = s.data
                 diagonal, pieces, sums = np.diagonal(F), [F], self.n * F.sum(axis=1)
+            else:
+                diagonal, pieces, sums = np.diagonal(e), [rows], rows.sum(axis=1)
         else:
             if asymmetry(e) > STRUCTURE_TOL:
                 raise ValueError("entries must be symmetric")
@@ -364,34 +377,73 @@ def _kron_proof(entries: np.ndarray, factor: np.ndarray, n: int, perm: np.ndarra
                 and np.count_nonzero(entries) == rows.size + np.count_nonzero(diagonal))
 
 
+def _low_rank_proof(entries: np.ndarray, bits: np.ndarray) -> np.ndarray | None:
+    """The representative rows of M when M equals the LOW_RANK structure
+    S[p, q] = popcount(a_p ^ a_q), for the address a_p whose bit k is
+    bits[p, k]; None otherwise.  Proved on every entry in M's own dtype,
+    with no N x N temporary:
+
+    - every bit must be 0 or 1;
+    - the representative rows, those of the first position of each
+      address (at most 2^n), must equal popcount(a_r ^ a_q), counted by
+      `np.bitwise_count`;
+    - every row must equal the representative row of its address, one
+      chunk of rows at a time.
+
+    A NaN or an infinity differs from every popcount.
+    """
+    if not np.all((bits == 0) | (bits == 1)):
+        return None
+    N, n = bits.shape
+    address = bits.astype(np.intp) @ (1 << np.arange(n))
+    _, first, inverse = np.unique(address, return_index=True, return_inverse=True)
+    address = address.astype(np.min_scalar_type((1 << n) - 1))
+    rows = entries[first]
+    if not np.array_equal(rows, np.bitwise_count(address[first, None] ^ address)):
+        return None
+    step = max(1, _GATHER_ENTRIES // N)
+    if all(np.array_equal(entries[start : start + step], rows[inverse[start : start + step]])
+           for start in range(0, N, step)):
+        return rows
+    return None
+
+
 _PATH3_ADJ = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
 _PATH3_LAP = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=np.int8)
 
 
-def _ternary_product(factor: np.ndarray, n: int, perm: np.ndarray | None = None) -> np.ndarray:
-    """Cartesian-product accumulation of a 3x3 per-axis matrix, in the
-    factor's dtype, with its vertices at the positions of `perm`.
+def _kron_tripling(factor: np.ndarray, n: int, gray: bool) -> np.ndarray:
+    """The n-fold Kronecker sum of a 3x3 factor F, in F's dtype, by digit
+    tripling, in the natural ternary order or, when `gray`, the
+    ternary-gray one.
 
-    Vertex index m = sum digits[k] * 3^k, so axis k sits at the k-th
-    Kronecker slot from the right.  Built by index arithmetic: entry
-    (i, i + (b - a) * 3^k) is factor[a, b] for every i whose digit k is a,
-    and the diagonal sums factor[d, d] over the digits d of i.  Each entry
-    is written at the positions of `perm` (None: the natural order), so no
-    natural-order product is gathered into [np.ix_(perm, perm)].
+    Vertex index m = sum digits[k] * 3^k, so M_k = F (x) I + I (x) M_(k-1)
+    with the top digit in front: with blocks of side s = 3^(k-1), block (a,
+    b) of M_k is F[a, b] I plus, when a == b, M_(k-1).  From M_0 = 0, each
+    step copies the top-left block into the other two diagonal blocks and
+    adds F[a, b] along the diagonal of block (a, b), through a strided flat
+    view (step N + 1).  In the ternary-gray order an odd top digit reflects
+    every lower digit (d -> 2 - d), which reverses the lower positions, so
+    the blocks whose top digits differ in parity take the anti-diagonal
+    (step N - 1) instead.  The diagonal blocks need no change, since the
+    path's factors, F[2 - a, 2 - b] = F[a, b], and hence M_(k-1), are
+    invariant under that reflection; `_kron_proof` refuses this order's
+    fill of any other factor.
     """
-    size = 3**n
-    index = np.arange(size)
-    position = index if perm is None else np.argsort(perm)
-    total = np.zeros((size, size), dtype=factor.dtype)
-    diagonal = np.zeros(size, dtype=factor.dtype)
-    for k in range(n):
-        digit = (index // 3**k) % 3
-        diagonal += factor[digit, digit]
+    N = 3**n
+    total = np.zeros((N, N), dtype=factor.dtype)
+    flat = total.reshape(-1)
+    s = 1
+    while s < N:
+        total[s : 2 * s, s : 2 * s] = total[:s, :s]
+        total[2 * s : 3 * s, 2 * s : 3 * s] = total[:s, :s]
         for a, b in zip(*np.nonzero(factor)):
-            if a != b:
-                rows = index[digit == a]
-                total[position[rows], position[rows + (b - a) * 3**k]] = factor[a, b]
-    total[position, position] = diagonal
+            if gray and (a - b) % 2:
+                start, step = a * s * N + b * s + s - 1, N - 1
+            else:
+                start, step = a * s * N + b * s, N + 1
+            flat[start : start + (s - 1) * step + 1 : step] += factor[a, b]
+        s *= 3
     return total
 
 
@@ -447,7 +499,7 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
     2^n families, an explicit permutation; None takes binary for 2^n and
     ternary for 3^n.  The matrix declares its `Structure` (see the module
     docstring).  A profile row is filled from its row 0 and a factor row
-    straight into its permuted positions (see the module docstring), and
+    by digit tripling (see the module docstring), and
     the entries are handed to `GraphMatrix` without a copy, where the
     proof of the declared structure validates them; construction makes no
     N x N temporary.  An unknown family, n below the
@@ -472,7 +524,7 @@ def build(family: str, n: int, ordering=None) -> GraphMatrix:
     perm = np.array(vertex_ordering(n, ordering))
     relabel = None if np.array_equal(perm, np.arange(perm.size)) else perm
     if row.factor is not None:
-        entries = _ternary_product(row.factor, n, relabel)
+        entries = _kron_tripling(row.factor, n, ordering == TERNARY_GRAY)
         structure = Structure(KRONECKER, row.factor, relabel)
     else:
         addresses = perm

@@ -5,10 +5,10 @@ LAPACK's eigh/eigvalsh.  `symmetric_entries` is
 the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
 `GraphMatrix` was tested when built.  `eig_sym` has four routes, chosen by
 the `structure` that `cubegraphs.build` declared.  A `GraphMatrix` that
-declares a WALSH or KRONECKER structure S was proved equal to S on every
-entry, exactly, when it was made (it cannot be made otherwise); those
-routes read no entry again but the natural row 0, and bound the residual
-||M v - lambda v|| of every pair they return by
+declares a structure S was proved equal to S on every entry, exactly, when
+it was made (it cannot be made otherwise); the declared routes read no
+entry again but the natural row 0 of a Walsh matrix, and bound the
+residual ||M v - lambda v|| of every pair they return by
 
     e_S + rho,
 
@@ -30,15 +30,16 @@ v (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
   eigh of F gives the values, the n-fold sums of its eigenvalues, and the
   vectors, the n-fold Kronecker products of its eigenvectors Q; e_S is n
   times F's measured residual max ||F q - w q||;
-- LOW_RANK (powhamming): one eigh of the (n + 1)-order projection
-  of M onto the span of the ones vector and the address bits, every other
-  value 0.  The range pairs are measured directly, and the kernel pairs by
-  the norm of M minus its projection;
+- LOW_RANK (powhamming): S = X C X^T for X = [1 | bits], the ones vector
+  beside the N x n address bits, and an exact integer C of order n + 1.
+  With X = Q R, one eigh of R C R^T gives the range pairs, each measured
+  by applying S through X, and every other value is 0.  e_S is the larger
+  of those residuals and the kernel bound ||E||_F ||C||_2 (2 ||X||_F +
+  ||E||_F), E = X - Q R measured (`_low_rank_eig`);
 - anything else (raw arrays and the mesh matrices) takes one eigh of the
   full matrix, measured by one GEMM, M V - V lambda.
 
-A non-finite eigenvalue or residual fails the check, so a LOW_RANK
-structure that the entries do not have raises `ResidualError`.
+A non-finite eigenvalue, residual or bound fails the check.
 
 A structure's `perm` only relabels the graph: the WALSH and KRONECKER
 routes solve the natural order, from the row M[inv[0], inv], inv =
@@ -73,13 +74,8 @@ CLUSTER_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
 KERNEL_TOL = 1e-9
 
-# rows per block of the low-rank kernel bound, of the Walsh vectors and of
-# `centro_deviation`
+# rows per block of the Walsh vectors and of `centro_deviation`
 _BLOCK = 64
-# rows per block of the low-rank route's M Q_X: blocks of 64 rows changed
-# its rounding (OpenBLAS takes another kernel for small products), blocks
-# of 243 rows match the whole product bit for bit
-_GEMM_ROWS = 243
 # rows per block of the Kronecker vectors, 3^4
 _KRON_ROWS = 81
 # unit roundoff of float64
@@ -189,11 +185,12 @@ def eig_sym(M, tol: float = RESIDUAL_TOL) -> Spectrum:
     (`_declared_eig`).  Undeclared input is solved by one eigh of the full
     matrix.  Whatever the route, ||Mv - lambda v|| <= tol*max(|lambda|_max,
     1) is verified for every pair on every entry of the input before
-    returning: measured on the LOW_RANK and undeclared routes, and bounded
-    on the other two, whose structure validation proved, so a non-finite
-    eigenvalue or residual, or a LOW_RANK structure that does not match the
-    entries, raises ResidualError.  The declared routes build the sorted
-    N x N eigenvector matrix on the first read of `Spectrum.vectors` only.
+    returning: measured by one GEMM on the undeclared route, and bounded on
+    the declared ones, whose structure validation proved (LOW_RANK's
+    bound holds its measured range residuals and its kernel bound), so a
+    non-finite eigenvalue, residual or bound raises ResidualError.  The
+    declared routes build the sorted N x N eigenvector matrix on the first
+    read of `Spectrum.vectors` only.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"residual tolerance must be a finite number > 0, got {tol!r}")
@@ -210,13 +207,13 @@ def _declared_eig(entries: np.ndarray, kind: str, data, n: int, tol: float,
     """The checked spectrum of entries that declare the structure `kind`
     with `data` and `perm`, on n axes, by that kind's route.
 
-    For WALSH and KRONECKER, `GraphMatrix` validation proved M == S, and
-    the route reads no entry but the natural row 0.  A `perm` relabels
-    only: the route solves the natural order, and the vectors' rows are
-    put back in `perm`'s order.  LOW_RANK takes no `perm`.
+    `GraphMatrix` validation proved M == S, and the route reads no entry
+    but the natural row 0 of a WALSH matrix.  A `perm` relabels only: the
+    route solves the natural order, and the vectors' rows are put back in
+    `perm`'s order.  LOW_RANK takes no `perm`.
     """
     if kind == LOW_RANK:
-        values, vectors, residual = _low_rank_eig(entries, data)
+        values, vectors, residual = _low_rank_eig(data)
     elif kind == KRONECKER:
         values, vectors, residual = _kron_eig(data, n)
     else:
@@ -292,43 +289,44 @@ def _walsh_vectors(order: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _low_rank_eig(entries: np.ndarray, bits: np.ndarray):
-    """Values, lazy vectors and residuals of a matrix whose columns lie in
-    the span of X = [1 | bits], from one eigh of order n + 1.
+def _low_rank_eig(bits: np.ndarray):
+    """Values, lazy vectors and the residual bound of the LOW_RANK structure
+    S = X C X^T on the address bits, from one eigh of order n + 1, reading
+    no entry.
 
-    With Q_X the orthonormal factor of X's QR, S = Q_X^T (M Q_X), where
-    M Q_X is formed over every entry in blocks of `_GEMM_ROWS` rows, each
-    widened to float64 on its own, and its eigenpairs (theta, u) give
-    the range pairs (theta, Q_X u), each checked as ||M Q_X u - theta
-    Q_X u||.  Every other value is exactly 0, on the complement of Q_X's
-    range.  For a unit v there, M v = (M - Q_X S Q_X^T) v, so
-    ||M - Q_X S Q_X^T||_F, summed over blocks of `_BLOCK` rows,
-    bounds the residual of every kernel pair; it stands for each of them.
-    The vectors (`_low_rank_vectors`) are built on first read.
+    With X = [1 | bits] and the exact integer C = [[0, 1^T], [1, -2 I]],
+    X C X^T = s 1^T + 1 s^T - 2 bits bits^T, s = bits 1, is the Hamming
+    distance of the addresses.  With X = Q R (thin QR), the eigenpairs
+    (theta, u) of R C R^T give the range pairs (theta, Q u), each measured
+    as ||X (C (X^T Q u)) - theta Q u||, in O(N n^2).  Every other value is
+    exactly 0, on the complement of Q's range.  For a unit v there,
+    S v = (S - Q R C R^T Q^T) v, and with E = X - Q R measured,
+    S - Q R C R^T Q^T = E C X^T + X C E^T - E C E^T, so
+
+        ||E||_F ||C||_2 (2 ||X||_F + ||E||_F),  ||C||_2 <= ||C||_inf,
+
+    bounds the residual of every kernel pair (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 19).  The larger of the range
+    residuals and that bound, plus rho with ||S||_inf the largest row sum
+    S 1 of the nonnegative distances (see the module docstring), stands
+    for every pair.  The vectors (`_low_rank_vectors`) are built on first
+    read.
     """
-    N = entries.shape[0]
+    N, n = bits.shape
     X = np.concatenate([np.ones((N, 1)), bits], axis=1)
-    Q = np.linalg.qr(X)[0]
-    MQ = np.empty((N, Q.shape[1]))
-    for start in range(0, N, _GEMM_ROWS):
-        rows = slice(start, start + _GEMM_ROWS)
-        np.matmul(entries[rows], Q, out=MQ[rows])
-    S = Q.T @ MQ
-    theta, U = np.linalg.eigh(S)
+    C = np.block([[np.zeros((1, 1)), np.ones((1, n))], [np.ones((n, 1)), -2.0 * np.eye(n)]])
+    Q, R = np.linalg.qr(X)
+    theta, U = np.linalg.eigh(R @ C @ R.T)
     QU = Q @ U
-    R = MQ @ U - QU * theta
-    range_residual = np.sqrt(np.einsum("ij,ij->j", R, R))
-    SQt = S @ Q.T
-    squares = 0.0
-    for start in range(0, N, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        off = entries[rows] - Q[rows] @ SQt
-        squares += float(np.einsum("ij,ij->", off, off))
-    rank = theta.size
-    natural = np.concatenate([theta, np.zeros(N - rank)])
-    residual = np.concatenate([range_residual, np.full(N - rank, math.sqrt(squares))])
+    off = X @ (C @ (X.T @ QU)) - QU * theta
+    range_residual = float(np.sqrt(np.einsum("ij,ij->j", off, off)).max())
+    E, x = np.linalg.norm(X - Q @ R), np.linalg.norm(X)
+    kernel = E * float(np.abs(C).sum(axis=1).max()) * (2 * x + E)
+    norm = 2.0 * float((X @ (C @ X.sum(axis=0))).max())
+    bound = max(range_residual, kernel) + _rounding(N, n, norm)
+    natural = np.concatenate([theta, np.zeros(N - theta.size)])
     order = np.argsort(natural, kind="stable")
-    return natural[order], functools.partial(_low_rank_vectors, X, QU, order), residual
+    return natural[order], functools.partial(_low_rank_vectors, X, QU, order), bound
 
 
 def _low_rank_vectors(X: np.ndarray, QU: np.ndarray, order: np.ndarray) -> np.ndarray:

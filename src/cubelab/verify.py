@@ -16,7 +16,6 @@ oracle; `properties-L` compares them split by the J-parity of the
 eigenvectors that `eig_sym` returns, so no check calls LAPACK itself.
 """
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -173,10 +172,9 @@ def _powtri_parity_spectra(n: int) -> tuple[Counter, Counter]:
     enumerated, as exact {value: multiplicity} multisets split by the
     parity of the number of 1-digits, (even, odd): the values of the
     J-symmetric and of the J-antisymmetric eigenvectors."""
-    split = (Counter(), Counter())
-    for digits in itertools.product((0, 1, 3), repeat=n):
-        split[digits.count(1) % 2][sum(digits)] += 1
-    return split
+    digits = np.array([0, 1, 3])[np.indices((3,) * n).reshape(n, -1)]
+    sums, odd = digits.sum(axis=0), (digits == 1).sum(axis=0) % 2
+    return tuple(Counter(sums[odd == p].tolist()) for p in (0, 1))
 
 
 def _check_theorem6(ns):
@@ -285,9 +283,9 @@ def _check_properties_d(ns):
             err = max(err, centro_deviation(D))
             err = max(err, float(np.abs(np.fliplr(D).diagonal() - counterdiag).max()))
             if n <= 6:
-                for k in range(N):
-                    slack = D[:, k][:, None] + D[k, :][None, :] - D
-                    err = max(err, max(0.0, -float(slack.min())))
+                # slack[i, k, j] = D[i, k] + D[k, j] - D[i, j], in one pass
+                slack = D[:, :, None] + D[None, :, :] - D[:, None, :]
+                err = max(err, max(0.0, -float(slack.min())))
         ok = err == 0.0 and (n < 2 or N % 4 == 0)
         yield _entry(
             "properties-D", n, ok, err,
@@ -404,28 +402,37 @@ def _check_poisson():
     )
 
 
+def _caf_census(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exhaustive census over every nonempty subset of the 2^n vertices,
+    each a bitmask: per fixed subset, its size p and, per rank r = 1..2^n,
+    the number of rank-r subsets that meet it and that contain it.
+
+    meet[f, s] = fixed subset f & subset s, and each count is taken per
+    rank r of s through the one-hot `of_rank`.
+    """
+    subsets = np.arange(1, 1 << 2**n)
+    size = np.bitwise_count(subsets)
+    of_rank = (size[:, None] == np.arange(1, 2**n + 1)).astype(np.int64)
+    meet = subsets[:, None] & subsets
+    return size, (meet != 0) @ of_rank, (meet == subsets[:, None]) @ of_rank
+
+
 def _check_caf():
     ok = all(caf(3, r, 1) == Fraction(r, 8) for r in range(1, 9))
     for n in range(1, 6):
         ok = ok and all(caf(n, 2**n, p) == 1 for p in range(1, 2**n + 1))
         ok = ok and all(caf(n, r, 2**n) == 1 for r in range(1, 2**n + 1))
-    # exhaustive census over every fixed subset, which also checks that
-    # the counts depend only on its size p.  Every nonempty subset of the
-    # 2^n vertices is a bitmask; meet[f, s] = fixed subset f & subset s, and
-    # each count is taken per rank r of s through the one-hot `of_rank`.
-    # The formulas are asked once per fixed subset, with its p.
+    # every fixed subset's census against the formulas, which also checks
+    # that the counts depend only on its size p: the formulas are asked once
+    # per (n, r, p), into tables indexed by p - 1
     for n in range(1, 4):
-        subsets = np.arange(1, 1 << 2**n)
-        size = np.bitwise_count(subsets)
-        ranks = range(1, 2**n + 1)
-        of_rank = (size[:, None] == np.array(ranks)).astype(np.int64)
-        meet = subsets[:, None] & subsets
-        related = (meet != 0) @ of_rank
-        shared = (meet == subsets[:, None]) @ of_rank
+        size, related, shared = _caf_census(n)
+        ranks = sizes = range(1, 2**n + 1)
         # a rank-r subset holds no fixed subset of size p > r, hence the 0
-        want_related = [[n_related(n, r, p) for r in ranks] for p in size.tolist()]
-        want_shared = [[n_shared(n, r, p) if p <= r else 0 for r in ranks] for p in size.tolist()]
-        ok = ok and np.array_equal(related, want_related) and np.array_equal(shared, want_shared)
+        want_related = np.array([[n_related(n, r, p) for r in ranks] for p in sizes])
+        want_shared = np.array([[n_shared(n, r, p) if p <= r else 0 for r in ranks] for p in sizes])
+        ok = ok and np.array_equal(related, want_related[size - 1])
+        ok = ok and np.array_equal(shared, want_shared[size - 1])
     yield _entry(
         "caf", None, ok, 0.0,
         "linear p=1 sequence, saturation, exhaustive oracle and invariance at n <= 3",

@@ -38,7 +38,7 @@ def test_build_beyond_order_guard_exits_cleanly(tmp_path, monkeypatch, capsys):
     def built_past_guard(*args):
         raise AssertionError("built past the order guard")
 
-    monkeypatch.setattr(cubegraphs, "_ternary_product", built_past_guard)
+    monkeypatch.setattr(cubegraphs, "_kron_tripling", built_past_guard)
     out = tmp_path / "x.csv"
     rc = main(["build", "--family", "powcube", "--n", "9", "--out", str(out)])
     assert rc == 2
@@ -347,7 +347,7 @@ def _stub_heavy_calls(monkeypatch):
                             sequences.Sequence(_work_began, row.start, row.oeis))
     monkeypatch.setattr(cubegraphs, "_ORDERINGS", {2: ("binary", _work_began),
                                                    3: ("ternary", _work_began)})
-    monkeypatch.setattr(cubegraphs, "_ternary_product", _work_began)
+    monkeypatch.setattr(cubegraphs, "_kron_tripling", _work_began)
     monkeypatch.setattr(harmonic, "tricube_laplacian", _work_began)
 
 

@@ -29,7 +29,7 @@ from cubelab.cubegraphs import (
     Structure,
     _PATH3_ADJ,
     _PATH3_LAP,
-    _ternary_product,
+    _kron_tripling,
     asymmetry,
     build,
     eulerian_circuit,
@@ -68,11 +68,13 @@ def kron_ternary_product(factor, n):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("factor", [_PATH3_ADJ, _PATH3_LAP], ids=["adjacency", "laplacian"])
 def test_ternary_product_matches_kron_sum(factor, n):
+    # the digit-tripling fill against np.kron, in the factor's dtype, and
+    # in the ternary-gray order against the natural sum relabelled
     expected = kron_ternary_product(factor, n)
-    assert np.array_equal(_ternary_product(factor, n), expected)
-    # with the vertices at the positions of a seeded permutation
-    perm = np.random.default_rng(n).permutation(3**n)
-    assert np.array_equal(_ternary_product(factor, n, perm), expected[np.ix_(perm, perm)])
+    natural = _kron_tripling(factor, n, gray=False)
+    assert natural.dtype == factor.dtype and np.array_equal(natural, expected)
+    perm = np.array(ternary_ordering(n, "ternary-gray"))
+    assert np.array_equal(_kron_tripling(factor, n, gray=True), expected[np.ix_(perm, perm)])
 
 
 def test_graph_matrix_symmetry_bound_is_absolute():
@@ -265,12 +267,13 @@ def _powhamming_3_with_inf():
 
 @pytest.mark.parametrize("make,message", [
     (lambda: GraphMatrix("x", DISTANCE, 1, "custom", [[0, np.inf], [np.inf, 0]]), "finite"),
-    (_powhamming_3_with_inf, "finite"),
+    (_powhamming_3_with_inf, "low-rank structure"),
     (lambda: GraphMatrix("x", DISTANCE, 1, "custom", [[0, np.nan], [np.nan, 0]]), "symmetric"),
 ], ids=["undeclared-inf", "low-rank-powhamming-inf", "undeclared-nan"])
 def test_distance_refuses_a_non_finite_entry(make, message):
     # the slab walk's distance rule is hollow, finite and nonnegative; a NaN
-    # off the diagonal already fails the symmetry test
+    # off the diagonal already fails the symmetry test.  An infinity in
+    # powhamming differs from the popcount its low-rank proof requires
     with pytest.raises(ValueError, match=message):
         make()
 
@@ -281,9 +284,8 @@ def test_distance_refuses_a_non_finite_entry(make, message):
 ])
 def test_declared_build_never_reads_the_whole_transpose(monkeypatch, family, n, ordering):
     # the factor rows are proved equal to their Kronecker sum, so only the
-    # 3 x 3 factor is tested for symmetry; powhamming's low-rank declaration
-    # is not proved, and its one symmetry test is the slab walk over the
-    # entries, which returns 0.0 without taking the full |M - M^T|
+    # 3 x 3 factor is tested for symmetry; powhamming is proved equal to its
+    # low-rank structure, which is symmetric, so nothing is
     calls = []
 
     def recording(entries):
@@ -292,7 +294,7 @@ def test_declared_build_never_reads_the_whole_transpose(monkeypatch, family, n, 
 
     monkeypatch.setattr(cubegraphs, "asymmetry", recording)
     M = build(family, n, ordering)
-    assert calls == [(M.entries.shape if family == "powhamming" else (3, 3), 0.0)]
+    assert calls == ([] if family == "powhamming" else [((3, 3), 0.0)])
 
 
 @pytest.mark.parametrize("family,n,ordering", [
@@ -553,7 +555,7 @@ def test_build_order_guard(family, n, monkeypatch):
     # every ordering and array builder fails the test instead of allocating
     stubs = {2: ("binary", _built_past_guard), 3: ("ternary", _built_past_guard)}
     monkeypatch.setattr(cubegraphs, "_ORDERINGS", stubs)
-    monkeypatch.setattr(cubegraphs, "_ternary_product", _built_past_guard)
+    monkeypatch.setattr(cubegraphs, "_kron_tripling", _built_past_guard)
     with pytest.raises(ValueError, match="dense float64 entries exceed 1024 MiB"):
         build(family, n)
     # the largest orders still pass the guard (and stop at the stub)

@@ -20,7 +20,7 @@ from cubelab.cubegraphs import (
     Structure,
     _PATH3_ADJ,
     _PATH3_LAP,
-    _ternary_product,
+    _kron_tripling,
     build,
     hamming_distance_matrix,
     ncube_adjacency,
@@ -257,7 +257,7 @@ def test_eig_sym_kron_sum_of_random_factor(monkeypatch):
     X = np.random.default_rng(5).integers(-4, 5, (3, 3))
     F = X + X.T - np.diag((X + X.T).sum(axis=1))
     assert np.all(F != 0)
-    M = _ternary_product(F, 3)
+    M = _kron_tripling(F, 3, gray=False)
     sizes = _record_sizes(monkeypatch, "eigh")
     spec = eig_sym(GraphMatrix("random", LAPLACIAN, 3, "ternary", M, Structure(KRONECKER, F)))
     assert sizes == [3]
@@ -285,11 +285,11 @@ def test_kron_row_check_skips_the_full_accumulation(monkeypatch, make, ordering)
 
     def counting(*args):
         calls.append(args)
-        return _ternary_product(*args)
+        return _kron_tripling(*args)
 
     # both names, so that a copy imported into spectra is counted as well
-    monkeypatch.setattr(cubegraphs, "_ternary_product", counting)
-    monkeypatch.setattr(spectra, "_ternary_product", counting, raising=False)
+    monkeypatch.setattr(cubegraphs, "_kron_tripling", counting)
+    monkeypatch.setattr(spectra, "_kron_tripling", counting, raising=False)
     eig_sym(declared)
     assert calls == []
     # entries alone never take the Kronecker route
@@ -704,33 +704,25 @@ def _nudged(M, i, j, delta):
 ], ids=["walsh-row-0", "walsh-inner", "low-rank", "low-rank-gray", "walsh-row-0-int8",
         "walsh-inner-int8", "low-rank-int8", "low-rank-gray-int8"])
 def test_structured_route_residual_finds_entries_off_the_structure(make, i, j, delta):
-    # declaring M's unchanged structure: the Walsh proof refuses the nudged
-    # entries when they are made, and the low-rank route's residual fails
+    # declaring M's unchanged structure: the Walsh and low-rank proofs
+    # refuse the nudged entries when they are made
     M = make()
     eig_sym(M)
-    E = _nudged(M, i, j, delta)
-    if M.structure.kind == WALSH:
-        _refused(M, E)
-        return
-    with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(GraphMatrix(M.family, M.kind, M.n, M.ordering, E, M.structure))
+    _refused(M, _nudged(M, i, j, delta))
 
 
 def test_false_structure_fails_residual():
-    # a false WALSH or KRONECKER declaration is refused when the matrix is
-    # made; a false LOW_RANK one fails in eig_sym.  A shuffled cube is not a
-    # function of i ^ j
+    # a false declaration of any kind is refused when the matrix is made.
+    # A shuffled cube is not a function of i ^ j
     P = ncube_adjacency(4, _seeded_permutation(4))
     _refused(P, P.entries, Structure(WALSH))
     # the Gray map is linear over Z_2, so the gray cube is a function of
     # i ^ j, but its row 0 is not a function of popcount
     G = ncube_adjacency(4, "gray")
     _refused(G, G.entries, Structure(WALSH))
-    # powcube's adjacency at n = 3 has rank 20, far past the n + 1 = 4 of the bits
+    # powcube's adjacency at n = 3 is not the distance of the addresses
     A, bits = pow_cube_adjacency(3), pow_hamming_matrix(3).structure.data
-    with pytest.raises(ResidualError, match="eigenpair residual"):
-        eig_sym(GraphMatrix("powcube", ADJACENCY, 3, "ternary", A.entries,
-                            Structure(LOW_RANK, bits)))
+    _refused(A, A.entries, Structure(LOW_RANK, bits))
     # a bijection that is not the entries' ordering relabels them to another
     # matrix: the binary perm (the identity) declared on gray entries, and
     # the ternary one on ternary-gray entries
@@ -983,7 +975,7 @@ def test_certificates_fail_non_finite_entries(make, kind, factor, value, where):
 
 @pytest.mark.parametrize("family,n,ordering", [
     ("tricube", 4, "binary"), ("hamming", 4, "gray"), ("powtri", 3, "ternary"),
-    ("powcube", 3, "ternary-gray"),
+    ("powcube", 3, "ternary-gray"), ("powhamming", 3, "ternary-gray"),
 ])
 def test_proofs_refuse_a_non_finite_entry_at_every_position(family, n, ordering):
     # one NaN or infinity at any single entry, in either order of the proof
@@ -993,6 +985,23 @@ def test_proofs_refuse_a_non_finite_entry_at_every_position(family, n, ordering)
             entries = M.entries.astype(float)
             entries[i, j] = value
             _refused(M, entries)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.float64], ids=["int8", "float64"])
+@pytest.mark.parametrize("ordering", ["ternary", "ternary-gray"])
+def test_low_rank_proof_refuses_a_one_entry_fault_at_each_position_class(ordering, dtype):
+    # +1 at any one entry of powhamming n = 3: on and off the diagonal, in
+    # a representative row (the first position of its address) and in a
+    # row whose address came earlier, which the proof compares with that
+    # representative
+    M = pow_hamming_matrix(3, ordering)
+    address = M.structure.data @ (1 << np.arange(3))
+    assert np.unique(address).size < M.N
+    GraphMatrix(M.family, M.kind, M.n, M.ordering, M.entries.astype(dtype), M.structure)
+    for i, j in np.ndindex(M.N, M.N):
+        entries = M.entries.astype(dtype)
+        entries[i, j] += 1
+        _refused(M, entries)
 
 
 def test_walsh_proof_refuses_a_consistent_infinity():
@@ -1024,6 +1033,9 @@ SOUNDNESS_CASES = [
     for family in ("powcube", "powtri")
     for n in range(1, 8)
     for ordering in ("ternary", "ternary-gray")
+] + [
+    # the low-rank bound: measured range residuals and the kernel bound
+    ("powhamming", n, ordering) for n in range(1, 6) for ordering in ("ternary", "ternary-gray")
 ]
 
 

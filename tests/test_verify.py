@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,18 +92,21 @@ def test_every_claim_id_has_a_check():
 
 
 def test_caf_checks_every_fixed_subset(monkeypatch):
-    # right for the first p-subset checked, the prefix {0, .., p-1}, and
-    # one off for every other p-subset
-    seen = set()
+    # one census count off at n = 3, rank 4, for the fixed subset {1, 2},
+    # which is not the prefix {0, 1} of its size: every fixed subset is
+    # compared with the formulas, not one per size
+    census = verify._caf_census
+    for counts in (1, 2):  # the related, then the shared counts
 
-    def prefix_only(n, r, p):
-        first = (n, r, p) not in seen
-        seen.add((n, r, p))
-        return n_related(n, r, p) + (0 if first else 1)
+        def one_off(n):
+            taken = census(n)
+            if n == 3:
+                taken[counts][0b110 - 1, 3] += 1
+            return taken
 
-    monkeypatch.setattr(verify, "n_related", prefix_only)
-    [entry] = run_verification(claims=["caf"]).entries
-    assert entry["status"] == "fail"
+        monkeypatch.setattr(verify, "_caf_census", one_off)
+        [entry] = run_verification(claims=["caf"]).entries
+        assert entry["status"] == "fail"
 
 
 @pytest.mark.parametrize("name, formula", [("n_related", n_related), ("n_shared", n_shared)])
@@ -111,6 +117,34 @@ def test_caf_census_catches_one_wrong_count(monkeypatch, name, formula):
     monkeypatch.setattr(verify, name, off_by_one_at_3_4_2)
     [entry] = run_verification(claims=["caf"]).entries
     assert entry["status"] == "fail"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_powtri_oracle_is_the_enumeration_of_0_1_3(n):
+    # every sum over {0,1,3}^n, split by the parity of its count of 1-digits
+    plus, minus = Counter(), Counter()
+    for digits in itertools.product((0, 1, 3), repeat=n):
+        (minus if digits.count(1) % 2 else plus)[sum(digits)] += 1
+    assert verify._powtri_parity_spectra(n) == (plus, minus)
+
+
+def test_properties_d_fails_on_a_shortcut_distance(monkeypatch):
+    # binary n = 4: d(0, 3) = 2 cut to 1, with its transpose and its mirror
+    # under J, so that the matrix stays symmetric, hollow, centrosymmetric
+    # and keeps its counterdiagonal; only the triangle inequality sees it,
+    # d(0, 7) = 3 > d(0, 3) + d(3, 7) = 2
+    build = verify.hamming_distance_matrix
+
+    def shortcut(n, ordering):
+        D = build(n, ordering).entries.copy()
+        if ordering == "binary":
+            for i, j in ((0, 3), (15, 12)):
+                D[i, j] = D[j, i] = 1
+        return SimpleNamespace(entries=D)
+
+    monkeypatch.setattr(verify, "hamming_distance_matrix", shortcut)
+    [entry] = run_verification(["properties-D"], [4]).entries
+    assert entry["status"] == "fail" and entry["max_abs_err"] == 1.0
 
 
 def test_theorem3_n3_noted_only_for_lambda2(monkeypatch):
