@@ -225,7 +225,6 @@ class GraphMatrix:
                 s = Structure(s.kind, _copied(s.data), _copied(s.perm))
                 object.__setattr__(self, "structure", s)
             self._check_structure()
-        if s is not None:
             rows = _low_rank_proof(e, s.data) if s.kind == LOW_RANK else None
             if not (_walsh_proof(e, s.perm) if s.kind == WALSH
                     else _kron_proof(e, s.data, self.n, s.perm) if s.kind == KRONECKER
