@@ -47,7 +47,6 @@ from .sequences import (
 )
 from .spectra import (
     Spectrum,
-    eig_identity_check,
     eig_sym,
     ramanujan_check,
     spectral_stats,

@@ -136,14 +136,6 @@ class RamanujanResult:
     degree: int
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    lhs: float
-    rhs: float
-    agree: bool
-    rel_err: float
-
-
 def symmetric_entries(M) -> np.ndarray:
     """M's entries; a raw array must be square, 2-d and symmetric within
     STRUCTURE_TOL."""
@@ -445,44 +437,6 @@ def ramanujan_check(adj) -> RamanujanResult:
         bound=bound,
         degree=degree,
     )
-
-
-def eig_identity_check(L, B) -> IdentityResult:
-    """Determinant identity tying a singular Laplacian to its kernel vector.
-
-    For N x (N-1) matrix B and unit kernel vector x of L (`eig_sym`'s, with
-    a simple zero eigenvalue by `Spectrum.in_kernel`):
-
-        det(B^T L B) = (product of nonzero eigenvalues) * det([B | x])^2
-
-    This is the Cauchy-Binet-type consequence of det(B^T (t I - L) B)
-    = p'_L(t) |det([B | x])|^2 evaluated at the kernel eigenvalue t = 0.
-
-    Both sides are carried as (sign, log|.|) from slogdet, so they may
-    exceed the float range (lhs and rhs then read +-inf).  They agree when
-    rel_err = |lhs - rhs| / max(|lhs|, |rhs|, 1) <= 1e-6, evaluated after
-    scaling both sides by that maximum.
-    """
-    entries = symmetric_entries(L)
-    B = np.asarray(B, dtype=float)
-    N = entries.shape[0]
-    if B.shape != (N, N - 1):
-        raise ValueError(f"B must be {N}x{N - 1}, got {B.shape}")
-    spec = eig_sym(L)
-    kernel = np.flatnonzero(spec.in_kernel())
-    if kernel.size != 1:
-        raise ValueError(f"kernel dimension {kernel.size}, identity needs a simple kernel")
-    x = spec.vectors[:, kernel[0]]
-    nonzero = np.delete(spec.values, kernel[0])
-    lhs_sign, lhs_log = np.linalg.slogdet(B.T @ entries @ B)
-    x_sign, x_log = np.linalg.slogdet(np.column_stack([B, x]))
-    rhs_sign = np.prod(np.sign(nonzero)) * x_sign**2
-    rhs_log = np.log(np.abs(nonzero)).sum() + 2.0 * x_log
-    scale = max(lhs_log, rhs_log, 0.0)
-    rel_err = float(abs(lhs_sign * np.exp(lhs_log - scale) - rhs_sign * np.exp(rhs_log - scale)))
-    with np.errstate(over="ignore"):
-        lhs, rhs = float(lhs_sign * np.exp(lhs_log)), float(rhs_sign * np.exp(rhs_log))
-    return IdentityResult(lhs=lhs, rhs=rhs, agree=rel_err <= 1e-6, rel_err=rel_err)
 
 
 def spectrum_to_csv(spec: Spectrum, path) -> None:

@@ -14,6 +14,9 @@ OEIS entry against that entry's bundled b-file.  The spectral claims
 compare the ascending eigenvalues with an exact {value: multiplicity}
 oracle; `properties-L` compares them split by the J-parity of the
 eigenvectors that `eig_sym` returns, so no check calls LAPACK itself.
+The `identity` claim compares two Python ints per draw of B,
+N det(B^T L B) and P det([B | 1])^2, P the product of tricube's nonzero
+integer eigenvalues, with determinants by exact Bareiss elimination.
 """
 
 import json
@@ -40,7 +43,7 @@ from .cubegraphs import (
 from .harmonic import kernel_from_spectrum, min_energy_search
 from .meshcotan import BOTH, EVEN, ODD, build_cube_cotan_geometric
 from .predicates import caf, n_related, n_shared
-from .spectra import centro_deviation, eig_identity_check, eig_sym, ramanujan_check, spectral_stats
+from .spectra import centro_deviation, eig_sym, ramanujan_check, spectral_stats
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -439,18 +442,53 @@ def _check_caf():
     )
 
 
+def _det(M) -> int:
+    """det(M) of a square integer array, exactly: Bareiss's fraction-free
+    elimination (1968) over Python ints, every division exact, with a row
+    swap at a zero pivot."""
+    A = M.tolist()
+    m, sign, prev = len(A), 1, 1
+    for k in range(m - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, m) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap], sign = A[swap], A[k], -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1] if A else 1
+
+
 def _check_identity(ns):
     rng = np.random.default_rng(20240913)
     for n in ns:
         L = tricube_laplacian(n)
-        worst = 0.0
-        ok = True
-        for _ in range(10):
-            B = rng.uniform(-1.0, 1.0, size=(L.N, L.N - 1))
-            res = eig_identity_check(L, B)
-            ok = ok and res.agree
-            worst = max(worst, res.rel_err)
-        yield _entry("identity", n, ok, worst, "det(B^T L B) identity on 10 random B")
+        N, entries = L.N, L.entries.astype(np.int64)
+        values = eig_sym(L).values
+        nonzero = values[values != 0]
+        # L's integer rows sum to 0 (a LAPLACIAN is checked for that when
+        # made), so with one zero among integer eigenvalues the unit kernel
+        # vector is 1/sqrt(N), and the identity reads, in integers,
+        # N det(B^T L B) = P det([B | 1])^2
+        simple = nonzero.size == N - 1 and np.array_equal(nonzero, np.round(nonzero))
+        P = math.prod(int(v) for v in nonzero) if simple else 0
+        ok, err, checked = simple, (0.0 if simple else math.inf), 0
+        while simple and checked < 10:
+            B = rng.integers(-1, 2, size=(N, N - 1))
+            rhs = P * _det(np.column_stack([B, np.ones(N, np.int64)])) ** 2
+            if rhs == 0:
+                continue  # both sides 0: a singular [B | 1] proves nothing
+            lhs = N * _det(B.T @ entries @ B)
+            ok = ok and lhs == rhs
+            err = max(err, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+            checked += 1
+        yield _entry(
+            "identity", n, ok, err,
+            "N det(B^T L B) == P det([B | 1])^2 in integers, P the product of the nonzero "
+            "integer eigenvalues, on 10 {-1,0,1} B with det([B | 1]) != 0",
+        )
 
 
 # claim id -> (check, default dimensions, or None for a claim without n)

@@ -60,7 +60,7 @@ CRITERIA = {
          {"euler": (range(3, 7), 0.0)}),
     12: ("bisymmetry, traces, radii, gaps, J-parity split, identity", None,
          {"properties-L": (range(1, 7), 1e-9), "properties-D": (range(2, 9), 0.0),
-          "identity": (range(2, 4), 1e-6)}),
+          "identity": (range(2, 4), 0.0)}),
     13: ("generators match offline fixtures; fine structure at pi", None,
          {"sequences": ((None,), 1e-9)}),
 }

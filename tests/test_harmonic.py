@@ -7,7 +7,6 @@ import pytest
 from cubelab.cubegraphs import pow_tricube_laplacian, tricube_laplacian
 from cubelab.harmonic import kernel_basis, min_energy_search
 from cubelab.meshcotan import dirichlet_energy
-from cubelab.spectra import eig_identity_check
 
 
 def test_kernel_is_constant_direction():
@@ -37,11 +36,6 @@ def test_kernel_basis_solves_a_declared_factor(eigh_sizes):
     v = kernel_basis(pow_tricube_laplacian(3))[0]
     assert eigh_sizes == [3]
     assert np.allclose(v, np.ones(27) / np.sqrt(27.0), atol=1e-10)
-
-
-def test_eig_identity_check_solves_a_declared_factor(eigh_sizes):
-    eig_identity_check(pow_tricube_laplacian(3), np.eye(27)[:, :26])
-    assert eigh_sizes == [3]
 
 
 def test_kernel_rejects_disconnected():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -303,10 +304,81 @@ def test_a_moved_walsh_value_fails_theorem2_and_properties_l(monkeypatch):
         return out
 
     monkeypatch.setattr(spectra, "_fwht", moved)
-    entries = run_verification(["theorem2", "properties-L"], [3]).entries
+    entries = run_verification(["theorem2", "properties-L", "identity"], [3]).entries
     assert [(e["claim"], e["status"]) for e in entries] == [
-        ("theorem2", "fail"), ("properties-L", "fail"),
+        ("theorem2", "fail"), ("properties-L", "fail"), ("identity", "fail"),
     ]
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5], ids=["second-zero", "non-integer"])
+def test_identity_needs_integer_eigenvalues_and_a_simple_kernel(monkeypatch, value):
+    # one eigenvalue 2 set to 0 leaves a kernel of dimension 2, and set to
+    # 2.5 leaves a P that is no integer: either way no draw is judged, and
+    # err is inf.  (At 2.5 an int() of each value would keep P and pass.)
+    def changed(M):
+        values = eig_sym(M).values.copy()
+        values[1] = value
+        return Spectrum(values, None)
+
+    monkeypatch.setattr(verify, "eig_sym", changed)
+    entries = run_verification(["identity"]).entries
+    assert [(e["n"], e["status"], e["max_abs_err"]) for e in entries] == [
+        (2, "fail", math.inf), (3, "fail", math.inf),
+    ]
+
+
+def test_identity_judges_ten_nonsingular_draws_per_n(monkeypatch):
+    # a singular [B | 1] makes both sides 0, so it is drawn again: with the
+    # seed, 3 of the first 13 draws at n = 2 and 1 of the first 11 at n = 3
+    calls, det = [], verify._det
+
+    def recording(M):
+        calls.append((len(M), det(M)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "_det", recording)
+    entries = run_verification(["identity"]).entries
+    assert [e["status"] for e in entries] == ["pass", "pass"]
+    for N, drawn, singular in ((4, 13, 3), (8, 11, 1)):
+        stacked = [d for order, d in calls if order == N]
+        judged = [d for order, d in calls if order == N - 1]
+        assert (len(stacked), stacked.count(0)) == (drawn, singular)
+        assert len(judged) == 10 and 0 not in judged
+
+
+def _fraction_det(M):
+    """det(M) by Gaussian elimination over Fractions, with a row swap at a
+    zero pivot."""
+    A = [[Fraction(int(x)) for x in row] for row in M]
+    det = Fraction(1)
+    for k in range(len(A)):
+        pivot = next((i for i in range(k, len(A)) if A[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            A[k], A[pivot], det = A[pivot], A[k], -det
+        det *= A[k][k]
+        for i in range(k + 1, len(A)):
+            f = A[i][k] / A[k][k]
+            A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+    return det
+
+
+def test_det_matches_fraction_elimination():
+    rng = np.random.default_rng(1968)
+    cases = [rng.integers(-1, 2, size=(m, m)) for m in range(1, 9) for _ in range(30)]
+    # every leading pivot 0: the order-8 index reversal, of det +1
+    cases.append(np.eye(8, dtype=np.int64)[::-1])
+    dets = [verify._det(M) for M in cases]
+    assert all(type(d) is int for d in dets)
+    assert dets == [_fraction_det(M) for M in cases]
+    assert dets[-1] == 1
+    # the draws hold singular matrices and zero leading pivots at every
+    # order from 2 on, and nonsingular ones at every order
+    for m in range(2, 9):
+        drawn = [(M, d) for M, d in zip(cases, dets) if len(M) == m]
+        assert any(d == 0 for _, d in drawn) and any(d != 0 for _, d in drawn)
+        assert any(M[0, 0] == 0 and d != 0 for M, d in drawn)
 
 
 @pytest.mark.parametrize("degrees", [45, 30])
@@ -357,12 +429,13 @@ _NO_KERNEL_CHOICE = _not_dynamic_openblas()
 
 
 @pytest.mark.skipif(_NO_KERNEL_CHOICE is not None, reason=str(_NO_KERNEL_CHOICE))
-def test_properties_l_report_is_the_same_on_every_blas_kernel():
-    # properties-L reads the split from eig_sym's eigenbasis, so no LAPACK
-    # solve of the full matrix can move its bytes (other claims still do)
+def test_properties_l_and_identity_reports_are_the_same_on_every_blas_kernel():
+    # properties-L reads the split from eig_sym's eigenbasis, and identity
+    # compares integers, so no LAPACK solve of the full matrix can move
+    # their bytes (other claims still do)
     script = (
         "import sys; from cubelab.verify import run_verification; "
-        "sys.stdout.write(run_verification(claims=['properties-L']).to_json())"
+        "sys.stdout.write(run_verification(claims=['properties-L', 'identity']).to_json())"
     )
     src = str(Path(verify.__file__).resolve().parents[1])
     digests = set()
@@ -377,6 +450,6 @@ def test_properties_l_report_is_the_same_on_every_blas_kernel():
                 [sys.executable, "-c", script], env=env, capture_output=True, check=True,
                 timeout=120,
             ).stdout
-            assert json.loads(out)["summary"] == {"pass": 6, "fail": 0, "discrepancy-noted": 0}
+            assert json.loads(out)["summary"] == {"pass": 8, "fail": 0, "discrepancy-noted": 0}
             digests.add(hashlib.sha256(out).hexdigest())
     assert len(digests) == 1
