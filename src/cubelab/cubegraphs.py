@@ -36,7 +36,8 @@ one of two rules:
 `build` declares one of them for every row at every n.  An ordering only
 relabels the graph: outside the natural order, KRONECKER and WALSH carry
 the relabelling as `perm`, and LOW_RANK's bits are given per position.
-The mesh builders declare none.  `build` stores the entries as int8,
+`meshcotan.build_cube_cotan_geometric` declares WALSH too, and
+`meshcotan.build_wdm` declares none.  `build` stores the entries as int8,
 which holds every family entry exactly (|entry| <= 2n <= 16), so a built
 matrix takes N^2 bytes; its consumers widen them to float64 one block at
 a time.  `build` refuses a matrix whose dense float64 form would exceed

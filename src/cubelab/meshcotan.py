@@ -1,33 +1,35 @@
 """Geometric cotan-Laplacian machinery on triangulated 2-faces.
 
-Weights come from angles opposite each edge: w = (cot(alpha) + cot(beta))/2
-for an interior edge, half that for a boundary edge with a single incident
-triangle.  Cube boundary edges in dimension > 3 see more than two incident
-triangles, all with equal opposite angles; the weight is then taken from a
-representative pair, i.e. cot of the common angle.
+Weights come from the cotangents of the angles opposite each edge:
+w = (cot(alpha) + cot(beta))/2 for an interior edge, half that for a
+boundary edge with a single incident triangle.  At a corner with edge
+vectors u and v, cot = u.v / sqrt(G) for the Gram determinant
+G = |u|^2 |v|^2 - (u.v)^2 (Pinkall & Polthier 1993; Meyer, Desbrun,
+Schroder & Barr 2003), so no angle is formed.  On every cube mesh G = 1,
+and each cotangent is the integer u.v, 0 or 1, exact in float64.  Cube
+boundary edges in dimension > 3 see more than two incident triangles, all
+with equal cotangents; the weight is then the common cotangent, the value
+a representative pair would give.
 
 `build_wdm` and `build_cube_cotan_geometric` share one assembly in array
-passes: the corner angles of the (T, 3) triangle array at once, the edges
-grouped in first-appearance order, each edge's `cotan_weight` by one
+passes: the corner cotangents of the (T, 3) triangle array at once, the
+edges grouped in first-appearance order, each edge's `cotan_weight` by one
 vectorised rule, and the diagonal by one `np.bincount` over the edge ends
 in edge order, which sums each diagonal entry in the order an edge-by-edge
 loop would, so the entries match that loop bit for bit.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cubegraphs import LAPLACIAN, GraphMatrix
+from .cubegraphs import LAPLACIAN, WALSH, GraphMatrix, Structure
 from .spectra import symmetric_entries
 
 EVEN = "even"
 ODD = "odd"
 BOTH = "both"
-
-_ANGLE_EQ_TOL = 1e-9
 
 # the triangles of one face as indices into its corners (v00, v10, v01,
 # v11): Even splits it along v00-v11, Odd along v10-v01, Both overlays them
@@ -75,56 +77,51 @@ def _corner_edges(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return corners[:, _NEXT] - corners, corners[:, _PREVIOUS] - corners
 
 
-def cotan_weight(alphas) -> float:
-    """Edge weight from the list of opposite angles.
+def cotan_weight(cots) -> float:
+    """Edge weight from the cotangents of the angles opposite the edge.
 
-    One or two angles: w = sum(cot)/2.  More than two incident triangles:
-    the angles must all be equal (otherwise the weight is ambiguous) and
-    the weight is cot of the common angle, the value a representative pair
-    would give.
+    One or two cotangents: w = sum(cot)/2.  More than two incident
+    triangles: the cotangents must all be equal (otherwise the weight is
+    ambiguous) and the weight is the common cotangent, the value a
+    representative pair would give.  A cotangent that is not finite raises
+    ValueError.
     """
-    if len(alphas) == 0:
-        raise ValueError("no opposite angles supplied")
+    if len(cots) == 0:
+        raise ValueError("no cotangents supplied")
     one = np.zeros(1, dtype=np.intp)
-    alphas = np.asarray(alphas, dtype=float)
-    return float(_edge_weights(alphas, one, np.array([alphas.size]), one)[0])
+    cots = np.asarray(cots, dtype=float)
+    return float(_edge_weights(cots, one, np.array([cots.size]), one)[0])
 
 
-def _edge_weights(alphas: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+def _edge_weights(cots: np.ndarray, starts: np.ndarray, counts: np.ndarray,
                   order: np.ndarray) -> np.ndarray:
-    """`cotan_weight` of each group of counts[g] >= 1 angles from
-    alphas[starts[g]] (starts ascending), for the groups g in `order`, with
+    """`cotan_weight` of each group of counts[g] >= 1 cotangents from
+    cots[starts[g]] (starts ascending), for the groups g in `order`, with
     the error of the first of them that breaks the rule."""
-    outside = np.logical_or.reduceat(~((alphas > 0.0) & (alphas < math.pi)), starts)
-    spread = np.maximum.reduceat(alphas, starts) - np.minimum.reduceat(alphas, starts)
-    starts, counts = starts[order], counts[order]
-    bad = outside[order] | ((counts > 2) & (spread[order] > _ANGLE_EQ_TOL))
+    infinite = ~np.logical_and.reduceat(np.isfinite(cots), starts)
+    unequal = np.maximum.reduceat(cots, starts) != np.minimum.reduceat(cots, starts)
+    bad = (infinite | ((counts > 2) & unequal))[order]
     if bad.any():
-        if outside[order][bad.argmax()]:
-            raise ValueError("angles must lie in (0, pi)")
+        if infinite[order][bad.argmax()]:
+            raise ValueError("cotangents must be finite")
         raise ValueError(
             "ambiguous weight: more than two incident triangles with unequal angles"
         )
-    # the first angle of each group and, of a pair, the second (else the
-    # first again, unused); math.tan, not np.tan, whose SIMD loops may round
-    # differently
-    pair = counts == 2
-    taken = alphas[np.concatenate([starts, starts + pair])].tolist()
-    cot = 1.0 / np.array([math.tan(a) for a in taken])
-    first, second = cot[: starts.size], cot[starts.size :]
-    return np.where(counts > 2, first, 0.5 * (first + np.where(pair, second, 0.0)))
+    weights = np.where(counts > 2, cots[starts], 0.5 * np.add.reduceat(cots, starts))
+    return weights[order]
 
 
 def _edges(mesh: TriMesh):
-    """(edges, alphas, starts, counts, order): every opposite angle, grouped
-    by edge with the groups in ascending (i, j) order and each group in
-    appearance order, counts[g] angles from alphas[starts[g]]; `order`
-    lists the groups by the first appearance of their edge, and edges[e] is
-    the (i, j), i < j, of group order[e].  Triangle (a, b, c) adds its
-    angles at c, a and b, opposite (a, b), (b, c) and (c, a)."""
+    """(edges, cots, starts, counts, order): every opposite cotangent,
+    grouped by edge with the groups in ascending (i, j) order and each
+    group in appearance order, counts[g] cotangents from cots[starts[g]];
+    `order` lists the groups by the first appearance of their edge, and
+    edges[e] is the (i, j), i < j, of group order[e].  Triangle (a, b, c)
+    adds its cotangents at c, a and b, opposite (a, b), (b, c) and
+    (c, a)."""
     u, v = _corner_edges(mesh)
-    cosang = (u * v).sum(-1) / (np.sqrt((u * u).sum(-1)) * np.sqrt((v * v).sum(-1)))
-    corner_angles = np.arccos(np.clip(cosang, -1.0, 1.0))
+    dot = (u * v).sum(-1)
+    corner_cots = dot / np.sqrt((u * u).sum(-1) * (v * v).sum(-1) - dot**2)
     triangles = mesh.triangles
     i, j = triangles.ravel(), triangles[:, _NEXT].ravel()
     low, high = np.minimum(i, j), np.maximum(i, j)
@@ -138,8 +135,8 @@ def _edges(mesh: TriMesh):
     first = by_key[starts]
     order = np.argsort(first)
     first = first[order]
-    alphas = corner_angles[:, _PREVIOUS].ravel()[by_key]
-    return np.column_stack([low[first], high[first]]), alphas, starts, counts, order
+    cots = corner_cots[:, _PREVIOUS].ravel()[by_key]
+    return np.column_stack([low[first], high[first]]), cots, starts, counts, order
 
 
 def _assemble(n_vertices: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -160,12 +157,12 @@ def _cotan_laplacian(mesh: TriMesh, max_triangles: int | None = None) -> np.ndar
     """The cotan Laplacian of a mesh, each edge weighted by `cotan_weight`;
     an edge of more than `max_triangles` incident triangles raises
     ValueError first."""
-    edges, alphas, starts, counts, order = _edges(mesh)
+    edges, cots, starts, counts, order = _edges(mesh)
     if max_triangles is not None and (counts > max_triangles).any():
         e = (counts[order] > max_triangles).argmax()
         edge = tuple(edges[e].tolist())
         raise ValueError(f"edge {edge} has {counts[order][e]} incident triangles")
-    return _assemble(mesh.vertices.shape[0], edges, _edge_weights(alphas, starts, counts, order))
+    return _assemble(mesh.vertices.shape[0], edges, _edge_weights(cots, starts, counts, order))
 
 
 def build_wdm(mesh: TriMesh) -> GraphMatrix:
@@ -203,19 +200,16 @@ def cube_face_triangulation(n: int, arrangement: str = EVEN) -> TriMesh:
 def build_cube_cotan_geometric(n: int, arrangement: str = EVEN) -> GraphMatrix:
     """Cotan Laplacian of the triangulated cube from embedded geometry.
 
-    For n >= 3 this reproduces tricube_laplacian(n) exactly (entries are
-    snapped once verified to sit within 1e-12 of integers).  For n = 2 the
-    single face has boundary edges with one incident triangle each, giving
-    the half-weight boundary form with spectrum {0, 1, 1, 2}.
+    The cotangents are the integers u.v, so the entries are exact: for
+    n >= 3 they are tricube_laplacian(n).  For n = 2 the single face has
+    boundary edges with one incident triangle each, giving the half-weight
+    boundary form with spectrum {0, 1, 1, 2} (twice that for BOTH).  The
+    matrix declares Structure(WALSH), so its proof checks the geometry
+    when the matrix is made: entries that are not a function of
+    popcount(i ^ j) raise ValueError.
     """
-    mesh = cube_face_triangulation(n, arrangement)
-    entries = _cotan_laplacian(mesh)
-    if n >= 3:
-        snapped = np.round(entries)
-        if np.abs(entries - snapped).max() > 1e-12:
-            raise RuntimeError("geometric weights strayed from integers")
-        entries = snapped
-    return GraphMatrix._adopt("tricube", LAPLACIAN, n, "binary", entries)
+    entries = _cotan_laplacian(cube_face_triangulation(n, arrangement))
+    return GraphMatrix._adopt("tricube", LAPLACIAN, n, "binary", entries, Structure(WALSH))
 
 
 def dirichlet_energy(L, u) -> float:

@@ -4,7 +4,7 @@
 LAPACK's eigh/eigvalsh.  `symmetric_entries` is
 the one symmetry gate for raw arrays (`asymmetry` within STRUCTURE_TOL); a
 `GraphMatrix` was tested when built.  `eig_sym` has four routes, chosen by
-the `structure` that `cubegraphs.build` declared.  A `GraphMatrix` that
+the `structure` the matrix declares.  A `GraphMatrix` that
 declares a structure S was proved equal to S on every entry, exactly, when
 it was made (it cannot be made otherwise); the declared routes read no
 entry again but the natural row 0 of a Walsh matrix, and bound the
@@ -36,7 +36,7 @@ v (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
   by applying S through X, and every other value is 0.  e_S is the larger
   of those residuals and the kernel bound ||E||_F ||C||_2 (2 ||X||_F +
   ||E||_F), E = X - Q R measured (`_low_rank_eig`);
-- anything else (raw arrays and the mesh matrices) takes one eigh of the
+- anything else (raw arrays and `build_wdm` meshes) takes one eigh of the
   full matrix, measured by one GEMM, M V - V lambda.
 
 A non-finite eigenvalue, residual or bound fails the check.

@@ -92,7 +92,7 @@ def _check_theorem1(ns):
         for arrangement in (EVEN, ODD, BOTH):
             geo = build_cube_cotan_geometric(n, arrangement).entries
             err = max(err, float(np.abs(geo - ref).max()))
-        yield _entry("theorem1", n, err <= 1e-12, err, "geometric == n*I - E, all arrangements")
+        yield _entry("theorem1", n, err == 0.0, err, "geometric == n*I - E, all arrangements")
 
 
 def _deviation(values: np.ndarray, exact: dict) -> np.ndarray:

@@ -38,7 +38,7 @@ def runs():
 # criterion -> (label, runtime budget in seconds or None, {claim: (the
 # exact n of its entries, tolerance on max_abs_err)})
 CRITERIA = {
-    1: ("triangulation invariance, n=3..6", 5.0, {"theorem1": (range(3, 7), 1e-12)}),
+    1: ("triangulation invariance, n=3..6", 5.0, {"theorem1": (range(3, 7), 0.0)}),
     2: ("spectrum 2k x C(n,k), n=2..8; boundary {0,1,1,2}", None,
         {"theorem2": (range(2, 9), 1e-8)}),
     3: ("Ramanujan iff n<6; formula n(n-3)/2 for n=4..10; n=3 noted", None,

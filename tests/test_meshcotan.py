@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cubelab import meshcotan
-from cubelab.cubegraphs import tricube_laplacian
+from cubelab.cubegraphs import WALSH, tricube_laplacian
 from cubelab.meshcotan import (
     BOTH,
     EVEN,
@@ -17,23 +17,27 @@ from cubelab.meshcotan import (
     cube_face_triangulation,
     dirichlet_energy,
 )
+from cubelab.spectra import eig_sym
 
 
 def test_cotan_weight_values():
-    assert cotan_weight([math.pi / 4, math.pi / 4]) == pytest.approx(1.0, abs=1e-15)
-    assert cotan_weight([math.pi / 2, math.pi / 2]) == pytest.approx(0.0, abs=1e-15)
-    assert cotan_weight([math.pi / 4]) == pytest.approx(0.5, abs=1e-15)
+    # the weights take cotangents: cot(pi/4) = 1, cot(pi/2) = 0
+    assert cotan_weight([1.0, 1.0]) == 1.0
+    assert cotan_weight([0.0, 0.0]) == 0.0
+    assert cotan_weight([1.0]) == 0.5
+    # an obtuse angle has a negative cotangent
+    assert cotan_weight([0.5, -1.5]) == -0.5
     # representative pair on a many-triangle boundary edge
-    assert cotan_weight([math.pi / 4] * 4) == pytest.approx(1.0, abs=1e-15)
+    assert cotan_weight([1.0] * 4) == 1.0
 
 
 def test_cotan_weight_errors():
     with pytest.raises(ValueError):
         cotan_weight([])
-    with pytest.raises(ValueError):
-        cotan_weight([0.0, math.pi / 2])
-    with pytest.raises(ValueError):
-        cotan_weight([math.pi / 4, math.pi / 4, math.pi / 3])
+    with pytest.raises(ValueError, match="finite"):
+        cotan_weight([math.inf, 0.0])
+    with pytest.raises(ValueError, match="ambiguous"):
+        cotan_weight([1.0, 1.0, 1.0 + 2.0**-52])
 
 
 def unit_square_mesh(diagonal=EVEN):
@@ -109,22 +113,38 @@ def test_triangulation_counts():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("arrangement", [EVEN, ODD, BOTH])
 def test_geometric_equals_combinatorial(n, arrangement):
-    # the integer snap makes the geometric route exact, not just close
+    # every cube corner has G = 1, so each cotangent is the integer u.v and
+    # the geometric route is exact, not just close, with no -0.0
     geo = build_cube_cotan_geometric(n, arrangement).entries
-    assert np.array_equal(geo, tricube_laplacian(n).entries)
+    assert geo.tobytes() == tricube_laplacian(n).entries.astype(float).tobytes()
 
 
 def test_boundary_square_spectrum():
     for arrangement in (EVEN, ODD):
-        spec = np.linalg.eigvalsh(build_cube_cotan_geometric(2, arrangement).entries)
-        assert np.allclose(spec, [0, 1, 1, 2], atol=1e-12)
-    # the two proper triangulations even agree entrywise (the diagonals
-    # carry zero weight); overlaying BOTH doubles the boundary weights
+        values = eig_sym(build_cube_cotan_geometric(2, arrangement)).values
+        assert values.tolist() == [0.0, 1.0, 1.0, 2.0]
+    # the two proper triangulations agree entrywise (the diagonals carry
+    # zero weight); overlaying BOTH doubles the boundary weights
     even = build_cube_cotan_geometric(2, EVEN).entries
     odd = build_cube_cotan_geometric(2, ODD).entries
     both = build_cube_cotan_geometric(2, BOTH).entries
-    assert np.abs(even - odd).max() <= 1e-15
-    assert np.abs(both - 2.0 * even).max() <= 1e-15
+    assert np.array_equal(even, odd)
+    assert np.array_equal(both, 2.0 * even)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_geometric_mesh_off_the_cube_is_refused(monkeypatch, n):
+    # one vertex moved off the unit cube: its weights leave the popcount
+    # pattern, so the Walsh proof refuses the matrix when it is made
+    def moved(n, arrangement):
+        mesh = cube_face_triangulation(n, arrangement)
+        vertices = mesh.vertices.copy()
+        vertices[-1, 0] += 1e-3
+        return TriMesh(vertices, mesh.triangles)
+
+    monkeypatch.setattr(meshcotan, "cube_face_triangulation", moved)
+    with pytest.raises(ValueError, match="declared walsh structure"):
+        build_cube_cotan_geometric(n, EVEN)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -171,22 +191,26 @@ def test_degenerate_triangle_rejected():
 
 
 def reference_cotan_laplacian(mesh):
-    """Reference: the corner angles in one array pass, as the library takes
-    them; then a dict from each edge to its opposite angles in
-    first-appearance order, each edge's `cotan_weight`, and the entries
-    accumulated one edge at a time."""
-    corners = mesh.vertices[np.asarray(mesh.triangles)]
-    u, v = np.roll(corners, -1, axis=1) - corners, np.roll(corners, 1, axis=1) - corners
-    cosang = (u * v).sum(-1) / (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
-    corner_angles = np.arccos(np.clip(cosang, -1.0, 1.0)).tolist()
-    angles = {}
-    for tri, alphas in zip(np.asarray(mesh.triangles).tolist(), corner_angles):
+    """Reference: each corner's cotangent u.v / sqrt(|u|^2 |v|^2 - (u.v)^2)
+    in Python floats, one corner at a time; then a dict from each edge to
+    its opposite cotangents in first-appearance order, each edge's weight
+    (the common cotangent of more than two, else half their sum), and the
+    entries accumulated one edge at a time."""
+    vertices = mesh.vertices.tolist()
+    cots = {}
+    for tri in mesh.triangles.tolist():
         for k in (2, 0, 1):
-            i, j = tri[k - 2], tri[k - 1]
-            angles.setdefault((min(i, j), max(i, j)), []).append(alphas[k])
-    L = np.zeros((len(mesh.vertices), len(mesh.vertices)))
-    for (i, j), alphas in angles.items():
-        w = cotan_weight(alphas)
+            apex, i, j = vertices[tri[k]], vertices[tri[k - 2]], vertices[tri[k - 1]]
+            u = [p - q for p, q in zip(i, apex)]
+            v = [p - q for p, q in zip(j, apex)]
+            dot = sum(p * q for p, q in zip(u, v))
+            gram = sum(p * p for p in u) * sum(q * q for q in v) - dot * dot
+            edge = (min(tri[k - 2], tri[k - 1]), max(tri[k - 2], tri[k - 1]))
+            cots.setdefault(edge, []).append(dot / math.sqrt(gram))
+    L = np.zeros((len(vertices), len(vertices)))
+    for (i, j), c in cots.items():
+        assert len(c) <= 2 or len(set(c)) == 1
+        w = c[0] if len(c) > 2 else sum(c) / 2
         L[i, j] -= w
         L[j, i] -= w
         L[i, i] += w
@@ -199,13 +223,11 @@ def reference_cotan_laplacian(mesh):
 def test_array_assembly_matches_the_edge_loop_bit_for_bit(n, arrangement):
     # the edges grouped in first-appearance order and the diagonal summed by
     # one bincount over the interleaved edge ends, in edge order, give the
-    # bytes of the edge-by-edge loop, before the integer snap of n >= 3 and
-    # after it; n = 2 is the boundary form, which is never snapped
-    mesh = cube_face_triangulation(n, arrangement)
-    reference = reference_cotan_laplacian(mesh)
-    assert meshcotan._cotan_laplacian(mesh).tobytes() == reference.tobytes()
-    built = build_cube_cotan_geometric(n, arrangement).entries
-    assert built.tobytes() == (reference if n == 2 else np.round(reference)).tobytes()
+    # bytes of the edge-by-edge loop; the matrix declares the Walsh structure
+    reference = reference_cotan_laplacian(cube_face_triangulation(n, arrangement))
+    built = build_cube_cotan_geometric(n, arrangement)
+    assert built.structure.kind == WALSH
+    assert built.entries.tobytes() == reference.tobytes()
 
 
 def test_array_assembly_matches_the_edge_loop_on_an_irregular_mesh():
@@ -233,21 +255,30 @@ def test_triangulation_matches_the_face_loop():
             assert triangles.tolist() == [list(t) for t in expected]
 
 
-@pytest.mark.parametrize("alphas,message", [
-    ([math.pi / 4, math.pi / 4, math.pi / 3], "ambiguous"),
-    ([math.pi / 4, math.pi], r"\(0, pi\)"),
-    ([math.nan], r"\(0, pi\)"),
+@pytest.mark.parametrize("cots,message", [
+    ([1.0, 1.0, 0.5], "ambiguous"),
+    ([1.0, math.inf], "finite"),
+    ([math.nan], "finite"),
+    ([math.nan, math.nan, math.nan], "finite"),
 ])
-def test_edge_weights_raise_the_first_broken_rule_in_edge_order(alphas, message):
+def test_edge_weights_raise_the_first_broken_rule_in_edge_order(cots, message):
     # a good edge before and after the bad one; the first bad edge decides
-    good = [math.pi / 4, math.pi / 4]
-    angles = np.array(good + alphas + good)
-    starts = np.array([0, 2, 2 + len(alphas)])
-    counts = np.array([2, len(alphas), 2])
+    good = [1.0, 1.0]
+    all_cots = np.array(good + cots + good)
+    starts = np.array([0, 2, 2 + len(cots)])
+    counts = np.array([2, len(cots), 2])
     with pytest.raises(ValueError, match=message):
-        meshcotan._edge_weights(angles, starts, counts, np.arange(3))
+        meshcotan._edge_weights(all_cots, starts, counts, np.arange(3))
     with pytest.raises(ValueError, match=message):
-        cotan_weight(alphas)
+        cotan_weight(cots)
+
+
+def test_non_finite_vertices_are_refused():
+    # TriMesh's degeneracy test passes a NaN vertex; its cotangents do not
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [math.nan, 1.0]])
+    mesh = TriMesh(vertices, ((0, 1, 2), (1, 3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        build_wdm(mesh)
 
 
 def test_trimesh_keeps_one_read_only_triangle_array():

@@ -772,7 +772,7 @@ def _kron_fault_places(n):
     (pow_cube_adjacency, _PATH3_ADJ), (pow_tricube_laplacian, _PATH3_LAP),
 ], ids=["powcube", "powtri"])
 @pytest.mark.parametrize("n", [2, 4])
-def test_kron_certificate_finds_a_fault_in_every_block_class_at_every_level(make, factor, n):
+def test_kron_proof_finds_a_fault_in_every_block_class_at_every_level(make, factor, n):
     # one +1 at one entry, in the int8 entries, so that nothing but the
     # proof's read of that entry, or its count of the nonzeros, can find it:
     # the proof runs before the symmetry test
@@ -800,7 +800,7 @@ def test_kron_proof_refuses_a_one_entry_fault_at_n_1(family, ordering):
 
 
 @pytest.mark.parametrize("make", [ncube_adjacency, tricube_laplacian, hamming_distance_matrix])
-def test_walsh_certificate_finds_a_fault_at_every_doubling_level(make):
+def test_walsh_proof_finds_a_fault_at_every_doubling_level(make):
     # one +1 at one entry of rows [h, 2h) for every h, and one in row 0,
     # which every other row is compared with
     n = 6

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cubelab import cubegraphs, harmonic, spectra, verify
+from cubelab import cubegraphs, harmonic, meshcotan, spectra, verify
 from cubelab.bitspace import TERNARY
 from cubelab.cli import main
 from cubelab.cubegraphs import STRUCTURE_TOL, regular_tricube_adjacency
@@ -200,6 +200,24 @@ def test_one_moved_multiplicity_fails_every_spectral_claim(monkeypatch):
     claims = ["theorem2", "theorem5", "theorem6", "extremes"]
     entries = [e for e in run_verification(claims, n_range=[3]).entries if e["n"] == 3]
     assert [(e["claim"], e["status"]) for e in entries] == [(c, "fail") for c in claims]
+
+
+def test_doubled_mesh_weights_fail_theorem1_and_the_boundary_form(monkeypatch):
+    # the fault goes into the geometric builder: the doubled weights are
+    # still a function of popcount, so the matrices are made, and only the
+    # entries that read the mesh may fail
+    edge_weights = meshcotan._edge_weights
+
+    def doubled(*args):
+        return 2.0 * edge_weights(*args)
+
+    monkeypatch.setattr(meshcotan, "_edge_weights", doubled)
+    entries = run_verification(["theorem1", "theorem2"]).entries
+    assert [(e["claim"], e["n"], e["status"], e["max_abs_err"]) for e in entries] == [
+        ("theorem1", n, "fail", float(n)) for n in range(3, 7)
+    ] + [("theorem2", 2, "fail", 2.0)] + [
+        ("theorem2", n, "pass", 0.0) for n in range(3, 9)
+    ]
 
 
 def test_theorem7_fails_when_ternary_gray_is_the_natural_order(monkeypatch):
